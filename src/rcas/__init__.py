@@ -5,108 +5,13 @@ index interleaves the two dimensions at their discriminative bytes, stores
 the result in an adaptive trie, and answers combined path/range queries in a
 single traversal.  Static interleavings (path-value, value-path, label-wise,
 z-order) are provided as baselines over the same node structure.
+
+The package root exports the library entry points; the submodules (`keys`,
+`interleave`, `trie`, `query`, `costmodel`, `dataset`) hold the rest.
 """
 
-from .keys import (
-    CompositeKey,
-    Dimension,
-    byte_at,
-    decode_path,
-    decode_value,
-    encode_path,
-    encode_value,
-)
-from .interleave import (
-    InterleaveTuple,
-    ZoContext,
-    dsc,
-    dsc_inc,
-    dynamic_interleave,
-    partitioning_sequence,
-    psi_partition,
-    static_interleave,
-    verify_monotonicity,
-)
-from .trie import (
-    RcasIndex,
-    build_static,
-    bulk_load,
-    collect_stats,
-    instrumented_build_cost,
-    load,
-    node_kind_for,
-    save,
-)
-from .query import (
-    MatchOutcome,
-    QueryPath,
-    ValueRange,
-    cas_query,
-    collect,
-    instrumented_query_cost,
-    match_path,
-    match_value,
-    parse_query_path,
-    path_matches,
-    run_query,
-    scan,
-)
-from .costmodel import (
-    CostModelParams,
-    alternating_dims,
-    alternating_is_optimal,
-    calibrate,
-    complementary,
-    error_factor,
-    estimate_cost,
-    robustness,
-)
-
-__all__ = [
-    "CompositeKey",
-    "Dimension",
-    "byte_at",
-    "decode_path",
-    "decode_value",
-    "encode_path",
-    "encode_value",
-    "InterleaveTuple",
-    "ZoContext",
-    "dsc",
-    "dsc_inc",
-    "dynamic_interleave",
-    "partitioning_sequence",
-    "psi_partition",
-    "static_interleave",
-    "verify_monotonicity",
-    "RcasIndex",
-    "build_static",
-    "bulk_load",
-    "collect_stats",
-    "instrumented_build_cost",
-    "load",
-    "node_kind_for",
-    "save",
-    "MatchOutcome",
-    "QueryPath",
-    "ValueRange",
-    "cas_query",
-    "collect",
-    "instrumented_query_cost",
-    "match_path",
-    "match_value",
-    "parse_query_path",
-    "path_matches",
-    "run_query",
-    "scan",
-    "CostModelParams",
-    "alternating_dims",
-    "alternating_is_optimal",
-    "calibrate",
-    "complementary",
-    "error_factor",
-    "estimate_cost",
-    "robustness",
-]
+from .keys import CompositeKey
+from .trie import build_static, bulk_load, load, save
+from .query import ValueRange, cas_query, parse_query_path
 
 __version__ = "0.1.0"

@@ -31,12 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_index(keys: list[CompositeKey], scheme: str, width: int) -> trie.RcasIndex:
-    if scheme == "rcas":
-        return trie.bulk_load(keys, value_width=width)
-    return trie.build_static(keys, scheme, value_width=width)
-
-
 def _load_keys(path: str, width: int) -> tuple[list[dataset.DatasetRecord], list[CompositeKey]]:
     records = dataset.load_records(path)
     return records, dataset.records_to_keys(records, width)
@@ -84,7 +78,7 @@ def _print_stats_csv(stats: trie.IndexStats, out) -> None:
 def cmd_build(args) -> int:
     records, keys = _load_keys(args.dataset, args.width)
     started = time.perf_counter()
-    index = _build_index(keys, args.scheme, args.width)
+    index = trie.build_static(keys, args.scheme, value_width=args.width)
     elapsed = time.perf_counter() - started
     if args.save:
         trie.save(index, args.save)
@@ -102,11 +96,14 @@ def cmd_build(args) -> int:
 
 def _obtain_index(args) -> trie.RcasIndex:
     if args.load:
-        return trie.load(args.load)
+        try:
+            return trie.load(args.load)
+        except ValueError as exc:
+            raise DataError(f"index file {args.load!r}: {exc}") from exc
     if not args.dataset:
         raise UsageError("either --load or --dataset is required")
     _, keys = _load_keys(args.dataset, args.width)
-    return _build_index(keys, args.scheme, args.width)
+    return trie.build_static(keys, args.scheme, value_width=args.width)
 
 
 def cmd_query(args) -> int:
@@ -160,7 +157,9 @@ def cmd_bench(args) -> int:
     except UnicodeDecodeError as exc:
         raise DataError(f"query file {args.queries!r} is not ASCII: {exc}") from exc
 
-    indexes = {scheme: _build_index(keys, scheme, args.width) for scheme in trie.SCHEMES}
+    indexes = {
+        scheme: trie.build_static(keys, scheme, value_width=args.width) for scheme in trie.SCHEMES
+    }
 
     w = csv.writer(sys.stdout)
     w.writerow(

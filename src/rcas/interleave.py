@@ -1,228 +1,23 @@
-"""Discriminative bytes, byte-level partitioning, and key interleavings.
+"""Static interleavings of composite keys, the baselines of the index.
 
-The discriminative byte of a key set in one dimension is the first position
-at which not all keys agree.  Partitioning a set at that position splits it
-into at most 256 non-empty groups, and repeating the split while alternating
-between the value and path dimensions yields, per key, a partitioning
-sequence.  The dynamic interleaving of a key is the list of path/value
-substrings delimited by the successive discriminative bytes of that sequence.
-
-The module also provides the static interleavings used as baselines:
-path-value and value-path concatenation, label-wise alternation, and the
-z-order style merge over fixed-length surrogate paths.
+Path-value and value-path concatenation, label-wise alternation, and the
+z-order style merge over fixed-length surrogate paths.  Each scheme turns a
+key into one flat sequence of dimension-tagged bytes; the dynamic
+interleaving is not materialized per key but built directly into the trie
+(see `trie.bulk_load`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .keys import CompositeKey, Dimension, PATH_TERMINATOR, SLASH
-
-Partition = Sequence[CompositeKey]
 
 STATIC_SCHEMES = ("pv", "vp", "lw", "zo")
 
 _SURROGATE_WIDTH = 3
 _MAX_SURROGATE = (1 << (8 * _SURROGATE_WIDTH)) - 1
-
-
-def _first_mismatch(a: bytes, b: bytes) -> int:
-    """0-based index of the first differing byte; min length if one is a prefix."""
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
-
-
-def _dsc_bytes(seqs: Iterable[bytes], ref: bytes, g: int) -> int:
-    """First position >= g (1-based) where not all sequences equal `ref`.
-
-    Returns len(ref)+1 when the sequences agree on every position of `ref`.
-    Prefix-free inputs guarantee that a shorter sequence differs from `ref`
-    within ref's extent, so scanning ref's positions is sufficient.
-    """
-    limit = len(ref) + 1
-    if g >= limit:
-        return g
-    best = limit
-    lo = g - 1
-    for s in seqs:
-        if s is ref:
-            continue
-        window = best - g
-        a = ref[lo : lo + window]
-        b = s[lo : lo + window]
-        if a == b:
-            continue
-        best = g + _first_mismatch(a, b)
-        if best == g:
-            break
-    return best
-
-
-def dsc(keys: Partition, dim: Dimension) -> int:
-    """Position (1-based) of the discriminative byte of `keys` in `dim`.
-
-    If all keys agree on the whole dimension, returns length+1.
-    """
-    return dsc_inc(keys, dim, 1)
-
-
-def dsc_inc(keys: Partition, dim: Dimension, g: int) -> int:
-    """Like dsc, but resumes scanning at position g (a known lower bound)."""
-    if not keys:
-        raise ValueError("empty key set has no discriminative byte")
-    ref = keys[0].dim(dim)
-    return _dsc_bytes((k.dim(dim) for k in keys[1:]), ref, g)
-
-
-@dataclass
-class Partitioning:
-    """Result of splitting a key set by its discriminative byte.
-
-    `slots` is a dense 256-entry table indexed by byte value; entries without
-    keys are None.  When the set has no discriminative byte in the requested
-    dimension the partitioning is the identity and the whole input is kept in
-    `identity` instead.
-    """
-
-    slots: list[list[CompositeKey] | None] | None
-    identity: list[CompositeKey] | None = None
-
-    def non_empty(self) -> list[tuple[int | None, list[CompositeKey]]]:
-        if self.identity is not None:
-            return [(None, self.identity)]
-        assert self.slots is not None
-        return [(b, part) for b, part in enumerate(self.slots) if part]
-
-    def partition_of(self, key: CompositeKey, dim: Dimension, g: int) -> list[CompositeKey]:
-        if self.identity is not None:
-            return self.identity
-        assert self.slots is not None
-        part = self.slots[key.dim(dim)[g - 1]]
-        assert part is not None
-        return part
-
-    def is_identity(self) -> bool:
-        return self.identity is not None
-
-
-def psi_partition(keys: Partition, dim: Dimension, g: int | None = None) -> Partitioning:
-    """Group keys by the byte at the discriminative position of `dim`.
-
-    Keys keep their input order inside each slot, which makes every
-    downstream structure deterministic.
-    """
-    if not keys:
-        raise ValueError("cannot partition an empty key set")
-    if g is None:
-        g = dsc(keys, dim)
-    if g > len(keys[0].dim(dim)):
-        return Partitioning(slots=None, identity=list(keys))
-    slots: list[list[CompositeKey] | None] = [None] * 256
-    for k in keys:
-        b = k.dim(dim)[g - 1]
-        part = slots[b]
-        if part is None:
-            slots[b] = [k]
-        else:
-            part.append(k)
-    return Partitioning(slots=slots)
-
-
-def partitioning_sequence(
-    key: CompositeKey, keys: Partition, dim: Dimension = Dimension.V
-) -> list[tuple[list[CompositeKey], Dimension]]:
-    """Chain of partitions containing `key`, alternating dimensions.
-
-    Starts by partitioning in `dim` (the value dimension by default) and
-    switches to the other dimension whenever the current one is exhausted.
-    The final element carries the leaf marker.
-    """
-    part = list(keys)
-    if key not in part:
-        raise ValueError("key does not belong to the partition")
-    out: list[tuple[list[CompositeKey], Dimension]] = []
-    while True:
-        g = dsc(part, dim)
-        if g > len(key.dim(dim)):
-            other = dim.complement()
-            g2 = dsc(part, other)
-            if g2 > len(key.dim(other)):
-                out.append((part, Dimension.BOT))
-                return out
-            dim, g = other, g2
-        out.append((part, dim))
-        part = psi_partition(part, dim, g).partition_of(key, dim, g)
-        dim = dim.complement()
-
-
-@dataclass(frozen=True)
-class InterleaveTuple:
-    """One segment of a dynamically interleaved key.
-
-    `value_first` records which substring precedes the other in the
-    interleaved order; it is set when the previous partitioning step used the
-    value dimension.
-    """
-
-    s_p: bytes
-    s_v: bytes
-    dim: Dimension
-    value_first: bool
-
-    def ordered(self) -> tuple[bytes, bytes]:
-        return (self.s_v, self.s_p) if self.value_first else (self.s_p, self.s_v)
-
-
-def dynamic_interleave(key: CompositeKey, keys: Partition) -> list[InterleaveTuple]:
-    """Interleave `key` at the discriminative bytes of its partitioning chain."""
-    seq = partitioning_sequence(key, keys)
-    out: list[InterleaveTuple] = []
-    prev_p, prev_v = 1, 1
-    prev_dim = Dimension.V
-    for part, dim in seq:
-        dp = dsc(part, Dimension.P)
-        dv = dsc(part, Dimension.V)
-        out.append(
-            InterleaveTuple(
-                s_p=key.path[prev_p - 1 : dp - 1],
-                s_v=key.value[prev_v - 1 : dv - 1],
-                dim=dim,
-                value_first=prev_dim is Dimension.V,
-            )
-        )
-        prev_p, prev_v, prev_dim = dp, dv, dim
-    return out
-
-
-def verify_monotonicity(keys: Partition, dim: Dimension) -> bool:
-    """Check that partitioning advances the discriminative bytes.
-
-    Every proper sub-partition must move the discriminative byte strictly
-    forward in the split dimension and never backward in the other one.
-    """
-    other = dim.complement()
-    base_d = dsc(keys, dim)
-    base_o = dsc(keys, other)
-    parts = psi_partition(keys, dim)
-    if parts.is_identity():
-        return True
-    for _, part in parts.non_empty():
-        if len(part) == len(keys):
-            continue
-        if dsc(part, dim) <= base_d:
-            return False
-        if dsc(part, other) < base_o:
-            return False
-    return True
-
-
-# --- static interleavings -------------------------------------------------
 
 
 class SurrogateOverflow(RuntimeError):
@@ -308,11 +103,6 @@ def _byte_merge(value: bytes, path: bytes, n_v: int, n_p: int) -> list[tuple[int
                 out.append((path[pi], Dimension.P))
                 pi += 1
     return out
-
-
-def interleave_bytewise(key: CompositeKey) -> list[tuple[int, Dimension]]:
-    """One value byte alternating with one raw path byte (reference order)."""
-    return _byte_merge(key.value, key.path, 1, 1)
 
 
 def static_interleave(

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 PATH_TERMINATOR = 0x00
 VALUE_WIDTHS = (4, 8)
 
-_PATH_BYTE_MIN = 0x20
-_PATH_BYTE_MAX = 0x7E
+PATH_BYTE_MIN = 0x20
+PATH_BYTE_MAX = 0x7E
 SLASH = 0x2F
 
 
@@ -70,7 +70,7 @@ def encode_path(p: str) -> bytes:
     except UnicodeEncodeError as exc:
         raise PathSyntaxError(f"path {p!r} contains non-ASCII characters") from exc
     for b in raw:
-        if not _PATH_BYTE_MIN <= b <= _PATH_BYTE_MAX:
+        if not PATH_BYTE_MIN <= b <= PATH_BYTE_MAX:
             raise PathSyntaxError(f"path {p!r} contains unprintable byte 0x{b:02X}")
     for label in p.split("/")[1:]:
         if not label:
@@ -82,22 +82,6 @@ def decode_path(b: bytes) -> str:
     if not b or b[-1] != PATH_TERMINATOR:
         raise PathSyntaxError("encoded path is missing its terminator")
     return b[:-1].decode("ascii")
-
-
-def path_labels(b: bytes) -> tuple[str, ...]:
-    """Split an encoded path into its labels."""
-    return tuple(decode_path(b).split("/")[1:])
-
-
-def byte_at(s: bytes, i: int) -> int | None:
-    """Return the i-th byte of s (1-based), or None past the end.
-
-    None plays the role of the empty string marker for positions beyond the
-    sequence; callers must treat it as incomparable to real bytes.
-    """
-    if i < 1:
-        raise IndexError("byte positions are 1-based")
-    return s[i - 1] if i <= len(s) else None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .keys import (
+    PATH_BYTE_MAX,
+    PATH_BYTE_MIN,
     SLASH,
     CompositeKey,
     Dimension,
@@ -44,9 +46,6 @@ class Trailing(enum.Enum):
 
 
 WILDCARD = "*"
-
-_LABEL_BYTE_MIN = 0x20
-_LABEL_BYTE_MAX = 0x7E
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def parse_query_path(text: str) -> QueryPath:
             break
         for ch in label:
             b = ord(ch)
-            if not _LABEL_BYTE_MIN <= b <= _LABEL_BYTE_MAX or ch == "/":
+            if not PATH_BYTE_MIN <= b <= PATH_BYTE_MAX or ch == "/":
                 raise QuerySyntaxError(f"bad character {ch!r} in query label {label!r}")
         steps.append(Step(axis, None if label == WILDCARD else label))
     if not steps and trailing is not Trailing.DESCENDANT:
@@ -144,10 +143,34 @@ class ValueRange:
         return len(self.low)
 
 
-class MatchOutcome(enum.Enum):
-    MATCH = "match"
-    MISMATCH = "mismatch"
-    INCOMPLETE = "incomplete"
+def feed_range(
+    low: bytes, high: bytes, pos: int, lopen: bool, hopen: bool, data: bytes
+) -> tuple[int, bool, bool, bool] | None:
+    """Advance the closed-range check [low, high] over the value bytes `data`.
+
+    The check resumes at byte position `pos` of the bounds.  While `lopen`
+    is False the bytes consumed so far equal the low bound's prefix; once a
+    byte strictly above the low bound is seen, no completion can fall below
+    it.  `hopen` mirrors this for the high bound.  Returns None as soon as
+    the prefix leaves the range, otherwise (pos, lopen, hopen, matched),
+    where matched means every completion lies in the range: both bounds are
+    open, or the full width has been consumed.
+    """
+    for b in data:
+        if not lopen:
+            lb = low[pos]
+            if b < lb:
+                return None
+            if b > lb:
+                lopen = True
+        if not hopen:
+            hb = high[pos]
+            if b > hb:
+                return None
+            if b < hb:
+                hopen = True
+        pos += 1
+    return pos, lopen, hopen, pos == len(low) or (lopen and hopen)
 
 
 # --- declarative path semantics (reference oracle) ---------------------------
@@ -423,97 +446,6 @@ def _compile_ascii(qpath: QueryPath) -> _AsciiPathMatcher:
     return _AsciiPathMatcher(qpath)
 
 
-# --- public incremental matchers ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValueMatchState:
-    """Progress of the range check: bytes consumed and established divergences.
-
-    While `low_open` is False the consumed bytes equal the low bound's
-    prefix, so the next comparison position is `consumed`; once a strict
-    divergence above the low bound is seen the bound can never fail again.
-    `high_open` mirrors this for the upper bound.
-    """
-
-    consumed: int = 0
-    low_open: bool = False
-    high_open: bool = False
-    matched: bool = False
-
-
-@dataclass(frozen=True)
-class PathMatchState:
-    consumed: int = 0
-    states: frozenset = frozenset({0})
-    done: bool = False
-    matched: bool = False
-
-
-def match_value(
-    buff_v: bytes, vrange: ValueRange, state: ValueMatchState | None = None, is_leaf: bool = False
-) -> tuple[MatchOutcome, ValueMatchState]:
-    """Match a value-byte prefix against the range, resuming from `state`.
-
-    Returns MISMATCH as soon as the prefix falls outside the range, MATCH
-    when every completion lies inside (strict divergence from both bounds,
-    or the full width consumed), and INCOMPLETE otherwise.
-    """
-    st = state or ValueMatchState()
-    if st.matched:
-        return MatchOutcome.MATCH, st
-    width = vrange.width
-    if len(buff_v) > width:
-        raise ValueError("value buffer longer than the range width")
-    low, high = vrange.low, vrange.high
-    pos, lopen, hopen = st.consumed, st.low_open, st.high_open
-    for b in buff_v[st.consumed :]:
-        if not lopen:
-            lb = low[pos]
-            if b < lb:
-                return MatchOutcome.MISMATCH, st
-            if b > lb:
-                lopen = True
-        if not hopen:
-            hb = high[pos]
-            if b > hb:
-                return MatchOutcome.MISMATCH, st
-            if b < hb:
-                hopen = True
-        pos += 1
-    if pos == width or (lopen and hopen):
-        return MatchOutcome.MATCH, ValueMatchState(pos, lopen, hopen, True)
-    if is_leaf:
-        raise ValueError("leaf reached with an incomplete value buffer")
-    return MatchOutcome.INCOMPLETE, ValueMatchState(pos, lopen, hopen, False)
-
-
-def match_path(
-    buff_p: bytes, qpath: QueryPath, state: PathMatchState | None = None, is_leaf: bool = False
-) -> tuple[MatchOutcome, PathMatchState]:
-    """Match a path-byte prefix against the query, resuming from `state`.
-
-    On a complete path (terminator seen) the decision is final and agrees
-    with the declarative semantics of `path_matches`; on a prefix, MISMATCH
-    means no completion can match and MATCH means every completion matches.
-    """
-    st = state or PathMatchState()
-    if st.matched:
-        return MatchOutcome.MATCH, PathMatchState(len(buff_p), st.states, st.done, True)
-    matcher = _compile_ascii(qpath)
-    states = st.states if st.consumed else matcher.start
-    fed = matcher.feed(states, st.done, buff_p[st.consumed :])
-    if fed is None:
-        return MatchOutcome.MISMATCH, st
-    states, done, matched = fed
-    new = PathMatchState(len(buff_p), states, done, matched)
-    if new.matched:
-        return MatchOutcome.MATCH, new
-    if is_leaf and not done:
-        raise ValueError("leaf reached with an incomplete path buffer")
-    return MatchOutcome.INCOMPLETE, new
-
-
 # --- query evaluation over an index ------------------------------------------
 
 
@@ -521,19 +453,6 @@ def match_path(
 class QueryResult:
     refs: list[int]
     visited: int
-
-
-def collect(node: Node, out: list[int] | None = None) -> list[int]:
-    """Append the references of every leaf below (and including) `node`."""
-    if out is None:
-        out = []
-    if node.is_leaf:
-        assert node.refs is not None
-        out.extend(node.refs)
-        return out
-    for _, _, child in node.children:
-        collect(child, out)
-    return out
 
 
 class _Evaluator:
@@ -544,7 +463,6 @@ class _Evaluator:
             )
         self.low = vrange.low
         self.high = vrange.high
-        self.width = vrange.width
         if index.scheme == "zo":
             assert index.zo_ctx is not None
             self.matcher = _ZoPathMatcher(qpath, index.zo_ctx)
@@ -579,22 +497,10 @@ class _Evaluator:
             self.trace.append(node)
 
         if not vmatched:
-            for b in node.s_v:
-                if not lopen:
-                    lb = self.low[vpos]
-                    if b < lb:
-                        return
-                    if b > lb:
-                        lopen = True
-                if not hopen:
-                    hb = self.high[vpos]
-                    if b > hb:
-                        return
-                    if b < hb:
-                        hopen = True
-                vpos += 1
-            if vpos == self.width or (lopen and hopen):
-                vmatched = True
+            fed = feed_range(self.low, self.high, vpos, lopen, hopen, node.s_v)
+            if fed is None:
+                return
+            vpos, lopen, hopen, vmatched = fed
 
         if not pmatched:
             fed = self.matcher.feed(pstates, pmark, node.s_p)
@@ -651,8 +557,3 @@ def cas_query(index: RcasIndex, qpath: QueryPath | str, vrange: ValueRange) -> l
     """References of all keys whose path satisfies the query path and whose
     value lies in the closed range."""
     return run_query(index, qpath, vrange).refs
-
-
-def instrumented_query_cost(index: RcasIndex, qpath: QueryPath | str, vrange: ValueRange) -> int:
-    """Number of index nodes touched while answering the query."""
-    return run_query(index, qpath, vrange).visited

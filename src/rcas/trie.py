@@ -15,9 +15,9 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .interleave import STATIC_SCHEMES, ZoContext, _dsc_bytes, static_interleave
+from .interleave import STATIC_SCHEMES, ZoContext, static_interleave
 from .keys import CompositeKey, Dimension
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
@@ -67,9 +67,18 @@ class Node:
         return None
 
     def walk(self, depth: int = 0) -> Iterator[tuple[int, "Node"]]:
-        yield depth, self
-        for _, _, c in self.children:
-            yield from c.walk(depth + 1)
+        """(depth, node) pairs of this subtree in pre-order.
+
+        Iterative, so the cost is linear in the node count and the depth is
+        not bounded by the interpreter's recursion limit.
+        """
+        stack = [(depth, self)]
+        while stack:
+            depth, node = stack.pop()
+            yield depth, node
+            depth += 1
+            for _, _, c in reversed(node.children):
+                stack.append((depth, c))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else f"inner/{self.dim.value}"
@@ -154,6 +163,45 @@ def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> R
         scheme="rcas",
         build_stats=stats,
     )
+
+
+def _first_mismatch(a: bytes, b: bytes) -> int:
+    """0-based index of the first differing byte; min length if one is a prefix."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    for i in range(n):
+        if a[i] != b[i]:
+            return i
+    return n
+
+
+def _dsc_bytes(seqs: Iterable[bytes], ref: bytes, g: int) -> int:
+    """First position >= g (1-based) where not all sequences equal `ref`.
+
+    This is the discriminative byte of the set `seqs` + `ref`, resumed at a
+    known lower bound g.  Returns len(ref)+1 when the sequences agree on
+    every position of `ref`.  Prefix-free inputs guarantee that a shorter
+    sequence differs from `ref` within ref's extent, so scanning ref's
+    positions is sufficient.
+    """
+    limit = len(ref) + 1
+    if g >= limit:
+        return g
+    best = limit
+    lo = g - 1
+    for s in seqs:
+        if s is ref:
+            continue
+        window = best - g
+        a = ref[lo : lo + window]
+        b = s[lo : lo + window]
+        if a == b:
+            continue
+        best = g + _first_mismatch(a, b)
+        if best == g:
+            break
+    return best
 
 
 def _dsc_items(items: list, fi: int, g: int) -> int:
@@ -329,12 +377,6 @@ def collect_stats(index: RcasIndex) -> IndexStats:
         key_count=index.key_count,
         unique_key_count=leaves,
     )
-
-
-def instrumented_build_cost(keys: Sequence[CompositeKey]) -> tuple[int, int]:
-    """(byte_scans, moves) counters of a fresh bulk load over `keys`."""
-    index = bulk_load(keys)
-    return index.build_stats.byte_scans, index.build_stats.moves
 
 
 # --- serialization ----------------------------------------------------------

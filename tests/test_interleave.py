@@ -3,21 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcas.interleave import (
-    InterleaveTuple,
-    ZoContext,
-    dsc,
-    dsc_inc,
-    dynamic_interleave,
-    interleave_bytewise,
-    partitioning_sequence,
-    psi_partition,
-    static_interleave,
-    verify_monotonicity,
-)
-from rcas.keys import CompositeKey, Dimension, byte_at
+from rcas.interleave import ZoContext, static_interleave
+from rcas.keys import CompositeKey, Dimension
+from rcas.trie import _dsc_bytes
 
 from conftest import random_keys, subset
+from reference import (
+    InterleaveTuple,
+    dsc,
+    dynamic_interleave,
+    partitioning_sequence,
+    psi_partition,
+)
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
 
@@ -42,39 +39,31 @@ class TestDiscriminativeBytes:
 
     def test_incremental_matches_from_lower_bound(self, bom_named):
         k2567 = subset(bom_named, "k2", "k5", "k6", "k7")
-        assert dsc_inc(k2567, P, 13) == 14
-        assert dsc_inc(k2567, P, 14) == 14
+        assert _resumed_dsc(k2567, P, 13) == 14
+        assert _resumed_dsc(k2567, P, 14) == 14
 
     def test_incremental_equals_naive_scan(self):
         rng = random.Random(1234)
         for _ in range(200):
             keys = random_keys(rng)
             for dim in (P, V):
-                naive = _naive_dsc(keys, dim)
-                assert dsc_inc(keys, dim, 1) == naive
-                assert dsc(keys, dim) == naive
+                naive = dsc(keys, dim)
+                for g in (1, (1 + naive) // 2, naive):
+                    assert _resumed_dsc(keys, dim, g) == naive
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             dsc([], P)
 
 
-def _naive_dsc(keys, dim):
-    """Position-by-position scan straight from the definition."""
-    m = 1
-    while True:
-        vals = {byte_at(k.dim(dim), m) for k in keys}
-        if len(vals) > 1:
-            return m
-        if vals == {None}:
-            return len(keys[0].dim(dim)) + 1
-        m += 1
+def _resumed_dsc(keys, dim, g):
+    """The production scan the bulk load runs, resumed at lower bound g."""
+    return _dsc_bytes((k.dim(dim) for k in keys[1:]), keys[0].dim(dim), g)
 
 
 class TestPartitioning:
     def test_value_split_of_whole_example(self, bom_keys, bom_named):
-        parts = psi_partition(bom_keys, V, 2)
-        slots = dict(parts.non_empty())
+        slots = psi_partition(bom_keys, V, 2)
         assert set(slots) == {0x00, 0x01, 0x03}
         assert refs(slots[0x00]) == refs(subset(bom_named, "k2", "k5", "k6", "k7"))
         assert refs(slots[0x01]) == [bom_named["k1"].ref]
@@ -82,16 +71,14 @@ class TestPartitioning:
 
     def test_path_split(self, bom_named):
         k2567 = subset(bom_named, "k2", "k5", "k6", "k7")
-        parts = psi_partition(k2567, P, 14)
-        slots = dict(parts.non_empty())
+        slots = psi_partition(k2567, P, 14)
         assert set(slots) == {ord("/"), ord("a")}
         assert refs(slots[ord("a")]) == [bom_named["k2"].ref]
         assert refs(slots[ord("/")]) == refs(subset(bom_named, "k5", "k6", "k7"))
 
     def test_singleton_is_identity(self, bom_named):
         parts = psi_partition([bom_named["k6"]], P)
-        assert parts.is_identity()
-        assert len(parts.non_empty()) == 1
+        assert parts == {None: [bom_named["k6"]]}
 
     def test_disjoint_and_complete(self):
         rng = random.Random(77)
@@ -99,14 +86,14 @@ class TestPartitioning:
             keys = random_keys(rng)
             for dim in (P, V):
                 parts = psi_partition(keys, dim)
-                pieces = [k for _, part in parts.non_empty() for k in part]
+                pieces = [k for part in parts.values() for k in part]
                 assert sorted(k.ref for k in pieces) == sorted(k.ref for k in keys)
 
     def test_stable_order_within_slots(self):
         rng = random.Random(78)
         keys = random_keys(rng, 25)
         parts = psi_partition(keys, V)
-        for _, part in parts.non_empty():
+        for part in parts.values():
             positions = [keys.index(k) for k in part]
             assert positions == sorted(positions)
 
@@ -231,6 +218,25 @@ class TestDynamicInterleaving:
             assert ta[: shared - 1] == tb[: shared - 1]
 
 
+def verify_monotonicity(keys, dim):
+    """Check that partitioning advances the discriminative bytes.
+
+    Every proper sub-partition must move the discriminative byte strictly
+    forward in the split dimension and never backward in the other one.
+    """
+    other = dim.complement()
+    base_d = dsc(keys, dim)
+    base_o = dsc(keys, other)
+    for part in psi_partition(keys, dim, base_d).values():
+        if len(part) == len(keys):
+            continue
+        if dsc(part, dim) <= base_d:
+            return False
+        if dsc(part, other) < base_o:
+            return False
+    return True
+
+
 class TestMonotonicity:
     def test_reference_edges(self, bom_keys, bom_named):
         assert verify_monotonicity(bom_keys, V)
@@ -254,17 +260,6 @@ class TestStaticInterleavings:
         vp = static_interleave(k6, "vp")
         assert bytes(b for b, _ in vp) == k6.value + k6.path
         assert [d for _, d in vp] == [V] * 4 + [P] * 20
-
-    def test_bytewise_reference(self, bom_named):
-        k6 = bom_named["k6"]
-        bw = interleave_bytewise(k6)
-        prefix = [
-            (0x00, V), (ord("/"), P), (0x00, V), (ord("b"), P),
-            (0x0C, V), (ord("o"), P), (0xC2, V), (ord("m"), P),
-        ]
-        assert bw[:8] == prefix
-        assert bytes(b for b, d in bw[8:]) == b"/item/car/brake\x00"
-        assert all(d is P for _, d in bw[8:])
 
     def test_label_wise(self, bom_named):
         k6 = bom_named["k6"]

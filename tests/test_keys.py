@@ -5,12 +5,13 @@ from rcas.keys import (
     CompositeKey,
     Dimension,
     PathSyntaxError,
-    byte_at,
     decode_path,
     decode_value,
     encode_path,
     encode_value,
 )
+
+from reference import byte_at
 
 
 def test_encode_value_reference_cases():

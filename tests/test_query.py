@@ -6,17 +6,13 @@ from rcas.dataset import GeneratorConfig, generate, records_to_keys
 from rcas.keys import CompositeKey, Dimension
 from rcas.query import (
     Axis,
-    MatchOutcome,
-    PathMatchState,
     QuerySyntaxError,
     Step,
     Trailing,
     ValueRange,
+    _compile_ascii,
     cas_query,
-    collect,
-    instrumented_query_cost,
-    match_path,
-    match_value,
+    feed_range,
     parse_query_path,
     path_matches,
     run_query,
@@ -25,10 +21,6 @@ from rcas.query import (
 from rcas.trie import SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
-
-MATCH = MatchOutcome.MATCH
-MISMATCH = MatchOutcome.MISMATCH
-INCOMPLETE = MatchOutcome.INCOMPLETE
 
 
 class TestParse:
@@ -107,70 +99,78 @@ class TestDeclarativeSemantics:
 
 
 class TestMatchValue:
+    """The evaluator's range check, fed value bytes from the start state."""
+
     RANGE = ValueRange(bytes.fromhex("000186a0"), bytes.fromhex("0007a120"))
 
+    @staticmethod
+    def feed(data, vrange, state=(0, False, False)):
+        return feed_range(vrange.low, vrange.high, *state, data)
+
     def test_leaf_below_lower_bound(self):
-        out, _ = match_value(bytes.fromhex("00010e50"), self.RANGE, None, is_leaf=True)
-        assert out is MISMATCH
+        assert self.feed(bytes.fromhex("00010e50"), self.RANGE) is None
 
     def test_inner_strict_divergence_matches(self):
-        out, st = match_value(bytes.fromhex("0003"), self.RANGE)
-        assert out is MATCH
-        assert st.low_open and st.high_open
+        pos, lopen, hopen, matched = self.feed(bytes.fromhex("0003"), self.RANGE)
+        assert matched
+        assert lopen and hopen
 
     def test_point_query_at_leaf(self):
         rng = ValueRange.closed(3266, 3266)
-        out, _ = match_value(bytes.fromhex("00000cc2"), rng, None, is_leaf=True)
-        assert out is MATCH
+        assert self.feed(bytes.fromhex("00000cc2"), rng) == (4, False, False, True)
 
     def test_incomplete_prefix(self):
-        out, st = match_value(b"\x00", self.RANGE)
-        assert out is INCOMPLETE
-        assert st.consumed == 1
+        assert self.feed(b"\x00", self.RANGE) == (1, False, False, False)
 
     def test_above_upper_bound(self):
-        out, _ = match_value(bytes.fromhex("0008"), self.RANGE)
-        assert out is MISMATCH
+        assert self.feed(bytes.fromhex("0008"), self.RANGE) is None
 
     def test_resumes_from_state(self):
-        out, st = match_value(b"\x00", self.RANGE)
-        out, st = match_value(bytes.fromhex("0003"), self.RANGE, st)
-        assert out is MATCH
+        pos, lopen, hopen, _ = self.feed(b"\x00", self.RANGE)
+        *_, matched = self.feed(b"\x03", self.RANGE, (pos, lopen, hopen))
+        assert matched
 
     def test_complete_value_decides_even_below_leaf(self):
         rng = ValueRange.closed(100, 100)
-        out, _ = match_value(bytes.fromhex("00000064"), rng)
-        assert out is MATCH
+        *_, matched = self.feed(bytes.fromhex("00000064"), rng)
+        assert matched
 
 
 class TestMatchPath:
+    """The compiled path matcher the evaluator feeds node substrings into.
+
+    `feed` returns None on a dead end, else (states, done, matched).
+    """
+
+    @staticmethod
+    def feed(q, data, fed=None):
+        matcher = _compile_ascii(q)
+        states, done, _ = fed if fed is not None else (matcher.start, False, False)
+        return matcher.feed(states, done, data)
+
     def test_partial_label_skipped_by_descendant(self):
         q = parse_query_path("/bom/item//battery")
-        out, st = match_path(b"/bom/item/ca", q)
-        assert out is INCOMPLETE
+        _, done, matched = self.feed(q, b"/bom/item/ca")
+        assert not done and not matched
 
     def test_complete_path_match(self):
         q = parse_query_path("/bom/item//battery")
-        out, st = match_path(b"/bom/item/ca", q)
-        out, st = match_path(b"/bom/item/car/battery\x00", q, st)
-        assert out is MATCH
+        fed = self.feed(q, b"/bom/item/ca")
+        _, done, matched = self.feed(q, b"r/battery\x00", fed)
+        assert done and matched
 
     def test_label_mismatch(self):
         q = parse_query_path("/bom/item/car//")
-        out, _ = match_path(b"/bom/item/canoe\x00", q)
-        assert out is MISMATCH
+        assert self.feed(q, b"/bom/item/canoe\x00") is None
 
     def test_early_match_under_trailing_descendant(self):
         q = parse_query_path("/bom/item/car//")
-        out, _ = match_path(b"/bom/item/car/", q)
-        assert out is MATCH
-        out, _ = match_path(b"/bom/item/car", q)
-        assert out is INCOMPLETE  # could still be /bom/item/carabiner
+        assert self.feed(q, b"/bom/item/car/")[2]
+        assert not self.feed(q, b"/bom/item/car")[2]  # could still be /bom/item/carabiner
 
     def test_dead_prefix_is_mismatch(self):
         q = parse_query_path("/bom/item")
-        out, _ = match_path(b"/bom/x", q)
-        assert out is MISMATCH
+        assert self.feed(q, b"/bom/x") is None
 
     def test_incremental_equals_declarative(self):
         rng = random.Random(777)
@@ -180,23 +180,18 @@ class TestMatchPath:
             path = "/" + "/".join(rng.choice(labels) for _ in range(depth))
             q = parse_query_path(random_query_text(rng, [path, "/a/b/ab", "/car/x"]))
             encoded = path.encode() + b"\x00"
-            # feed in random chunks; the final outcome must equal the oracle
-            st = PathMatchState()
-            outcome = None
+            # feed in random chunks, stopping where the evaluator would: at a
+            # dead end or once the path has matched
+            fed = None
             pos = 0
-            dead = False
             while pos < len(encoded):
                 cut = rng.randint(pos + 1, len(encoded))
-                outcome, st = match_path(encoded[:cut], q, st)
+                fed = self.feed(q, encoded[pos:cut], fed)
                 pos = cut
-                if outcome is MISMATCH:
-                    dead = True
+                if fed is None or fed[2]:
                     break
             want = path_matches(q, path)
-            if dead:
-                assert not want, (q.text, path)
-            else:
-                assert (outcome is MATCH) == want, (q.text, path)
+            assert (fed is not None and fed[2]) == want, (q.text, path)
 
     def test_outcomes_never_regress(self):
         rng = random.Random(778)
@@ -206,15 +201,16 @@ class TestMatchPath:
             path = "/" + "/".join(rng.choice(labels) for _ in range(depth))
             q = parse_query_path(random_query_text(rng, [path]))
             encoded = path.encode() + b"\x00"
-            st = PathMatchState()
+            fed = None
             seen_match = False
-            for cut in range(1, len(encoded) + 1):
-                outcome, st = match_path(encoded[:cut], q, st)
-                if outcome is MISMATCH:
+            for b in encoded:
+                fed = self.feed(q, bytes([b]), fed)
+                if fed is None:
+                    assert not seen_match, (q.text, path)
                     break
                 if seen_match:
-                    assert outcome is MATCH
-                seen_match = outcome is MATCH
+                    assert fed[2], (q.text, path)
+                seen_match = fed[2]
 
 
 class TestWorkedQuery:
@@ -258,10 +254,13 @@ class TestWorkedQuery:
         for _ in range(50):
             lo = rng.randint(0, 300_000)
             hi = rng.randint(lo, 300_000)
-            cost = instrumented_query_cost(
-                bom_index, random_query_text(rng, paths), ValueRange.closed(lo, hi)
-            )
-            assert cost <= 11
+            res = run_query(bom_index, random_query_text(rng, paths), ValueRange.closed(lo, hi))
+            assert res.visited <= 11
+
+
+def collect(node):
+    """References of every leaf below (and including) `node`."""
+    return [r for _, n in node.walk() if n.is_leaf for r in n.refs]
 
 
 class TestCollect:

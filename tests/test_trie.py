@@ -1,23 +1,24 @@
 import random
+import sys
 
 import pytest
 
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
-from rcas.interleave import dynamic_interleave
 from rcas.keys import CompositeKey, Dimension
 from rcas.trie import (
     SCHEMES,
     Node,
+    RcasIndex,
     build_static,
     bulk_load,
     collect_stats,
-    instrumented_build_cost,
     load_bytes,
     node_kind_for,
     save_bytes,
 )
 
 from conftest import random_keys
+from reference import dynamic_interleave
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
 
@@ -220,10 +221,26 @@ class TestStats:
         assert stats.depth_histogram == {0: 1}
         assert stats.avg_node_depth == 0.0
 
+    def test_chain_deeper_than_recursion_limit(self):
+        depth = 2 * sys.getrecursionlimit()
+        node = Node(b"/x\x00", b"", BOT, [], [1])
+        for _ in range(depth):
+            node = Node(b"", b"\x00", V, [(V, 0, node)], None)
+        index = RcasIndex(root=node, value_width=4, key_count=1)
+        stats = collect_stats(index)
+        assert stats.node_count == depth + 1
+        assert max(stats.depth_histogram) == depth
+        assert stats.leaf_count == 1
+
+
+def _build_counters(keys):
+    stats = bulk_load(keys).build_stats
+    return stats.byte_scans, stats.moves
+
 
 class TestBuildInstrumentation:
     def test_example_bounds(self, bom_keys):
-        scans, moves = instrumented_build_cost(bom_keys)
+        scans, moves = _build_counters(bom_keys)
         distinct = {(k.path, k.value) for k in bom_keys}
         assert scans <= sum(len(p) + len(v) for p, v in distinct)
         assert scans <= 7 * (22 + 4)
@@ -232,7 +249,7 @@ class TestBuildInstrumentation:
 
     def test_singleton_costs(self):
         k = CompositeKey.make("/a/b/c", 123, 1)
-        scans, moves = instrumented_build_cost([k])
+        scans, moves = _build_counters([k])
         assert scans == len(k.path) + len(k.value)
         assert moves == 0
 
@@ -240,8 +257,8 @@ class TestBuildInstrumentation:
         rng = random.Random(2020)
         keys = random_keys(rng, 30)
         doubled = keys + [CompositeKey(k.path, k.value, k.ref + 10_000) for k in keys]
-        s1, m1 = instrumented_build_cost(keys)
-        s2, m2 = instrumented_build_cost(doubled)
+        s1, m1 = _build_counters(keys)
+        s2, m2 = _build_counters(doubled)
         assert s2 <= 2 * s1
         assert m2 <= 2 * m1
 
@@ -249,7 +266,7 @@ class TestBuildInstrumentation:
         for seed in (1, 2, 3):
             cfg = GeneratorConfig(seed=seed, key_count=400, duplicate_fraction=0.25)
             keys = records_to_keys(generate(cfg))
-            scans, moves = instrumented_build_cost(keys)
+            scans, moves = _build_counters(keys)
             distinct = {(k.path, k.value) for k in keys}
             assert scans <= sum(len(p) + len(v) for p, v in distinct)
             longest = max(len(k.path) + len(k.value) for k in keys)
