@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import statistics
 import sys
 import time
@@ -251,16 +252,10 @@ def cmd_costmodel(args) -> int:
             sel_path=args.sel_path,
             sel_value=args.sel_value,
         )
+        swapped = dataclasses.replace(params, sel_path=args.sel_value, sel_value=args.sel_path)
         c1 = costmodel.estimate_cost(params, include_root=args.include_root)
-        swapped = costmodel.CostModelParams(
-            fanout=args.fanout,
-            height=args.height,
-            dims=dims,
-            sel_path=args.sel_value,
-            sel_value=args.sel_path,
-        )
         c2 = costmodel.estimate_cost(swapped, include_root=args.include_root)
-        avg, sd = costmodel.robustness(params, include_root=args.include_root)
+        avg, sd = costmodel._pair_stats(c1, c2)
         w.writerow([name, f"{c1:.2f}", f"{c2:.2f}", f"{avg:.2f}", f"{sd:.2f}"])
     return 0
 

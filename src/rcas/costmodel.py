@@ -16,7 +16,7 @@ vector minimizes the complementary-pair cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,15 +89,14 @@ def complementary(sel_path: float, sel_value: float) -> tuple[float, float]:
 def robustness(params: CostModelParams, include_root: bool = True) -> tuple[float, float]:
     """Average and sample standard deviation of the cost over a query and its
     complementary query."""
-    c1 = estimate_cost(params, include_root)
     swapped_p, swapped_v = complementary(params.sel_path, params.sel_value)
-    c2 = estimate_cost(
-        CostModelParams(params.fanout, params.height, params.dims, swapped_p, swapped_v),
-        include_root,
-    )
-    avg = (c1 + c2) / 2.0
-    stddev = abs(c1 - c2) / math.sqrt(2.0)
-    return avg, stddev
+    swapped = replace(params, sel_path=swapped_p, sel_value=swapped_v)
+    return _pair_stats(estimate_cost(params, include_root), estimate_cost(swapped, include_root))
+
+
+def _pair_stats(c1: float, c2: float) -> tuple[float, float]:
+    """Average and sample standard deviation of two costs."""
+    return (c1 + c2) / 2.0, abs(c1 - c2) / math.sqrt(2.0)
 
 
 def pair_costs(

@@ -8,15 +8,19 @@ strictly diverges inside the range matches wholly, a prefix outside the
 range prunes the subtree, and likewise for paths.  When both predicates have
 matched, the subtree is collected without further checks.
 
-The path matcher is a small byte-level NFA compiled from the query, which
-generalizes mark-and-backtrack handling of descendant axes to any number of
-axes.  A separate compiler produces the matcher for z-order indexes, whose
-path bytes are fixed-width label surrogates instead of ASCII.
+The path check is one byte-level NFA class, which generalizes
+mark-and-backtrack handling of descendant axes to any number of axes.  Two
+functions compile a query into it: one for the ASCII paths of the rcas, pv,
+vp and lw indexes, which end at a terminator, and one for the z-order index,
+whose paths are fixed-width label surrogates that end by position.  The
+evaluation is one loop over an explicit stack, so trie depth is not bounded
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -24,6 +28,7 @@ from typing import Iterable
 from .keys import (
     PATH_BYTE_MAX,
     PATH_BYTE_MIN,
+    PATH_TERMINATOR,
     SLASH,
     CompositeKey,
     Dimension,
@@ -227,223 +232,150 @@ def scan(
     return out
 
 
-# --- byte-level matcher for ASCII paths --------------------------------------
+# --- byte-level path automaton -----------------------------------------------
+
+# The byte classes an automaton edge can admit, each spelled as the bytes in it.
+_ANY = bytes(range(256))
+_NONZERO = _ANY[1:]
+_LABEL = bytes(b for b in _NONZERO if b != SLASH)  # neither '/' nor the terminator
+_SINGLE = [bytes((b,)) for b in range(256)]  # the class of exactly one byte
+_ZERO = _SINGLE[0]
+_SLASH = _SINGLE[SLASH]
+_TERMINATOR = _SINGLE[PATH_TERMINATOR]
 
 
-class _AsciiPathMatcher:
-    """NFA over path bytes compiled from a query path.
+class _PathAutomaton:
+    """NFA over the path bytes of an index, compiled from a query path.
 
-    States transition on exact bytes, or on any label byte (everything except
-    '/' and the terminator).  `universal` marks states from which every valid
-    completion of the path is accepted, enabling early subtree matches under
-    a trailing descendant axis.
+    Every edge admits one byte class: a single byte, a label byte, any byte
+    or any non-zero byte.  `step` follows the edges of a state set on one
+    byte and caches the result, since siblings share their path prefixes.
+
+    `universal` holds the states from which every completion of the path is
+    accepted; reaching one matches a whole subtree before its paths end.
+    A path completes once `width` bytes have been consumed, and then its
+    states must meet `accepts`.
     """
 
-    def __init__(self, qpath: QueryPath):
-        self._eq: list[dict[int, list[int]]] = []
-        self._lb: list[list[int]] = []
-        self.accept = -1
-        self.universal: frozenset[int] = frozenset()
-        self._build(qpath)
+    def __init__(self, width: float):
+        self.width = width
         self.start = frozenset({0})
-        self._step_cache: dict[tuple[frozenset, int], frozenset] = {}
-
-    def _new(self) -> int:
-        self._eq.append({})
-        self._lb.append([])
-        return len(self._eq) - 1
-
-    def _add_eq(self, s: int, b: int, t: int) -> None:
-        self._eq[s].setdefault(b, []).append(t)
-
-    def _add_lb(self, s: int, t: int) -> None:
-        self._lb[s].append(t)
-
-    def _chain_label(self, after_slash: int, label: str) -> int:
-        s = after_slash
-        for ch in label.encode("ascii"):
-            nxt = self._new()
-            self._add_eq(s, ch, nxt)
-            s = nxt
-        return s
-
-    def _build(self, qpath: QueryPath) -> None:
-        cur = self._new()
-        acc = self._new()
-        self.accept = acc
-        for step in qpath.steps:
-            after_slash = self._new()
-            self._add_eq(cur, SLASH, after_slash)
-            if step.axis is Axis.DESCENDANT:
-                skip = self._new()
-                self._add_eq(cur, SLASH, skip)
-                self._add_lb(skip, skip)
-                self._add_eq(skip, SLASH, skip)
-                self._add_eq(skip, SLASH, after_slash)
-            if step.label is None:
-                boundary = self._new()
-                self._add_lb(after_slash, boundary)
-                self._add_lb(boundary, boundary)
-                cur = boundary
-            else:
-                cur = self._chain_label(after_slash, step.label)
-        self._add_eq(cur, 0, acc)
-        if qpath.trailing is Trailing.DESCENDANT:
-            t = self._new()
-            u = self._new()
-            self._add_eq(cur, SLASH, t)
-            self._add_lb(t, u)
-            self._add_lb(u, u)
-            self._add_eq(u, SLASH, t)
-            self._add_eq(u, 0, acc)
-            self.universal = frozenset({t, u})
-
-    def step(self, states: frozenset, b: int) -> frozenset:
-        key = (states, b)
-        hit = self._step_cache.get(key)
-        if hit is not None:
-            return hit
-        nxt: set[int] = set()
-        is_label_byte = b != 0 and b != SLASH
-        for s in states:
-            targets = self._eq[s].get(b)
-            if targets:
-                nxt.update(targets)
-            if is_label_byte:
-                nxt.update(self._lb[s])
-        out = frozenset(nxt)
-        self._step_cache[key] = out
-        return out
-
-    def feed(self, states: frozenset, done: bool, data: bytes):
-        """Advance over `data`; returns None on a dead end (mismatch)."""
-        for b in data:
-            states = self.step(states, b)
-            if not states:
-                return None
-            if b == 0:
-                done = True
-        if done:
-            if self.accept not in states:
-                return None
-            return states, True, True
-        matched = bool(states & self.universal)
-        return states, False, matched
-
-    def admits(self, states: frozenset, b: int) -> bool:
-        return bool(self.step(states, b))
-
-
-# --- byte-level matcher for surrogate (z-order) paths -------------------------
-
-
-class _ZoPathMatcher:
-    """NFA over fixed-width surrogate path bytes.
-
-    Labels are 3-byte codes; shorter paths are padded with zero units.  The
-    path region has a fixed total width, so completeness is positional: the
-    matcher decides once all surrogate bytes of a key have been consumed.
-    """
-
-    def __init__(self, qpath: QueryPath, ctx: ZoContext):
-        self._eq: list[dict[int, list[int]]] = []
-        self._any: list[list[int]] = []
-        self._nz: list[list[int]] = []
         self.accepts: frozenset[int] = frozenset()
         self.universal: frozenset[int] = frozenset()
-        self.total = ctx.path_width
-        self._build(qpath, ctx)
-        self.start = frozenset({0})
+        self._edges: list[list[tuple[bytes, int]]] = [[]]
         self._step_cache: dict[tuple[frozenset, int], frozenset] = {}
 
-    def _new(self) -> int:
-        self._eq.append({})
-        self._any.append([])
-        self._nz.append([])
-        return len(self._eq) - 1
+    def edge(self, s: int, byte_class: bytes, t: int | None = None) -> int:
+        """Add an edge from state `s` to `t`, or to a new state; returns
+        the edge's target."""
+        if t is None:
+            t = len(self._edges)
+            self._edges.append([])
+        self._edges[s].append((byte_class, t))
+        return t
 
-    def _build(self, qpath: QueryPath, ctx: ZoContext) -> None:
-        cur = self._new()
-        for step in qpath.steps:
-            if step.axis is Axis.DESCENDANT:
-                k1 = self._new()
-                k2 = self._new()
-                self._any[cur].append(k1)
-                self._any[k1].append(k2)
-                self._any[k2].append(cur)
-            if step.label is None:
-                # any unit except the all-zero padding
-                z1 = self._new()
-                n1 = self._new()
-                z2 = self._new()
-                n2 = self._new()
-                boundary = self._new()
-                self._eq[cur].setdefault(0, []).append(z1)
-                self._nz[cur].append(n1)
-                self._eq[z1].setdefault(0, []).append(z2)
-                self._nz[z1].append(n2)
-                self._any[n1].append(n2)
-                self._nz[z2].append(boundary)
-                self._any[n2].append(boundary)
-                cur = boundary
-            else:
-                code = ctx.code_bytes(step.label)
-                if code is None:
-                    cur = self._new()  # unreachable state: label absent from data
-                    continue
-                for b in code:
-                    nxt = self._new()
-                    self._eq[cur].setdefault(b, []).append(nxt)
-                    cur = nxt
-        if qpath.trailing is Trailing.DESCENDANT:
-            u = self._new()
-            self._any[cur].append(u)
-            self._any[u].append(u)
-            self.accepts = frozenset({cur, u})
-            self.universal = frozenset({cur, u})
-        else:
-            pad = self._new()
-            self._eq[cur].setdefault(0, []).append(pad)
-            self._eq[pad].setdefault(0, []).append(pad)
-            self.accepts = frozenset({cur, pad})
+    def chain(self, s: int, classes: list[bytes], end: int | None = None) -> int:
+        """Add edges admitting `classes` in turn, from state `s` through new
+        states to `end`, or to a new state; returns the last state."""
+        for cls in classes[:-1]:
+            s = self.edge(s, cls)
+        return self.edge(s, classes[-1], end)
 
     def step(self, states: frozenset, b: int) -> frozenset:
         key = (states, b)
-        hit = self._step_cache.get(key)
-        if hit is not None:
-            return hit
-        nxt: set[int] = set()
-        for s in states:
-            targets = self._eq[s].get(b)
-            if targets:
-                nxt.update(targets)
-            nxt.update(self._any[s])
-            if b != 0:
-                nxt.update(self._nz[s])
-        out = frozenset(nxt)
-        self._step_cache[key] = out
-        return out
+        nxt = self._step_cache.get(key)
+        if nxt is None:
+            found = []
+            for s in states:
+                for cls, t in self._edges[s]:
+                    if b in cls:
+                        found.append(t)
+            nxt = self._step_cache[key] = frozenset(found)
+        return nxt
 
     def feed(self, states: frozenset, consumed: int, data: bytes):
+        """Advance over `data`, the path bytes that follow the first
+        `consumed` ones.  Returns None on a dead end, otherwise
+        (states, consumed, matched)."""
         for b in data:
             states = self.step(states, b)
             if not states:
                 return None
         consumed += len(data)
-        if consumed >= self.total:
+        if consumed >= self.width:
             if not states & self.accepts:
                 return None
             return states, consumed, True
-        matched = bool(states & self.universal)
-        return states, consumed, matched
-
-    def admits(self, states: frozenset, b: int) -> bool:
-        return bool(self.step(states, b))
+        return states, consumed, bool(states & self.universal)
 
 
 @lru_cache(maxsize=256)
-def _compile_ascii(qpath: QueryPath) -> _AsciiPathMatcher:
-    return _AsciiPathMatcher(qpath)
+def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
+    """Automaton over ASCII paths: '/'-prefixed labels, then the terminator.
+
+    ASCII paths have no fixed width; they end at the terminator.  Only the
+    terminator leads into the accept state, and the accept state has no
+    out-edges, so after the terminator the state set is the accept state
+    alone.  It is universal: the one completion left, the empty one, matches.
+    """
+    a = _PathAutomaton(width=math.inf)
+    cur = 0
+    for step in qpath.steps:
+        after_slash = a.edge(cur, _SLASH)
+        if step.axis is Axis.DESCENDANT:
+            skip = a.edge(cur, _SLASH)
+            a.edge(skip, _NONZERO, skip)  # labels and slashes
+            a.edge(skip, _SLASH, after_slash)
+        if step.label is None:
+            cur = a.edge(after_slash, _LABEL)
+            a.edge(cur, _LABEL, cur)
+        else:
+            cur = a.chain(after_slash, [_SINGLE[c] for c in step.label.encode("ascii")])
+    accept = a.edge(cur, _TERMINATOR)
+    universal = {accept}
+    if qpath.trailing is Trailing.DESCENDANT:
+        # one or more further labels; paths hold no empty label, so the
+        # labels and their slashes need not be told apart
+        below = a.edge(cur, _SLASH)
+        a.edge(below, _NONZERO, below)
+        a.edge(below, _TERMINATOR, accept)
+        universal.add(below)
+    a.accepts = a.universal = frozenset(universal)
+    return a
+
+
+def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
+    """Automaton over z-order surrogate paths.
+
+    Labels are 3-byte codes, and shorter paths are padded with all-zero
+    units up to the context's fixed path width.  There is no terminator, so
+    a path completes by position, once all of its surrogate bytes are fed.
+    """
+    a = _PathAutomaton(width=ctx.path_width)
+    cur = 0
+    for step in qpath.steps:
+        if step.axis is Axis.DESCENDANT:
+            a.chain(cur, [_ANY, _ANY, _ANY], cur)  # skip any one unit
+        if step.label is None:
+            # any unit except the all-zero padding
+            boundary = a.chain(cur, [_NONZERO, _ANY, _ANY])
+            a.chain(cur, [_ZERO, _NONZERO, _ANY], boundary)
+            a.chain(cur, [_ZERO, _ZERO, _NONZERO], boundary)
+            cur = boundary
+        else:
+            code = ctx.code_bytes(step.label)
+            if code is None:
+                return a  # the label is absent from the data: nothing matches
+            cur = a.chain(cur, [_SINGLE[c] for c in code])
+    if qpath.trailing is Trailing.DESCENDANT:
+        u = a.edge(cur, _ANY)
+        a.edge(u, _ANY, u)
+        a.accepts = a.universal = frozenset({cur, u})
+    else:
+        pad = a.edge(cur, _ZERO)
+        a.edge(pad, _ZERO, pad)
+        a.accepts = frozenset({cur, pad})
+    return a
 
 
 # --- query evaluation over an index ------------------------------------------
@@ -455,102 +387,85 @@ class QueryResult:
     visited: int
 
 
-class _Evaluator:
-    def __init__(self, index: RcasIndex, qpath: QueryPath, vrange: ValueRange, trace):
-        if vrange.width != index.value_width:
-            raise ValueError(
-                f"range width {vrange.width} does not match index width {index.value_width}"
-            )
-        self.low = vrange.low
-        self.high = vrange.high
-        if index.scheme == "zo":
-            assert index.zo_ctx is not None
-            self.matcher = _ZoPathMatcher(qpath, index.zo_ctx)
-            self.positional = True
-        else:
-            self.matcher = _compile_ascii(qpath)
-            self.positional = False
-        self.refs: list[int] = []
-        self.visited = 0
-        self.trace = trace
-
-    def run(self, root: Node) -> QueryResult:
-        # pmark is the done flag for ASCII paths, the consumed-byte count for
-        # positional (surrogate) paths.
-        pmark = 0 if self.positional else False
-        self._visit(root, 0, False, False, False, self.matcher.start, pmark, False)
-        return QueryResult(refs=self.refs, visited=self.visited)
-
-    def _visit(
-        self,
-        node: Node,
-        vpos: int,
-        lopen: bool,
-        hopen: bool,
-        vmatched: bool,
-        pstates: frozenset,
-        pmark,
-        pmatched: bool,
-    ) -> None:
-        self.visited += 1
-        if self.trace is not None:
-            self.trace.append(node)
-
-        if not vmatched:
-            fed = feed_range(self.low, self.high, vpos, lopen, hopen, node.s_v)
-            if fed is None:
-                return
-            vpos, lopen, hopen, vmatched = fed
-
-        if not pmatched:
-            fed = self.matcher.feed(pstates, pmark, node.s_p)
-            if fed is None:
-                return
-            pstates, pmark, pmatched = fed
-
-        if vmatched and pmatched:
-            if node.is_leaf:
-                assert node.refs is not None
-                self.refs.extend(node.refs)
-            else:
-                self._collect_children(node)
-            return
-        assert not node.is_leaf, "leaf outcomes are always final"
-
-        for dim, b, child in node.children:
-            if dim is Dimension.V:
-                if not vmatched:
-                    if not lopen and b < self.low[vpos]:
-                        continue
-                    if not hopen and b > self.high[vpos]:
-                        continue
-            else:
-                if not pmatched and not self.matcher.admits(pstates, b):
-                    continue
-            self._visit(child, vpos, lopen, hopen, vmatched, pstates, pmark, pmatched)
-
-    def _collect_children(self, node: Node) -> None:
-        for _, _, child in node.children:
-            self.visited += 1
-            if self.trace is not None:
-                self.trace.append(child)
-            if child.is_leaf:
-                assert child.refs is not None
-                self.refs.extend(child.refs)
-            else:
-                self._collect_children(child)
-
-
 def run_query(
     index: RcasIndex,
     qpath: QueryPath | str,
     vrange: ValueRange,
     trace: list | None = None,
 ) -> QueryResult:
-    """Evaluate a path+range query; returns matching refs and nodes visited."""
+    """Evaluate a path+range query; returns matching refs and nodes visited.
+
+    The trie is walked once in pre-order; `trace`, if given, receives every
+    visited node in that order.
+    """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
-    return _Evaluator(index, qpath, vrange, trace).run(index.root)
+    if vrange.width != index.value_width:
+        raise ValueError(
+            f"range width {vrange.width} does not match index width {index.value_width}"
+        )
+    if index.scheme == "zo":
+        assert index.zo_ctx is not None
+        automaton = _compile_zo(qpath, index.zo_ctx)
+    else:
+        automaton = _compile_ascii(qpath)
+    step = automaton.step
+    feed = automaton.feed
+    low = vrange.low
+    high = vrange.high
+    V = Dimension.V
+    refs: list[int] = []
+    visited = 0
+
+    # A node with the state of both checks on entering it.
+    stack = [(index.root, 0, False, False, False, automaton.start, 0, False)]
+    while stack:
+        node, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched = stack.pop()
+        visited += 1
+        if trace is not None:
+            trace.append(node)
+
+        if not vmatched:
+            fed = feed_range(low, high, vpos, lopen, hopen, node.s_v)
+            if fed is None:
+                continue
+            vpos, lopen, hopen, vmatched = fed
+
+        if not pmatched:
+            fed = feed(pstates, consumed, node.s_p)
+            if fed is None:
+                continue
+            pstates, consumed, pmatched = fed
+
+        # Leaves are the nodes that hold refs; testing that field directly
+        # keeps property calls out of the per-node loops.
+        if vmatched and pmatched:
+            # collect the whole subtree in pre-order, without further checks
+            below = [(None, None, node)]
+            while below:
+                n = below.pop()[2]
+                if trace is not None and n is not node:
+                    trace.append(n)
+                if n.refs is None:
+                    visited += len(n.children)
+                    below += n.children[::-1]
+                else:
+                    refs.extend(n.refs)
+            continue
+        assert node.refs is None, "leaf outcomes are always final"
+
+        # pushed last to first, so that children are visited in edge order
+        for dim, b, child in reversed(node.children):
+            if dim is V:
+                if not vmatched:
+                    if not lopen and b < low[vpos]:
+                        continue
+                    if not hopen and b > high[vpos]:
+                        continue
+            elif not pmatched and not step(pstates, b):
+                continue
+            stack.append((child, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
+    return QueryResult(refs=refs, visited=visited)
 
 
 def cas_query(index: RcasIndex, qpath: QueryPath | str, vrange: ValueRange) -> list[int]:

@@ -1,10 +1,12 @@
 """Trie index over interleaved composite keys.
 
-Bulk loading recursively partitions the key set at its discriminative bytes,
-alternating between the value and path dimensions; each recursion step emits
-one node carrying the path/value substrings consumed since the parent's
+Bulk loading partitions the key set at its discriminative bytes, alternating
+between the value and path dimensions; each partition becomes one node
+carrying the path/value substrings consumed since the parent's
 discriminative bytes.  The same node structure stores the keys produced by
-the static interleavings, so one query evaluator serves all schemes.
+the static interleavings, so one query evaluator serves all schemes.  Builds,
+saves and loads run over explicit stacks, so the depth of a trie is not
+bounded by the interpreter's recursion limit.
 
 Indexes are immutable once built: there is no insert or delete path, and any
 number of readers may traverse a built index concurrently.
@@ -13,9 +15,8 @@ number of readers may traverse a built index concurrently.
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .interleave import STATIC_SCHEMES, ZoContext, static_interleave
 from .keys import CompositeKey, Dimension
@@ -139,11 +140,6 @@ def _aggregate(keys: Sequence[CompositeKey], value_width: int | None) -> tuple[l
     return items, width
 
 
-def _ensure_recursion(limit: int) -> None:
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-
 def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> RcasIndex:
     """Build the dynamically interleaved index for a set of composite keys.
 
@@ -153,9 +149,7 @@ def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> R
     """
     items, width = _aggregate(keys, value_width)
     stats = BuildStats()
-    max_len = max(len(p) + len(v) for p, v, _ in items)
-    _ensure_recursion(4 * max_len + 200)
-    root = _build_dynamic(items, Dimension.V, 1, 1, stats)
+    root = _grow((items, Dimension.V, 1, 1), lambda task: _split_dynamic(task, stats))
     return RcasIndex(
         root=root,
         value_width=width,
@@ -209,7 +203,26 @@ def _dsc_items(items: list, fi: int, g: int) -> int:
     return _dsc_bytes((it[fi] for it in items[1:]), ref, g)
 
 
-def _build_dynamic(items: list, dim: Dimension, g_p: int, g_v: int, stats: BuildStats) -> Node:
+def _grow(task, expand: Callable) -> Node:
+    """Build a tree top-down, in pre-order, over an explicit stack.
+
+    `expand(task)` returns a node whose children list is still empty, and
+    its edges as (dim, byte, task) triples in edge order.  The node built
+    from each edge's task becomes that edge's child.
+    """
+    top: list = []
+    stack = [(top, None, None, task)]
+    while stack:
+        siblings, dim, b, task = stack.pop()
+        node, edges = expand(task)
+        siblings.append((dim, b, node))
+        # pushed last to first, so that children are built in edge order
+        stack += [(node.children, *edge) for edge in reversed(edges)]
+    return top[0][2]
+
+
+def _split_dynamic(task: tuple, stats: BuildStats) -> tuple[Node, list]:
+    items, dim, g_p, g_v = task
     p0, v0, refs0 = items[0]
     gp2 = _dsc_items(items, 0, g_p)
     gv2 = _dsc_items(items, 1, g_v)
@@ -219,7 +232,7 @@ def _build_dynamic(items: list, dim: Dimension, g_p: int, g_v: int, stats: Build
 
     if gp2 > len(p0) and gv2 > len(v0):
         assert len(items) == 1, "leaf partitions hold exactly one distinct key"
-        return Node(s_p, s_v, Dimension.BOT, [], list(refs0))
+        return Node(s_p, s_v, Dimension.BOT, [], list(refs0)), []
 
     if dim is Dimension.P:
         if gp2 > len(p0):
@@ -241,10 +254,8 @@ def _build_dynamic(items: list, dim: Dimension, g_p: int, g_v: int, stats: Build
     stats.moves += sum(len(it[2]) for it in items)
 
     other = dim.complement()
-    children = [
-        (dim, b, _build_dynamic(groups[b], other, gp2, gv2, stats)) for b in sorted(groups)
-    ]
-    return Node(s_p, s_v, dim, children, None)
+    edges = [(dim, b, (groups[b], other, gp2, gv2)) for b in sorted(groups)]
+    return Node(s_p, s_v, dim, [], None), edges
 
 
 def build_static(
@@ -273,9 +284,7 @@ def build_static(
         flat_items.append((bytes(combined), refs))
 
     stats = BuildStats()
-    max_len = max(len(c) for c, _ in flat_items)
-    _ensure_recursion(2 * max_len + 200)
-    root = _build_flat(flat_items, 0, stats)
+    root = _grow((flat_items, 0), lambda task: _split_flat(task, stats))
     return RcasIndex(
         root=root,
         value_width=width,
@@ -286,7 +295,8 @@ def build_static(
     )
 
 
-def _build_flat(items: list, start_sym: int, stats: BuildStats) -> Node:
+def _split_flat(task: tuple, stats: BuildStats) -> tuple[Node, list]:
+    items, start_sym = task
     combined0 = items[0][0]
     g = 2 * start_sym + 1
     m = _dsc_bytes((it[0] for it in items[1:]), combined0, g)
@@ -305,7 +315,7 @@ def _build_flat(items: list, start_sym: int, stats: BuildStats) -> Node:
 
     if m > len(combined0):
         assert len(items) == 1
-        return Node(bytes(s_p), bytes(s_v), Dimension.BOT, [], list(items[0][1]))
+        return Node(bytes(s_p), bytes(s_v), Dimension.BOT, [], list(items[0][1])), []
 
     groups: dict[tuple[int, int], list] = {}
     for it in items:
@@ -313,12 +323,12 @@ def _build_flat(items: list, start_sym: int, stats: BuildStats) -> Node:
         groups.setdefault(sym, []).append(it)
     stats.moves += sum(len(it[1]) for it in items)
 
-    children = []
-    for code, b in sorted(groups, key=lambda s: (s[1], s[0])):
-        child = _build_flat(groups[(code, b)], end_sym, stats)
-        children.append((_DIM_FROM_CODE[code], b, child))
-    node_dim = children[0][0]
-    return Node(bytes(s_p), bytes(s_v), node_dim, children, None)
+    edges = [
+        (_DIM_FROM_CODE[code], b, (groups[(code, b)], end_sym))
+        for code, b in sorted(groups, key=lambda s: (s[1], s[0]))
+    ]
+    node_dim = edges[0][0]
+    return Node(bytes(s_p), bytes(s_v), node_dim, [], None), edges
 
 
 # --- structural statistics --------------------------------------------------
@@ -400,34 +410,33 @@ def save_bytes(index: RcasIndex) -> bytes:
             raw = label.encode("ascii")
             out += struct.pack(">H", len(raw))
             out += raw
-    _write_node(out, index.root)
+    # node records in pre-order, from a stack of (dim, byte, node) edges
+    stack = [(None, None, index.root)]
+    while stack:
+        node = stack.pop()[2]
+        # kind byte: 0 = leaf, 1..4 = capacity class 4/16/48/256
+        if node.is_leaf:
+            out.append(0)
+        else:
+            out.append(NODE_KINDS.index(node_kind_for(min(len(node.children), 256))) + 1)
+        out.append(_DIM_CODE[node.dim])
+        out += struct.pack(">H", len(node.s_p))
+        out += node.s_p
+        out += struct.pack(">H", len(node.s_v))
+        out += node.s_v
+        if node.is_leaf:
+            assert node.refs is not None
+            out += struct.pack(">H", 0)
+            out += struct.pack(">I", len(node.refs))
+            for r in node.refs:
+                out += struct.pack(">Q", r)
+        else:
+            out += struct.pack(">H", len(node.children))
+            for d, b, _ in node.children:
+                out.append(_DIM_CODE[d])
+                out.append(b)
+            stack += node.children[::-1]
     return bytes(out)
-
-
-def _write_node(out: bytearray, node: Node) -> None:
-    # kind byte: 0 = leaf, 1..4 = capacity class 4/16/48/256
-    if node.is_leaf:
-        out.append(0)
-    else:
-        out.append(NODE_KINDS.index(node_kind_for(min(len(node.children), 256))) + 1)
-    out.append(_DIM_CODE[node.dim])
-    out += struct.pack(">H", len(node.s_p))
-    out += node.s_p
-    out += struct.pack(">H", len(node.s_v))
-    out += node.s_v
-    if node.is_leaf:
-        assert node.refs is not None
-        out += struct.pack(">H", 0)
-        out += struct.pack(">I", len(node.refs))
-        for r in node.refs:
-            out += struct.pack(">Q", r)
-    else:
-        out += struct.pack(">H", len(node.children))
-        for d, b, _ in node.children:
-            out.append(_DIM_CODE[d])
-            out.append(b)
-        for _, _, child in node.children:
-            _write_node(out, child)
 
 
 class _Reader:
@@ -467,13 +476,14 @@ def load_bytes(data: bytes) -> RcasIndex:
             (n,) = r.unpack(">H")
             codes[r.take(n).decode("ascii")] = i + 1
         ctx = ZoContext(codes=codes, max_labels=max_labels)
-    root = _read_node(r)
+    root = _grow(r, _read_node)
     if r.pos != len(data):
         raise ValueError("trailing bytes after index payload")
     return RcasIndex(root=root, value_width=width, key_count=key_count, scheme=scheme, zo_ctx=ctx)
 
 
-def _read_node(r: _Reader) -> Node:
+def _read_node(r: _Reader) -> tuple[Node, list]:
+    """The next node record; the records of its children follow it."""
     kind_code = r.u8()
     dim = _DIM_FROM_CODE.get(r.u8())
     if dim is None:
@@ -488,16 +498,15 @@ def _read_node(r: _Reader) -> Node:
             raise ValueError("leaf node with children")
         (n_refs,) = r.unpack(">I")
         refs = [r.unpack(">Q")[0] for _ in range(n_refs)]
-        return Node(s_p, s_v, Dimension.BOT, [], refs)
+        return Node(s_p, s_v, Dimension.BOT, [], refs), []
     edges = []
     for _ in range(n_children):
         d = _DIM_FROM_CODE.get(r.u8())
         b = r.u8()
         if d is None or d is Dimension.BOT:
             raise ValueError("bad child edge in index file")
-        edges.append((d, b))
-    children = [(d, b, _read_node(r)) for d, b in edges]
-    return Node(s_p, s_v, dim, children, None)
+        edges.append((d, b, r))
+    return Node(s_p, s_v, dim, [], None), edges
 
 
 def save(index: RcasIndex, path: str) -> None:

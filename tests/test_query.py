@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
+from rcas.interleave import ZoContext
 from rcas.keys import CompositeKey, Dimension
 from rcas.query import (
     Axis,
@@ -137,27 +138,30 @@ class TestMatchValue:
 
 
 class TestMatchPath:
-    """The compiled path matcher the evaluator feeds node substrings into.
+    """The compiled path automaton the evaluator feeds node substrings into.
 
-    `feed` returns None on a dead end, else (states, done, matched).
+    `feed(states, consumed, data)` returns None on a dead end, else
+    (states, consumed, matched).
     """
 
     @staticmethod
     def feed(q, data, fed=None):
-        matcher = _compile_ascii(q)
-        states, done, _ = fed if fed is not None else (matcher.start, False, False)
-        return matcher.feed(states, done, data)
+        automaton = _compile_ascii(q)
+        states, consumed, _ = fed if fed is not None else (automaton.start, 0, False)
+        return automaton.feed(states, consumed, data)
 
     def test_partial_label_skipped_by_descendant(self):
         q = parse_query_path("/bom/item//battery")
-        _, done, matched = self.feed(q, b"/bom/item/ca")
-        assert not done and not matched
+        states, consumed, matched = self.feed(q, b"/bom/item/ca")
+        assert states and consumed == 12
+        assert not matched
 
     def test_complete_path_match(self):
         q = parse_query_path("/bom/item//battery")
         fed = self.feed(q, b"/bom/item/ca")
-        _, done, matched = self.feed(q, b"r/battery\x00", fed)
-        assert done and matched
+        _, consumed, matched = self.feed(q, b"r/battery\x00", fed)
+        assert consumed == len(b"/bom/item/car/battery\x00")
+        assert matched
 
     def test_label_mismatch(self):
         q = parse_query_path("/bom/item/car//")
@@ -290,6 +294,24 @@ class TestQueryErrors:
             ValueRange(b"\x00" * 4, b"\xff" * 8)
 
 
+def _assert_all_schemes_match_scan(rng, keys, queries, paths):
+    """Each query text, or a query drawn from `paths` where it is None,
+    against a range drawn from the key values, on every scheme."""
+    values = sorted(k.value_int for k in keys)
+    indexes = {s: build_static(keys, s) for s in SCHEMES}
+    for text in queries:
+        lo = rng.choice(values + [0])
+        hi = rng.choice([v for v in values if v >= lo] + [values[-1] + 7, lo])
+        if lo > hi:
+            lo, hi = hi, lo
+        vrange = ValueRange.closed(lo, hi)
+        qpath = parse_query_path(text or random_query_text(rng, paths))
+        want = sorted(scan(keys, qpath, vrange))
+        for scheme, index in indexes.items():
+            got = run_query(index, qpath, vrange)
+            assert sorted(got.refs) == want, (scheme, qpath.text, lo, hi)
+
+
 class TestOracleEquivalence:
     def test_all_schemes_match_scan_on_generated_data(self):
         rng = random.Random(2024)
@@ -302,20 +324,23 @@ class TestOracleEquivalence:
                 duplicate_fraction=0.2,
             )
             keys = records_to_keys(generate(cfg))
-            paths = [k.path_text for k in keys]
-            values = sorted(k.value_int for k in keys)
-            indexes = {s: build_static(keys, s) for s in SCHEMES}
-            for _ in range(40):
-                lo = rng.choice(values + [0])
-                hi = rng.choice([v for v in values if v >= lo] + [values[-1] + 7, lo])
-                if lo > hi:
-                    lo, hi = hi, lo
-                vrange = ValueRange.closed(lo, hi)
-                qpath = parse_query_path(random_query_text(rng, paths))
-                want = sorted(scan(keys, qpath, vrange))
-                for scheme, index in indexes.items():
-                    got = run_query(index, qpath, vrange)
-                    assert sorted(got.refs) == want, (scheme, qpath.text, lo, hi)
+            _assert_all_schemes_match_scan(rng, keys, [None] * 40, [k.path_text for k in keys])
+
+        # Over 255 labels, so the z-order code 256 (00 01 00) ends in a zero
+        # byte, as the padding units do.  Queries centre on its label.
+        cfg = GeneratorConfig(
+            seed=7, key_count=1500, label_alphabet_size=320, max_depth=4, duplicate_fraction=0.2
+        )
+        keys = records_to_keys(generate(cfg))
+        codes = ZoContext.from_keys(keys).codes
+        assert len(codes) >= 300
+        label = next(name for name, code in codes.items() if code == 256)
+        paths = [k.path_text for k in keys if label in k.path_text.split("/")]
+        fixed = [
+            f"/{label}", f"//{label}", f"//{label}//", f"/{label}//", f"/*/{label}",
+            f"/{label}/*", f"//*/{label}//", f"/*/*/{label}", f"/{label}/*/*//",
+        ]
+        _assert_all_schemes_match_scan(rng, keys, fixed + [None] * 80, paths)
 
     def test_prune_soundness_on_adversarial_keys(self):
         rng = random.Random(3030)

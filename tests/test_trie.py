@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
+from rcas.cli import main
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
 from rcas.keys import CompositeKey, Dimension
+from rcas.query import ValueRange, run_query
 from rcas.trie import (
     SCHEMES,
     Node,
@@ -157,6 +159,18 @@ class TestBulkLoad:
                     (t.s_p, t.s_v, t.dim) for t in tuples
                 ]
 
+    def test_builds_leave_the_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        # each path extends the previous one, so the trie is about as deep
+        # as the longest path is long
+        keys = [CompositeKey.make("/" + "a" * n, 7, n) for n in range(1, limit + 3)]
+        everything = ValueRange.closed(0, 2**32 - 1)
+        for scheme in ("rcas", "pv"):
+            index = build_static(keys, scheme)
+            assert sys.getrecursionlimit() == limit, scheme
+            assert max(collect_stats(index).depth_histogram) > limit, scheme
+            assert sorted(run_query(index, "//", everything).refs) == [k.ref for k in keys]
+
     def test_deterministic_rebuild(self):
         rng = random.Random(31337)
         keys = random_keys(rng, 40)
@@ -223,14 +237,29 @@ class TestStats:
 
     def test_chain_deeper_than_recursion_limit(self):
         depth = 2 * sys.getrecursionlimit()
-        node = Node(b"/x\x00", b"", BOT, [], [1])
-        for _ in range(depth):
-            node = Node(b"", b"\x00", V, [(V, 0, node)], None)
-        index = RcasIndex(root=node, value_width=4, key_count=1)
+        index = _chain_index(depth)
         stats = collect_stats(index)
         assert stats.node_count == depth + 1
         assert max(stats.depth_histogram) == depth
         assert stats.leaf_count == 1
+
+    def test_chain_deeper_than_recursion_limit_saves_loads_and_answers(self, tmp_path):
+        index = _chain_index(2 * sys.getrecursionlimit())
+        blob = save_bytes(index)
+        assert save_bytes(load_bytes(blob)) == blob
+        assert run_query(index, "//", ValueRange.closed(0, 2**32 - 1)).refs == [1]
+        target = tmp_path / "chain.idx"
+        target.write_bytes(blob)
+        assert main(["query", "//", "0", "4294967295", "--load", str(target)]) == 0
+        assert main(["stats", "--load", str(target)]) == 0
+
+
+def _chain_index(depth: int) -> RcasIndex:
+    """A hand-built trie: `depth` one-child value nodes above a single leaf."""
+    node = Node(b"/x\x00", b"", BOT, [], [1])
+    for _ in range(depth):
+        node = Node(b"", b"\x00", V, [(V, 0, node)], None)
+    return RcasIndex(root=node, value_width=4, key_count=1)
 
 
 def _build_counters(keys):
