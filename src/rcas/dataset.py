@@ -30,9 +30,6 @@ class DatasetRecord:
     def to_line(self) -> str:
         return f"{self.path};{self.value};{self.ref:x}"
 
-    def to_key(self, width: int = 4) -> CompositeKey:
-        return CompositeKey(encode_path(self.path), encode_value(self.value, width), self.ref)
-
 
 # The running example: a bill of materials with seven distinct keys, one of
 # which (the cheapest battery) occurs on two physical nodes.

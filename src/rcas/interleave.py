@@ -2,7 +2,9 @@
 
 Path-value and value-path concatenation, label-wise alternation, and the
 z-order style merge over fixed-length surrogate paths.  Each scheme turns a
-key into one flat sequence of dimension-tagged bytes; the dynamic
+key into one tagged byte string, two bytes per symbol: the dimension code
+(`keys._DIM_CODE`: 0 = P, 1 = V), then the key byte.  That string is what
+the flat trie builder partitions (`trie.build_static`).  The dynamic
 interleaving is not materialized per key but built directly into the trie
 (see `trie.bulk_load`).
 """
@@ -10,14 +12,18 @@ interleaving is not materialized per key but built directly into the trie
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable
 
-from .keys import CompositeKey, Dimension, PATH_TERMINATOR, SLASH
+from .keys import _DIM_CODE, CompositeKey, Dimension
 
 STATIC_SCHEMES = ("pv", "vp", "lw", "zo")
 
 _SURROGATE_WIDTH = 3
 _MAX_SURROGATE = (1 << (8 * _SURROGATE_WIDTH)) - 1
+
+_P = bytes([_DIM_CODE[Dimension.P]])
+_V = bytes([_DIM_CODE[Dimension.V]])
 
 
 class SurrogateOverflow(RuntimeError):
@@ -77,38 +83,38 @@ class ZoContext:
 
 def _path_units(path: bytes) -> list[bytes]:
     """Split an encoded path into '/label' units plus the terminator unit."""
-    text = path[:-1]
-    units: list[bytes] = []
-    start = 0
-    for i in range(1, len(text)):
-        if text[i] == SLASH:
-            units.append(text[start:i])
-            start = i
-    units.append(text[start:])
-    units.append(bytes([PATH_TERMINATOR]))
-    return units
+    return [b"/" + label for label in path[:-1].split(b"/")[1:]] + [path[-1:]]
 
 
-def _byte_merge(value: bytes, path: bytes, n_v: int, n_p: int) -> list[tuple[int, Dimension]]:
-    """Emit n_v value bytes then n_p path bytes per round until both run out."""
-    out: list[tuple[int, Dimension]] = []
-    vi, pi = 0, 0
-    while vi < len(value) or pi < len(path):
-        for _ in range(n_v):
-            if vi < len(value):
-                out.append((value[vi], Dimension.V))
-                vi += 1
-        for _ in range(n_p):
-            if pi < len(path):
-                out.append((path[pi], Dimension.P))
-                pi += 1
-    return out
+def _chunks(data: bytes, n: int) -> list[bytes]:
+    return [data[i : i + n] for i in range(0, len(data), n)]
 
 
-def static_interleave(
-    key: CompositeKey, scheme: str, ctx: ZoContext | None = None
-) -> list[tuple[int, Dimension]]:
-    """Produce the flat dimension-tagged byte sequence of one static scheme.
+def _tag(chunks: Iterable[tuple[bytes, bytes]]) -> bytes:
+    """Pack (dimension code, bytes) chunks into the tagged form."""
+    codes = bytearray()
+    data = bytearray()
+    for code, chunk in chunks:
+        codes += code * len(chunk)
+        data += chunk
+    out = bytearray(2 * len(data))
+    out[0::2] = codes
+    out[1::2] = data
+    return bytes(out)
+
+
+def _rounds(value_chunks: list[bytes], path_chunks: list[bytes]) -> bytes:
+    """One value chunk then one path chunk per round, until both run out."""
+    return _tag(
+        pair
+        for v, p in zip_longest(value_chunks, path_chunks, fillvalue=b"")
+        for pair in ((_V, v), (_P, p))
+    )
+
+
+def static_interleave(key: CompositeKey, scheme: str, ctx: ZoContext | None = None) -> bytes:
+    """The tagged byte string of one static scheme: a (dimension code, key
+    byte) pair per symbol, with the codes of `keys._DIM_CODE`.
 
     pv: all path bytes then all value bytes.  vp: the reverse.  lw: one value
     byte alternating with one whole path label ('/'-prefixed; the terminator
@@ -117,26 +123,15 @@ def static_interleave(
     per round.
     """
     if scheme == "pv":
-        return [(b, Dimension.P) for b in key.path] + [(b, Dimension.V) for b in key.value]
+        return _tag([(_P, key.path), (_V, key.value)])
     if scheme == "vp":
-        return [(b, Dimension.V) for b in key.value] + [(b, Dimension.P) for b in key.path]
+        return _tag([(_V, key.value), (_P, key.path)])
     if scheme == "lw":
-        out: list[tuple[int, Dimension]] = []
-        units = _path_units(key.path)
-        value = key.value
-        n = max(len(value), len(units))
-        for i in range(n):
-            if i < len(value):
-                out.append((value[i], Dimension.V))
-            if i < len(units):
-                out.extend((b, Dimension.P) for b in units[i])
-        return out
+        return _rounds(_chunks(key.value, 1), _path_units(key.path))
     if scheme == "zo":
         if ctx is None:
             raise ValueError("the zo scheme needs a surrogate context")
         spath = ctx.surrogate(key.path_text)
         l_p, l_v = len(spath), len(key.value)
-        n_v = -(-l_v // l_p)
-        n_p = -(-l_p // l_v)
-        return _byte_merge(key.value, spath, n_v, n_p)
+        return _rounds(_chunks(key.value, -(-l_v // l_p)), _chunks(spath, -(-l_p // l_v)))
     raise ValueError(f"unknown static scheme {scheme!r}")

@@ -38,6 +38,12 @@ class Dimension(enum.Enum):
         return self.value
 
 
+# The one byte code of each dimension, shared by the tagged static
+# interleavings, the flat trie builder and the index file format.
+_DIM_CODE = {Dimension.P: 0, Dimension.V: 1, Dimension.BOT: 2}
+_DIM_FROM_CODE = {v: k for k, v in _DIM_CODE.items()}
+
+
 class PathSyntaxError(ValueError):
     """Raised for paths that violate the encoding rules."""
 

@@ -19,16 +19,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .interleave import STATIC_SCHEMES, ZoContext, static_interleave
-from .keys import CompositeKey, Dimension
+from .keys import _DIM_CODE, _DIM_FROM_CODE, CompositeKey, Dimension
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
-_DIM_CODE = {Dimension.P: 0, Dimension.V: 1, Dimension.BOT: 2}
-_DIM_FROM_CODE = {v: k for k, v in _DIM_CODE.items()}
-
 MAGIC = b"RCAS1"
+
+_P_CODE = _DIM_CODE[Dimension.P]
 
 
 class Node:
@@ -272,19 +271,9 @@ def build_static(
     items, width = _aggregate(keys, value_width)
     if scheme == "zo" and ctx is None:
         ctx = ZoContext.from_keys(keys)
-
-    flat_items = []
-    for p, v, refs in items:
-        probe = CompositeKey(p, v, 0)
-        seq = static_interleave(probe, scheme, ctx)
-        combined = bytearray()
-        for b, d in seq:
-            combined.append(_DIM_CODE[d])
-            combined.append(b)
-        flat_items.append((bytes(combined), refs))
-
+    tagged = [(static_interleave(CompositeKey(p, v, 0), scheme, ctx), refs) for p, v, refs in items]
     stats = BuildStats()
-    root = _grow((flat_items, 0), lambda task: _split_flat(task, stats))
+    root = _grow((tagged, 0), lambda task: _split_flat(task, stats))
     return RcasIndex(
         root=root,
         value_width=width,
@@ -296,39 +285,31 @@ def build_static(
 
 
 def _split_flat(task: tuple, stats: BuildStats) -> tuple[Node, list]:
+    """Split tagged strings (see `interleave.static_interleave`) at their
+    first differing symbol; edges are ordered by byte, then by dimension."""
     items, start_sym = task
-    combined0 = items[0][0]
-    g = 2 * start_sym + 1
-    m = _dsc_bytes((it[0] for it in items[1:]), combined0, g)
+    tagged0 = items[0][0]
+    m = _dsc_bytes((it[0] for it in items[1:]), tagged0, 2 * start_sym + 1)
     end_sym = (m - 1) // 2
     stats.byte_scans += end_sym - start_sym
 
-    s_p = bytearray()
-    s_v = bytearray()
-    for i in range(start_sym, end_sym):
-        code = combined0[2 * i]
-        b = combined0[2 * i + 1]
-        if code == _DIM_CODE[Dimension.P]:
-            s_p.append(b)
-        else:
-            s_v.append(b)
+    seg = tagged0[2 * start_sym : 2 * end_sym]
+    syms = list(zip(seg[0::2], seg[1::2]))
+    s_p = bytes(b for code, b in syms if code == _P_CODE)
+    s_v = bytes(b for code, b in syms if code != _P_CODE)
 
-    if m > len(combined0):
+    if m > len(tagged0):
         assert len(items) == 1
-        return Node(bytes(s_p), bytes(s_v), Dimension.BOT, [], list(items[0][1])), []
+        return Node(s_p, s_v, Dimension.BOT, [], list(items[0][1])), []
 
     groups: dict[tuple[int, int], list] = {}
     for it in items:
-        sym = (it[0][2 * end_sym], it[0][2 * end_sym + 1])
+        sym = (it[0][2 * end_sym + 1], it[0][2 * end_sym])
         groups.setdefault(sym, []).append(it)
     stats.moves += sum(len(it[1]) for it in items)
 
-    edges = [
-        (_DIM_FROM_CODE[code], b, (groups[(code, b)], end_sym))
-        for code, b in sorted(groups, key=lambda s: (s[1], s[0]))
-    ]
-    node_dim = edges[0][0]
-    return Node(bytes(s_p), bytes(s_v), node_dim, [], None), edges
+    edges = [(_DIM_FROM_CODE[code], b, (groups[(b, code)], end_sym)) for b, code in sorted(groups)]
+    return Node(s_p, s_v, edges[0][0], [], None), edges
 
 
 # --- structural statistics --------------------------------------------------
@@ -364,10 +345,9 @@ def collect_stats(index: RcasIndex) -> IndexStats:
         depth_sum += depth
         depth_hist[depth] = depth_hist.get(depth, 0) + 1
         size += _HEADER_BYTES + len(node.s_p) + len(node.s_v)
-        if node.is_leaf:
+        if node.refs is not None:
             leaves += 1
             leaf_depth_sum += depth
-            assert node.refs is not None
             kind = "leaf"
             size += _POINTER_BYTES * len(node.refs)
         else:
@@ -414,8 +394,9 @@ def save_bytes(index: RcasIndex) -> bytes:
     stack = [(None, None, index.root)]
     while stack:
         node = stack.pop()[2]
+        refs = node.refs
         # kind byte: 0 = leaf, 1..4 = capacity class 4/16/48/256
-        if node.is_leaf:
+        if refs is not None:
             out.append(0)
         else:
             out.append(NODE_KINDS.index(node_kind_for(min(len(node.children), 256))) + 1)
@@ -424,11 +405,10 @@ def save_bytes(index: RcasIndex) -> bytes:
         out += node.s_p
         out += struct.pack(">H", len(node.s_v))
         out += node.s_v
-        if node.is_leaf:
-            assert node.refs is not None
+        if refs is not None:
             out += struct.pack(">H", 0)
-            out += struct.pack(">I", len(node.refs))
-            for r in node.refs:
+            out += struct.pack(">I", len(refs))
+            for r in refs:
                 out += struct.pack(">Q", r)
         else:
             out += struct.pack(">H", len(node.children))
@@ -486,7 +466,7 @@ def _read_node(r: _Reader) -> tuple[Node, list]:
     """The next node record; the records of its children follow it."""
     kind_code = r.u8()
     dim = _DIM_FROM_CODE.get(r.u8())
-    if dim is None:
+    if dim is None or (kind_code == 0) != (dim is Dimension.BOT):
         raise ValueError("bad dimension code in index file")
     (n_p,) = r.unpack(">H")
     s_p = r.take(n_p)
@@ -498,7 +478,9 @@ def _read_node(r: _Reader) -> tuple[Node, list]:
             raise ValueError("leaf node with children")
         (n_refs,) = r.unpack(">I")
         refs = [r.unpack(">Q")[0] for _ in range(n_refs)]
-        return Node(s_p, s_v, Dimension.BOT, [], refs), []
+        return Node(s_p, s_v, dim, [], refs), []
+    if not n_children:
+        raise ValueError("inner node without children")
     edges = []
     for _ in range(n_children):
         d = _DIM_FROM_CODE.get(r.u8())

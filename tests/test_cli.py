@@ -15,12 +15,17 @@ def bom_file(tmp_path):
 
 
 @pytest.fixture
-def truncated_index(bom_file, tmp_path):
+def bad_indexes(bom_file, tmp_path):
+    """The example index cut in half, and with its root's dimension code
+    flipped to the leaf code, which contradicts the root's inner kind byte."""
     target = tmp_path / "bom.idx"
     assert main(["build", bom_file, "--save", str(target)]) == 0
     blob = target.read_bytes()
-    target.write_bytes(blob[: len(blob) // 2])
-    return str(target)
+    truncated = tmp_path / "truncated.idx"
+    truncated.write_bytes(blob[: len(blob) // 2])
+    flipped = tmp_path / "flipped.idx"
+    flipped.write_bytes(blob[:16] + b"\x02" + blob[17:])  # root dim code
+    return [str(truncated), str(flipped)]
 
 
 def run_cli(capsys, *argv):
@@ -131,10 +136,11 @@ class TestQuery:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
         assert strip(direct) == strip(loaded)
 
-    def test_truncated_index_is_data_error(self, capsys, truncated_index):
-        code, _, err = run_cli(capsys, "query", "//", "0", "1", "--load", truncated_index)
-        assert code == 2
-        assert err.startswith("data error: ")
+    def test_truncated_index_is_data_error(self, capsys, bad_indexes):
+        for path in bad_indexes:
+            code, _, err = run_cli(capsys, "query", "//", "0", "1", "--load", path)
+            assert code == 2
+            assert err.startswith("data error: ")
 
 
 class TestStats:
@@ -146,10 +152,11 @@ class TestStats:
         assert rows[("node_types", "4/V")] == "3"
         assert rows[("node_types", "leaf/bot")] == "7"
 
-    def test_truncated_index_is_data_error(self, capsys, truncated_index):
-        code, _, err = run_cli(capsys, "stats", "--load", truncated_index)
-        assert code == 2
-        assert err.startswith("data error: ")
+    def test_truncated_index_is_data_error(self, capsys, bad_indexes):
+        for path in bad_indexes:
+            code, _, err = run_cli(capsys, "stats", "--load", path)
+            assert code == 2
+            assert err.startswith("data error: ")
 
 
 class TestBench:

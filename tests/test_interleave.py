@@ -251,19 +251,26 @@ class TestMonotonicity:
         assert verify_monotonicity(keys, V)
 
 
+def untag(tagged: bytes) -> list[tuple[int, Dimension]]:
+    """The (byte, dimension) symbols of a tagged static interleaving: two
+    bytes per symbol, the dimension code (0 = P, 1 = V) and the key byte."""
+    assert len(tagged) % 2 == 0
+    return [(b, {0: P, 1: V}[code]) for code, b in zip(tagged[0::2], tagged[1::2])]
+
+
 class TestStaticInterleavings:
     def test_pv_vp(self, bom_named):
         k6 = bom_named["k6"]
-        pv = static_interleave(k6, "pv")
+        pv = untag(static_interleave(k6, "pv"))
         assert bytes(b for b, _ in pv) == k6.path + k6.value
         assert [d for _, d in pv] == [P] * 20 + [V] * 4
-        vp = static_interleave(k6, "vp")
+        vp = untag(static_interleave(k6, "vp"))
         assert bytes(b for b, _ in vp) == k6.value + k6.path
         assert [d for _, d in vp] == [V] * 4 + [P] * 20
 
     def test_label_wise(self, bom_named):
         k6 = bom_named["k6"]
-        lw = static_interleave(k6, "lw")
+        lw = untag(static_interleave(k6, "lw"))
         flat = []
         for unit in (b"\x00", b"/bom", b"\x00", b"/item", b"\x0c", b"/car", b"\xc2", b"/brake", b"\x00"):
             flat.extend(unit)
@@ -283,7 +290,7 @@ class TestStaticInterleavings:
         assert len(s) == 12
         assert s[:6] == b"\x00\x00\x01\x00\x00\x02"
         assert s[9:] == b"\x00\x00\x00"  # padded to the deepest path
-        zo = static_interleave(bom_named["k6"], "zo", ctx)
+        zo = untag(static_interleave(bom_named["k6"], "zo", ctx))
         # ceil(4/12) = 1 value byte then ceil(12/4) = 3 path bytes per round
         dims = [d for _, d in zo]
         assert dims == [V, P, P, P] * 4
@@ -302,8 +309,8 @@ class TestStaticInterleavings:
         ctx = ZoContext.from_keys(bom_keys)
         for key in bom_keys:
             for scheme in ("pv", "vp", "lw"):
-                seq = static_interleave(key, scheme)
+                seq = untag(static_interleave(key, scheme))
                 assert bytes(b for b, d in seq if d is P) == key.path
                 assert bytes(b for b, d in seq if d is V) == key.value
-            seq = static_interleave(key, "zo", ctx)
+            seq = untag(static_interleave(key, "zo", ctx))
             assert bytes(b for b, d in seq if d is V) == key.value

@@ -1,4 +1,9 @@
-"""The package root: the library snippet of the README, on the example keys."""
+"""The package root: the library snippet of the README, on the example keys;
+and the library names the benchmark imports."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import rcas
 from rcas import (CompositeKey, bulk_load, build_static, cas_query,
@@ -21,3 +26,19 @@ def test_readme_library_snippet(tmp_path):
     rcas.save(index, target)
     again = rcas.load(target)
     assert sorted(cas_query(again, qpath, vrange)) == [0x3, 0x4, 0x8]
+
+
+def test_benchmark_imports_resolve():
+    # parsed, never executed: a rename in the library must fail here, not
+    # only as a crashed benchmark run
+    scripts = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+    assert scripts
+    checked = 0
+    for script in scripts:
+        for node in ast.walk(ast.parse(script.read_text(), str(script))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rcas":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
+                    checked += 1
+    assert checked

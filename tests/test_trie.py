@@ -6,7 +6,7 @@ import pytest
 from rcas.cli import main
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
 from rcas.keys import CompositeKey, Dimension
-from rcas.query import ValueRange, run_query
+from rcas.query import ValueRange, parse_query_path, run_query, scan
 from rcas.trie import (
     SCHEMES,
     Node,
@@ -333,6 +333,25 @@ class TestStaticBuilds:
             leaf_refs = sorted(r for _, n in index.nodes() if n.is_leaf for r in n.refs)
             assert leaf_refs == sorted(k.ref for k in bom_keys)
 
+    def test_lw_mixed_dimension_siblings(self):
+        # after the shared '/ab' label, '/ab' and '/abc' part at a path byte
+        # while the value bytes 0x10 and 0x70 part at the same symbol
+        keys = [
+            CompositeKey.make("/ab/x", 0x00100000, 1),
+            CompositeKey.make("/abc/y", 0x00100000, 2),
+            CompositeKey.make("/ab/z", 0x00700000, 3),
+        ]
+        index = build_static(keys, "lw")
+        root = index.root
+        assert root.dim is V
+        assert root.s_p == b"/ab"
+        assert [(d, b) for d, b, _ in root.children] == [(V, 0x10), (P, 0x63), (V, 0x70)]
+        everything = ValueRange.closed(0, 2**32 - 1)
+        for text in ("//", "/ab//", "/abc/*", "//x"):
+            qpath = parse_query_path(text)
+            want = sorted(scan(keys, qpath, everything))
+            assert sorted(run_query(index, qpath, everything).refs) == want
+
     def test_rcas_scheme_aliases_bulk_load(self, bom_keys, bom_index):
         assert save_bytes(build_static(bom_keys, "rcas")) == save_bytes(bom_index)
 
@@ -368,3 +387,13 @@ class TestSerialization:
             load_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
             load_bytes(blob + b"\x00")
+        # records that contradict themselves
+        header = 5 + 1 + 1 + 8  # magic, scheme, width, key count
+        assert blob[header : header + 2] == b"\x01\x01"  # root: 4-way inner node on V
+        with pytest.raises(ValueError):
+            load_bytes(blob[: header + 1] + b"\x02" + blob[header + 2 :])  # leaf dim code
+        with pytest.raises(ValueError):
+            load_bytes(blob[:header] + b"\x00" + blob[header + 1 :])  # leaf kind, V dim code
+        childless = blob[:header] + bytes([1, 1, 0, 0, 0, 0, 0, 0])  # inner, no children
+        with pytest.raises(ValueError):
+            load_bytes(childless)
