@@ -15,14 +15,25 @@ vp and lw indexes, which end at a terminator, and one for the z-order index,
 whose paths are fixed-width label surrogates that end by position.  The
 evaluation is one loop over an explicit stack, so trie depth is not bounded
 by the interpreter's recursion limit.
+
+Per-query work follows what the predicates admit.  A node's children are
+sorted by edge byte, so the children that can pass are found by bisecting
+to a byte window: the value bounds still closed at a value node, and the
+byte hull of the automaton's out-edges at a path node.  A node whose edges
+span both dimensions (the label-wise scheme can build one) is scanned
+whole.  The automaton memoizes the state set each (state set, node
+substring) pair reaches, and its step, hull and feed caches each hold a
+bounded number of entries, emptied when full.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .keys import (
@@ -244,12 +255,23 @@ _SLASH = _SINGLE[SLASH]
 _TERMINATOR = _SINGLE[PATH_TERMINATOR]
 
 
+# Entries each cache of one automaton holds at most.  A full cache is
+# emptied before it takes the next entry, so an automaton kept in the
+# compiled-query cache stays bounded however many nodes it has been fed.
+_STEP_CACHE_MAX = 4096
+_HULL_CACHE_MAX = 1024
+_FEED_CACHE_MAX = 4096
+
+
 class _PathAutomaton:
     """NFA over the path bytes of an index, compiled from a query path.
 
     Every edge admits one byte class: a single byte, a label byte, any byte
     or any non-zero byte.  `step` follows the edges of a state set on one
-    byte and caches the result, since siblings share their path prefixes.
+    byte, and `feed` over a node's whole path substring; both cache their
+    results, since siblings share path prefixes and sibling subtrees repeat
+    substrings.  `hull` gives the lowest and highest byte any edge out of a
+    state set admits.
 
     `universal` holds the states from which every completion of the path is
     accepted; reaching one matches a whole subtree before its paths end.
@@ -264,6 +286,8 @@ class _PathAutomaton:
         self.universal: frozenset[int] = frozenset()
         self._edges: list[list[tuple[bytes, int]]] = [[]]
         self._step_cache: dict[tuple[frozenset, int], frozenset] = {}
+        self._hull_cache: dict[frozenset, tuple[int, int]] = {}
+        self._feed_cache: dict[tuple[frozenset, bytes], frozenset] = {}
 
     def edge(self, s: int, byte_class: bytes, t: int | None = None) -> int:
         """Add an edge from state `s` to `t`, or to a new state; returns
@@ -290,23 +314,52 @@ class _PathAutomaton:
                 for cls, t in self._edges[s]:
                     if b in cls:
                         found.append(t)
-            nxt = self._step_cache[key] = frozenset(found)
+            nxt = frozenset(found)
+            _put(self._step_cache, key, nxt, _STEP_CACHE_MAX)
         return nxt
+
+    def hull(self, states: frozenset) -> tuple[int, int]:
+        """(lowest, highest) byte that `step` can follow from `states`;
+        (256, -1) when no edge leaves them."""
+        h = self._hull_cache.get(states)
+        if h is None:
+            classes = [cls for s in states for cls, _ in self._edges[s]]
+            h = (min(map(min, classes)), max(map(max, classes))) if classes else (256, -1)
+            _put(self._hull_cache, states, h, _HULL_CACHE_MAX)
+        return h
 
     def feed(self, states: frozenset, consumed: int, data: bytes):
         """Advance over `data`, the path bytes that follow the first
         `consumed` ones.  Returns None on a dead end, otherwise
-        (states, consumed, matched)."""
-        for b in data:
-            states = self.step(states, b)
-            if not states:
-                return None
+        (states, consumed, matched).
+
+        Only the state set reached is cached, keyed by (states, data), with
+        the empty set for a dead end; completion depends on `consumed` and
+        is tested on every call."""
+        key = (states, data)
+        reached = self._feed_cache.get(key)
+        if reached is None:
+            reached = states
+            for b in data:
+                reached = self.step(reached, b)
+                if not reached:
+                    break
+            _put(self._feed_cache, key, reached, _FEED_CACHE_MAX)
+        if not reached:
+            return None
+        states = reached
         consumed += len(data)
         if consumed >= self.width:
             if not states & self.accepts:
                 return None
             return states, consumed, True
         return states, consumed, bool(states & self.universal)
+
+
+def _put(cache: dict, key, value, limit: int) -> None:
+    if len(cache) >= limit:
+        cache.clear()
+    cache[key] = value
 
 
 @lru_cache(maxsize=256)
@@ -380,6 +433,8 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
 
 # --- query evaluation over an index ------------------------------------------
 
+_EDGE_BYTE = itemgetter(1)  # of a (dim, byte, child) edge
+
 
 @dataclass
 class QueryResult:
@@ -396,7 +451,13 @@ def run_query(
     """Evaluate a path+range query; returns matching refs and nodes visited.
 
     The trie is walked once in pre-order; `trace`, if given, receives every
-    visited node in that order.
+    visited node in that order.  At an inner node whose predicates are not
+    both settled, only the children in the byte window of the node's
+    branching dimension are tested: between the value bounds still closed at
+    a value node, within the byte hull of the path states at a path node.
+    A node with edges in both dimensions (`Node.mixed`) has all of its
+    children tested.  Path substrings go through the automaton's bounded
+    feed memo.
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
@@ -411,6 +472,7 @@ def run_query(
         automaton = _compile_ascii(qpath)
     step = automaton.step
     feed = automaton.feed
+    hull = automaton.hull
     low = vrange.low
     high = vrange.high
     V = Dimension.V
@@ -454,8 +516,24 @@ def run_query(
             continue
         assert node.refs is None, "leaf outcomes are always final"
 
+        # only edges in the byte window of the branching dimension can pass
+        # the checks below; children are sorted by edge byte
+        children = node.children
+        if not node.mixed:
+            if node.dim is V:
+                lo = 0 if vmatched or lopen else low[vpos]
+                hi = 255 if vmatched or hopen else high[vpos]
+            elif pmatched:
+                lo, hi = 0, 255
+            else:
+                lo, hi = hull(pstates)
+            if lo > children[0][1] or hi < children[-1][1]:
+                children = children[
+                    bisect_left(children, lo, key=_EDGE_BYTE) : bisect_right(children, hi, key=_EDGE_BYTE)
+                ]
+
         # pushed last to first, so that children are visited in edge order
-        for dim, b, child in reversed(node.children):
+        for dim, b, child in reversed(children):
             if dim is V:
                 if not vmatched:
                     if not lopen and b < low[vpos]:

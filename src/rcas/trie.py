@@ -33,14 +33,16 @@ _P_CODE = _DIM_CODE[Dimension.P]
 class Node:
     """One trie node: substrings, split dimension, and children or refs.
 
-    Children are edges keyed by (dimension, byte); the edge byte is also the
-    first byte of the child's substring in that dimension.  Nodes built from
-    the dynamic interleaving always branch in a single dimension, but the
-    label-wise static scheme can legally produce sibling edges from both
-    dimensions after a shared prefix.
+    Children are edges keyed by (dimension, byte), sorted by byte; the edge
+    byte is also the first byte of the child's substring in that dimension.
+    Nodes built from the dynamic interleaving always branch in a single
+    dimension, but the label-wise static scheme can legally produce sibling
+    edges from both dimensions after a shared prefix.  `mixed` is True when
+    some edge branches in a dimension other than `dim`; it is set where the
+    edges are made, and tells the query evaluator to test every edge.
     """
 
-    __slots__ = ("s_p", "s_v", "dim", "children", "refs")
+    __slots__ = ("s_p", "s_v", "dim", "children", "refs", "mixed")
 
     def __init__(
         self,
@@ -49,12 +51,14 @@ class Node:
         dim: Dimension,
         children: list[tuple[Dimension, int, "Node"]],
         refs: list[int] | None,
+        mixed: bool = False,
     ):
         self.s_p = s_p
         self.s_v = s_v
         self.dim = dim
         self.children = children
         self.refs = refs
+        self.mixed = mixed
 
     @property
     def is_leaf(self) -> bool:
@@ -309,7 +313,8 @@ def _split_flat(task: tuple, stats: BuildStats) -> tuple[Node, list]:
     stats.moves += sum(len(it[1]) for it in items)
 
     edges = [(_DIM_FROM_CODE[code], b, (groups[(b, code)], end_sym)) for b, code in sorted(groups)]
-    return Node(s_p, s_v, edges[0][0], [], None), edges
+    dim = edges[0][0]
+    return Node(s_p, s_v, dim, [], None, any(d is not dim for d, _, _ in edges)), edges
 
 
 # --- structural statistics --------------------------------------------------
@@ -375,6 +380,14 @@ _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
 
 
+def _kind_code(child_count: int) -> int:
+    """Kind byte of an inner record: 1..4 for the capacity class 4/16/48/256
+    of its child count (a leaf's kind byte is 0).  A label-wise node can
+    hold up to 512 edges, one per byte in each dimension; those over 256
+    share the largest class."""
+    return NODE_KINDS.index(node_kind_for(min(child_count, 256))) + 1
+
+
 def save_bytes(index: RcasIndex) -> bytes:
     """Serialize an index to the versioned binary format."""
     out = bytearray()
@@ -395,11 +408,7 @@ def save_bytes(index: RcasIndex) -> bytes:
     while stack:
         node = stack.pop()[2]
         refs = node.refs
-        # kind byte: 0 = leaf, 1..4 = capacity class 4/16/48/256
-        if refs is not None:
-            out.append(0)
-        else:
-            out.append(NODE_KINDS.index(node_kind_for(min(len(node.children), 256))) + 1)
+        out.append(0 if refs is not None else _kind_code(len(node.children)))
         out.append(_DIM_CODE[node.dim])
         out += struct.pack(">H", len(node.s_p))
         out += node.s_p
@@ -481,14 +490,23 @@ def _read_node(r: _Reader) -> tuple[Node, list]:
         return Node(s_p, s_v, dim, [], refs), []
     if not n_children:
         raise ValueError("inner node without children")
+    if kind_code != _kind_code(n_children):
+        raise ValueError("kind byte does not match the child count in index file")
     edges = []
+    mixed = False
+    last = -1  # edges ascend by (byte, dim code), which query windows rely on
     for _ in range(n_children):
-        d = _DIM_FROM_CODE.get(r.u8())
+        code = r.u8()
+        d = _DIM_FROM_CODE.get(code)
         b = r.u8()
         if d is None or d is Dimension.BOT:
             raise ValueError("bad child edge in index file")
+        if 2 * b + code <= last:
+            raise ValueError("child edges out of order in index file")
+        last = 2 * b + code
+        mixed = mixed or d is not dim
         edges.append((d, b, r))
-    return Node(s_p, s_v, dim, [], None), edges
+    return Node(s_p, s_v, dim, [], None, mixed), edges
 
 
 def save(index: RcasIndex, path: str) -> None:

@@ -16,8 +16,9 @@ def bom_file(tmp_path):
 
 @pytest.fixture
 def bad_indexes(bom_file, tmp_path):
-    """The example index cut in half, and with its root's dimension code
-    flipped to the leaf code, which contradicts the root's inner kind byte."""
+    """The example index cut in half, with its root's dimension code
+    flipped to the leaf code, which contradicts the root's inner kind byte,
+    and with the root's kind byte set to a class its 3 children do not fill."""
     target = tmp_path / "bom.idx"
     assert main(["build", bom_file, "--save", str(target)]) == 0
     blob = target.read_bytes()
@@ -25,7 +26,9 @@ def bad_indexes(bom_file, tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     flipped = tmp_path / "flipped.idx"
     flipped.write_bytes(blob[:16] + b"\x02" + blob[17:])  # root dim code
-    return [str(truncated), str(flipped)]
+    wrong_kind = tmp_path / "wrong_kind.idx"
+    wrong_kind.write_bytes(blob[:15] + b"\x04" + blob[16:])  # root kind byte
+    return [str(truncated), str(flipped), str(wrong_kind)]
 
 
 def run_cli(capsys, *argv):

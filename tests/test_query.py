@@ -11,6 +11,9 @@ from rcas.query import (
     Step,
     Trailing,
     ValueRange,
+    _FEED_CACHE_MAX,
+    _HULL_CACHE_MAX,
+    _STEP_CACHE_MAX,
     _compile_ascii,
     cas_query,
     feed_range,
@@ -357,6 +360,45 @@ class TestOracleEquivalence:
                 for scheme, index in indexes.items():
                     got = sorted(run_query(index, qpath, vrange).refs)
                     assert got == want, (scheme, qpath.text)
+
+
+class TestAutomatonCaches:
+    def test_memo_shared_across_indexes(self):
+        # The compiled-query cache hands every index one automaton per query
+        # path, so feeds on the second index hit entries the first one made.
+        key_sets = [
+            records_to_keys(generate(GeneratorConfig(seed=seed, key_count=300, label_alphabet_size=4, max_depth=4)))
+            for seed in (41, 42)
+        ]
+        for text in ("//n01", "/*/n01"):
+            qpath = parse_query_path(text)
+            for keys, scheme in zip(key_sets, ("rcas", "lw")):
+                index = build_static(keys, scheme)
+                values = sorted(k.value_int for k in keys)
+                for lo, hi in ((values[0], values[len(values) // 2]), (values[len(values) // 3], values[-1])):
+                    vrange = ValueRange.closed(lo, hi)
+                    want = sorted(scan(keys, qpath, vrange))
+                    assert want
+                    assert sorted(run_query(index, qpath, vrange).refs) == want, (text, scheme)
+
+    def test_caches_stay_bounded(self):
+        rng = random.Random(4242)
+        letters = "abcdefgh"
+        keys = []
+        for i in range(_FEED_CACHE_MAX + 1000):
+            label = "".join(rng.choice(letters) for _ in range(rng.randint(4, 9)))
+            path = f"/d/{label}/hit" if i % 10 == 0 else f"/d/{label}"
+            keys.append(CompositeKey.make(path, rng.randint(0, 2**32 - 1), i))
+        index = build_static(keys, "rcas")
+        # nearly every node is fed once, and their path substrings differ
+        assert len({node.s_p for _, node in index.nodes()}) > _FEED_CACHE_MAX
+        qpath = parse_query_path("//hit")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        assert sorted(run_query(index, qpath, everything).refs) == sorted(scan(keys, qpath, everything))
+        automaton = _compile_ascii(qpath)
+        assert len(automaton._feed_cache) <= _FEED_CACHE_MAX
+        assert len(automaton._step_cache) <= _STEP_CACHE_MAX
+        assert len(automaton._hull_cache) <= _HULL_CACHE_MAX
 
 
 class TestWideValues:

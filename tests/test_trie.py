@@ -346,11 +346,24 @@ class TestStaticBuilds:
         assert root.dim is V
         assert root.s_p == b"/ab"
         assert [(d, b) for d, b, _ in root.children] == [(V, 0x10), (P, 0x63), (V, 0x70)]
+        assert root.mixed
         everything = ValueRange.closed(0, 2**32 - 1)
         for text in ("//", "/ab//", "/abc/*", "//x"):
             qpath = parse_query_path(text)
             want = sorted(scan(keys, qpath, everything))
             assert sorted(run_query(index, qpath, everything).refs) == want
+        # narrow ranges: a window on the root's first edge dimension alone
+        # would drop the edges of the other one
+        for text, value, want in [
+            ("/abc/*", 0x00100000, [2]),
+            ("/ab/*", 0x00700000, [3]),
+            ("/ab/*", 0x00100000, [1]),
+            ("//y", 0x00100000, [2]),
+        ]:
+            qpath = parse_query_path(text)
+            point = ValueRange.closed(value, value)
+            assert sorted(scan(keys, qpath, point)) == want
+            assert sorted(run_query(index, qpath, point).refs) == want
 
     def test_rcas_scheme_aliases_bulk_load(self, bom_keys, bom_index):
         assert save_bytes(build_static(bom_keys, "rcas")) == save_bytes(bom_index)
@@ -394,6 +407,14 @@ class TestSerialization:
             load_bytes(blob[: header + 1] + b"\x02" + blob[header + 2 :])  # leaf dim code
         with pytest.raises(ValueError):
             load_bytes(blob[:header] + b"\x00" + blob[header + 1 :])  # leaf kind, V dim code
+        for kind in (4, 9, 255):  # not the 3-child root's capacity class
+            with pytest.raises(ValueError):
+                load_bytes(blob[:header] + bytes([kind]) + blob[header + 1 :])
+        edges = header + 2 + 2 + 12 + 2 + 1 + 2  # past the root's substrings and child count
+        assert blob[edges : edges + 6] == bytes([1, 0x00, 1, 0x01, 1, 0x03])
+        for swapped in ([1, 0x01, 1, 0x00], [1, 0x00, 1, 0x00]):  # out of order, repeated
+            with pytest.raises(ValueError):
+                load_bytes(blob[:edges] + bytes(swapped) + blob[edges + 4 :])
         childless = blob[:header] + bytes([1, 1, 0, 0, 0, 0, 0, 0])  # inner, no children
         with pytest.raises(ValueError):
             load_bytes(childless)
