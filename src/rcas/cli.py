@@ -82,7 +82,10 @@ def cmd_build(args) -> int:
     index = trie.build_static(keys, args.scheme, value_width=args.width)
     elapsed = time.perf_counter() - started
     if args.save:
-        trie.save(index, args.save)
+        try:
+            trie.save(index, args.save)
+        except ValueError as exc:
+            raise DataError(f"cannot save {args.save!r}: {exc}") from exc
     stats = trie.collect_stats(index)
     w = csv.writer(sys.stdout)
     w.writerow(["section", "metric", "value"])

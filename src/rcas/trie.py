@@ -4,9 +4,14 @@ Bulk loading partitions the key set at its discriminative bytes, alternating
 between the value and path dimensions; each partition becomes one node
 carrying the path/value substrings consumed since the parent's
 discriminative bytes.  The same node structure stores the keys produced by
-the static interleavings, so one query evaluator serves all schemes.  Builds,
-saves and loads run over explicit stacks, so the depth of a trie is not
-bounded by the interpreter's recursion limit.
+the static interleavings, so one query evaluator serves all schemes.
+
+One partitioner (`_partition`) builds every scheme: MSD radix partitioning
+over numpy arrays, one trie level at a time, for all open partitions at
+once.  The dynamic scheme hands it two sequences per key (path and value),
+a static scheme one (its tagged string).  Builds, saves and loads keep no
+recursion, so the depth of a trie is not bounded by the interpreter's
+recursion limit.
 
 Indexes are immutable once built: there is no insert or delete path, and any
 number of readers may traverse a built index concurrently.
@@ -14,20 +19,25 @@ number of readers may traverse a built index concurrently.
 
 from __future__ import annotations
 
+import mmap
 import struct
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress
+from operator import not_
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .interleave import STATIC_SCHEMES, ZoContext, static_interleave
-from .keys import _DIM_CODE, _DIM_FROM_CODE, CompositeKey, Dimension
+from .keys import _DIM_CODE, _DIM_FROM_CODE, PATH_TERMINATOR, VALUE_WIDTHS, CompositeKey, Dimension
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
 MAGIC = b"RCAS1"
-
-_P_CODE = _DIM_CODE[Dimension.P]
 
 
 class Node:
@@ -127,138 +137,242 @@ def node_kind_for(child_count: int) -> int:
     raise ValueError("more than 256 children cannot be stored")
 
 
-def _aggregate(keys: Sequence[CompositeKey], value_width: int | None) -> tuple[list, int]:
-    """Collapse duplicate (path, value) pairs, keeping refs in input order."""
+def _aggregate(
+    keys: Sequence[CompositeKey], value_width: int | None
+) -> tuple[list[tuple[bytes, bytes]], list[list[int]], int, _Seqs]:
+    """Collapse duplicate keys: the distinct (path, value) pairs in order of
+    first occurrence, the refs of each in input order, and the value width.
+    The pairs' paths also come back as sequences, checked to end in their
+    only NUL byte, so that they are prefix-free, as the partitioner needs."""
     if not keys:
         raise ValueError("cannot build an index over an empty key set")
     width = value_width if value_width is not None else len(keys[0].value)
     agg: dict[tuple[bytes, bytes], list[int]] = {}
     for k in keys:
-        if len(k.value) != width:
-            raise ValueError(
-                f"key value width {len(k.value)} does not match index width {width}"
-            )
-        agg.setdefault((k.path, k.value), []).append(k.ref)
-    items = [(p, v, refs) for (p, v), refs in agg.items()]
-    return items, width
+        pair = (k.path, k.value)
+        refs = agg.get(pair)
+        if refs is None:
+            agg[pair] = [k.ref]
+        else:
+            refs.append(k.ref)
+    for _, v in agg:
+        if len(v) != width:
+            raise ValueError(f"key value width {len(v)} does not match index width {width}")
+    paths = _Seqs.of([p for p, _ in agg])
+    nuls = len(paths.blob) - np.count_nonzero(paths.data)  # the padding is NUL too
+    last = paths.data[paths.start + paths.size - 1]
+    if nuls != len(agg) + _WINDOW_MAX or not paths.size.all() or last.any():
+        raise ValueError("key paths must end in their only NUL byte")
+    return list(agg), list(agg.values()), width, paths
+
+
+# --- the partitioner --------------------------------------------------------
+
+_WINDOW_MAX = 1024  # most symbols one row compares per round
+_WINDOW_CELLS = 1 << 17  # most (row, symbol) cells one round compares
+
+
+class _Seqs(NamedTuple):
+    """One symbol sequence per distinct key, joined into one blob.
+
+    Sequences are read a window of symbols at a time at per-row offsets, so
+    a long sequence costs only its own length, never a padded row for every
+    key.  `_WINDOW_MAX` zero symbols after the last sequence keep every
+    window inside the blob.  Node substrings are sliced from the blob.
+
+    The blob is an anonymous memory map: it comes zero-filled, so the
+    padding costs nothing, and it goes back to the system when released,
+    so a build leaves no blob-sized hole in the allocator's heap.
+    """
+
+    blob: mmap.mmap
+    data: np.ndarray  # the blob's symbols
+    start: np.ndarray  # offset of each sequence in `data`
+    size: np.ndarray  # length of each sequence
+
+    @classmethod
+    def of(cls, parts: list[bytes], dtype: str = "u1") -> "_Seqs":
+        unit = np.dtype(dtype).itemsize
+        size = np.fromiter(map(len, parts), np.int32, len(parts))
+        blob = mmap.mmap(-1, int(size.sum(dtype=np.int64)) + unit * _WINDOW_MAX)
+        deque(map(blob.write, parts), maxlen=0)  # writes every part, looping in C
+        if unit > 1:
+            size //= unit
+        start = np.zeros(len(parts), np.int32 if len(blob) < 2**31 else np.int64)
+        np.cumsum(size[:-1], out=start[1:])
+        return cls(blob, np.frombuffer(blob, dtype), start, size)
+
+
+def _dsc(seqs: _Seqs, rows: np.ndarray, starts: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The discriminative position of each partition in one sequence.
+
+    Partition j holds the keys `rows[starts[j] : starts[j + 1]]` (the last
+    one runs to the end of `rows`).  Its discriminative position is the
+    first position >= lo[j] (0-based) at which some key differs from the
+    partition's first key, or that key's length when none does.  Prefix-free
+    sequences keep every read inside the row being read, up to the first
+    difference; what a window reads past it is never used.
+
+    All open partitions compare one window per round, and a partition closes
+    at its first difference.  The window doubles each round, so a shared
+    run of L symbols costs O(log L) rounds, and it is capped so that one
+    round compares at most `_WINDOW_CELLS` cells.
+    """
+    sizes = np.diff(starts, append=len(rows))
+    end = seqs.size[rows[starts]]
+    out = end.copy()
+    ids = np.arange(len(starts))
+    pos = lo.astype(seqs.start.dtype)
+    base = seqs.start[rows]
+    keep = pos < end
+    width = 1
+    while True:
+        if not keep.all():
+            base = base[np.repeat(keep, sizes)]
+            ids, pos, end, sizes = ids[keep], pos[keep], end[keep], sizes[keep]
+            starts = np.cumsum(sizes) - sizes
+        if not ids.size:
+            return out
+        win = sliding_window_view(seqs.data, width)[base + np.repeat(pos, sizes)]
+        differs = np.logical_or.reduceat(win != np.repeat(win[starts], sizes, axis=0), starts)
+        first = differs.argmax(axis=1)
+        found = differs[np.arange(len(first)), first]
+        out[ids[found]] = np.minimum(pos[found] + first[found], end[found])
+        pos += width
+        keep = ~found & (pos < end)
+        width = min(2 * width, _WINDOW_MAX, max(1, _WINDOW_CELLS // len(base)))
+
+
+class _Level(NamedTuple):
+    """One trie level, one entry per node in edge order.
+
+    `parent` indexes the previous level (-1 for the root) and `key` is the
+    symbol on the edge from it.  `row` is the node's first key, whose
+    sequence `s` holds the node's substring `lo[s]:hi[s]`.  `split` is the
+    sequence the node branches on, or -1 for a leaf.
+    """
+
+    parent: np.ndarray
+    key: np.ndarray
+    row: np.ndarray
+    lo: list[np.ndarray]
+    hi: list[np.ndarray]
+    split: np.ndarray
+
+
+def _partition(
+    seqs: list[_Seqs], refs: list[list[int]], first: int, stats: BuildStats
+) -> Iterator[_Level]:
+    """Build a trie over distinct keys by MSD radix partitioning, one level
+    at a time (Kärkkäinen and Rantala, "Engineering Radix Sort for
+    Strings").
+
+    Each key is one symbol sequence per dimension (`seqs`); its `refs`
+    count towards `stats.moves`.  A level finds the discriminative position
+    of every open partition in every sequence (`_dsc`, resumed at the
+    parent's), and branches each one on a sequence: the root on `first`,
+    every other node on the sequence after its parent's, or the one after
+    that when that sequence is used up.  A stable sort by (partition, symbol
+    there) then yields the partitions of the next level; singletons become
+    leaves.  The levels are yielded one at a time, so that the caller makes
+    a level's nodes before the next level is computed.
+    """
+    k = len(seqs)
+    weight = np.fromiter(map(len, refs), np.int32, len(refs))
+    rows = np.arange(len(refs), dtype=np.int32)
+    starts = np.zeros(1, np.int32)
+    parent = np.full(1, -1)
+    key = np.zeros(1, seqs[0].data.dtype)
+    lo = [np.zeros(1, np.int32) for _ in seqs]
+    cut = np.full(1, -1, np.int8)  # the sequence the parent branched on
+    want = np.full(1, first, np.int8)
+    while True:
+        sizes = np.diff(starts, append=len(rows))
+        row = rows[starts]
+        hi = [s.size[row] for s in seqs]
+        split = np.full(len(starts), -1, np.int8)
+        inner = np.flatnonzero(sizes > 1)
+        if inner.size:
+            rows = rows[np.repeat(sizes > 1, sizes)]
+            sizes = sizes[inner]
+            starts = np.cumsum(sizes, dtype=np.int32) - sizes
+            for d, s in enumerate(seqs):
+                # the parent's branch symbol is shared, so resume past it
+                hi[d][inner] = _dsc(s, rows, starts, lo[d][inner] + (cut[inner] == d))
+            want = want[inner]
+            spent = np.choose(want, [h[inner] >= s.size[row[inner]] for h, s in zip(hi, seqs)])
+            split[inner] = np.where(spent, (want + 1) % k, want)
+            stats.moves += int(weight[rows].sum())
+        stats.byte_scans += sum(int((h - l).sum()) for h, l in zip(hi, lo))
+        yield _Level(parent, key, row, lo, hi, split)
+        if not inner.size:
+            return
+        pid = np.repeat(np.arange(len(inner), dtype=np.int32), sizes)
+        at = split[inner]
+        key = np.empty(len(rows), seqs[0].data.dtype)
+        for d, s in enumerate(seqs):
+            on = np.repeat(at == d, sizes)
+            key[on] = s.data[s.start[rows[on]] + np.repeat(hi[d][inner], sizes)[on]]
+        order = np.lexsort((key, pid))
+        rows, key = rows[order], key[order]
+        new = np.empty(len(rows), bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        new[starts] = True
+        starts = np.flatnonzero(new).astype(np.int32)
+        parent = inner[pid[starts]]
+        key = key[starts]
+        lo = [h[parent] for h in hi]
+        cut = split[parent]
+        want = (cut + 1) % k
+
+
+_NODE_DIM = (Dimension.P, Dimension.V, Dimension.BOT)  # by split sequence; -1 is a leaf
 
 
 def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> RcasIndex:
     """Build the dynamically interleaved index for a set of composite keys.
 
-    Runs in time linear in the total number of key bytes: discriminative
-    byte scans resume at the parent's positions, and each pair is moved once
-    per level of its root-to-leaf path.
+    The partitioner (`_partition`) runs over two sequences per distinct
+    key, its path and its value, and starts in the value dimension; each
+    node then branches in the dimension other than its parent's unless that
+    one is used up.  Nodes are made level by level and appended to their
+    parent's edges, which arrive in byte order.  Discriminative byte scans
+    resume at the parent's positions, and each pair is moved once per level
+    of its root-to-leaf path.
     """
-    items, width = _aggregate(keys, value_width)
+    pairs, refs, width, paths = _aggregate(keys, value_width)
+    values = _Seqs.of([v for _, v in pairs])
+    del pairs
     stats = BuildStats()
-    root = _grow((items, Dimension.V, 1, 1), lambda task: _split_dynamic(task, stats))
+    top = Node(b"", b"", Dimension.BOT, [], None)  # collects the root
+    prev = [top]
+    for level in _partition([paths, values], refs, _DIM_CODE[Dimension.V], stats):
+        p0 = paths.start[level.row]
+        v0 = values.start[level.row]
+        nodes = []
+        for par, b, r, pa, pz, va, vz, s in zip(
+            level.parent.tolist(),
+            level.key.tolist(),
+            level.row.tolist(),
+            (p0 + level.lo[0]).tolist(),
+            (p0 + level.hi[0]).tolist(),
+            (v0 + level.lo[1]).tolist(),
+            (v0 + level.hi[1]).tolist(),
+            level.split.tolist(),
+        ):
+            leaf_refs = refs[r] if s < 0 else None
+            node = Node(paths.blob[pa:pz], values.blob[va:vz], _NODE_DIM[s], [], leaf_refs)
+            up = prev[par]
+            up.children.append((up.dim, b, node))
+            nodes.append(node)
+        prev = nodes
     return RcasIndex(
-        root=root,
+        root=top.children[0][2],
         value_width=width,
         key_count=len(keys),
         scheme="rcas",
         build_stats=stats,
     )
-
-
-def _first_mismatch(a: bytes, b: bytes) -> int:
-    """0-based index of the first differing byte; min length if one is a prefix."""
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
-
-
-def _dsc_bytes(seqs: Iterable[bytes], ref: bytes, g: int) -> int:
-    """First position >= g (1-based) where not all sequences equal `ref`.
-
-    This is the discriminative byte of the set `seqs` + `ref`, resumed at a
-    known lower bound g.  Returns len(ref)+1 when the sequences agree on
-    every position of `ref`.  Prefix-free inputs guarantee that a shorter
-    sequence differs from `ref` within ref's extent, so scanning ref's
-    positions is sufficient.
-    """
-    limit = len(ref) + 1
-    if g >= limit:
-        return g
-    best = limit
-    lo = g - 1
-    for s in seqs:
-        if s is ref:
-            continue
-        window = best - g
-        a = ref[lo : lo + window]
-        b = s[lo : lo + window]
-        if a == b:
-            continue
-        best = g + _first_mismatch(a, b)
-        if best == g:
-            break
-    return best
-
-
-def _dsc_items(items: list, fi: int, g: int) -> int:
-    ref = items[0][fi]
-    return _dsc_bytes((it[fi] for it in items[1:]), ref, g)
-
-
-def _grow(task, expand: Callable) -> Node:
-    """Build a tree top-down, in pre-order, over an explicit stack.
-
-    `expand(task)` returns a node whose children list is still empty, and
-    its edges as (dim, byte, task) triples in edge order.  The node built
-    from each edge's task becomes that edge's child.
-    """
-    top: list = []
-    stack = [(top, None, None, task)]
-    while stack:
-        siblings, dim, b, task = stack.pop()
-        node, edges = expand(task)
-        siblings.append((dim, b, node))
-        # pushed last to first, so that children are built in edge order
-        stack += [(node.children, *edge) for edge in reversed(edges)]
-    return top[0][2]
-
-
-def _split_dynamic(task: tuple, stats: BuildStats) -> tuple[Node, list]:
-    items, dim, g_p, g_v = task
-    p0, v0, refs0 = items[0]
-    gp2 = _dsc_items(items, 0, g_p)
-    gv2 = _dsc_items(items, 1, g_v)
-    stats.byte_scans += (gp2 - g_p) + (gv2 - g_v)
-    s_p = p0[g_p - 1 : gp2 - 1]
-    s_v = v0[g_v - 1 : gv2 - 1]
-
-    if gp2 > len(p0) and gv2 > len(v0):
-        assert len(items) == 1, "leaf partitions hold exactly one distinct key"
-        return Node(s_p, s_v, Dimension.BOT, [], list(refs0)), []
-
-    if dim is Dimension.P:
-        if gp2 > len(p0):
-            dim = Dimension.V
-    else:
-        if gv2 > len(v0):
-            dim = Dimension.P
-    g = gp2 if dim is Dimension.P else gv2
-    fi = 0 if dim is Dimension.P else 1
-
-    groups: dict[int, list] = {}
-    for it in items:
-        b = it[fi][g - 1]
-        grp = groups.get(b)
-        if grp is None:
-            groups[b] = [it]
-        else:
-            grp.append(it)
-    stats.moves += sum(len(it[2]) for it in items)
-
-    other = dim.complement()
-    edges = [(dim, b, (groups[b], other, gp2, gv2)) for b in sorted(groups)]
-    return Node(s_p, s_v, dim, [], None), edges
 
 
 def build_static(
@@ -267,19 +381,54 @@ def build_static(
     ctx: ZoContext | None = None,
     value_width: int | None = None,
 ) -> RcasIndex:
-    """Build a trie over one of the static interleavings (pv, vp, lw, zo)."""
+    """Build a trie over one of the static interleavings (pv, vp, lw, zo).
+
+    The partitioner runs over one sequence per distinct key: its tagged
+    string (`interleave.static_interleave`) read as 16-bit little-endian
+    symbols, byte * 256 + dimension code, so edges are ordered by byte,
+    then by dimension.  A node's first edge sets its dimension, and `mixed`
+    marks a node whose edges span both.
+    """
     if scheme == "rcas":
         return bulk_load(keys, value_width)
     if scheme not in STATIC_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    items, width = _aggregate(keys, value_width)
+    pairs, refs, width, _ = _aggregate(keys, value_width)
     if scheme == "zo" and ctx is None:
         ctx = ZoContext.from_keys(keys)
-    tagged = [(static_interleave(CompositeKey(p, v, 0), scheme, ctx), refs) for p, v, refs in items]
+    tagged = _Seqs.of(
+        [static_interleave(CompositeKey(p, v, 0), scheme, ctx) for p, v in pairs], "<u2"
+    )
+    del pairs
     stats = BuildStats()
-    root = _grow((tagged, 0), lambda task: _split_flat(task, stats))
+    top = Node(b"", b"", Dimension.BOT, [], None)  # collects the root
+    prev = [top]
+    for level in _partition([tagged], refs, 0, stats):
+        t0 = 2 * tagged.start[level.row]
+        nodes = []
+        for par, code, b, r, ta, tz, s in zip(
+            level.parent.tolist(),
+            (level.key & 0xFF).tolist(),
+            (level.key >> 8).tolist(),
+            level.row.tolist(),
+            (t0 + 2 * level.lo[0]).tolist(),
+            (t0 + 2 * level.hi[0]).tolist(),
+            level.split.tolist(),
+        ):
+            s_p, s_v = _untag(tagged.blob[ta:tz])
+            # an inner node's dimension is set by its first edge, below
+            node = Node(s_p, s_v, Dimension.BOT, [], refs[r] if s < 0 else None)
+            up = prev[par]
+            dim = _NODE_DIM[code]
+            if not up.children:
+                up.dim = dim
+            elif dim is not up.dim:
+                up.mixed = True
+            up.children.append((dim, b, node))
+            nodes.append(node)
+        prev = nodes
     return RcasIndex(
-        root=root,
+        root=top.children[0][2],
         value_width=width,
         key_count=len(keys),
         scheme=scheme,
@@ -288,33 +437,21 @@ def build_static(
     )
 
 
-def _split_flat(task: tuple, stats: BuildStats) -> tuple[Node, list]:
-    """Split tagged strings (see `interleave.static_interleave`) at their
-    first differing symbol; edges are ordered by byte, then by dimension."""
-    items, start_sym = task
-    tagged0 = items[0][0]
-    m = _dsc_bytes((it[0] for it in items[1:]), tagged0, 2 * start_sym + 1)
-    end_sym = (m - 1) // 2
-    stats.byte_scans += end_sym - start_sym
+_P_TAG = _DIM_CODE[Dimension.P]
+_V_TAG = _DIM_CODE[Dimension.V]
 
-    seg = tagged0[2 * start_sym : 2 * end_sym]
-    syms = list(zip(seg[0::2], seg[1::2]))
-    s_p = bytes(b for code, b in syms if code == _P_CODE)
-    s_v = bytes(b for code, b in syms if code != _P_CODE)
 
-    if m > len(tagged0):
-        assert len(items) == 1
-        return Node(s_p, s_v, Dimension.BOT, [], list(items[0][1])), []
-
-    groups: dict[tuple[int, int], list] = {}
-    for it in items:
-        sym = (it[0][2 * end_sym + 1], it[0][2 * end_sym])
-        groups.setdefault(sym, []).append(it)
-    stats.moves += sum(len(it[1]) for it in items)
-
-    edges = [(_DIM_FROM_CODE[code], b, (groups[(b, code)], end_sym)) for b, code in sorted(groups)]
-    dim = edges[0][0]
-    return Node(s_p, s_v, dim, [], None, any(d is not dim for d, _, _ in edges)), edges
+def _untag(seg: bytes) -> tuple[bytes, bytes]:
+    """The path and the value bytes of a tagged segment."""
+    codes = seg[0::2]
+    # a plain slice returns the interpreter's shared object for one byte
+    data = seg[1::2] if len(seg) > 2 else seg[1:]
+    if _V_TAG not in codes:
+        return data, b""
+    if _P_TAG not in codes:
+        return b"", data
+    # the codes are 0 for P and 1 for V, so a code selects a value byte
+    return bytes(compress(data, map(not_, codes))), bytes(compress(data, codes))
 
 
 # --- structural statistics --------------------------------------------------
@@ -390,6 +527,16 @@ def _kind_code(child_count: int) -> int:
 
 def save_bytes(index: RcasIndex) -> bytes:
     """Serialize an index to the versioned binary format."""
+    try:
+        return _save_bytes(index)
+    except struct.error as exc:
+        raise ValueError(
+            f"the index does not fit the {MAGIC.decode()} format, which holds substrings and "
+            f"labels of at most 65,535 bytes and refs from 0 to 2**64 - 1 ({exc})"
+        ) from exc
+
+
+def _save_bytes(index: RcasIndex) -> bytes:
     out = bytearray()
     out += MAGIC
     out.append(_SCHEME_CODE[index.scheme])
@@ -448,6 +595,24 @@ class _Reader:
         return struct.unpack(fmt, self.take(size))
 
 
+def _grow(task, expand: Callable) -> Node:
+    """Build a tree top-down, in pre-order, over an explicit stack.
+
+    `expand(task)` returns a node whose children list is still empty, and
+    its edges as (dim, byte, task) triples in edge order.  The node built
+    from each edge's task becomes that edge's child.
+    """
+    top: list = []
+    stack = [(top, None, None, task)]
+    while stack:
+        siblings, dim, b, task = stack.pop()
+        node, edges = expand(task)
+        siblings.append((dim, b, node))
+        # pushed last to first, so that children are built in edge order
+        stack += [(node.children, *edge) for edge in reversed(edges)]
+    return top[0][2]
+
+
 def load_bytes(data: bytes) -> RcasIndex:
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
@@ -456,6 +621,8 @@ def load_bytes(data: bytes) -> RcasIndex:
     if scheme is None:
         raise ValueError("unknown scheme code in index file")
     width = r.u8()
+    if width not in VALUE_WIDTHS:
+        raise ValueError(f"unsupported value width {width} in index file")
     (key_count,) = r.unpack(">Q")
     ctx = None
     if scheme == "zo":
@@ -465,14 +632,23 @@ def load_bytes(data: bytes) -> RcasIndex:
             (n,) = r.unpack(">H")
             codes[r.take(n).decode("ascii")] = i + 1
         ctx = ZoContext(codes=codes, max_labels=max_labels)
-    root = _grow(r, _read_node)
+    path_width = ctx.path_width if ctx is not None else None
+    root = _grow((0, 0, None), lambda consumed: _read_node(r, consumed, width, path_width))
     if r.pos != len(data):
         raise ValueError("trailing bytes after index payload")
     return RcasIndex(root=root, value_width=width, key_count=key_count, scheme=scheme, zo_ctx=ctx)
 
 
-def _read_node(r: _Reader) -> tuple[Node, list]:
-    """The next node record; the records of its children follow it."""
+def _read_node(
+    r: _Reader, consumed: tuple, width: int, path_width: int | None
+) -> tuple[Node, list]:
+    """The next node record; the records of its children follow it.
+
+    `consumed` is what the ancestors spelled: value bytes, path bytes and
+    the last path byte (None before the first).  A key ends at a leaf after
+    exactly `width` value bytes, and after its path's NUL terminator, or
+    after `path_width` bytes of a z-order surrogate path.
+    """
     kind_code = r.u8()
     dim = _DIM_FROM_CODE.get(r.u8())
     if dim is None or (kind_code == 0) != (dim is Dimension.BOT):
@@ -482,9 +658,21 @@ def _read_node(r: _Reader) -> tuple[Node, list]:
     (n_v,) = r.unpack(">H")
     s_v = r.take(n_v)
     (n_children,) = r.unpack(">H")
+    v_len, p_len, p_end = consumed
+    v_len += n_v
+    if n_p:
+        if p_end == PATH_TERMINATOR and path_width is None:
+            raise ValueError("path bytes after the terminator in index file")
+        p_len += n_p
+        p_end = s_p[-1]
+    if v_len > width or (path_width is not None and p_len > path_width):
+        raise ValueError("key longer than the index width in index file")
     if kind_code == 0:
         if n_children:
             raise ValueError("leaf node with children")
+        path_done = p_end == PATH_TERMINATOR if path_width is None else p_len == path_width
+        if v_len != width or not path_done:
+            raise ValueError("leaf does not end its key in index file")
         (n_refs,) = r.unpack(">I")
         refs = [r.unpack(">Q")[0] for _ in range(n_refs)]
         return Node(s_p, s_v, dim, [], refs), []
@@ -492,6 +680,7 @@ def _read_node(r: _Reader) -> tuple[Node, list]:
         raise ValueError("inner node without children")
     if kind_code != _kind_code(n_children):
         raise ValueError("kind byte does not match the child count in index file")
+    consumed = (v_len, p_len, p_end)
     edges = []
     mixed = False
     last = -1  # edges ascend by (byte, dim code), which query windows rely on
@@ -505,13 +694,14 @@ def _read_node(r: _Reader) -> tuple[Node, list]:
             raise ValueError("child edges out of order in index file")
         last = 2 * b + code
         mixed = mixed or d is not dim
-        edges.append((d, b, r))
+        edges.append((d, b, consumed))
     return Node(s_p, s_v, dim, [], None, mixed), edges
 
 
 def save(index: RcasIndex, path: str) -> None:
+    data = save_bytes(index)  # before opening, so that a failure leaves no file
     with open(path, "wb") as fh:
-        fh.write(save_bytes(index))
+        fh.write(data)
 
 
 def load(path: str) -> RcasIndex:

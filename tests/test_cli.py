@@ -18,7 +18,9 @@ def bom_file(tmp_path):
 def bad_indexes(bom_file, tmp_path):
     """The example index cut in half, with its root's dimension code
     flipped to the leaf code, which contradicts the root's inner kind byte,
-    and with the root's kind byte set to a class its 3 children do not fill."""
+    with the root's kind byte set to a class its 3 children do not fill,
+    with a value width outside {4, 8}, and with a leaf whose path is never
+    terminated."""
     target = tmp_path / "bom.idx"
     assert main(["build", bom_file, "--save", str(target)]) == 0
     blob = target.read_bytes()
@@ -28,7 +30,12 @@ def bad_indexes(bom_file, tmp_path):
     flipped.write_bytes(blob[:16] + b"\x02" + blob[17:])  # root dim code
     wrong_kind = tmp_path / "wrong_kind.idx"
     wrong_kind.write_bytes(blob[:15] + b"\x04" + blob[16:])  # root kind byte
-    return [str(truncated), str(flipped), str(wrong_kind)]
+    bad_width = tmp_path / "bad_width.idx"
+    bad_width.write_bytes(blob[:6] + bytes([151]) + blob[7:])  # value width byte
+    assert blob[222] == 0  # the terminator that ends 'r/battery'
+    unterminated = tmp_path / "unterminated.idx"
+    unterminated.write_bytes(blob[:222] + b"\x89" + blob[223:])
+    return [str(truncated), str(flipped), str(wrong_kind), str(bad_width), str(unterminated)]
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +108,15 @@ class TestBuild:
         code, _, err = run_cli(capsys, "build", str(target))
         assert code == 2
         assert "data error" in err
+
+    def test_substring_too_long_to_save_is_data_error(self, capsys, tmp_path):
+        target = tmp_path / "long.csv"
+        target.write_text("/" + "a" * 70_000 + ";5;1\n/b;7;2\n")
+        saved = tmp_path / "long.idx"
+        code, _, err = run_cli(capsys, "build", str(target), "--save", str(saved))
+        assert code == 2
+        assert err.startswith("data error: ") and "RCAS1" in err
+        assert not saved.exists()
 
 
 class TestQuery:

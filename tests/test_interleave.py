@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcas.interleave import ZoContext, static_interleave
 from rcas.keys import CompositeKey, Dimension
-from rcas.trie import _dsc_bytes
+from rcas.trie import _dsc, _Seqs
 
 from conftest import random_keys, subset
 from reference import (
@@ -57,8 +58,12 @@ class TestDiscriminativeBytes:
 
 
 def _resumed_dsc(keys, dim, g):
-    """The production scan the bulk load runs, resumed at lower bound g."""
-    return _dsc_bytes((k.dim(dim) for k in keys[1:]), keys[0].dim(dim), g)
+    """The partitioner's scan, over all keys as one partition, resumed at
+    lower bound g (both positions 1-based here, 0-based in the partitioner)."""
+    seqs = _Seqs.of([k.dim(dim) for k in keys])
+    rows = np.arange(len(keys), dtype=np.int32)
+    starts = np.zeros(1, np.int32)
+    return int(_dsc(seqs, rows, starts, np.array([g - 1], np.int32))[0]) + 1
 
 
 class TestPartitioning:

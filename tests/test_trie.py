@@ -5,7 +5,8 @@ import pytest
 
 from rcas.cli import main
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
-from rcas.keys import CompositeKey, Dimension
+from rcas.interleave import ZoContext, static_interleave
+from rcas.keys import _DIM_CODE, _DIM_FROM_CODE, CompositeKey, Dimension
 from rcas.query import ValueRange, parse_query_path, run_query, scan
 from rcas.trie import (
     SCHEMES,
@@ -100,6 +101,16 @@ class TestBulkLoad:
         with pytest.raises(ValueError):
             bulk_load([a, b])
 
+    def test_paths_must_end_in_their_only_nul(self):
+        # the partitioner relies on a prefix-free path set: b"/a" is a
+        # prefix of b"/ab", and b"/a\x00b\x00" holds its NUL twice
+        value = (7).to_bytes(4, "big")
+        for paths in ([b"/a", b"/ab"], [b"/a\x00b\x00"], [b"", b"/b\x00"]):
+            keys = [CompositeKey(p, value, i) for i, p in enumerate(paths)]
+            for scheme in ("rcas", "pv", "vp", "lw"):
+                with pytest.raises(ValueError, match="NUL"):
+                    build_static(keys, scheme)
+
     def test_leaves_reproduce_input_multiset(self):
         rng = random.Random(4040)
         for _ in range(60):
@@ -175,6 +186,64 @@ class TestBulkLoad:
         rng = random.Random(31337)
         keys = random_keys(rng, 40)
         assert save_bytes(bulk_load(keys)) == save_bytes(bulk_load(keys))
+
+
+class TestEveryScheme:
+    def test_paths_spell_interleavings(self):
+        """Every root-to-leaf path of every scheme spells its key: the
+        dynamic interleaving of `reference` for rcas, the tagged string of
+        `static_interleave` for the static schemes."""
+        rng = random.Random(6060)
+        for i in range(300):
+            width = 4 if i % 2 else 8
+            keys = random_keys(rng, 1 if i % 10 == 0 else None, width)
+            if i % 10 == 3:  # every key on one path
+                keys = [CompositeKey(keys[0].path, k.value, k.ref) for k in keys]
+            elif i % 10 == 6:  # every key with one value
+                keys = [CompositeKey(k.path, keys[0].value, k.ref) for k in keys]
+            for scheme in SCHEMES:
+                index = build_static(keys, scheme)
+                for key in keys:
+                    if scheme == "rcas":
+                        _assert_spells_dynamic(index.root, key, keys)
+                    else:
+                        tagged = static_interleave(key, scheme, index.zo_ctx)
+                        _assert_spells_tagged(index.root, key, tagged)
+
+
+def _assert_spells_dynamic(root: Node, key: CompositeKey, keys) -> None:
+    node = root
+    consumed = {P: 0, V: 0}
+    for t in dynamic_interleave(key, keys):
+        assert (node.s_p, node.s_v, node.dim) == (t.s_p, t.s_v, t.dim)
+        consumed[P] += len(t.s_p)
+        consumed[V] += len(t.s_v)
+        if t.dim is BOT:
+            assert key.ref in node.refs
+            return
+        assert not node.mixed
+        node = node.child(t.dim, key.dim(t.dim)[consumed[t.dim]])
+        assert node is not None
+    raise AssertionError("the interleaving ends above a leaf")
+
+
+def _assert_spells_tagged(root: Node, key: CompositeKey, tagged: bytes) -> None:
+    symbols = list(zip(tagged[0::2], tagged[1::2]))  # (dimension code, byte)
+    node, at = root, 0
+    while True:
+        seg = symbols[at : at + len(node.s_p) + len(node.s_v)]
+        assert node.s_p == bytes(b for c, b in seg if c == _DIM_CODE[P])
+        assert node.s_v == bytes(b for c, b in seg if c == _DIM_CODE[V])
+        at += len(seg)
+        if node.is_leaf:
+            assert at == len(symbols) and key.ref in node.refs
+            return
+        edges = [(d, b) for d, b, _ in node.children]
+        assert node.dim is edges[0][0]
+        assert node.mixed == any(d is not node.dim for d, _ in edges)
+        code, byte = symbols[at]
+        node = node.child(_DIM_FROM_CODE[code], byte)
+        assert node is not None
 
 
 def _reconstruct(root: Node, target: Node):
@@ -255,10 +324,11 @@ class TestStats:
 
 
 def _chain_index(depth: int) -> RcasIndex:
-    """A hand-built trie: `depth` one-child value nodes above a single leaf."""
-    node = Node(b"/x\x00", b"", BOT, [], [1])
-    for _ in range(depth):
-        node = Node(b"", b"\x00", V, [(V, 0, node)], None)
+    """A hand-built trie: `depth` one-child path nodes, one path byte each,
+    above a single leaf; together they spell ('/' + 'a' * (depth - 1), 7)."""
+    node = Node(b"\x00", b"\x00\x00\x00\x07", BOT, [], [1])
+    for i in range(depth):
+        node = Node(b"a" if i < depth - 1 else b"/", b"", P, [(P, node.s_p[0], node)], None)
     return RcasIndex(root=node, value_width=4, key_count=1)
 
 
@@ -418,3 +488,53 @@ class TestSerialization:
         childless = blob[:header] + bytes([1, 1, 0, 0, 0, 0, 0, 0])  # inner, no children
         with pytest.raises(ValueError):
             load_bytes(childless)
+        assert blob[6] == 4
+        with pytest.raises(ValueError, match="value width 151"):  # outside {4, 8}
+            load_bytes(blob[:6] + bytes([151]) + blob[7:])
+        assert blob[213:223] == b"r/battery\x00"
+        with pytest.raises(ValueError):
+            load_bytes(blob[:222] + b"\x89" + blob[223:])  # a leaf's path never ends
+
+    def test_unfinished_keys_rejected(self):
+        """Records that are well formed one by one, but whose root-to-leaf
+        substrings do not spell whole keys."""
+
+        def chain(*nodes):  # (s_p, s_v) per node, the last one a leaf
+            node = Node(*nodes[-1], BOT, [], [1])
+            for s_p, s_v in reversed(nodes[:-1]):
+                node = Node(s_p, s_v, V, [(V, 0, node)], None)
+            return node
+
+        def rejected(root, scheme="rcas", ctx=None):
+            index = RcasIndex(root=root, value_width=4, key_count=1, scheme=scheme, zo_ctx=ctx)
+            with pytest.raises(ValueError):
+                load_bytes(save_bytes(index))
+
+        whole = chain((b"/a", b"\x00\x00"), (b"\x00", b"\x00\x01"))
+        assert load_bytes(save_bytes(RcasIndex(whole, 4, 1))).key_count == 1
+        rejected(chain((b"/a\x00", b"\x00\x00\x01")))  # a value byte short
+        rejected(chain((b"/a", b"\x00\x00"), (b"\x00", b"\x00\x01\x02")))  # one too many
+        with pytest.raises(ValueError, match="longer than the index width"):  # at the inner node
+            load_bytes(save_bytes(RcasIndex(chain((b"/a", b"\x00" * 5), (b"\x00", b"")), 4, 1)))
+        rejected(chain((b"/a", b"\x00\x00\x00\x01")))  # no terminator
+        rejected(chain((b"/a\x00", b"\x00\x00"), (b"b\x00", b"\x00\x01")))  # bytes past it
+        ctx = ZoContext(codes={"a": 1}, max_labels=2)  # surrogate paths of 6 bytes
+        zo_leaf = chain((b"\x00\x00\x01\x00\x00\x00", b"\x00\x00\x00\x01"))
+        assert load_bytes(save_bytes(RcasIndex(zo_leaf, 4, 1, "zo", ctx))).zo_ctx == ctx
+        rejected(chain((b"\x00\x00\x01\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
+        rejected(chain((b"\x00\x00\x01\x00\x00\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
+
+    def test_substring_too_long_to_save(self):
+        """A 70,000-byte label builds and answers in every scheme, but the
+        file format's 16-bit substring lengths cannot hold it."""
+        keys = [CompositeKey.make("/" + "a" * 70_000, 5, 1), CompositeKey.make("/b", 7, 2)]
+        everything = ValueRange.closed(0, 2**32 - 1)
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            for text in ("//", "/b", "//" + "a" * 70_000):
+                qpath = parse_query_path(text)
+                assert sorted(run_query(index, qpath, everything).refs) == sorted(
+                    scan(keys, qpath, everything)
+                ), (scheme, text[:4])
+            with pytest.raises(ValueError, match="RCAS1"):
+                save_bytes(index)
