@@ -33,10 +33,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable
 
 from .keys import (
+    _DIM_CODE,
     PATH_BYTE_MAX,
     PATH_BYTE_MIN,
     PATH_TERMINATOR,
@@ -46,7 +46,7 @@ from .keys import (
     decode_value,
     encode_value,
 )
-from .trie import Node, RcasIndex
+from .trie import RcasIndex
 from .interleave import ZoContext
 
 
@@ -433,8 +433,6 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
 
 # --- query evaluation over an index ------------------------------------------
 
-_EDGE_BYTE = itemgetter(1)  # of a (dim, byte, child) edge
-
 
 @dataclass
 class QueryResult:
@@ -450,14 +448,16 @@ def run_query(
 ) -> QueryResult:
     """Evaluate a path+range query; returns matching refs and nodes visited.
 
-    The trie is walked once in pre-order; `trace`, if given, receives every
-    visited node in that order.  At an inner node whose predicates are not
-    both settled, only the children in the byte window of the node's
+    The trie is walked once in pre-order; `trace`, if given, receives the id
+    of every visited node in that order.  At an inner node whose predicates
+    are not both settled, only the edges in the byte window of the node's
     branching dimension are tested: between the value bounds still closed at
-    a value node, within the byte hull of the path states at a path node.
-    A node with edges in both dimensions (`Node.mixed`) has all of its
-    children tested.  Path substrings go through the automaton's bounded
-    feed memo.
+    a value node, which every edge in that window passes, and within the
+    byte hull of the path states at a path node, where each edge is stepped.
+    A node whose edges span both dimensions has all of its edges tested.
+    Path substrings go through the automaton's bounded feed memo.  A subtree
+    whose predicates have both settled is collected whole: its refs are one
+    slice of `index.refs`.
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
@@ -475,74 +475,81 @@ def run_query(
     hull = automaton.hull
     low = vrange.low
     high = vrange.high
-    V = Dimension.V
+    dim, end, s_p, s_v = index.dim, index.end, index.s_p, index.s_v
+    estart, ebyte, edim, echild = index.estart, index.ebyte, index.edim, index.echild
+    all_refs, reflo = index.refs, index.reflo
+    P = _DIM_CODE[Dimension.P]
+    V = _DIM_CODE[Dimension.V]
     refs: list[int] = []
     visited = 0
 
-    # A node with the state of both checks on entering it.
-    stack = [(index.root, 0, False, False, False, automaton.start, 0, False)]
+    # A node id with the state of both checks on entering it.
+    stack = [(0, 0, False, False, False, automaton.start, 0, False)]
     while stack:
-        node, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched = stack.pop()
+        i, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched = stack.pop()
         visited += 1
         if trace is not None:
-            trace.append(node)
+            trace.append(i)
 
         if not vmatched:
-            fed = feed_range(low, high, vpos, lopen, hopen, node.s_v)
+            fed = feed_range(low, high, vpos, lopen, hopen, s_v[i])
             if fed is None:
                 continue
             vpos, lopen, hopen, vmatched = fed
 
         if not pmatched:
-            fed = feed(pstates, consumed, node.s_p)
+            fed = feed(pstates, consumed, s_p[i])
             if fed is None:
                 continue
             pstates, consumed, pmatched = fed
 
-        # Leaves are the nodes that hold refs; testing that field directly
-        # keeps property calls out of the per-node loops.
         if vmatched and pmatched:
-            # collect the whole subtree in pre-order, without further checks
-            below = [(None, None, node)]
-            while below:
-                n = below.pop()[2]
-                if trace is not None and n is not node:
-                    trace.append(n)
-                if n.refs is None:
-                    visited += len(n.children)
-                    below += n.children[::-1]
-                else:
-                    refs.extend(n.refs)
+            # collect the whole subtree, without further checks
+            e = end[i]
+            refs += all_refs[reflo[i] : reflo[e]]
+            visited += e - i - 1
+            if trace is not None:
+                trace += range(i + 1, e)
             continue
-        assert node.refs is None, "leaf outcomes are always final"
 
-        # only edges in the byte window of the branching dimension can pass
-        # the checks below; children are sorted by edge byte
-        children = node.children
-        if not node.mixed:
-            if node.dim is V:
-                lo = 0 if vmatched or lopen else low[vpos]
-                hi = 255 if vmatched or hopen else high[vpos]
-            elif pmatched:
-                lo, hi = 0, 255
-            else:
+        # Leaf outcomes are always final, so node i is inner.  Its edges
+        # are sorted by byte; they are pushed last to first, so that the
+        # children are visited in edge order.
+        e0 = estart[i]
+        e1 = estart[i + 1]
+        d = dim[i]
+        if d == V:
+            if not vmatched:
+                if not lopen:
+                    e0 = bisect_left(ebyte, low[vpos], e0, e1)
+                if not hopen:
+                    e1 = bisect_right(ebyte, high[vpos], e0, e1)
+        elif d == P:
+            if not pmatched:
                 lo, hi = hull(pstates)
-            if lo > children[0][1] or hi < children[-1][1]:
-                children = children[
-                    bisect_left(children, lo, key=_EDGE_BYTE) : bisect_right(children, hi, key=_EDGE_BYTE)
-                ]
-
-        # pushed last to first, so that children are visited in edge order
-        for dim, b, child in reversed(children):
-            if dim is V:
-                if not vmatched:
-                    if not lopen and b < low[vpos]:
-                        continue
-                    if not hopen and b > high[vpos]:
-                        continue
-            elif not pmatched and not step(pstates, b):
+                e0 = bisect_left(ebyte, lo, e0, e1)
+                e1 = bisect_right(ebyte, hi, e0, e1)
+                for e in range(e1 - 1, e0 - 1, -1):
+                    if step(pstates, ebyte[e]):
+                        c = echild[e]
+                        stack.append((c, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
                 continue
-            stack.append((child, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
+        else:
+            for e in range(e1 - 1, e0 - 1, -1):
+                b = ebyte[e]
+                if edim[e] == V:
+                    if not vmatched:
+                        if not lopen and b < low[vpos]:
+                            continue
+                        if not hopen and b > high[vpos]:
+                            continue
+                elif not pmatched and not step(pstates, b):
+                    continue
+                c = echild[e]
+                stack.append((c, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
+            continue
+        for c in reversed(echild[e0:e1]):
+            stack.append((c, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
     return QueryResult(refs=refs, visited=visited)
 
 

@@ -9,9 +9,13 @@ the static interleavings, so one query evaluator serves all schemes.
 One partitioner (`_partition`) builds every scheme: MSD radix partitioning
 over numpy arrays, one trie level at a time, for all open partitions at
 once.  The dynamic scheme hands it two sequences per key (path and value),
-a static scheme one (its tagged string).  Builds, saves and loads keep no
-recursion, so the depth of a trie is not bounded by the interpreter's
-recursion limit.
+a static scheme one (its tagged string).
+
+A built index is a flat trie: columns over node ids that run in pre-order
+(`RcasIndex`), with no object per node.  The builders and the loader derive
+the columns from per-node child counts with array passes (`_shape`), and the
+file format (`RCAS2`) stores them column by column.  Nothing recurses, so
+the depth of a trie is not bounded by the interpreter's recursion limit.
 
 Indexes are immutable once built: there is no insert or delete path, and any
 number of readers may traverse a built index concurrently.
@@ -21,82 +25,30 @@ from __future__ import annotations
 
 import mmap
 import struct
+import zlib
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import not_
-from typing import Callable, Iterator, NamedTuple, Sequence
+from operator import attrgetter, not_
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .interleave import STATIC_SCHEMES, ZoContext, static_interleave
-from .keys import _DIM_CODE, _DIM_FROM_CODE, PATH_TERMINATOR, VALUE_WIDTHS, CompositeKey, Dimension
+from .keys import _DIM_CODE, PATH_TERMINATOR, VALUE_WIDTHS, CompositeKey, Dimension
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
-MAGIC = b"RCAS1"
+MAGIC = b"RCAS2"
 
-
-class Node:
-    """One trie node: substrings, split dimension, and children or refs.
-
-    Children are edges keyed by (dimension, byte), sorted by byte; the edge
-    byte is also the first byte of the child's substring in that dimension.
-    Nodes built from the dynamic interleaving always branch in a single
-    dimension, but the label-wise static scheme can legally produce sibling
-    edges from both dimensions after a shared prefix.  `mixed` is True when
-    some edge branches in a dimension other than `dim`; it is set where the
-    edges are made, and tells the query evaluator to test every edge.
-    """
-
-    __slots__ = ("s_p", "s_v", "dim", "children", "refs", "mixed")
-
-    def __init__(
-        self,
-        s_p: bytes,
-        s_v: bytes,
-        dim: Dimension,
-        children: list[tuple[Dimension, int, "Node"]],
-        refs: list[int] | None,
-        mixed: bool = False,
-    ):
-        self.s_p = s_p
-        self.s_v = s_v
-        self.dim = dim
-        self.children = children
-        self.refs = refs
-        self.mixed = mixed
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.dim is Dimension.BOT
-
-    def child(self, dim: Dimension, byte: int) -> "Node | None":
-        for d, b, node in self.children:
-            if d is dim and b == byte:
-                return node
-        return None
-
-    def walk(self, depth: int = 0) -> Iterator[tuple[int, "Node"]]:
-        """(depth, node) pairs of this subtree in pre-order.
-
-        Iterative, so the cost is linear in the node count and the depth is
-        not bounded by the interpreter's recursion limit.
-        """
-        stack = [(depth, self)]
-        while stack:
-            depth, node = stack.pop()
-            yield depth, node
-            depth += 1
-            for _, _, c in reversed(node.children):
-                stack.append((depth, c))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "leaf" if self.is_leaf else f"inner/{self.dim.value}"
-        return f"<Node {kind} s_p={self.s_p!r} s_v={self.s_v!r} children={len(self.children)}>"
+_P = _DIM_CODE[Dimension.P]
+_V = _DIM_CODE[Dimension.V]
+_BOT = _DIM_CODE[Dimension.BOT]
+_MIXED = 3  # the dimension code of a node whose edges span both dimensions
 
 
 @dataclass
@@ -116,15 +68,37 @@ class BuildStats:
 
 @dataclass
 class RcasIndex:
-    root: Node
+    """A trie as columns over node ids, which run in pre-order.
+
+    Node i's subtree is the id range [i, end[i]).  `dim[i]` is the dimension
+    code it branches in (`keys._DIM_CODE`, the leaf code for a leaf), or
+    `_MIXED` when its edges span both dimensions, which only the label-wise
+    scheme builds.  `s_p[i]` and `s_v[i]` are its path and value
+    substrings.  Its edges are the range [estart[i], estart[i + 1]), sorted
+    by (byte, dimension code): edge e leads on byte `ebyte[e]` of dimension
+    `edim[e]` to node `echild[e]`, and that byte is the first byte of the
+    child's substring in that dimension.  The refs of the leaves of i's
+    subtree, in pre-order and each leaf's in input order, are
+    `refs[reflo[i] : reflo[end[i]]]`.  `refs` is a list, so that a query
+    collecting a subtree copies references to existing ints instead of
+    making one per ref.
+    """
+
+    dim: bytes
+    end: array
+    s_p: list[bytes]
+    s_v: list[bytes]
+    estart: array
+    ebyte: bytes
+    edim: bytes
+    echild: array
+    refs: list[int]
+    reflo: array
     value_width: int
     key_count: int
     scheme: str = "rcas"
     zo_ctx: ZoContext | None = None
     build_stats: BuildStats = field(default_factory=BuildStats)
-
-    def nodes(self) -> Iterator[tuple[int, Node]]:
-        return self.root.walk()
 
 
 def node_kind_for(child_count: int) -> int:
@@ -137,33 +111,62 @@ def node_kind_for(child_count: int) -> int:
     raise ValueError("more than 256 children cannot be stored")
 
 
+_PATH = attrgetter("path")
+_VALUE = attrgetter("value")
+_REF = attrgetter("ref")
+
+
+class _Refs(NamedTuple):
+    """The refs of the distinct keys: key i's are refs[start[i] : start[i] + count[i]]."""
+
+    refs: np.ndarray  # uint64, grouped by key, each group in input order
+    start: np.ndarray
+    count: np.ndarray
+
+
+def _number(items: list) -> tuple[list, np.ndarray]:
+    """The distinct items in order of first occurrence, and the number of
+    each item among them."""
+    ids = dict.fromkeys(items)
+    for i, item in enumerate(ids):
+        ids[item] = i
+    return list(ids), np.fromiter(map(ids.__getitem__, items), np.int64, len(items))
+
+
 def _aggregate(
     keys: Sequence[CompositeKey], value_width: int | None
-) -> tuple[list[tuple[bytes, bytes]], list[list[int]], int, _Seqs]:
-    """Collapse duplicate keys: the distinct (path, value) pairs in order of
-    first occurrence, the refs of each in input order, and the value width.
-    The pairs' paths also come back as sequences, checked to end in their
-    only NUL byte, so that they are prefix-free, as the partitioner needs."""
+) -> tuple[list[bytes], list[bytes], _Refs, int, _Seqs]:
+    """Collapse duplicate keys: the paths and the values of the distinct
+    (path, value) pairs, the refs of each pair in input order, and the value
+    width.  The pairs' paths also come back as sequences, checked to end in
+    their only NUL byte, so that they are prefix-free, as the partitioner
+    needs.
+
+    Paths and values are numbered apart, over the keys' own bytes objects,
+    so that no object is made per key; a pair is then one integer."""
     if not keys:
         raise ValueError("cannot build an index over an empty key set")
     width = value_width if value_width is not None else len(keys[0].value)
-    agg: dict[tuple[bytes, bytes], list[int]] = {}
-    for k in keys:
-        pair = (k.path, k.value)
-        refs = agg.get(pair)
-        if refs is None:
-            agg[pair] = [k.ref]
-        else:
-            refs.append(k.ref)
-    for _, v in agg:
+    paths, pid = _number(list(map(_PATH, keys)))
+    values, vid = _number(list(map(_VALUE, keys)))
+    for v in values:
         if len(v) != width:
             raise ValueError(f"key value width {len(v)} does not match index width {width}")
-    paths = _Seqs.of([p for p, _ in agg])
-    nuls = len(paths.blob) - np.count_nonzero(paths.data)  # the padding is NUL too
-    last = paths.data[paths.start + paths.size - 1]
-    if nuls != len(agg) + _WINDOW_MAX or not paths.size.all() or last.any():
+    try:
+        refs = np.fromiter(map(_REF, keys), np.uint64, len(keys))
+    except OverflowError as exc:
+        raise ValueError(f"refs must lie in 0 .. 2**64 - 1 ({exc})") from exc
+    pair, group = np.unique(pid * len(values) + vid, return_inverse=True)
+    count = np.bincount(group, minlength=len(pair))
+    grouped = _Refs(refs[np.argsort(group, kind="stable")], np.cumsum(count) - count, count)
+    paths = list(map(paths.__getitem__, (pair // len(values)).tolist()))
+    values = list(map(values.__getitem__, (pair % len(values)).tolist()))
+    seqs = _Seqs.of(paths)
+    nuls = len(seqs.blob) - np.count_nonzero(seqs.data)  # the padding is NUL too
+    last = seqs.data[seqs.start + seqs.size - 1]
+    if nuls != len(paths) + _WINDOW_MAX or not seqs.size.all() or last.any():
         raise ValueError("key paths must end in their only NUL byte")
-    return list(agg), list(agg.values()), width, paths
+    return paths, values, grouped, width, seqs
 
 
 # --- the partitioner --------------------------------------------------------
@@ -261,25 +264,23 @@ class _Level(NamedTuple):
 
 
 def _partition(
-    seqs: list[_Seqs], refs: list[list[int]], first: int, stats: BuildStats
+    seqs: list[_Seqs], weight: np.ndarray, first: int, stats: BuildStats
 ) -> Iterator[_Level]:
     """Build a trie over distinct keys by MSD radix partitioning, one level
     at a time (Kärkkäinen and Rantala, "Engineering Radix Sort for
     Strings").
 
-    Each key is one symbol sequence per dimension (`seqs`); its `refs`
-    count towards `stats.moves`.  A level finds the discriminative position
-    of every open partition in every sequence (`_dsc`, resumed at the
-    parent's), and branches each one on a sequence: the root on `first`,
-    every other node on the sequence after its parent's, or the one after
-    that when that sequence is used up.  A stable sort by (partition, symbol
-    there) then yields the partitions of the next level; singletons become
-    leaves.  The levels are yielded one at a time, so that the caller makes
-    a level's nodes before the next level is computed.
+    Each key is one symbol sequence per dimension (`seqs`); its `weight`,
+    the number of its refs, counts towards `stats.moves`.  A level finds the
+    discriminative position of every open partition in every sequence
+    (`_dsc`, resumed at the parent's), and branches each one on a sequence:
+    the root on `first`, every other node on the sequence after its
+    parent's, or the one after that when that sequence is used up.  A stable
+    sort by (partition, symbol there) then yields the partitions of the next
+    level; singletons become leaves.
     """
     k = len(seqs)
-    weight = np.fromiter(map(len, refs), np.int32, len(refs))
-    rows = np.arange(len(refs), dtype=np.int32)
+    rows = np.arange(len(weight), dtype=np.int32)
     starts = np.zeros(1, np.int32)
     parent = np.full(1, -1)
     key = np.zeros(1, seqs[0].data.dtype)
@@ -326,7 +327,156 @@ def _partition(
         want = (cut + 1) % k
 
 
-_NODE_DIM = (Dimension.P, Dimension.V, Dimension.BOT)  # by split sequence; -1 is a leaf
+def _preorder(levels: Iterator[_Level]) -> tuple[np.ndarray, _Level]:
+    """The nodes of all levels in pre-order: each one's child count, and
+    its level fields in that order (`parent` is left out).
+
+    Subtree sizes add up bottom-up; then, top-down, a node's id follows its
+    parent's and the subtrees of its earlier siblings."""
+    levels = list(levels)
+    size = [np.ones(len(lv.row), np.int64) for lv in levels]
+    arity = [np.zeros(len(lv.row), np.int64) for lv in levels]
+    for d in range(len(levels) - 1, 0, -1):
+        up, n = levels[d].parent, len(levels[d - 1].row)
+        size[d - 1] += np.bincount(up, weights=size[d], minlength=n).astype(np.int64)
+        arity[d - 1] = np.bincount(up, minlength=n)
+    ids = [np.zeros(1, np.int64)]
+    for d in range(1, len(levels)):
+        up = levels[d].parent  # ascending: a level is grouped by parent
+        before = np.cumsum(size[d]) - size[d]
+        ids.append(ids[-1][up] + 1 + before - before[np.searchsorted(up, up)])
+    order = np.empty(sum(map(len, ids)), np.int64)
+    order[np.concatenate(ids)] = np.arange(len(order))
+
+    def cat(arrays) -> np.ndarray:
+        return np.concatenate(arrays)[order]
+
+    nodes = _Level(
+        None,
+        cat([lv.key for lv in levels]),
+        cat([lv.row for lv in levels]),
+        [cat([lv.lo[s] for lv in levels]) for s in range(len(levels[0].lo))],
+        [cat([lv.hi[s] for lv in levels]) for s in range(len(levels[0].hi))],
+        cat([lv.split for lv in levels]),
+    )
+    return cat(arity), nodes
+
+
+# --- the flat trie ----------------------------------------------------------
+
+
+class _Shape(NamedTuple):
+    """The structure of a pre-order tree (see `RcasIndex`)."""
+
+    end: np.ndarray
+    echild: np.ndarray
+    estart: np.ndarray
+
+
+def _shape(arity: np.ndarray) -> _Shape:
+    """Subtree ends and edges of a tree given by its nodes' child counts in
+    pre-order; ValueError when the counts do not describe one tree.
+
+    Walking the nodes in order, each takes one open child slot and opens as
+    many as it has children: `open_[k]` slots are open before node k, never
+    fewer than one until the last node takes the last.  Node i's subtree
+    ends where the slot it took is given back, at the first k > i with
+    open_[k] == open_[i] - 1, and a node's parent is the last node before it
+    one level up.  Both are found by a search over (count, position) keys.
+    """
+    n = len(arity)
+    open_ = np.ones(n + 1, np.int64)
+    np.cumsum(arity - 1, out=open_[1:])
+    open_[1:] += 1
+    if not n or open_[-1] != 0 or open_[:-1].min() < 1:
+        raise ValueError("the child counts do not form a tree in index file")
+    pos = np.arange(n + 1, dtype=np.int64)
+    keys = np.sort(open_ * (n + 1) + pos)
+    end = keys[np.searchsorted(keys, (open_[:n] - 1) * (n + 1) + pos[:n])] % (n + 1)
+    depth = _down(np.ones(n, np.int64), end) - 1
+    keys = np.sort(depth * (n + 1) + pos[:n])
+    parent = keys[np.searchsorted(keys, (depth[1:] - 1) * (n + 1) + pos[1:n]) - 1] % (n + 1)
+    estart = np.zeros(n + 1, np.int64)
+    np.cumsum(arity, out=estart[1:])
+    return _Shape(end, np.argsort(parent, kind="stable") + 1, estart)
+
+
+def _down(x: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """For each node, the sum of `x` over the node and its ancestors: node j
+    adds x[j] to the ids [j, end[j])."""
+    n = len(end)
+    step = np.zeros(n + 1, np.int64)
+    step[:n] = x
+    step -= np.bincount(end, weights=x, minlength=n + 1).astype(np.int64)
+    return np.cumsum(step[:n])
+
+
+def _node_dims(leaf: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> np.ndarray:
+    """Each node's dimension code: the leaf code, the dimension all of its
+    edges share, or `_MIXED`."""
+    dim = np.full(len(leaf), _BOT, np.uint8)
+    inner = np.flatnonzero(~leaf)
+    if inner.size:
+        lo = np.minimum.reduceat(edim, estart[inner])
+        hi = np.maximum.reduceat(edim, estart[inner])
+        dim[inner] = np.where(lo == hi, lo, _MIXED)
+    return dim
+
+
+_CHUNK = 1 << 14
+
+
+def _slices(blob, start: np.ndarray, stop: np.ndarray) -> list[bytes]:
+    """blob[start[i]:stop[i]] for each i, as bytes, sliced in C.  A chunk
+    of offsets at a time becomes Python ints, so that they never all exist
+    at once next to the slices."""
+    out: list[bytes] = []
+    for at in range(0, len(start), _CHUNK):
+        cut = slice(at, at + _CHUNK)
+        out += map(blob.__getitem__, map(slice, start[cut].tolist(), stop[cut].tolist()))
+    return out
+
+
+def _index(
+    shape: _Shape,
+    dim: np.ndarray,
+    s_p: list[bytes],
+    s_v: list[bytes],
+    ebyte: np.ndarray,
+    edim: np.ndarray,
+    refcount: np.ndarray,
+    refs: np.ndarray,
+    **meta,
+) -> RcasIndex:
+    reflo = np.zeros(len(dim) + 1, np.uint64)
+    np.cumsum(refcount, out=reflo[1:])
+
+    def ints(a: np.ndarray) -> array:
+        return array("i", a.astype(np.int32).tobytes())
+
+    return RcasIndex(
+        dim=dim.astype(np.uint8).tobytes(),
+        end=ints(shape.end),
+        s_p=s_p,
+        s_v=s_v,
+        estart=ints(shape.estart),
+        ebyte=ebyte.astype(np.uint8).tobytes(),
+        edim=edim.astype(np.uint8).tobytes(),
+        echild=ints(shape.echild),
+        refs=refs.tolist(),
+        reflo=array("Q", reflo.tobytes()),
+        **meta,
+    )
+
+
+def _leaf_refs(refs: _Refs, rows: np.ndarray) -> np.ndarray:
+    """The refs of the keys `rows`, one key after the other."""
+    count = refs.count[rows]
+    skip = np.repeat(refs.start[rows] - (np.cumsum(count) - count), count)
+    return refs.refs[skip + np.arange(len(skip))]
+
+
+# --- the builders -----------------------------------------------------------
 
 
 def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> RcasIndex:
@@ -335,39 +485,28 @@ def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> R
     The partitioner (`_partition`) runs over two sequences per distinct
     key, its path and its value, and starts in the value dimension; each
     node then branches in the dimension other than its parent's unless that
-    one is used up.  Nodes are made level by level and appended to their
-    parent's edges, which arrive in byte order.  Discriminative byte scans
-    resume at the parent's positions, and each pair is moved once per level
-    of its root-to-leaf path.
+    one is used up.  A node's edges take its branching dimension.
+    Discriminative byte scans resume at the parent's positions, and each
+    pair is moved once per level of its root-to-leaf path.
     """
-    pairs, refs, width, paths = _aggregate(keys, value_width)
-    values = _Seqs.of([v for _, v in pairs])
-    del pairs
+    _, values, refs, width, paths = _aggregate(keys, value_width)
+    values = _Seqs.of(values)
     stats = BuildStats()
-    top = Node(b"", b"", Dimension.BOT, [], None)  # collects the root
-    prev = [top]
-    for level in _partition([paths, values], refs, _DIM_CODE[Dimension.V], stats):
-        p0 = paths.start[level.row]
-        v0 = values.start[level.row]
-        nodes = []
-        for par, b, r, pa, pz, va, vz, s in zip(
-            level.parent.tolist(),
-            level.key.tolist(),
-            level.row.tolist(),
-            (p0 + level.lo[0]).tolist(),
-            (p0 + level.hi[0]).tolist(),
-            (v0 + level.lo[1]).tolist(),
-            (v0 + level.hi[1]).tolist(),
-            level.split.tolist(),
-        ):
-            leaf_refs = refs[r] if s < 0 else None
-            node = Node(paths.blob[pa:pz], values.blob[va:vz], _NODE_DIM[s], [], leaf_refs)
-            up = prev[par]
-            up.children.append((up.dim, b, node))
-            nodes.append(node)
-        prev = nodes
-    return RcasIndex(
-        root=top.children[0][2],
+    arity, nodes = _preorder(_partition([paths, values], refs.count, _V, stats))
+    shape = _shape(arity)
+    leaf = nodes.split < 0
+    p0 = paths.start[nodes.row]
+    v0 = values.start[nodes.row]
+    edim = np.repeat(nodes.split, arity)  # sequence 0 is the path, 1 the value
+    return _index(
+        shape,
+        _node_dims(leaf, edim, shape.estart),
+        _slices(paths.blob, p0 + nodes.lo[0], p0 + nodes.hi[0]),
+        _slices(values.blob, v0 + nodes.lo[1], v0 + nodes.hi[1]),
+        nodes.key[shape.echild],
+        edim,
+        np.where(leaf, refs.count[nodes.row], 0),
+        _leaf_refs(refs, nodes.row[leaf]),
         value_width=width,
         key_count=len(keys),
         scheme="rcas",
@@ -386,49 +525,38 @@ def build_static(
     The partitioner runs over one sequence per distinct key: its tagged
     string (`interleave.static_interleave`) read as 16-bit little-endian
     symbols, byte * 256 + dimension code, so edges are ordered by byte,
-    then by dimension.  A node's first edge sets its dimension, and `mixed`
-    marks a node whose edges span both.
+    then by dimension.  A node whose edges span both dimensions is `_MIXED`.
     """
     if scheme == "rcas":
         return bulk_load(keys, value_width)
     if scheme not in STATIC_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    pairs, refs, width, _ = _aggregate(keys, value_width)
+    paths, values, refs, width, _ = _aggregate(keys, value_width)
     if scheme == "zo" and ctx is None:
         ctx = ZoContext.from_keys(keys)
     tagged = _Seqs.of(
-        [static_interleave(CompositeKey(p, v, 0), scheme, ctx) for p, v in pairs], "<u2"
+        [static_interleave(CompositeKey(p, v, 0), scheme, ctx) for p, v in zip(paths, values)],
+        "<u2",
     )
-    del pairs
+    del paths, values
     stats = BuildStats()
-    top = Node(b"", b"", Dimension.BOT, [], None)  # collects the root
-    prev = [top]
-    for level in _partition([tagged], refs, 0, stats):
-        t0 = 2 * tagged.start[level.row]
-        nodes = []
-        for par, code, b, r, ta, tz, s in zip(
-            level.parent.tolist(),
-            (level.key & 0xFF).tolist(),
-            (level.key >> 8).tolist(),
-            level.row.tolist(),
-            (t0 + 2 * level.lo[0]).tolist(),
-            (t0 + 2 * level.hi[0]).tolist(),
-            level.split.tolist(),
-        ):
-            s_p, s_v = _untag(tagged.blob[ta:tz])
-            # an inner node's dimension is set by its first edge, below
-            node = Node(s_p, s_v, Dimension.BOT, [], refs[r] if s < 0 else None)
-            up = prev[par]
-            dim = _NODE_DIM[code]
-            if not up.children:
-                up.dim = dim
-            elif dim is not up.dim:
-                up.mixed = True
-            up.children.append((dim, b, node))
-            nodes.append(node)
-        prev = nodes
-    return RcasIndex(
-        root=top.children[0][2],
+    arity, nodes = _preorder(_partition([tagged], refs.count, 0, stats))
+    shape = _shape(arity)
+    leaf = nodes.split < 0
+    t0 = 2 * tagged.start[nodes.row]
+    segments = _slices(tagged.blob, t0 + 2 * nodes.lo[0], t0 + 2 * nodes.hi[0])
+    s_p, s_v = map(list, zip(*map(_untag, segments)))
+    edges = nodes.key[shape.echild]
+    edim = edges & 0xFF
+    return _index(
+        shape,
+        _node_dims(leaf, edim, shape.estart),
+        s_p,
+        s_v,
+        edges >> 8,
+        edim,
+        np.where(leaf, refs.count[nodes.row], 0),
+        _leaf_refs(refs, nodes.row[leaf]),
         value_width=width,
         key_count=len(keys),
         scheme=scheme,
@@ -437,18 +565,14 @@ def build_static(
     )
 
 
-_P_TAG = _DIM_CODE[Dimension.P]
-_V_TAG = _DIM_CODE[Dimension.V]
-
-
 def _untag(seg: bytes) -> tuple[bytes, bytes]:
     """The path and the value bytes of a tagged segment."""
     codes = seg[0::2]
     # a plain slice returns the interpreter's shared object for one byte
     data = seg[1::2] if len(seg) > 2 else seg[1:]
-    if _V_TAG not in codes:
+    if _V not in codes:
         return data, b""
-    if _P_TAG not in codes:
+    if _P not in codes:
         return b"", data
     # the codes are 0 for P and 1 for V, so a code selects a value byte
     return bytes(compress(data, map(not_, codes))), bytes(compress(data, codes))
@@ -473,37 +597,48 @@ class IndexStats:
     unique_key_count: int
 
 
+_KIND_NAMES = tuple(map(str, NODE_KINDS)) + ("leaf",)
+_DIM_NAMES = tuple(d.value for d in (Dimension.P, Dimension.V, Dimension.BOT))
+
+
 def collect_stats(index: RcasIndex) -> IndexStats:
-    """Depth and node-type histograms plus a byte-size estimate."""
-    depth_hist: dict[int, int] = {}
-    kind_dim: dict[tuple[str, str], int] = {}
-    nodes = 0
-    leaves = 0
-    depth_sum = 0
-    leaf_depth_sum = 0
-    size = 0
-    for depth, node in index.nodes():
-        nodes += 1
-        depth_sum += depth
-        depth_hist[depth] = depth_hist.get(depth, 0) + 1
-        size += _HEADER_BYTES + len(node.s_p) + len(node.s_v)
-        if node.refs is not None:
-            leaves += 1
-            leaf_depth_sum += depth
-            kind = "leaf"
-            size += _POINTER_BYTES * len(node.refs)
-        else:
-            capacity = node_kind_for(min(len(node.children), 256))
-            kind = str(capacity)
-            size += capacity * (_POINTER_BYTES + 1)
-        key = (kind, node.dim.value)
-        kind_dim[key] = kind_dim.get(key, 0) + 1
+    """Depth and node-type histograms plus a byte-size estimate.
+
+    An inner node's kind is the smallest capacity class of `NODE_KINDS`
+    that holds its children (those of a label-wise node over 256 share the
+    largest), and a `_MIXED` node counts under its first edge's dimension."""
+    dim = np.frombuffer(index.dim, np.uint8)
+    n = len(dim)
+    depth = _down(np.ones(n, np.int64), np.frombuffer(index.end, np.int32))
+    depth -= 1
+    estart = np.frombuffer(index.estart, np.int32)
+    arity = np.diff(estart)
+    refcount = np.diff(np.frombuffer(index.reflo, np.uint64))
+    leaf = dim == _BOT
+    named = dim.copy()
+    mixed = np.flatnonzero(dim == _MIXED)
+    named[mixed] = np.frombuffer(index.edim, np.uint8)[estart[mixed]]
+    kind = np.where(leaf, len(NODE_KINDS), np.searchsorted(NODE_KINDS, np.minimum(arity, 256)))
+    capacity = np.array(NODE_KINDS + (0,))[kind]
+    dims = len(_DIM_NAMES)
+    kinds = np.bincount(kind * dims + named, minlength=len(_KIND_NAMES) * dims)
+    kind_dim = {
+        (_KIND_NAMES[k // dims], _DIM_NAMES[k % dims]): c for k, c in enumerate(kinds.tolist()) if c
+    }
+    leaves = int(leaf.sum())
+    substrings = sum(map(len, index.s_p)) + sum(map(len, index.s_v))
+    size = (
+        _HEADER_BYTES * n
+        + substrings
+        + _POINTER_BYTES * int(refcount.sum())
+        + (_POINTER_BYTES + 1) * int(capacity.sum())
+    )
     return IndexStats(
-        node_count=nodes,
+        node_count=n,
         leaf_count=leaves,
-        depth_histogram=dict(sorted(depth_hist.items())),
-        avg_node_depth=depth_sum / nodes,
-        avg_leaf_depth=leaf_depth_sum / leaves,
+        depth_histogram={d: c for d, c in enumerate(np.bincount(depth).tolist()) if c},
+        avg_node_depth=int(depth.sum()) / n,
+        avg_leaf_depth=int(depth[leaf].sum()) / leaves,
         kind_dim_counts=dict(sorted(kind_dim.items())),
         size_estimate=size,
         key_count=index.key_count,
@@ -512,190 +647,206 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 
 
 # --- serialization ----------------------------------------------------------
+#
+# An RCAS2 file is a header, the node and edge columns in pre-order, and a
+# CRC-32 (zlib) of all that precedes it, big-endian:
+#
+#   header   magic "RCAS2", scheme code u8, value width u8, key count u64,
+#            node count u64, byte length of the node table u64; for zo also
+#            max labels u64, label count u64, byte length u64 and the labels
+#            in code order, joined by '/'
+#   dims     one dimension code per node (`RcasIndex.dim`)
+#   table    LEB128 varints, three per node: path substring length, value
+#            substring length, and child count (inner) or ref count (leaf)
+#   edges    one byte per edge (node count - 1), grouped by parent
+#   mixed    the dimension code of each edge of the `_MIXED` nodes
+#   blobs    the path substrings, then the value substrings, concatenated
+#   refs     one LEB128 varint per key
+#
+# Every length is a varint, so no substring is too long to save.
 
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
+_HEADER = struct.Struct(">5sBBQQQ")
+_ZO_HEADER = struct.Struct(">QQQ")
+_CRC = struct.Struct(">I")
 
 
-def _kind_code(child_count: int) -> int:
-    """Kind byte of an inner record: 1..4 for the capacity class 4/16/48/256
-    of its child count (a leaf's kind byte is 0).  A label-wise node can
-    hold up to 512 edges, one per byte in each dimension; those over 256
-    share the largest class."""
-    return NODE_KINDS.index(node_kind_for(min(child_count, 256))) + 1
+def _varints(values: np.ndarray) -> bytes:
+    """Unsigned LEB128: seven bits a byte, low bits first, the high bit set
+    on every byte but a value's last."""
+    v = values.astype(np.uint64)
+    size = np.ones(len(v), np.int64)
+    for k in range(1, 10):
+        size += v >= np.uint64(1 << (7 * k))
+    start = np.cumsum(size) - size
+    out = np.empty(int(size.sum()), np.uint8)
+    for k in range(int(size.max(initial=0))):
+        on = np.flatnonzero(size > k)
+        more = np.where(size[on] > k + 1, 0x80, 0).astype(np.uint8)
+        out[start[on] + k] = ((v[on] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8) | more
+    return out.tobytes()
+
+
+def _read_varints(column: bytes, count: int) -> np.ndarray:
+    """Exactly `count` canonical LEB128 varints filling `column`, as uint64."""
+    col = np.frombuffer(column, np.uint8)
+    last = np.flatnonzero(col < 0x80)
+    if len(last) != count or (count and last[-1] != len(col) - 1) or (not count and len(col)):
+        raise ValueError("varint column does not hold its count in index file")
+    first = np.zeros(count, np.int64)
+    first[1:] = last[:-1] + 1
+    size = last - first + 1
+    overlong = (size > 1) & (col[last] == 0)  # a zero group at the top
+    if (size > 10).any() or overlong.any() or ((size == 10) & (col[last] > 1)).any():
+        raise ValueError("bad varint in index file")
+    out = np.zeros(count, np.uint64)
+    for k in range(int(size.max(initial=0))):
+        on = np.flatnonzero(size > k)
+        out[on] |= (col[first[on] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
+    return out
 
 
 def save_bytes(index: RcasIndex) -> bytes:
-    """Serialize an index to the versioned binary format."""
-    try:
-        return _save_bytes(index)
-    except struct.error as exc:
-        raise ValueError(
-            f"the index does not fit the {MAGIC.decode()} format, which holds substrings and "
-            f"labels of at most 65,535 bytes and refs from 0 to 2**64 - 1 ({exc})"
-        ) from exc
-
-
-def _save_bytes(index: RcasIndex) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out.append(_SCHEME_CODE[index.scheme])
-    out.append(index.value_width)
-    out += struct.pack(">Q", index.key_count)
+    """Serialize an index to the RCAS2 format."""
+    dim = np.frombuffer(index.dim, np.uint8)
+    n = len(dim)
+    arity = np.diff(np.frombuffer(index.estart, np.int32))
+    table = np.empty((n, 3), np.uint64)
+    table[:, 0] = np.fromiter(map(len, index.s_p), np.int64, n)
+    table[:, 1] = np.fromiter(map(len, index.s_v), np.int64, n)
+    table[:, 2] = arity + np.diff(np.frombuffer(index.reflo, np.uint64)).astype(np.int64)
+    nodes = _varints(table.ravel())
+    mixed = np.frombuffer(index.edim, np.uint8)[np.repeat(dim == _MIXED, arity)]
+    scheme = _SCHEME_CODE[index.scheme]
+    head = [_HEADER.pack(MAGIC, scheme, index.value_width, index.key_count, n, len(nodes))]
     if index.scheme == "zo":
         ctx = index.zo_ctx
         assert ctx is not None
-        out += struct.pack(">HI", ctx.max_labels, len(ctx.codes))
-        for label in ctx.codes:  # insertion order == code order
-            raw = label.encode("ascii")
-            out += struct.pack(">H", len(raw))
-            out += raw
-    # node records in pre-order, from a stack of (dim, byte, node) edges
-    stack = [(None, None, index.root)]
-    while stack:
-        node = stack.pop()[2]
-        refs = node.refs
-        out.append(0 if refs is not None else _kind_code(len(node.children)))
-        out.append(_DIM_CODE[node.dim])
-        out += struct.pack(">H", len(node.s_p))
-        out += node.s_p
-        out += struct.pack(">H", len(node.s_v))
-        out += node.s_v
-        if refs is not None:
-            out += struct.pack(">H", 0)
-            out += struct.pack(">I", len(refs))
-            for r in refs:
-                out += struct.pack(">Q", r)
-        else:
-            out += struct.pack(">H", len(node.children))
-            for d, b, _ in node.children:
-                out.append(_DIM_CODE[d])
-                out.append(b)
-            stack += node.children[::-1]
-    return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated index file")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
-
-
-def _grow(task, expand: Callable) -> Node:
-    """Build a tree top-down, in pre-order, over an explicit stack.
-
-    `expand(task)` returns a node whose children list is still empty, and
-    its edges as (dim, byte, task) triples in edge order.  The node built
-    from each edge's task becomes that edge's child.
-    """
-    top: list = []
-    stack = [(top, None, None, task)]
-    while stack:
-        siblings, dim, b, task = stack.pop()
-        node, edges = expand(task)
-        siblings.append((dim, b, node))
-        # pushed last to first, so that children are built in edge order
-        stack += [(node.children, *edge) for edge in reversed(edges)]
-    return top[0][2]
+        labels = "/".join(ctx.codes).encode("ascii")  # insertion order == code order
+        head.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
+    body = b"".join(
+        [
+            *head,
+            index.dim,
+            nodes,
+            index.ebyte,
+            mixed.tobytes(),
+            b"".join(index.s_p),
+            b"".join(index.s_v),
+            _varints(np.fromiter(index.refs, np.uint64, len(index.refs))),
+        ]
+    )
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def load_bytes(data: bytes) -> RcasIndex:
-    r = _Reader(data)
-    if r.take(len(MAGIC)) != MAGIC:
+    """Read an RCAS2 file, checking that it holds one well-formed index.
+
+    Every check raises ValueError: the checksum, the header, the varint
+    columns, the tree shape the child counts give, the edges (their order,
+    their dimension codes, and each edge byte against the child's first
+    byte in that dimension), that every root-to-leaf path spells a whole
+    key, and that the refs add up to the key count."""
+    data = bytes(data)
+    if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not an index file (bad magic)")
-    scheme = _SCHEME_FROM_CODE.get(r.u8())
+    limit = len(data) - _CRC.size
+    if limit < _HEADER.size or _CRC.unpack_from(data, limit)[0] != zlib.crc32(data[:limit]):
+        raise ValueError("index file is truncated or corrupted (checksum mismatch)")
+    pos = _HEADER.size
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if size > limit - pos:
+            raise ValueError("truncated index file")
+        pos += size
+        return data[pos - size : pos]
+
+    _, scheme_code, width, key_count, n, table_bytes = _HEADER.unpack_from(data)
+    scheme = _SCHEME_FROM_CODE.get(scheme_code)
     if scheme is None:
         raise ValueError("unknown scheme code in index file")
-    width = r.u8()
     if width not in VALUE_WIDTHS:
         raise ValueError(f"unsupported value width {width} in index file")
-    (key_count,) = r.unpack(">Q")
     ctx = None
     if scheme == "zo":
-        max_labels, n_codes = r.unpack(">HI")
-        codes: dict[str, int] = {}
-        for i in range(n_codes):
-            (n,) = r.unpack(">H")
-            codes[r.take(n).decode("ascii")] = i + 1
+        max_labels, n_labels, label_bytes = _ZO_HEADER.unpack(take(_ZO_HEADER.size))
+        labels = take(label_bytes).decode("ascii").split("/") if n_labels else []
+        codes = {label: i + 1 for i, label in enumerate(labels)}
+        if len(codes) != n_labels or (not n_labels and label_bytes):
+            raise ValueError("bad z-order label dictionary in index file")
         ctx = ZoContext(codes=codes, max_labels=max_labels)
-    path_width = ctx.path_width if ctx is not None else None
-    root = _grow((0, 0, None), lambda consumed: _read_node(r, consumed, width, path_width))
-    if r.pos != len(data):
-        raise ValueError("trailing bytes after index payload")
-    return RcasIndex(root=root, value_width=width, key_count=key_count, scheme=scheme, zo_ctx=ctx)
-
-
-def _read_node(
-    r: _Reader, consumed: tuple, width: int, path_width: int | None
-) -> tuple[Node, list]:
-    """The next node record; the records of its children follow it.
-
-    `consumed` is what the ancestors spelled: value bytes, path bytes and
-    the last path byte (None before the first).  A key ends at a leaf after
-    exactly `width` value bytes, and after its path's NUL terminator, or
-    after `path_width` bytes of a z-order surrogate path.
-    """
-    kind_code = r.u8()
-    dim = _DIM_FROM_CODE.get(r.u8())
-    if dim is None or (kind_code == 0) != (dim is Dimension.BOT):
+    if not n:
+        raise ValueError("index file holds no nodes")
+    dims = np.frombuffer(take(n), np.uint8)
+    table = _read_varints(take(table_bytes), 3 * n).reshape(n, 3)
+    if table.max() > len(data):
+        raise ValueError("node table out of range in index file")
+    len_p, len_v, count = table.astype(np.int64).T
+    if dims.max() > _MIXED:
         raise ValueError("bad dimension code in index file")
-    (n_p,) = r.unpack(">H")
-    s_p = r.take(n_p)
-    (n_v,) = r.unpack(">H")
-    s_v = r.take(n_v)
-    (n_children,) = r.unpack(">H")
-    v_len, p_len, p_end = consumed
-    v_len += n_v
-    if n_p:
-        if p_end == PATH_TERMINATOR and path_width is None:
-            raise ValueError("path bytes after the terminator in index file")
-        p_len += n_p
-        p_end = s_p[-1]
-    if v_len > width or (path_width is not None and p_len > path_width):
-        raise ValueError("key longer than the index width in index file")
-    if kind_code == 0:
-        if n_children:
-            raise ValueError("leaf node with children")
-        path_done = p_end == PATH_TERMINATOR if path_width is None else p_len == path_width
-        if v_len != width or not path_done:
-            raise ValueError("leaf does not end its key in index file")
-        (n_refs,) = r.unpack(">I")
-        refs = [r.unpack(">Q")[0] for _ in range(n_refs)]
-        return Node(s_p, s_v, dim, [], refs), []
-    if not n_children:
+    leaf = dims == _BOT
+    if not count[~leaf].all():
         raise ValueError("inner node without children")
-    if kind_code != _kind_code(n_children):
-        raise ValueError("kind byte does not match the child count in index file")
-    consumed = (v_len, p_len, p_end)
-    edges = []
-    mixed = False
-    last = -1  # edges ascend by (byte, dim code), which query windows rely on
-    for _ in range(n_children):
-        code = r.u8()
-        d = _DIM_FROM_CODE.get(code)
-        b = r.u8()
-        if d is None or d is Dimension.BOT:
-            raise ValueError("bad child edge in index file")
-        if 2 * b + code <= last:
-            raise ValueError("child edges out of order in index file")
-        last = 2 * b + code
-        mixed = mixed or d is not dim
-        edges.append((d, b, consumed))
-    return Node(s_p, s_v, dim, [], None, mixed), edges
+    arity = np.where(leaf, 0, count)
+    shape = _shape(arity)
+    ebyte = np.frombuffer(take(n - 1), np.uint8)
+    edim = np.repeat(dims, arity)
+    mixed = edim == _MIXED
+    edim[mixed] = np.frombuffer(take(int(mixed.sum())), np.uint8)
+    if edim.max(initial=0) > _V or (_node_dims(leaf, edim, shape.estart) != dims).any():
+        raise ValueError("bad child edge in index file")
+    symbol = 2 * ebyte.astype(np.int64) + edim
+    siblings = np.repeat(np.arange(n), arity)
+    if ((symbol[1:] <= symbol[:-1]) & (siblings[1:] == siblings[:-1])).any():
+        raise ValueError("child edges out of order in index file")
+    p_at = pos + np.cumsum(len_p) - len_p
+    take(int(len_p.sum()))
+    v_at = pos + np.cumsum(len_v) - len_v
+    take(int(len_v.sum()))
+    refcount = np.where(leaf, count, 0)
+    if int(refcount.sum()) != key_count:
+        raise ValueError("leaf ref counts do not add up to the key count in index file")
+    refs = _read_varints(take(limit - pos), key_count)
+
+    # each root-to-leaf path spells one whole key
+    raw = np.frombuffer(data, np.uint8)
+    v_len = _down(len_v, shape.end)
+    if ctx is None:
+        ends = (len_p > 0) & (raw[p_at + len_p - 1] == PATH_TERMINATOR)
+        ended = _down(ends, shape.end)
+        if ((len_p > 0) & (ended > ends)).any():
+            raise ValueError("path bytes after the terminator in index file")
+        path_done = ended > 0
+        too_long = v_len > width
+    else:
+        p_len = _down(len_p, shape.end)
+        path_done = p_len == ctx.path_width
+        too_long = (v_len > width) | (p_len > ctx.path_width)
+    if too_long.any():
+        raise ValueError("key longer than the index width in index file")
+    if (leaf & ((v_len != width) | ~path_done)).any():
+        raise ValueError("leaf does not end its key in index file")
+    child = shape.echild
+    on_p = edim == _P
+    first_at = np.where(on_p, p_at[child], v_at[child])
+    if not np.where(on_p, len_p[child], len_v[child]).all() or (raw[first_at] != ebyte).any():
+        raise ValueError("edge byte is not the child's first byte in index file")
+    return _index(
+        shape,
+        dims,
+        _slices(data, p_at, p_at + len_p),
+        _slices(data, v_at, v_at + len_v),
+        ebyte,
+        edim,
+        refcount,
+        refs,
+        value_width=width,
+        key_count=key_count,
+        scheme=scheme,
+        zo_ctx=ctx,
+    )
 
 
 def save(index: RcasIndex, path: str) -> None:

@@ -27,6 +27,7 @@ from rcas.trie import SCHEMES, build_static, bulk_load, load_bytes, save_bytes
 from conftest import random_keys, random_query_text, subset
 from reference import InterleaveTuple, dsc, dynamic_interleave, psi_partition
 from test_trie import EXPECTED_BOM_TREE, assert_tree_equal
+from treeview import nodes, root
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
 
@@ -38,8 +39,8 @@ def _pass(num: int, message: str) -> None:
 def test_criterion_01_running_example_tree(bom_keys):
     started = time.perf_counter()
     index = bulk_load(bom_keys)
-    assert sum(1 for _ in index.nodes()) == 11
-    assert_tree_equal(index.root, EXPECTED_BOM_TREE)
+    assert sum(1 for _ in nodes(index)) == 11
+    assert_tree_equal(root(index), EXPECTED_BOM_TREE)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     _pass(1, f"bulk load reproduces the 11-node example tree exactly ({elapsed:.3f}s)")
@@ -95,7 +96,7 @@ def test_criterion_04_worked_query(bom_index):
     )
     assert sorted(result.refs) == [0x3, 0x4, 0x8]
     assert result.visited == 5
-    visited = {(n.s_v, n.s_p) for n in trace}
+    visited = {(bom_index.s_v[i], bom_index.s_p[i]) for i in trace}
     assert (b"\x00", b"r") not in visited, "the carabiner/car subtree must be pruned"
     for must_see in [
         (b"\x01\x0e\x50", b"noe\x00"),
@@ -320,6 +321,7 @@ def test_criterion_11_serialization_round_trip():
     for scheme in ("rcas", "zo"):
         index = build_static(keys, scheme)
         blob = save_bytes(index)
+        assert blob.startswith(b"RCAS2")
         loaded = load_bytes(blob)
         assert save_bytes(loaded) == blob, "re-serialization must be byte-identical"
         for _ in range(100):

@@ -6,6 +6,8 @@ import pytest
 from rcas.cli import main
 from rcas.dataset import BOM_EXAMPLE, write_records
 
+from test_trie import resealed
+
 
 @pytest.fixture
 def bom_file(tmp_path):
@@ -16,26 +18,31 @@ def bom_file(tmp_path):
 
 @pytest.fixture
 def bad_indexes(bom_file, tmp_path):
-    """The example index cut in half, with its root's dimension code
-    flipped to the leaf code, which contradicts the root's inner kind byte,
-    with the root's kind byte set to a class its 3 children do not fill,
-    with a value width outside {4, 8}, and with a leaf whose path is never
-    terminated."""
+    """The example index cut in half; and, each behind a recomputed
+    checksum, with its root's dimension code flipped to the leaf code,
+    which leaves the root's children without a parent, with the root's
+    child count set to 4 of its 3 children, with a value width outside
+    {4, 8}, and with a leaf whose path is never terminated."""
     target = tmp_path / "bom.idx"
     assert main(["build", bom_file, "--save", str(target)]) == 0
     blob = target.read_bytes()
-    truncated = tmp_path / "truncated.idx"
-    truncated.write_bytes(blob[: len(blob) // 2])
-    flipped = tmp_path / "flipped.idx"
-    flipped.write_bytes(blob[:16] + b"\x02" + blob[17:])  # root dim code
-    wrong_kind = tmp_path / "wrong_kind.idx"
-    wrong_kind.write_bytes(blob[:15] + b"\x04" + blob[16:])  # root kind byte
-    bad_width = tmp_path / "bad_width.idx"
-    bad_width.write_bytes(blob[:6] + bytes([151]) + blob[7:])  # value width byte
-    assert blob[222] == 0  # the terminator that ends 'r/battery'
-    unterminated = tmp_path / "unterminated.idx"
-    unterminated.write_bytes(blob[:222] + b"\x89" + blob[223:])
-    return [str(truncated), str(flipped), str(wrong_kind), str(bad_width), str(unterminated)]
+
+    def write(name: str, data: bytes) -> str:
+        (tmp_path / name).write_bytes(data)
+        return str(tmp_path / name)
+
+    def corrupt(name: str, at: int, new: bytes) -> str:
+        return write(name, resealed(blob[:at] + new + blob[at + len(new) :]))
+
+    assert blob[31] == 1 and blob[44] == 3  # the root's dimension code and child count
+    assert blob[blob.index(b"r/battery") + 9] == 0  # the terminator that ends it
+    return [
+        write("truncated.idx", blob[: len(blob) // 2]),
+        corrupt("flipped.idx", 31, b"\x02"),
+        corrupt("wrong_kind.idx", 44, b"\x04"),
+        corrupt("bad_width.idx", 6, bytes([151])),
+        corrupt("unterminated.idx", blob.index(b"r/battery") + 9, b"\x89"),
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -109,14 +116,15 @@ class TestBuild:
         assert code == 2
         assert "data error" in err
 
-    def test_substring_too_long_to_save_is_data_error(self, capsys, tmp_path):
+    def test_long_substring_saves(self, capsys, tmp_path):
         target = tmp_path / "long.csv"
         target.write_text("/" + "a" * 70_000 + ";5;1\n/b;7;2\n")
         saved = tmp_path / "long.idx"
         code, _, err = run_cli(capsys, "build", str(target), "--save", str(saved))
-        assert code == 2
-        assert err.startswith("data error: ") and "RCAS1" in err
-        assert not saved.exists()
+        assert code == 0 and err == ""
+        code, out, _ = run_cli(capsys, "query", "//", "0", "10", "--load", str(saved))
+        assert code == 0
+        assert out.splitlines()[0] == "matches: 2"
 
 
 class TestQuery:

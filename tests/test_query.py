@@ -25,6 +25,7 @@ from rcas.query import (
 from rcas.trie import SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
+from treeview import root
 
 
 class TestParse:
@@ -231,7 +232,7 @@ class TestWorkedQuery:
         )
         assert sorted(res.refs) == [0x3, 0x4, 0x8]
         assert res.visited == 5
-        visited = {(n.s_v, n.s_p) for n in trace}
+        visited = {(bom_index.s_v[i], bom_index.s_p[i]) for i in trace}
         assert visited == {
             (b"\x00", b"/bom/item/ca"),      # root
             (b"\x01\x0e\x50", b"noe\x00"),   # canoe leaf, value mismatch
@@ -272,15 +273,15 @@ def collect(node):
 
 class TestCollect:
     def test_subtree(self, bom_index):
-        battery = bom_index.root.child(Dimension.V, 0x03)
+        battery = root(bom_index).child(Dimension.V, 0x03)
         assert sorted(collect(battery)) == [0x3, 0x4, 0x8]
 
     def test_leaf(self, bom_index):
-        leaf = bom_index.root.child(Dimension.V, 0x01)
+        leaf = root(bom_index).child(Dimension.V, 0x01)
         assert collect(leaf) == [0x1]
 
     def test_root_collects_every_reference(self, bom_index):
-        assert sorted(collect(bom_index.root)) == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert sorted(collect(root(bom_index))) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 class TestQueryErrors:
@@ -391,7 +392,7 @@ class TestAutomatonCaches:
             keys.append(CompositeKey.make(path, rng.randint(0, 2**32 - 1), i))
         index = build_static(keys, "rcas")
         # nearly every node is fed once, and their path substrings differ
-        assert len({node.s_p for _, node in index.nodes()}) > _FEED_CACHE_MAX
+        assert len(set(index.s_p)) > _FEED_CACHE_MAX
         qpath = parse_query_path("//hit")
         everything = ValueRange.closed(0, 2**32 - 1)
         assert sorted(run_query(index, qpath, everything).refs) == sorted(scan(keys, qpath, everything))

@@ -1,17 +1,20 @@
 import random
 import sys
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcas.cli import main
-from rcas.dataset import GeneratorConfig, generate, records_to_keys
+from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, records_to_keys
 from rcas.interleave import ZoContext, static_interleave
 from rcas.keys import _DIM_CODE, _DIM_FROM_CODE, CompositeKey, Dimension
 from rcas.query import ValueRange, parse_query_path, run_query, scan
 from rcas.trie import (
+    _MIXED,
     SCHEMES,
-    Node,
     RcasIndex,
+    _read_varints,
     build_static,
     bulk_load,
     collect_stats,
@@ -20,8 +23,9 @@ from rcas.trie import (
     save_bytes,
 )
 
-from conftest import random_keys
+from conftest import random_keys, random_query_text
 from reference import dynamic_interleave
+from treeview import Node, NodeView, make_index, nodes, root
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
 
@@ -56,7 +60,21 @@ EXPECTED_BOM_TREE = (
 )
 
 
-def assert_tree_equal(node: Node, expected) -> None:
+# The RCAS2 file of the running example's rcas index, byte for byte.
+EXAMPLE_RCAS2 = (
+    "524341533200040000000000000008000000000000000b000000000000002101"
+    "000102020202020102020c010301010202000306020104020105020107020104"
+    "03010a02020001020001010001032f610a0b0c5ab02f626f6d2f6974656d2f63"
+    "61722f62756d70657200656c740072616b65006162696e6572006e6f6500722f"
+    "626174746572790000000a8c0b4a0cc200f1010e5003d35ab007050602010308"
+    "0465bfeb73"
+)
+
+# The example's index file in every scheme, for corrupting.
+EXAMPLE_BLOBS = [save_bytes(build_static(records_to_keys(BOM_EXAMPLE), s)) for s in SCHEMES]
+
+
+def assert_tree_equal(node: NodeView, expected) -> None:
     s_v_hex, s_p, dim, rest = expected
     assert node.s_v == bytes.fromhex(s_v_hex)
     assert node.s_p == s_p
@@ -74,22 +92,22 @@ def assert_tree_equal(node: Node, expected) -> None:
 
 class TestBulkLoad:
     def test_example_tree_structure(self, bom_index):
-        assert sum(1 for _ in bom_index.nodes()) == 11
-        assert_tree_equal(bom_index.root, EXPECTED_BOM_TREE)
+        assert sum(1 for _ in nodes(bom_index)) == 11
+        assert_tree_equal(root(bom_index), EXPECTED_BOM_TREE)
 
     def test_children_in_ascending_byte_order(self, bom_index):
-        for _, node in bom_index.nodes():
+        for _, node in nodes(bom_index):
             bytes_ = [b for _, b, _ in node.children]
             assert bytes_ == sorted(bytes_)
 
     def test_singleton(self):
         k = CompositeKey.make("/only/one", 77, 5)
         index = bulk_load([k])
-        root = index.root
-        assert root.is_leaf
-        assert root.s_p == k.path
-        assert root.s_v == k.value
-        assert root.refs == [5]
+        top = root(index)
+        assert top.is_leaf
+        assert top.s_p == k.path
+        assert top.s_v == k.value
+        assert top.refs == [5]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -111,15 +129,22 @@ class TestBulkLoad:
                 with pytest.raises(ValueError, match="NUL"):
                     build_static(keys, scheme)
 
+    def test_refs_must_fit_64_bits(self):
+        for ref in (-1, 2**64):
+            keys = [CompositeKey.make("/a", 1, 0), CompositeKey.make("/b", 2, ref)]
+            for scheme in SCHEMES:
+                with pytest.raises(ValueError, match="refs"):
+                    build_static(keys, scheme)
+
     def test_leaves_reproduce_input_multiset(self):
         rng = random.Random(4040)
         for _ in range(60):
             keys = random_keys(rng)
             index = bulk_load(keys)
             seen = []
-            for _, node in index.nodes():
+            for _, node in nodes(index):
                 if node.is_leaf:
-                    path, value = _reconstruct(index.root, node)
+                    path, value = _reconstruct(root(index), node)
                     seen.extend((path, value, r) for r in node.refs)
             assert sorted(seen) == sorted((k.path, k.value, k.ref) for k in keys)
 
@@ -131,14 +156,14 @@ class TestBulkLoad:
             CompositeKey.make("/a/b", 9, 2),
         ]
         index = bulk_load(keys)
-        leaf_refs = [n.refs for _, n in index.nodes() if n.is_leaf]
+        leaf_refs = [n.refs for _, n in nodes(index) if n.is_leaf]
         assert [31, 11, 2] in leaf_refs
 
     def test_no_duplicate_siblings(self):
         rng = random.Random(4242)
         for _ in range(40):
             keys = random_keys(rng)
-            for _, node in bulk_load(keys).nodes():
+            for _, node in nodes(bulk_load(keys)):
                 sigs = [(c.s_p, c.s_v, c.dim) for _, _, c in node.children]
                 assert len(sigs) == len(set(sigs))
 
@@ -146,7 +171,7 @@ class TestBulkLoad:
         rng = random.Random(4343)
         for _ in range(40):
             keys = random_keys(rng)
-            for _, node in bulk_load(keys).nodes():
+            for _, node in nodes(bulk_load(keys)):
                 if not node.is_leaf:
                     assert len(node.children) >= 2
 
@@ -157,7 +182,7 @@ class TestBulkLoad:
             index = bulk_load(keys)
             for key in keys:
                 tuples = dynamic_interleave(key, keys)
-                node = index.root
+                node = root(index)
                 chain = [node]
                 for t in tuples[:-1]:
                     edge_dim = t.dim
@@ -205,14 +230,14 @@ class TestEveryScheme:
                 index = build_static(keys, scheme)
                 for key in keys:
                     if scheme == "rcas":
-                        _assert_spells_dynamic(index.root, key, keys)
+                        _assert_spells_dynamic(root(index), key, keys)
                     else:
                         tagged = static_interleave(key, scheme, index.zo_ctx)
-                        _assert_spells_tagged(index.root, key, tagged)
+                        _assert_spells_tagged(root(index), key, tagged)
 
 
-def _assert_spells_dynamic(root: Node, key: CompositeKey, keys) -> None:
-    node = root
+def _assert_spells_dynamic(top: NodeView, key: CompositeKey, keys) -> None:
+    node = top
     consumed = {P: 0, V: 0}
     for t in dynamic_interleave(key, keys):
         assert (node.s_p, node.s_v, node.dim) == (t.s_p, t.s_v, t.dim)
@@ -227,9 +252,9 @@ def _assert_spells_dynamic(root: Node, key: CompositeKey, keys) -> None:
     raise AssertionError("the interleaving ends above a leaf")
 
 
-def _assert_spells_tagged(root: Node, key: CompositeKey, tagged: bytes) -> None:
+def _assert_spells_tagged(top: NodeView, key: CompositeKey, tagged: bytes) -> None:
     symbols = list(zip(tagged[0::2], tagged[1::2]))  # (dimension code, byte)
-    node, at = root, 0
+    node, at = top, 0
     while True:
         seg = symbols[at : at + len(node.s_p) + len(node.s_v)]
         assert node.s_p == bytes(b for c, b in seg if c == _DIM_CODE[P])
@@ -246,13 +271,13 @@ def _assert_spells_tagged(root: Node, key: CompositeKey, tagged: bytes) -> None:
         assert node is not None
 
 
-def _reconstruct(root: Node, target: Node):
+def _reconstruct(top: NodeView, target: NodeView):
     """Concatenate substrings along the root-to-target path."""
 
     def walk(node, p, v):
         p += node.s_p
         v += node.s_v
-        if node is target:
+        if node == target:
             return p, v
         for _, _, child in node.children:
             hit = walk(child, p, v)
@@ -260,7 +285,7 @@ def _reconstruct(root: Node, target: Node):
                 return hit
         return None
 
-    res = walk(root, b"", b"")
+    res = walk(top, b"", b"")
     assert res is not None
     return res
 
@@ -329,7 +354,7 @@ def _chain_index(depth: int) -> RcasIndex:
     node = Node(b"\x00", b"\x00\x00\x00\x07", BOT, [], [1])
     for i in range(depth):
         node = Node(b"a" if i < depth - 1 else b"/", b"", P, [(P, node.s_p[0], node)], None)
-    return RcasIndex(root=node, value_width=4, key_count=1)
+    return make_index(node, value_width=4, key_count=1)
 
 
 def _build_counters(keys):
@@ -374,33 +399,31 @@ class TestBuildInstrumentation:
 
 class TestStaticBuilds:
     def test_pv_first_divergence_at_path_byte(self, bom_keys):
-        index = build_static(bom_keys, "pv")
-        root = index.root
+        top = root(build_static(bom_keys, "pv"))
         # all 20 interleaved positions up to the discriminative path byte are shared
-        assert root.s_p == b"/bom/item/ca"
-        assert root.s_v == b""
-        assert root.dim is P
-        assert {b for _, b, _ in root.children} == {ord("n"), ord("r")}
+        assert top.s_p == b"/bom/item/ca"
+        assert top.s_v == b""
+        assert top.dim is P
+        assert {b for _, b, _ in top.children} == {ord("n"), ord("r")}
 
     def test_vp_first_divergence_at_value_byte(self, bom_keys):
-        index = build_static(bom_keys, "vp")
-        root = index.root
-        assert root.s_v == b"\x00"
-        assert root.s_p == b""
-        assert root.dim is V
-        assert {b for _, b, _ in root.children} == {0x00, 0x01, 0x03}
+        top = root(build_static(bom_keys, "vp"))
+        assert top.s_v == b"\x00"
+        assert top.s_p == b""
+        assert top.dim is V
+        assert {b for _, b, _ in top.children} == {0x00, 0x01, 0x03}
 
     def test_singleton_static(self):
         k = CompositeKey.make("/s", 3, 9)
         for scheme in ("pv", "vp", "lw", "zo"):
-            index = build_static([k], scheme)
-            assert index.root.is_leaf
-            assert index.root.refs == [9]
+            top = root(build_static([k], scheme))
+            assert top.is_leaf
+            assert top.refs == [9]
 
     def test_leaves_reproduce_keys_for_all_schemes(self, bom_keys):
         for scheme in SCHEMES:
             index = build_static(bom_keys, scheme)
-            leaf_refs = sorted(r for _, n in index.nodes() if n.is_leaf for r in n.refs)
+            leaf_refs = sorted(r for _, n in nodes(index) if n.is_leaf for r in n.refs)
             assert leaf_refs == sorted(k.ref for k in bom_keys)
 
     def test_lw_mixed_dimension_siblings(self):
@@ -412,11 +435,11 @@ class TestStaticBuilds:
             CompositeKey.make("/ab/z", 0x00700000, 3),
         ]
         index = build_static(keys, "lw")
-        root = index.root
-        assert root.dim is V
-        assert root.s_p == b"/ab"
-        assert [(d, b) for d, b, _ in root.children] == [(V, 0x10), (P, 0x63), (V, 0x70)]
-        assert root.mixed
+        top = root(index)
+        assert top.dim is V
+        assert top.s_p == b"/ab"
+        assert [(d, b) for d, b, _ in top.children] == [(V, 0x10), (P, 0x63), (V, 0x70)]
+        assert top.mixed
         everything = ValueRange.closed(0, 2**32 - 1)
         for text in ("//", "/ab//", "/abc/*", "//x"):
             qpath = parse_query_path(text)
@@ -441,7 +464,7 @@ class TestStaticBuilds:
 
 class TestSerialization:
     def test_magic_prefix(self, bom_index):
-        assert save_bytes(bom_index).startswith(b"RCAS1")
+        assert save_bytes(bom_index).startswith(b"RCAS2")
 
     def test_round_trip_all_schemes(self, bom_keys):
         for scheme in SCHEMES:
@@ -464,36 +487,64 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_bytes(b"NOPE1" + b"\x00" * 32)
 
+    def test_example_bytes(self, bom_index):
+        """The exact RCAS2 bytes of the example index, so that any drift of
+        the format fails here first."""
+        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS2
+
     def test_truncation_rejected(self, bom_index):
         blob = save_bytes(bom_index)
-        with pytest.raises(ValueError):
-            load_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError):
-            load_bytes(blob + b"\x00")
-        # records that contradict themselves
-        header = 5 + 1 + 1 + 8  # magic, scheme, width, key count
-        assert blob[header : header + 2] == b"\x01\x01"  # root: 4-way inner node on V
-        with pytest.raises(ValueError):
-            load_bytes(blob[: header + 1] + b"\x02" + blob[header + 2 :])  # leaf dim code
-        with pytest.raises(ValueError):
-            load_bytes(blob[:header] + b"\x00" + blob[header + 1 :])  # leaf kind, V dim code
-        for kind in (4, 9, 255):  # not the 3-child root's capacity class
+        for cut in (blob[: len(blob) // 2], blob + b"\x00"):
+            with pytest.raises(ValueError, match="checksum"):
+                load_bytes(cut)
             with pytest.raises(ValueError):
-                load_bytes(blob[:header] + bytes([kind]) + blob[header + 1 :])
-        edges = header + 2 + 2 + 12 + 2 + 1 + 2  # past the root's substrings and child count
-        assert blob[edges : edges + 6] == bytes([1, 0x00, 1, 0x01, 1, 0x03])
-        for swapped in ([1, 0x01, 1, 0x00], [1, 0x00, 1, 0x00]):  # out of order, repeated
-            with pytest.raises(ValueError):
-                load_bytes(blob[:edges] + bytes(swapped) + blob[edges + 4 :])
-        childless = blob[:header] + bytes([1, 1, 0, 0, 0, 0, 0, 0])  # inner, no children
-        with pytest.raises(ValueError):
-            load_bytes(childless)
+                load_bytes(resealed(cut))
+        with pytest.raises(ValueError, match="checksum"):
+            load_bytes(blob[:40] + bytes([blob[40] ^ 1]) + blob[41:])
+        # records that contradict themselves, each behind a valid checksum
+        dims = 5 + 1 + 1 + 8 + 8 + 8  # magic, scheme, width, key, node and table counts
+        assert blob[dims : dims + 4] == bytes([1, 0, 1, 2])  # V root, P, V, then a leaf
+        table = dims + 11  # the root's path length, value length and child count
+        assert blob[table : table + 3] == bytes([12, 1, 3])
+        edges = table + 33
+        assert blob[edges : edges + 3] == bytes([0x00, 0x01, 0x03])  # the root's
+
+        def rejected(at: int, new: bytes, match: str | None = None) -> None:
+            with pytest.raises(ValueError, match=match):
+                load_bytes(resealed(blob[:at] + new + blob[at + len(new) :]))
+
+        rejected(dims, b"\x02")  # the root as a leaf: its children float free
+        rejected(dims + 3, b"\x01")  # a leaf as a V node: its ref count as children
+        rejected(dims, b"\x04", "bad dimension code")
+        for count in (2, 4):  # not the root's 3 children
+            rejected(table + 2, bytes([count]), "tree")
+        rejected(table + 2, b"\x00", "without children")
+        rejected(table, b"\x8c\x00", "varint")  # 12 spelled in two bytes
+        for swapped in (b"\x01\x00", b"\x00\x00"):  # out of order, repeated
+            rejected(edges, swapped, "out of order")
+        rejected(edges + 2, b"\x02", "first byte")  # 0x03 leads to '\x03\xd3'
         assert blob[6] == 4
-        with pytest.raises(ValueError, match="value width 151"):  # outside {4, 8}
-            load_bytes(blob[:6] + bytes([151]) + blob[7:])
-        assert blob[213:223] == b"r/battery\x00"
-        with pytest.raises(ValueError):
-            load_bytes(blob[:222] + b"\x89" + blob[223:])  # a leaf's path never ends
+        rejected(6, bytes([151]), "value width 151")  # outside {4, 8}
+        rejected(7, (9).to_bytes(8, "big"), "key count")  # 8 refs in the leaves
+        battery = blob.index(b"r/battery\x00") + 9
+        rejected(battery, b"\x89", "leaf does not end")  # a leaf's path never ends
+
+    def test_non_canonical_files_rejected(self, bom_keys):
+        """A file that would load but not save back to the same bytes:
+        a varint spelled longer than it needs, a node marked mixed whose
+        edges share one dimension, and a z-order label listed twice."""
+        assert list(_read_varints(bytes([0x0C, 0x80, 0x01, 0xFF, 0xFF, 0x03]), 3)) == [12, 128, 65535]
+        for column in (b"\x8c\x00", b"\x80" * 10 + b"\x01", b"\xff" * 9 + b"\x02"):
+            with pytest.raises(ValueError, match="varint"):
+                _read_varints(column, 1)
+        index = build_static(bom_keys, "rcas")
+        index.dim = bytes([_MIXED]) + index.dim[1:]  # the root's three edges are all V
+        with pytest.raises(ValueError, match="bad child edge"):
+            load_bytes(save_bytes(index))
+        blob = save_bytes(build_static(bom_keys, "zo"))
+        at = blob.index(b"/car/")
+        with pytest.raises(ValueError, match="label dictionary"):
+            load_bytes(resealed(blob[: at + 1] + b"bom" + blob[at + 4 :]))
 
     def test_unfinished_keys_rejected(self):
         """Records that are well formed one by one, but whose root-to-leaf
@@ -505,36 +556,121 @@ class TestSerialization:
                 node = Node(s_p, s_v, V, [(V, 0, node)], None)
             return node
 
-        def rejected(root, scheme="rcas", ctx=None):
-            index = RcasIndex(root=root, value_width=4, key_count=1, scheme=scheme, zo_ctx=ctx)
+        def rejected(top, scheme="rcas", ctx=None):
             with pytest.raises(ValueError):
-                load_bytes(save_bytes(index))
+                load_bytes(save_bytes(make_index(top, 4, 1, scheme, ctx)))
 
         whole = chain((b"/a", b"\x00\x00"), (b"\x00", b"\x00\x01"))
-        assert load_bytes(save_bytes(RcasIndex(whole, 4, 1))).key_count == 1
+        assert load_bytes(save_bytes(make_index(whole, 4, 1))).key_count == 1
         rejected(chain((b"/a\x00", b"\x00\x00\x01")))  # a value byte short
         rejected(chain((b"/a", b"\x00\x00"), (b"\x00", b"\x00\x01\x02")))  # one too many
         with pytest.raises(ValueError, match="longer than the index width"):  # at the inner node
-            load_bytes(save_bytes(RcasIndex(chain((b"/a", b"\x00" * 5), (b"\x00", b"")), 4, 1)))
+            load_bytes(save_bytes(make_index(chain((b"/a", b"\x00" * 5), (b"\x00", b"")), 4, 1)))
         rejected(chain((b"/a", b"\x00\x00\x00\x01")))  # no terminator
         rejected(chain((b"/a\x00", b"\x00\x00"), (b"b\x00", b"\x00\x01")))  # bytes past it
         ctx = ZoContext(codes={"a": 1}, max_labels=2)  # surrogate paths of 6 bytes
         zo_leaf = chain((b"\x00\x00\x01\x00\x00\x00", b"\x00\x00\x00\x01"))
-        assert load_bytes(save_bytes(RcasIndex(zo_leaf, 4, 1, "zo", ctx))).zo_ctx == ctx
+        assert load_bytes(save_bytes(make_index(zo_leaf, 4, 1, "zo", ctx))).zo_ctx == ctx
         rejected(chain((b"\x00\x00\x01\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
         rejected(chain((b"\x00\x00\x01\x00\x00\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
 
-    def test_substring_too_long_to_save(self):
-        """A 70,000-byte label builds and answers in every scheme, but the
-        file format's 16-bit substring lengths cannot hold it."""
+    def test_long_substring_round_trips(self):
+        """A 70,000-byte label builds, saves, loads bit-exact and answers
+        like `scan` in every scheme: lengths are varints, with no limit."""
         keys = [CompositeKey.make("/" + "a" * 70_000, 5, 1), CompositeKey.make("/b", 7, 2)]
         everything = ValueRange.closed(0, 2**32 - 1)
         for scheme in SCHEMES:
             index = build_static(keys, scheme)
+            blob = save_bytes(index)
+            loaded = load_bytes(blob)
+            assert save_bytes(loaded) == blob, scheme
             for text in ("//", "/b", "//" + "a" * 70_000):
                 qpath = parse_query_path(text)
-                assert sorted(run_query(index, qpath, everything).refs) == sorted(
-                    scan(keys, qpath, everything)
-                ), (scheme, text[:4])
-            with pytest.raises(ValueError, match="RCAS1"):
-                save_bytes(index)
+                want = sorted(scan(keys, qpath, everything))
+                for ix in (index, loaded):
+                    assert sorted(run_query(ix, qpath, everything).refs) == want, (scheme, text[:4])
+
+
+def resealed(blob: bytes) -> bytes:
+    """`blob` with its trailing CRC-32 recomputed, so that a corruption gets
+    past the checksum to the structural checks."""
+    body = blob[:-4]
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+def _corruptions(blob: bytes, count: int, seed: int):
+    """`count` seeded copies of `blob`, each with 1 to 3 bytes changed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        bad = bytearray(blob)
+        for at in rng.sample(range(len(blob)), rng.randint(1, 3)):
+            bad[at] ^= rng.randint(1, 255)
+        yield bytes(bad)
+
+
+class TestCorruption:
+    COUNT = 3000
+
+    def test_checksum_rejects_every_corruption(self, bom_index):
+        for bad in _corruptions(save_bytes(bom_index), self.COUNT, 9090):
+            with pytest.raises(ValueError):
+                load_bytes(bad)
+
+    def test_resealed_corruptions_are_rejected_or_whole(self, bom_index):
+        """Behind a valid checksum, a corrupted file either raises
+        ValueError or loads an index that re-saves to the same bytes and
+        answers a query over everything.  A change inside a substring or a
+        ref spells another valid index, so both outcomes occur."""
+        everything = ValueRange.closed(0, 2**32 - 1)
+        loaded = 0
+        for bad in _corruptions(save_bytes(bom_index), self.COUNT, 9090):
+            bad = resealed(bad)
+            try:
+                index = load_bytes(bad)
+            except ValueError:
+                continue
+            loaded += 1
+            assert save_bytes(index) == bad
+            run_query(index, "//", everything)
+        assert 0 < loaded < self.COUNT
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        which=st.integers(0, len(SCHEMES) - 1),
+        edits=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=4),
+        cut=st.integers(0, 64),
+        reseal=st.booleans(),
+    )
+    def test_load_raises_only_value_error(self, which, edits, cut, reseal):
+        bad = bytearray(EXAMPLE_BLOBS[which])
+        for at, byte in edits:
+            bad[at % len(bad)] = byte
+        bad = bytes(bad[: len(bad) - cut])
+        if reseal and len(bad) >= 4:
+            bad = resealed(bad)
+        try:
+            load_bytes(bad)
+        except ValueError:
+            pass
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([4, 8]),
+        lo=st.integers(0, 2**32 - 1),
+        span=st.integers(0, 2**32 - 1),
+    )
+    def test_saved_index_answers_like_memory(self, seed, width, lo, span):
+        rng = random.Random(seed)
+        keys = random_keys(rng, None, width)
+        paths = [k.path_text for k in keys]
+        vrange = ValueRange.closed(lo, min(lo + span, 2**32 - 1), width)
+        queries = [parse_query_path(random_query_text(rng, paths)) for _ in range(4)]
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            loaded = load_bytes(save_bytes(index))
+            for qpath in queries:
+                want = run_query(index, qpath, vrange)
+                got = run_query(loaded, qpath, vrange)
+                assert (got.refs, got.visited) == (want.refs, want.visited), (scheme, qpath.text)
+                assert sorted(got.refs) == sorted(scan(keys, qpath, vrange)), (scheme, qpath.text)
