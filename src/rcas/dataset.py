@@ -21,7 +21,7 @@ class DataError(ValueError):
     """Raised for malformed dataset files or records."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetRecord:
     path: str
     value: int
@@ -46,6 +46,11 @@ BOM_EXAMPLE: tuple[DatasetRecord, ...] = (
 
 
 def parse_line(line: str, lineno: int = 0) -> DatasetRecord:
+    return DatasetRecord(*_fields(line, lineno))
+
+
+def _fields(line: str, lineno: int) -> tuple[str, int, int]:
+    """The path, value and reference of one dataset line."""
     parts = line.rstrip("\n").split(";")
     if len(parts) != 3:
         raise DataError(f"line {lineno}: expected 3 ';'-separated fields, got {len(parts)}")
@@ -64,17 +69,21 @@ def parse_line(line: str, lineno: int = 0) -> DatasetRecord:
             raise ValueError
     except ValueError:
         raise DataError(f"line {lineno}: bad reference field {ref_s!r}") from None
-    return DatasetRecord(path=path, value=value, ref=ref)
+    return path, value, ref
 
 
 def load_records(path: str) -> list[DatasetRecord]:
+    """The records of a dataset file.  Records with equal paths share one
+    path string."""
     records = []
+    paths: dict[str, str] = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                records.append(parse_line(line, lineno))
+                text, value, ref = _fields(line, lineno)
+                records.append(DatasetRecord(paths.setdefault(text, text), value, ref))
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset {path!r} is not ASCII: {exc}") from exc
     if not records:

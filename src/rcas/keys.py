@@ -90,7 +90,7 @@ def decode_path(b: bytes) -> str:
     return b[:-1].decode("ascii")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositeKey:
     """A (path, value) key plus an opaque reference into the source data.
 

@@ -8,22 +8,26 @@ strictly diverges inside the range matches wholly, a prefix outside the
 range prunes the subtree, and likewise for paths.  When both predicates have
 matched, the subtree is collected without further checks.
 
-The path check is one byte-level NFA class, which generalizes
-mark-and-backtrack handling of descendant axes to any number of axes.  Two
-functions compile a query into it: one for the ASCII paths of the rcas, pv,
-vp and lw indexes, which end at a terminator, and one for the z-order index,
-whose paths are fixed-width label surrogates that end by position.  The
+The path check has two matchers behind one interface, chosen by the shape
+of the query alone.  An exact query, whose steps are all named child steps
+with no trailing ``//``, accepts one path, and compiles to that path as a
+literal: its state is the offset reached, and feeding a node substring is
+one ``startswith``.  Every other query compiles to one byte-level NFA class,
+which generalizes mark-and-backtrack handling of descendant axes to any
+number of axes.  Each matcher has two encodings: the ASCII paths of the
+rcas, pv, vp and lw indexes, which end at a terminator, and the z-order
+index's fixed-width label surrogates, which end by position.  The
 evaluation is one loop over an explicit stack, so trie depth is not bounded
 by the interpreter's recursion limit.
 
 Per-query work follows what the predicates admit.  A node's children are
 sorted by edge byte, so the children that can pass are found by bisecting
 to a byte window: the value bounds still closed at a value node, and the
-byte hull of the automaton's out-edges at a path node.  A node whose edges
-span both dimensions (the label-wise scheme can build one) is scanned
-whole.  The automaton memoizes the state set each (state set, node
-substring) pair reaches, and its step, hull and feed caches each hold a
-bounded number of entries, emptied when full.
+byte hull of the matcher's out-edges at a path node (one byte for a
+literal).  A node whose edges span both dimensions (the label-wise scheme
+can build one) is scanned whole.  The automaton memoizes the state set each
+(state set, node substring) pair reaches, and its step, hull and feed
+caches each hold a bounded number of entries, emptied when full.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from typing import Iterable
 
 from .keys import (
     _DIM_CODE,
-    PATH_BYTE_MAX,
-    PATH_BYTE_MIN,
     PATH_TERMINATOR,
     SLASH,
     CompositeKey,
@@ -103,33 +105,26 @@ def parse_query_path(text: str) -> QueryPath:
     if text[0] != "/":
         raise QuerySyntaxError(f"query path {text!r} does not start with '/'")
 
+    # Split at every '/': a run of k slashes before a label leaves k - 1
+    # empty parts ahead of it, and a run of k at the end leaves k.
     steps: list[Step] = []
-    trailing = Trailing.NONE
-    i = 0
-    n = len(text)
-    while i < n:
-        assert text[i] == "/"
-        run = 0
-        while i < n and text[i] == "/":
+    run = 1
+    for label in text.split("/")[1:]:
+        if not label:
             run += 1
-            i += 1
+            continue
         if run > 2:
             raise QuerySyntaxError(f"query path {text!r} contains a '/'-run longer than 2")
+        # on ASCII text, exactly the bytes outside PATH_BYTE_MIN..PATH_BYTE_MAX
+        if not label.isprintable():
+            ch = next(ch for ch in label if not ch.isprintable())
+            raise QuerySyntaxError(f"bad character {ch!r} in query label {label!r}")
         axis = Axis.DESCENDANT if run == 2 else Axis.CHILD
-        start = i
-        while i < n and text[i] != "/":
-            i += 1
-        label = text[start:i]
-        if not label:
-            if i < n:
-                raise QuerySyntaxError(f"query path {text!r} contains an empty label")
-            trailing = Trailing.DESCENDANT if axis is Axis.DESCENDANT else Trailing.CHILD
-            break
-        for ch in label:
-            b = ord(ch)
-            if not PATH_BYTE_MIN <= b <= PATH_BYTE_MAX or ch == "/":
-                raise QuerySyntaxError(f"bad character {ch!r} in query label {label!r}")
         steps.append(Step(axis, None if label == WILDCARD else label))
+        run = 1
+    if run > 3:
+        raise QuerySyntaxError(f"query path {text!r} contains a '/'-run longer than 2")
+    trailing = (Trailing.NONE, Trailing.CHILD, Trailing.DESCENDANT)[run - 1]
     if not steps and trailing is not Trailing.DESCENDANT:
         raise QuerySyntaxError("'/' alone is not a valid query path")
     return QueryPath(steps=tuple(steps), trailing=trailing, text=text)
@@ -431,6 +426,74 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
     return a
 
 
+class _PathLiteral:
+    """Matcher for the one path an exact query accepts: the literal `lit`.
+
+    It keeps the automaton's interface, but a state is the offset into
+    `lit` reached so far, so `feed` is one `startswith`, `hull` is the byte
+    at the offset and `step` compares with it.  The path matches once the
+    offset reaches `final`, which is `len(lit)` unless nothing can match
+    (-1).  As in the automaton, a path that completes at `width` bytes
+    without matching is a dead end.
+    """
+
+    start = 0
+
+    def __init__(self, lit: bytes, width: float, final: int):
+        self.lit = lit
+        self.width = width
+        self.final = final
+
+    def step(self, offset: int, b: int) -> int | None:
+        lit = self.lit
+        return offset + 1 if offset < len(lit) and lit[offset] == b else None
+
+    def hull(self, offset: int) -> tuple[int, int]:
+        if offset < len(self.lit):
+            b = self.lit[offset]
+            return b, b
+        return 256, -1
+
+    def feed(self, offset: int, consumed: int, data: bytes):
+        if not self.lit.startswith(data, offset):
+            return None
+        offset += len(data)
+        if offset == self.final:
+            return offset, offset, True
+        if offset >= self.width:
+            return None
+        return offset, offset, False
+
+
+def _compile_literal(qpath: QueryPath, ctx: ZoContext | None) -> _PathLiteral:
+    """The literal of an exact query: its encoded path and terminator, or
+    with a z-order context `ctx`, its label codes padded with zero units to
+    the context's path width.  A label absent from the context leaves the
+    codes before it, which no path completes."""
+    if ctx is None:
+        lit = "".join("/" + step.label for step in qpath.steps).encode("ascii") + _TERMINATOR
+        return _PathLiteral(lit, math.inf, len(lit))
+    codes = []
+    for step in qpath.steps:
+        code = ctx.code_bytes(step.label)
+        if code is None:
+            return _PathLiteral(b"".join(codes), ctx.path_width, -1)
+        codes.append(code)
+    lit = b"".join(codes).ljust(ctx.path_width, _ZERO)
+    return _PathLiteral(lit, ctx.path_width, len(lit))
+
+
+def _matcher(qpath: QueryPath, ctx: ZoContext | None):
+    """The path matcher for `qpath`, chosen by its shape: a literal when
+    every step is a named child step and there is no trailing ``//``, the
+    automaton otherwise; `ctx` is the z-order context, None for ASCII paths."""
+    if qpath.trailing is not Trailing.DESCENDANT and all(
+        step.axis is Axis.CHILD and step.label is not None for step in qpath.steps
+    ):
+        return _compile_literal(qpath, ctx)
+    return _compile_ascii(qpath) if ctx is None else _compile_zo(qpath, ctx)
+
+
 # --- query evaluation over an index ------------------------------------------
 
 
@@ -455,7 +518,7 @@ def run_query(
     a value node, which every edge in that window passes, and within the
     byte hull of the path states at a path node, where each edge is stepped.
     A node whose edges span both dimensions has all of its edges tested.
-    Path substrings go through the automaton's bounded feed memo.  A subtree
+    Path substrings go through the path matcher's feed.  A subtree
     whose predicates have both settled is collected whole: its refs are one
     slice of `index.refs`.
     """
@@ -465,14 +528,14 @@ def run_query(
         raise ValueError(
             f"range width {vrange.width} does not match index width {index.value_width}"
         )
+    ctx = None
     if index.scheme == "zo":
-        assert index.zo_ctx is not None
-        automaton = _compile_zo(qpath, index.zo_ctx)
-    else:
-        automaton = _compile_ascii(qpath)
-    step = automaton.step
-    feed = automaton.feed
-    hull = automaton.hull
+        ctx = index.zo_ctx
+        assert ctx is not None
+    matcher = _matcher(qpath, ctx)
+    step = matcher.step
+    feed = matcher.feed
+    hull = matcher.hull
     low = vrange.low
     high = vrange.high
     dim, end, s_p, s_v = index.dim, index.end, index.s_p, index.s_v
@@ -484,7 +547,7 @@ def run_query(
     visited = 0
 
     # A node id with the state of both checks on entering it.
-    stack = [(0, 0, False, False, False, automaton.start, 0, False)]
+    stack = [(0, 0, False, False, False, matcher.start, 0, False)]
     while stack:
         i, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched = stack.pop()
         visited += 1

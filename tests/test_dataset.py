@@ -35,6 +35,22 @@ class TestLineFormat:
         write_records(BOM_EXAMPLE, str(target))
         assert load_records(str(target)) == list(BOM_EXAMPLE)
 
+    def test_equal_paths_share_one_string(self, tmp_path):
+        target = tmp_path / "data.csv"
+        write_records(BOM_EXAMPLE, str(target))
+        records = load_records(str(target))
+        batteries = [r.path for r in records if r.path == "/bom/item/car/battery"]
+        assert len(batteries) == 3
+        assert all(p is batteries[0] for p in batteries)
+        assert len({id(r.path) for r in records}) == len({r.path for r in records})
+
+    def test_records_and_keys_have_no_instance_dict(self):
+        # one object per record and per key: no per-instance dict
+        rec = BOM_EXAMPLE[0]
+        key = records_to_keys([rec])[0]
+        for obj in (rec, key):
+            assert not hasattr(obj, "__dict__")
+
     def test_empty_file_rejected(self, tmp_path):
         target = tmp_path / "empty.csv"
         target.write_text("")

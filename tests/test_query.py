@@ -1,20 +1,27 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rcas import query
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
 from rcas.interleave import ZoContext
-from rcas.keys import CompositeKey, Dimension
+from rcas.keys import PATH_BYTE_MAX, PATH_BYTE_MIN, CompositeKey, Dimension
 from rcas.query import (
     Axis,
+    QueryPath,
     QuerySyntaxError,
     Step,
     Trailing,
     ValueRange,
+    WILDCARD,
     _FEED_CACHE_MAX,
     _HULL_CACHE_MAX,
     _STEP_CACHE_MAX,
     _compile_ascii,
+    _compile_literal,
+    _compile_zo,
     cas_query,
     feed_range,
     parse_query_path,
@@ -70,6 +77,59 @@ class TestParse:
     def test_rejects_malformed(self, bad):
         with pytest.raises(QuerySyntaxError):
             parse_query_path(bad)
+
+    def test_printable_is_the_label_byte_range(self):
+        # the tokenizer checks labels with str.isprintable
+        for b in range(128):
+            assert chr(b).isprintable() == (PATH_BYTE_MIN <= b <= PATH_BYTE_MAX), b
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["/", "/", "a", "bc", "*", " ", "\x01", "\x7f", "é"]), max_size=12))
+    def test_tokenizer_equals_scanning_reference(self, parts):
+        text = "".join(parts)
+        try:
+            want = reference_parse(text)
+        except QuerySyntaxError as exc:
+            with pytest.raises(QuerySyntaxError) as got:
+                parse_query_path(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_query_path(text) == want
+
+
+def reference_parse(text: str) -> QueryPath:
+    """The query path tokenizer as a character-by-character scan."""
+    if not text:
+        raise QuerySyntaxError("empty query path")
+    if not text.isascii():
+        raise QuerySyntaxError(f"query path {text!r} is not ASCII")
+    if text[0] != "/":
+        raise QuerySyntaxError(f"query path {text!r} does not start with '/'")
+    steps = []
+    trailing = Trailing.NONE
+    i, n = 0, len(text)
+    while i < n:
+        run = 0
+        while i < n and text[i] == "/":
+            run += 1
+            i += 1
+        if run > 2:
+            raise QuerySyntaxError(f"query path {text!r} contains a '/'-run longer than 2")
+        axis = Axis.DESCENDANT if run == 2 else Axis.CHILD
+        start = i
+        while i < n and text[i] != "/":
+            i += 1
+        label = text[start:i]
+        if not label:
+            trailing = Trailing.DESCENDANT if axis is Axis.DESCENDANT else Trailing.CHILD
+            break
+        for ch in label:
+            if not PATH_BYTE_MIN <= ord(ch) <= PATH_BYTE_MAX:
+                raise QuerySyntaxError(f"bad character {ch!r} in query label {label!r}")
+        steps.append(Step(axis, None if label == WILDCARD else label))
+    if not steps and trailing is not Trailing.DESCENDANT:
+        raise QuerySyntaxError("'/' alone is not a valid query path")
+    return QueryPath(steps=tuple(steps), trailing=trailing, text=text)
 
 
 class TestDeclarativeSemantics:
@@ -219,6 +279,147 @@ class TestMatchPath:
                 if seen_match:
                     assert fed[2], (q.text, path)
                 seen_match = fed[2]
+
+
+def _assert_same_outcomes(literal, automaton, data: bytes, cuts: list[int]) -> None:
+    """Feed `data`, split at `cuts` into node substrings (some empty), to
+    both matchers; before each feed their hulls and steps must agree, and
+    each feed must end alike, until a dead end or a match."""
+    bounds = sorted(min(c, len(data)) for c in cuts)
+    pieces = [data[a:b] for a, b in zip([0] + bounds, bounds + [len(data)])]
+    lstate, astate, consumed = literal.start, automaton.start, 0
+    for piece in pieces:
+        assert literal.hull(lstate) == automaton.hull(astate)
+        for b in range(256):
+            assert bool(literal.step(lstate, b)) == bool(automaton.step(astate, b)), b
+        lfed = literal.feed(lstate, consumed, piece)
+        afed = automaton.feed(astate, consumed, piece)
+        assert (lfed is None) == (afed is None)
+        if lfed is None:
+            return
+        assert lfed[1:] == afed[1:]
+        if lfed[2]:
+            return
+        lstate, astate, consumed = lfed[0], afed[0], lfed[1]
+
+
+def _automaton_matcher(qpath, ctx):
+    return _compile_ascii(qpath) if ctx is None else _compile_zo(qpath, ctx)
+
+
+class TestPathLiteral:
+    """The literal that exact queries compile to, against the automata."""
+
+    LABELS = ["a", "b", "ab", "car", "x1"]
+    # a z-order context over LABELS with paths of up to three labels
+    ZO_CTX = ZoContext.from_keys(
+        [CompositeKey.make(p, 0, i) for i, p in enumerate(["/a/b/ab", "/car/x1", "/b"])]
+    )
+
+    exact = st.lists(st.sampled_from(LABELS + ["zz"]), min_size=1, max_size=5)
+    stored = st.lists(st.sampled_from(LABELS), min_size=1, max_size=3)
+    forms = st.sampled_from(["random", "hit", "deeper"])
+    cuts = st.lists(st.integers(0, 24), max_size=6)
+
+    @staticmethod
+    def _query(labels, form, stored, trailing_slash):
+        """A random exact query, the stored path, or the stored path with
+        labels appended."""
+        if form == "hit":
+            labels = stored
+        elif form == "deeper":
+            labels = stored + labels
+        return parse_query_path("/" + "/".join(labels) + ("/" if trailing_slash else ""))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(labels=exact, stored=stored, form=forms, trailing_slash=st.booleans(), cuts=cuts)
+    def test_ascii_outcomes_equal_automaton(self, labels, stored, form, trailing_slash, cuts):
+        qpath = self._query(labels, form, stored, trailing_slash)
+        text = "/" + "/".join(stored)
+        data = text.encode("ascii") + b"\x00"
+        literal = _compile_literal(qpath, None)
+        _assert_same_outcomes(literal, _compile_ascii(qpath), data, cuts)
+        fed = literal.feed(literal.start, 0, data)
+        assert (fed is not None and fed[2]) == path_matches(qpath, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(labels=exact, stored=stored, form=forms, trailing_slash=st.booleans(), cuts=cuts)
+    def test_zo_outcomes_equal_automaton(self, labels, stored, form, trailing_slash, cuts):
+        ctx = self.ZO_CTX
+        qpath = self._query(labels, form, stored, trailing_slash)
+        text = "/" + "/".join(stored)
+        data = ctx.surrogate(text)
+        literal = _compile_literal(qpath, ctx)
+        _assert_same_outcomes(literal, _compile_zo(qpath, ctx), data, cuts)
+        fed = literal.feed(literal.start, 0, data)
+        assert (fed is not None and fed[2]) == path_matches(qpath, text)
+
+    def test_zo_literal_is_padded_codes(self):
+        ctx = self.ZO_CTX
+        assert _compile_literal(parse_query_path("/car"), ctx).lit == ctx.surrogate("/car")
+        assert _compile_literal(parse_query_path("/a/b/ab"), ctx).lit == ctx.surrogate("/a/b/ab")
+
+    @pytest.mark.parametrize("text", ["/a/zz", "/zz", "/a/b/ab/car", "/a/b/ab/car/x1"])
+    def test_zo_absent_or_too_deep_matches_nothing(self, text):
+        ctx = self.ZO_CTX
+        literal = _compile_literal(parse_query_path(text), ctx)
+        for stored in ("/a", "/a/b", "/a/b/ab", "/car/x1"):
+            fed = literal.feed(literal.start, 0, ctx.surrogate(stored))
+            assert fed is None or not fed[2], stored
+
+    @pytest.mark.parametrize("ctx", [None, ZO_CTX])
+    def test_empty_substring_is_never_a_match(self, ctx):
+        literal = _compile_literal(parse_query_path("/a"), ctx)
+        assert literal.feed(literal.start, 0, b"") == (0, 0, False)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([4, 8]))
+    def test_run_query_equals_automaton_and_scan(self, seed, width):
+        """Exact queries (hits, misses, absent labels, too deep, trailing
+        '/') on every scheme: the literal answers like scan, and with the
+        refs in the same order and the same visited count as the automaton."""
+        rng = random.Random(seed)
+        keys = random_keys(rng, None, width)
+        paths = sorted({k.path_text for k in keys})
+        deepest = max(paths, key=lambda p: p.count("/"))
+        texts = [deepest, deepest + "/a"]
+        for _ in range(6):
+            labels = rng.choice(paths).split("/")[1:]
+            edit = rng.randrange(5)
+            if edit == 1:
+                labels = labels[: rng.randint(1, len(labels))]
+            elif edit == 2:
+                labels = labels + [rng.choice(["a", "b", "zz"])]
+            elif edit == 3:
+                labels[rng.randrange(len(labels))] = rng.choice(["a", "zz"])
+            texts.append("/" + "/".join(labels) + rng.choice(["", "/"]))
+        values = sorted(k.value_int for k in keys)
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            for text in texts:
+                qpath = parse_query_path(text)
+                lo = rng.choice(values)
+                hi = rng.choice([v for v in values if v >= lo] + [2**32 - 1])
+                vrange = ValueRange.closed(lo, hi, width)
+                got = run_query(index, qpath, vrange)
+                with mock.patch.object(query, "_matcher", _automaton_matcher):
+                    want = run_query(index, qpath, vrange)
+                assert (got.refs, got.visited) == (want.refs, want.visited), (scheme, text)
+                assert sorted(got.refs) == sorted(scan(keys, qpath, vrange)), (scheme, text)
+
+    def test_value_first_root_with_empty_path(self, bom_keys):
+        # The vp root branches on value bytes and holds no path bytes; under
+        # a range that every value passes, a root reported as a path match
+        # would collect every ref.
+        index = build_static(bom_keys, "vp")
+        assert index.s_p[0] == b""
+        vrange = ValueRange.closed(0, 2**32 - 1)
+        for text in ("/bom/item/canoe", "/bom", "/bom/item/car/battery"):
+            qpath = parse_query_path(text)
+            got = run_query(index, qpath, vrange)
+            assert sorted(got.refs) == sorted(scan(bom_keys, qpath, vrange))
+            with mock.patch.object(query, "_matcher", _automaton_matcher):
+                assert run_query(index, qpath, vrange).visited == got.visited
 
 
 class TestWorkedQuery:
@@ -422,6 +623,7 @@ class TestZoEdges:
         index = build_static(bom_keys, "zo")
         assert cas_query(index, "//nonexistent", ValueRange.closed(0, 2**32 - 1)) == []
         assert cas_query(index, "/bom//nonexistent//", ValueRange.closed(0, 2**32 - 1)) == []
+        assert cas_query(index, "/bom/nonexistent", ValueRange.closed(0, 2**32 - 1)) == []
 
     def test_query_deeper_than_any_path(self, bom_keys):
         index = build_static(bom_keys, "zo")
