@@ -258,7 +258,7 @@ def cmd_costmodel(args) -> int:
         swapped = dataclasses.replace(params, sel_path=args.sel_value, sel_value=args.sel_path)
         c1 = costmodel.estimate_cost(params, include_root=args.include_root)
         c2 = costmodel.estimate_cost(swapped, include_root=args.include_root)
-        avg, sd = costmodel._pair_stats(c1, c2)
+        avg, sd = costmodel.robustness(params, include_root=args.include_root)
         w.writerow([name, f"{c1:.2f}", f"{c2:.2f}", f"{avg:.2f}", f"{sd:.2f}"])
     return 0
 

@@ -45,10 +45,6 @@ BOM_EXAMPLE: tuple[DatasetRecord, ...] = (
 )
 
 
-def parse_line(line: str, lineno: int = 0) -> DatasetRecord:
-    return DatasetRecord(*_fields(line, lineno))
-
-
 def _fields(line: str, lineno: int) -> tuple[str, int, int]:
     """The path, value and reference of one dataset line."""
     parts = line.rstrip("\n").split(";")

@@ -27,13 +27,6 @@ class Dimension(enum.Enum):
     V = "V"
     BOT = "bot"
 
-    def complement(self) -> "Dimension":
-        if self is Dimension.P:
-            return Dimension.V
-        if self is Dimension.V:
-            return Dimension.P
-        raise ValueError("the leaf marker has no complement")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.value
 
@@ -41,7 +34,6 @@ class Dimension(enum.Enum):
 # The one byte code of each dimension, shared by the tagged static
 # interleavings, the flat trie builder and the index file format.
 _DIM_CODE = {Dimension.P: 0, Dimension.V: 1, Dimension.BOT: 2}
-_DIM_FROM_CODE = {v: k for k, v in _DIM_CODE.items()}
 
 
 class PathSyntaxError(ValueError):
@@ -107,13 +99,6 @@ class CompositeKey:
     @classmethod
     def make(cls, path: str, value: int, ref: int, width: int = 4) -> "CompositeKey":
         return cls(encode_path(path), encode_value(value, width), ref)
-
-    def dim(self, d: Dimension) -> bytes:
-        if d is Dimension.P:
-            return self.path
-        if d is Dimension.V:
-            return self.value
-        raise ValueError("keys have no leaf dimension")
 
     @property
     def path_text(self) -> str:

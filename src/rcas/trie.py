@@ -29,14 +29,13 @@ import zlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import attrgetter, not_
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .interleave import STATIC_SCHEMES, ZoContext, static_interleave
+from .interleave import STATIC_SCHEMES, ZoContext, _symbols
 from .keys import _DIM_CODE, PATH_TERMINATOR, VALUE_WIDTHS, CompositeKey, Dimension
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
@@ -99,16 +98,6 @@ class RcasIndex:
     scheme: str = "rcas"
     zo_ctx: ZoContext | None = None
     build_stats: BuildStats = field(default_factory=BuildStats)
-
-
-def node_kind_for(child_count: int) -> int:
-    """Smallest physical node capacity holding the given number of children."""
-    if child_count < 1:
-        raise ValueError("nodes hold at least one child")
-    for kind in NODE_KINDS:
-        if child_count <= kind:
-            return kind
-    raise ValueError("more than 256 children cannot be stored")
 
 
 _PATH = attrgetter("path")
@@ -194,14 +183,17 @@ class _Seqs(NamedTuple):
     size: np.ndarray  # length of each sequence
 
     @classmethod
-    def of(cls, parts: list[bytes], dtype: str = "u1") -> "_Seqs":
+    def of(cls, parts: list[bytes]) -> "_Seqs":
+        seqs = cls.empty(np.fromiter(map(len, parts), np.int32, len(parts)))
+        deque(map(seqs.blob.write, parts), maxlen=0)  # writes every part, looping in C
+        return seqs
+
+    @classmethod
+    def empty(cls, size: np.ndarray, dtype: str = "u1") -> "_Seqs":
+        """Zero symbols in sequences of the given lengths, to be filled."""
         unit = np.dtype(dtype).itemsize
-        size = np.fromiter(map(len, parts), np.int32, len(parts))
-        blob = mmap.mmap(-1, int(size.sum(dtype=np.int64)) + unit * _WINDOW_MAX)
-        deque(map(blob.write, parts), maxlen=0)  # writes every part, looping in C
-        if unit > 1:
-            size //= unit
-        start = np.zeros(len(parts), np.int32 if len(blob) < 2**31 else np.int64)
+        blob = mmap.mmap(-1, unit * (int(size.sum(dtype=np.int64)) + _WINDOW_MAX))
+        start = np.zeros(len(size), np.int32 if len(blob) < 2**31 else np.int64)
         np.cumsum(size[:-1], out=start[1:])
         return cls(blob, np.frombuffer(blob, dtype), start, size)
 
@@ -523,9 +515,10 @@ def build_static(
     """Build a trie over one of the static interleavings (pv, vp, lw, zo).
 
     The partitioner runs over one sequence per distinct key: its tagged
-    string (`interleave.static_interleave`) read as 16-bit little-endian
-    symbols, byte * 256 + dimension code, so edges are ordered by byte,
-    then by dimension.  A node whose edges span both dimensions is `_MIXED`.
+    symbols (`interleave.static_interleave`, made for all keys at once),
+    byte * 256 + dimension code, so edges are ordered by byte, then by
+    dimension.  A node whose edges span both dimensions is `_MIXED`.  The
+    nodes' symbol ranges are split into `s_p` and `s_v` by one mask (`_split`).
     """
     if scheme == "rcas":
         return bulk_load(keys, value_width)
@@ -534,18 +527,17 @@ def build_static(
     paths, values, refs, width, _ = _aggregate(keys, value_width)
     if scheme == "zo" and ctx is None:
         ctx = ZoContext.from_keys(keys)
-    tagged = _Seqs.of(
-        [static_interleave(CompositeKey(p, v, 0), scheme, ctx) for p, v in zip(paths, values)],
-        "<u2",
-    )
+    symbols, size = _symbols(paths, values, scheme, ctx)
     del paths, values
+    tagged = _Seqs.empty(size, "<u2")
+    tagged.data[: len(symbols)] = symbols
+    del symbols
     stats = BuildStats()
     arity, nodes = _preorder(_partition([tagged], refs.count, 0, stats))
     shape = _shape(arity)
     leaf = nodes.split < 0
-    t0 = 2 * tagged.start[nodes.row]
-    segments = _slices(tagged.blob, t0 + 2 * nodes.lo[0], t0 + 2 * nodes.hi[0])
-    s_p, s_v = map(list, zip(*map(_untag, segments)))
+    t0 = tagged.start[nodes.row]
+    s_p, s_v = _split(tagged.data[:-_WINDOW_MAX], t0 + nodes.lo[0], t0 + nodes.hi[0])
     edges = nodes.key[shape.echild]
     edim = edges & 0xFF
     return _index(
@@ -565,17 +557,18 @@ def build_static(
     )
 
 
-def _untag(seg: bytes) -> tuple[bytes, bytes]:
-    """The path and the value bytes of a tagged segment."""
-    codes = seg[0::2]
-    # a plain slice returns the interpreter's shared object for one byte
-    data = seg[1::2] if len(seg) > 2 else seg[1:]
-    if _V not in codes:
-        return data, b""
-    if _P not in codes:
-        return b"", data
-    # the codes are 0 for P and 1 for V, so a code selects a value byte
-    return bytes(compress(data, map(not_, codes))), bytes(compress(data, codes))
+def _split(symbols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[bytes], list[bytes]]:
+    """The path bytes and the value bytes of each range [lo[i], hi[i]) of
+    tagged symbols.  A running count of value symbols maps a range to its
+    ranges in a blob of all path bytes and a blob of all value bytes."""
+    code, byte = symbols.view(np.uint8).reshape(-1, 2).T
+    is_value = code.astype(bool)  # the codes are 0 for P and 1 for V
+    before = np.zeros(len(symbols) + 1, np.int32)  # value symbols before each symbol
+    np.cumsum(is_value, out=before[1:])
+    v_lo, v_hi = before[lo], before[hi]
+    del before
+    p_blob, v_blob = byte[~is_value].tobytes(), byte[is_value].tobytes()
+    return _slices(p_blob, lo - v_lo, hi - v_hi), _slices(v_blob, v_lo, v_hi)
 
 
 # --- structural statistics --------------------------------------------------

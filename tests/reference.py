@@ -1,4 +1,4 @@
-"""Definitional oracle for the dynamic interleaving.
+"""Definitional oracles for the interleavings.
 
 Discriminative bytes, partitioning, partitioning sequences and interleave
 tuples, written straight from their definitions so that tests can check the
@@ -6,17 +6,50 @@ production bulk load (`rcas.trie.bulk_load`) against an independent
 implementation.  Every function here favours the definition over speed:
 discriminative bytes are found by comparing one position of all keys at a
 time, and a partitioning is a dict from the byte at the split position to
-the keys that carry it.
+the keys that carry it.  The static interleavings are built one key at a
+time, chunk by chunk (`static_tagged`), to check the batch tagger of
+`rcas.interleave`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
-from rcas.keys import CompositeKey, Dimension
+from rcas.interleave import ZoContext
+from rcas.keys import _DIM_CODE, CompositeKey, Dimension
+from rcas.trie import NODE_KINDS
 
 Partition = Sequence[CompositeKey]
+
+
+def complement(dim: Dimension) -> Dimension:
+    """The other key dimension."""
+    if dim is Dimension.P:
+        return Dimension.V
+    if dim is Dimension.V:
+        return Dimension.P
+    raise ValueError("the leaf marker has no complement")
+
+
+def dim_bytes(key: CompositeKey, dim: Dimension) -> bytes:
+    """The bytes of `key` in dimension `dim`."""
+    if dim is Dimension.P:
+        return key.path
+    if dim is Dimension.V:
+        return key.value
+    raise ValueError("keys have no leaf dimension")
+
+
+def node_kind_for(child_count: int) -> int:
+    """Smallest physical node capacity holding the given number of children."""
+    if child_count < 1:
+        raise ValueError("nodes hold at least one child")
+    for kind in NODE_KINDS:
+        if child_count <= kind:
+            return kind
+    raise ValueError("more than 256 children cannot be stored")
 
 
 def byte_at(s: bytes, i: int) -> int | None:
@@ -40,11 +73,11 @@ def dsc(keys: Partition, dim: Dimension) -> int:
         raise ValueError("empty key set has no discriminative byte")
     m = 1
     while True:
-        vals = {byte_at(k.dim(dim), m) for k in keys}
+        vals = {byte_at(dim_bytes(k, dim), m) for k in keys}
         if len(vals) > 1:
             return m
         if vals == {None}:
-            return len(keys[0].dim(dim)) + 1
+            return len(dim_bytes(keys[0], dim)) + 1
         m += 1
 
 
@@ -61,11 +94,11 @@ def psi_partition(
         raise ValueError("cannot partition an empty key set")
     if g is None:
         g = dsc(keys, dim)
-    if g > len(keys[0].dim(dim)):
+    if g > len(dim_bytes(keys[0], dim)):
         return {None: list(keys)}
     groups: dict[int | None, list[CompositeKey]] = {}
     for k in keys:
-        groups.setdefault(byte_at(k.dim(dim), g), []).append(k)
+        groups.setdefault(byte_at(dim_bytes(k, dim), g), []).append(k)
     return groups
 
 
@@ -84,16 +117,16 @@ def partitioning_sequence(
     out: list[tuple[list[CompositeKey], Dimension]] = []
     while True:
         g = dsc(part, dim)
-        if g > len(key.dim(dim)):
-            other = dim.complement()
+        if g > len(dim_bytes(key, dim)):
+            other = complement(dim)
             g2 = dsc(part, other)
-            if g2 > len(key.dim(other)):
+            if g2 > len(dim_bytes(key, other)):
                 out.append((part, Dimension.BOT))
                 return out
             dim, g = other, g2
         out.append((part, dim))
-        part = psi_partition(part, dim, g)[byte_at(key.dim(dim), g)]
-        dim = dim.complement()
+        part = psi_partition(part, dim, g)[byte_at(dim_bytes(key, dim), g)]
+        dim = complement(dim)
 
 
 @dataclass(frozen=True)
@@ -132,3 +165,79 @@ def dynamic_interleave(key: CompositeKey, keys: Partition) -> list[InterleaveTup
         )
         prev_p, prev_v, prev_dim = dp, dv, dim
     return out
+
+
+# --- static interleavings ----------------------------------------------------
+
+_P = bytes([_DIM_CODE[Dimension.P]])
+_V = bytes([_DIM_CODE[Dimension.V]])
+
+
+def _path_units(path: bytes) -> list[bytes]:
+    """Split an encoded path into '/label' units plus the terminator unit."""
+    return [b"/" + label for label in path[:-1].split(b"/")[1:]] + [path[-1:]]
+
+
+def _chunks(data: bytes, n: int) -> list[bytes]:
+    return [data[i : i + n] for i in range(0, len(data), n)]
+
+
+def _tag(chunks: Iterable[tuple[bytes, bytes]]) -> bytes:
+    """Pack (dimension code, bytes) chunks into the tagged form."""
+    codes = bytearray()
+    data = bytearray()
+    for code, chunk in chunks:
+        codes += code * len(chunk)
+        data += chunk
+    out = bytearray(2 * len(data))
+    out[0::2] = codes
+    out[1::2] = data
+    return bytes(out)
+
+
+def _rounds(value_chunks: list[bytes], path_chunks: list[bytes]) -> bytes:
+    """One value chunk then one path chunk per round, until both run out."""
+    return _tag(
+        pair
+        for v, p in zip_longest(value_chunks, path_chunks, fillvalue=b"")
+        for pair in ((_V, v), (_P, p))
+    )
+
+
+def surrogate(ctx: ZoContext, path_text: str) -> bytes:
+    """The z-order surrogate of a path: its 3-byte label codes, then zero
+    codes up to the context's depth."""
+    labels = path_text.split("/")[1:]
+    if len(labels) > ctx.max_labels:
+        raise ValueError(f"path {path_text!r} is deeper than the surrogate context")
+    out = bytearray()
+    for lab in labels:
+        code = ctx.codes.get(lab)
+        if code is None:
+            raise KeyError(f"label {lab!r} missing from the surrogate dictionary")
+        out += code.to_bytes(3, "big")
+    out += bytes(3 * (ctx.max_labels - len(labels)))
+    return bytes(out)
+
+
+def static_tagged(key: CompositeKey, scheme: str, ctx: ZoContext | None = None) -> bytes:
+    """The tagged byte string of one static scheme, two bytes per symbol:
+    the dimension code, then the key byte.
+
+    pv: all path bytes then all value bytes.  vp: the reverse.  lw: one value
+    byte alternating with one whole path label ('/'-prefixed; the terminator
+    is its own final unit).  zo: the value merged with the fixed-length
+    surrogate path, ceil(l_V/l_P) value bytes then ceil(l_P/l_V) path bytes
+    per round.
+    """
+    if scheme == "pv":
+        return _tag([(_P, key.path), (_V, key.value)])
+    if scheme == "vp":
+        return _tag([(_V, key.value), (_P, key.path)])
+    if scheme == "lw":
+        return _rounds(_chunks(key.value, 1), _path_units(key.path))
+    if scheme == "zo":
+        spath = surrogate(ctx, key.path_text)
+        l_p, l_v = len(spath), len(key.value)
+        return _rounds(_chunks(key.value, -(-l_v // l_p)), _chunks(spath, -(-l_p // l_v)))
+    raise ValueError(f"unknown static scheme {scheme!r}")

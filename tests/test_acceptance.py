@@ -25,7 +25,7 @@ from rcas.query import ValueRange, parse_query_path, run_query, scan
 from rcas.trie import SCHEMES, build_static, bulk_load, load_bytes, save_bytes
 
 from conftest import random_keys, random_query_text, subset
-from reference import InterleaveTuple, dsc, dynamic_interleave, psi_partition
+from reference import InterleaveTuple, complement, dim_bytes, dsc, dynamic_interleave, psi_partition
 from test_trie import EXPECTED_BOM_TREE, assert_tree_equal
 from treeview import nodes, root
 
@@ -171,13 +171,13 @@ def _check_partitioning_edges(keys, dim):
     if dim is V and base_v > len(ref.value):
         dim = P
     g = base_p if dim is P else base_v
-    if g > len(ref.dim(dim)):
+    if g > len(dim_bytes(ref, dim)):
         return
     parts = psi_partition(keys, dim, g)
     assert None not in parts
     for part in parts.values():
         assert dsc(part, dim) > (base_p if dim is P else base_v)
-        other = dim.complement()
+        other = complement(dim)
         assert dsc(part, other) >= (base_p if other is P else base_v)
         _check_partitioning_edges(part, other)
 

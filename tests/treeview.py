@@ -13,9 +13,11 @@ from __future__ import annotations
 from array import array
 from typing import Iterator
 
-from rcas.keys import _DIM_CODE, _DIM_FROM_CODE, Dimension
+from rcas.keys import _DIM_CODE, Dimension
 from rcas.trie import _MIXED, RcasIndex
 from rcas.interleave import ZoContext
+
+DIM_FROM_CODE = {v: k for k, v in _DIM_CODE.items()}
 
 
 class NodeView:
@@ -51,7 +53,7 @@ class NodeView:
         code = self.index.dim[self.id]
         if code == _MIXED:
             code = self.index.edim[self.index.estart[self.id]]
-        return _DIM_FROM_CODE[code]
+        return DIM_FROM_CODE[code]
 
     @property
     def is_leaf(self) -> bool:
@@ -68,7 +70,7 @@ class NodeView:
     def children(self) -> list[tuple[Dimension, int, "NodeView"]]:
         ix = self.index
         return [
-            (_DIM_FROM_CODE[ix.edim[e]], ix.ebyte[e], NodeView(ix, ix.echild[e]))
+            (DIM_FROM_CODE[ix.edim[e]], ix.ebyte[e], NodeView(ix, ix.echild[e]))
             for e in range(ix.estart[self.id], ix.estart[self.id + 1])
         ]
 
