@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import statistics
 import sys
 import time
@@ -151,6 +152,8 @@ def _parse_query_line(line: str, lineno: int) -> tuple[query.QueryPath, int, int
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise UsageError(f"--repeat must be at least 1, not {args.repeat}")
     records, keys = _load_keys(args.dataset, args.width)
     queries = []
     try:
@@ -242,6 +245,13 @@ def _vector_for(name: str, height: int) -> tuple[Dimension, ...] | None:
 
 
 def cmd_costmodel(args) -> int:
+    if not (math.isfinite(args.fanout) and args.fanout > 0):
+        raise UsageError(f"--fanout must be a positive number, not {args.fanout}")
+    if args.height < 1:
+        raise UsageError(f"--height must be at least 1, not {args.height}")
+    for flag, sel in (("--sel-path", args.sel_path), ("--sel-value", args.sel_value)):
+        if not 0 < sel <= 1:
+            raise UsageError(f"{flag} must lie in (0, 1], not {sel}")
     w = csv.writer(sys.stdout)
     w.writerow(["vector", "cost_q", "cost_q_complementary", "avg", "stddev"])
     for name in ("dy", "pv", "vp", "i1", "i2"):

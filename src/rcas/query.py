@@ -2,47 +2,50 @@
 
 A query pairs a path predicate (child steps, single-label wildcards, and
 descendant-or-self axes) with a closed value range.  Evaluation walks the
-trie once, feeding each node's path and value substrings into incremental
-matchers.  Either matcher can settle early: a subtree whose value prefix
-strictly diverges inside the range matches wholly, a prefix outside the
-range prunes the subtree, and likewise for paths.  When both predicates have
-matched, the subtree is collected without further checks.
+trie once, in one loop over an explicit stack of (node, value state, path
+state), so trie depth is not bounded by the interpreter's recursion limit.
+Each node's value and path substrings advance their check's state, one
+small int.  Either check can settle early: a value prefix that strictly
+diverges inside the range matches a whole subtree, a prefix outside the
+range prunes it, and likewise for paths.  A subtree where both checks have
+matched is collected without further checks.
 
-The path check has two matchers behind one interface, chosen by the shape
-of the query alone.  An exact query, whose steps are all named child steps
-with no trailing ``//``, accepts one path, and compiles to that path as a
-literal: its state is the offset reached, and feeding a node substring is
-one ``startswith``.  Every other query compiles to one byte-level NFA class,
-which generalizes mark-and-backtrack handling of descendant axes to any
-number of axes.  Each matcher has two encodings: the ASCII paths of the
-rcas, pv, vp and lw indexes, which end at a terminator, and the z-order
-index's fixed-width label surrogates, which end by position.  The
-evaluation is one loop over an explicit stack, so trie depth is not bounded
-by the interpreter's recursion limit.
+The range state codes the bound position reached and whether each bound
+has opened.  The path check has two matchers with the same per-state
+tables, chosen by the shape of the query alone.  An exact query (named
+child steps only, no trailing ``//``) accepts one path and compiles to it
+as a literal, whose state is the offset reached: feeding it a node
+substring is one ``startswith``.  Every other query compiles to a
+byte-level NFA, which generalizes mark-and-backtrack handling of descendant
+axes to any number of axes, and runs as a DFA made lazily by subset
+construction: a state set gets an id when first reached, with a row of
+byte targets filled on demand, its byte hull, whether it matched, and a
+memo from node substring to the id reached.  Both matchers encode the
+ASCII paths of the rcas, pv, vp and lw indexes, which end at a terminator,
+and the z-order index's fixed-width label surrogates, which end by position.
 
-Per-query work follows what the predicates admit.  A node's children are
-sorted by edge byte, so the children that can pass are found by bisecting
-to a byte window: the value bounds still closed at a value node, and the
-byte hull of the matcher's out-edges at a path node (one byte for a
-literal).  A node whose edges span both dimensions (the label-wise scheme
-can build one) is scanned whole.  The automaton memoizes the state set each
-(state set, node substring) pair reaches, and its step, hull and feed
-caches each hold a bounded number of entries, emptied when full.
+A node's children are sorted by edge byte, so those that can pass are found
+by bisecting to a byte window: the value bounds still closed at a value
+node, the hull of the path state at a path node.  A label-wise node whose
+edges span both dimensions is scanned whole.  Compiled automata are cached,
+and a query starts on an empty DFA once the cached one passes its bounds.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .keys import (
     _DIM_CODE,
     PATH_TERMINATOR,
     SLASH,
+    VALUE_WIDTHS,
     CompositeKey,
     Dimension,
     decode_value,
@@ -66,8 +69,7 @@ class Trailing(enum.Enum):
 WILDCARD = "*"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     axis: Axis
     label: str | None  # None is the wildcard
 
@@ -75,8 +77,7 @@ class Step:
         return self.label is None or self.label == label
 
 
-@dataclass(frozen=True)
-class QueryPath:
+class QueryPath(NamedTuple):
     steps: tuple[Step, ...]
     trailing: Trailing
     text: str
@@ -154,34 +155,41 @@ class ValueRange:
         return len(self.low)
 
 
-def feed_range(
-    low: bytes, high: bytes, pos: int, lopen: bool, hopen: bool, data: bytes
-) -> tuple[int, bool, bool, bool] | None:
-    """Advance the closed-range check [low, high] over the value bytes `data`.
+_DEAD = -1  # the state of a check that has failed
 
-    The check resumes at byte position `pos` of the bounds.  While `lopen`
-    is False the bytes consumed so far equal the low bound's prefix; once a
-    byte strictly above the low bound is seen, no completion can fall below
-    it.  `hopen` mirrors this for the high bound.  Returns None as soon as
-    the prefix leaves the range, otherwise (pos, lopen, hopen, matched),
-    where matched means every completion lies in the range: both bounds are
-    open, or the full width has been consumed.
-    """
+# A range state code is pos * 4 + lopen * 2 + hopen; per value width, whether
+# each code has matched: both bounds open, or the whole width consumed.
+_RANGE_MATCHED = {
+    width: tuple(code >> 2 == width or code & 3 == 3 for code in range(4 * width + 4))
+    for width in VALUE_WIDTHS
+}
+
+
+def _feed_range(low: bytes, high: bytes, vs: int, data: bytes) -> int:
+    """Advance the closed-range check [low, high] from state code `vs` over
+    the value bytes `data`; returns the next code, or _DEAD as soon as the
+    prefix leaves the range.  `pos` is the byte position reached in the
+    bounds.  While `lopen` is 0 the bytes so far equal the low bound's
+    prefix; once a byte above it is seen, no completion can fall below it.
+    `hopen` mirrors this for the high bound."""
+    pos = vs >> 2
+    lopen = vs & 2
+    hopen = vs & 1
     for b in data:
         if not lopen:
             lb = low[pos]
             if b < lb:
-                return None
+                return _DEAD
             if b > lb:
-                lopen = True
+                lopen = 2
         if not hopen:
             hb = high[pos]
             if b > hb:
-                return None
+                return _DEAD
             if b < hb:
-                hopen = True
+                hopen = 1
         pos += 1
-    return pos, lopen, hopen, pos == len(low) or (lopen and hopen)
+    return pos * 4 + lopen + hopen
 
 
 # --- declarative path semantics (reference oracle) ---------------------------
@@ -249,48 +257,44 @@ _ZERO = _SINGLE[0]
 _SLASH = _SINGLE[SLASH]
 _TERMINATOR = _SINGLE[PATH_TERMINATOR]
 
+_PAIRS = [(b, b) for b in range(256)]  # the hull of exactly one byte
+_NO_HULL = (256, -1)  # the hull of a state that no edge leaves
+_LIVE_ROW = (0,) * 256  # a row that follows every byte
+_NO_MEMO: dict[bytes, int] = {}  # a memo that stays empty
 
-# Entries each cache of one automaton holds at most.  A full cache is
-# emptied before it takes the next entry, so an automaton kept in the
-# compiled-query cache stays bounded however many nodes it has been fed.
-_STEP_CACHE_MAX = 4096
-_HULL_CACHE_MAX = 1024
-_FEED_CACHE_MAX = 4096
+# The most states and memo entries a lazy DFA holds when a query starts.  A
+# DFA past either bound is replaced by an empty one, so an automaton kept in
+# the compiled-query cache stays bounded however many nodes it has been fed.
+_STATE_CACHE_MAX = 1024
+_MEMO_CACHE_MAX = 4096
+
+_NEW_STATE = threading.Lock()  # concurrent queries never give a state two ids
 
 
 class _PathAutomaton:
     """NFA over the path bytes of an index, compiled from a query path.
 
     Every edge admits one byte class: a single byte, a label byte, any byte
-    or any non-zero byte.  `step` follows the edges of a state set on one
-    byte, and `feed` over a node's whole path substring; both cache their
-    results, since siblings share path prefixes and sibling subtrees repeat
-    substrings.  `hull` gives the lowest and highest byte any edge out of a
-    state set admits.
-
-    `universal` holds the states from which every completion of the path is
-    accepted; reaching one matches a whole subtree before its paths end.
-    A path completes once `width` bytes have been consumed, and then its
-    states must meet `accepts`.
+    or any non-zero byte.  `universal` holds the states from which every
+    completion of the path is accepted; reaching one matches a whole subtree
+    before its paths end.  Paths that end at a terminator have `width` 0;
+    the others complete once `width` bytes have been consumed, and then
+    their states must meet `accepts`.  Queries run the NFA as its `dfa`.
     """
 
-    def __init__(self, width: float):
+    def __init__(self, width: int):
         self.width = width
-        self.start = frozenset({0})
-        self.accepts: frozenset[int] = frozenset()
-        self.universal: frozenset[int] = frozenset()
-        self._edges: list[list[tuple[bytes, int]]] = [[]]
-        self._step_cache: dict[tuple[frozenset, int], frozenset] = {}
-        self._hull_cache: dict[frozenset, tuple[int, int]] = {}
-        self._feed_cache: dict[tuple[frozenset, bytes], frozenset] = {}
+        self.accepts = self.universal = frozenset()
+        self.edges: list[list[tuple[bytes, int]]] = [[]]
+        self._dfa: _LazyDfa | None = None
 
     def edge(self, s: int, byte_class: bytes, t: int | None = None) -> int:
         """Add an edge from state `s` to `t`, or to a new state; returns
         the edge's target."""
         if t is None:
-            t = len(self._edges)
-            self._edges.append([])
-        self._edges[s].append((byte_class, t))
+            t = len(self.edges)
+            self.edges.append([])
+        self.edges[s].append((byte_class, t))
         return t
 
     def chain(self, s: int, classes: list[bytes], end: int | None = None) -> int:
@@ -300,61 +304,77 @@ class _PathAutomaton:
             s = self.edge(s, cls)
         return self.edge(s, classes[-1], end)
 
-    def step(self, states: frozenset, b: int) -> frozenset:
-        key = (states, b)
-        nxt = self._step_cache.get(key)
-        if nxt is None:
-            found = []
-            for s in states:
-                for cls, t in self._edges[s]:
-                    if b in cls:
-                        found.append(t)
-            nxt = frozenset(found)
-            _put(self._step_cache, key, nxt, _STEP_CACHE_MAX)
-        return nxt
-
-    def hull(self, states: frozenset) -> tuple[int, int]:
-        """(lowest, highest) byte that `step` can follow from `states`;
-        (256, -1) when no edge leaves them."""
-        h = self._hull_cache.get(states)
-        if h is None:
-            classes = [cls for s in states for cls, _ in self._edges[s]]
-            h = (min(map(min, classes)), max(map(max, classes))) if classes else (256, -1)
-            _put(self._hull_cache, states, h, _HULL_CACHE_MAX)
-        return h
-
-    def feed(self, states: frozenset, consumed: int, data: bytes):
-        """Advance over `data`, the path bytes that follow the first
-        `consumed` ones.  Returns None on a dead end, otherwise
-        (states, consumed, matched).
-
-        Only the state set reached is cached, keyed by (states, data), with
-        the empty set for a dead end; completion depends on `consumed` and
-        is tested on every call."""
-        key = (states, data)
-        reached = self._feed_cache.get(key)
-        if reached is None:
-            reached = states
-            for b in data:
-                reached = self.step(reached, b)
-                if not reached:
-                    break
-            _put(self._feed_cache, key, reached, _FEED_CACHE_MAX)
-        if not reached:
-            return None
-        states = reached
-        consumed += len(data)
-        if consumed >= self.width:
-            if not states & self.accepts:
-                return None
-            return states, consumed, True
-        return states, consumed, bool(states & self.universal)
+    def dfa(self) -> _LazyDfa:
+        """The DFA a query starts with: the last one, unless it has passed a
+        bound.  A running query keeps its own, so its ids stay valid."""
+        dfa = self._dfa
+        if dfa is None or len(dfa.rows) > _STATE_CACHE_MAX or dfa.memo_size > _MEMO_CACHE_MAX:
+            dfa = self._dfa = _LazyDfa(self)
+        return dfa
 
 
-def _put(cache: dict, key, value, limit: int) -> None:
-    if len(cache) >= limit:
-        cache.clear()
-    cache[key] = value
+class _LazyDfa:
+    """The DFA of a `_PathAutomaton`, made by subset construction as it is
+    used.  A state is an NFA state set and, for paths that complete by
+    position, the bytes consumed.  Per state id, `rows` holds each byte's
+    target (None until asked for, _DEAD where no edge admits the byte),
+    `hulls` the lowest and highest byte an edge admits, `matched` whether
+    every completion is accepted, and `memo` the outcome of each node
+    substring fed.  A state that completes unaccepted is a live row target,
+    as the NFA has edges for that byte, but a dead end as a feed's outcome.
+    """
+
+    def __init__(self, nfa: _PathAutomaton):
+        self.nfa = nfa
+        self.rows, self.hulls, self.matched, self.memo = [], [], [], []
+        self.memo_size = 0
+        self._keys: list[tuple[frozenset, int]] = []
+        self._ids: dict[tuple[frozenset, int], int] = {}
+        self.start = self._id(frozenset({0}), 0)
+
+    def _id(self, states: frozenset, consumed: int) -> int:
+        key = (states, consumed)
+        with _NEW_STATE:
+            t = self._ids.get(key)
+            if t is None:
+                nfa = self.nfa
+                classes = [cls for s in states for cls, _ in nfa.edges[s]]
+                hull = (min(map(min, classes)), max(map(max, classes))) if classes else _NO_HULL
+                done = 0 < nfa.width == consumed
+                self.rows.append([None] * 256)
+                self.hulls.append(hull)
+                self.matched.append(bool(states & (nfa.accepts if done else nfa.universal)))
+                self.memo.append({})
+                self._keys.append(key)
+                t = self._ids[key] = len(self._keys) - 1
+        return t
+
+    def target(self, ps: int, b: int) -> int:
+        """The id byte `b` leads to from state `ps`, or _DEAD; fills the
+        row entry."""
+        states, consumed = self._keys[ps]
+        edges = self.nfa.edges
+        nxt = frozenset(t for s in states for cls, t in edges[s] if b in cls)
+        t = self._id(nxt, min(consumed + 1, self.nfa.width)) if nxt else _DEAD
+        self.rows[ps][b] = t
+        return t
+
+    def feed(self, ps: int, data: bytes) -> int:
+        """The id the node substring `data` leads to from state `ps`, or
+        _DEAD; the outcome goes into the memo."""
+        rows = self.rows
+        t = ps
+        for b in data:
+            nxt = rows[t][b]
+            t = self.target(t, b) if nxt is None else nxt
+            if t < 0:
+                break
+        else:
+            if not self.matched[t] and 0 < self.nfa.width == self._keys[t][1]:
+                t = _DEAD  # complete, not accepted
+        self.memo[ps][data] = t
+        self.memo_size += 1  # a count lost to a concurrent feed only delays a reset
+        return t
 
 
 @lru_cache(maxsize=256)
@@ -366,7 +386,7 @@ def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
     out-edges, so after the terminator the state set is the accept state
     alone.  It is universal: the one completion left, the empty one, matches.
     """
-    a = _PathAutomaton(width=math.inf)
+    a = _PathAutomaton(width=0)
     cur = 0
     for step in qpath.steps:
         after_slash = a.edge(cur, _SLASH)
@@ -392,14 +412,18 @@ def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
     return a
 
 
-def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
-    """Automaton over z-order surrogate paths.
+@lru_cache(maxsize=256)
+def _compile_zo(qpath: QueryPath, path_width: int, codes: tuple) -> _PathAutomaton:
+    """Automaton over z-order surrogate paths of `path_width` bytes, where
+    `codes` holds the code of each named label of the query, in order, and
+    None for a label absent from the data.
 
     Labels are 3-byte codes, and shorter paths are padded with all-zero
-    units up to the context's fixed path width.  There is no terminator, so
-    a path completes by position, once all of its surrogate bytes are fed.
+    units up to the fixed path width.  There is no terminator, so a path
+    completes by position, once all of its surrogate bytes are fed.
     """
-    a = _PathAutomaton(width=ctx.path_width)
+    a = _PathAutomaton(width=path_width)
+    named = iter(codes)
     cur = 0
     for step in qpath.steps:
         if step.axis is Axis.DESCENDANT:
@@ -411,7 +435,7 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
             a.chain(cur, [_ZERO, _ZERO, _NONZERO], boundary)
             cur = boundary
         else:
-            code = ctx.code_bytes(step.label)
+            code = next(named)
             if code is None:
                 return a  # the label is absent from the data: nothing matches
             cur = a.chain(cur, [_SINGLE[c] for c in code])
@@ -429,12 +453,13 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
 class _PathLiteral:
     """Matcher for the one path an exact query accepts: the literal `lit`.
 
-    It keeps the automaton's interface, but a state is the offset into
-    `lit` reached so far, so `feed` is one `startswith`, `hull` is the byte
-    at the offset and `step` compares with it.  The path matches once the
-    offset reaches `final`, which is `len(lit)` unless nothing can match
-    (-1).  As in the automaton, a path that completes at `width` bytes
-    without matching is a dead end.
+    It has the tables of the DFA, but a state is the offset into `lit`
+    reached so far.  The hull of an offset is the byte there, so the hull
+    alone selects the edges to follow: every row follows every byte, the
+    memo is shared, empty and never written, and `feed` is one
+    `startswith`.  The path matches once the offset reaches `final`, which
+    is `len(lit)` unless nothing can match (-1).  As in the automaton, a
+    path that completes at `width` bytes without matching is a dead end.
     """
 
     start = 0
@@ -443,39 +468,31 @@ class _PathLiteral:
         self.lit = lit
         self.width = width
         self.final = final
+        self.rows = (_LIVE_ROW,) * (len(lit) + 1)
+        self.memo = (_NO_MEMO,) * (len(lit) + 1)
+        self.hulls = [_PAIRS[b] for b in lit] + [_NO_HULL]
+        self.matched = bytes(len(lit)) + (b"\x01" if final == len(lit) else b"\x00")
 
-    def step(self, offset: int, b: int) -> int | None:
-        lit = self.lit
-        return offset + 1 if offset < len(lit) and lit[offset] == b else None
-
-    def hull(self, offset: int) -> tuple[int, int]:
-        if offset < len(self.lit):
-            b = self.lit[offset]
-            return b, b
-        return 256, -1
-
-    def feed(self, offset: int, consumed: int, data: bytes):
+    def feed(self, offset: int, data: bytes) -> int:
         if not self.lit.startswith(data, offset):
-            return None
+            return _DEAD
         offset += len(data)
-        if offset == self.final:
-            return offset, offset, True
-        if offset >= self.width:
-            return None
-        return offset, offset, False
+        if offset != self.final and offset >= self.width:
+            return _DEAD
+        return offset
 
 
-def _compile_literal(qpath: QueryPath, ctx: ZoContext | None) -> _PathLiteral:
-    """The literal of an exact query: its encoded path and terminator, or
-    with a z-order context `ctx`, its label codes padded with zero units to
-    the context's path width.  A label absent from the context leaves the
-    codes before it, which no path completes."""
+def _compile_literal(labels: tuple[str, ...], ctx: ZoContext | None) -> _PathLiteral:
+    """The literal of the exact query with the labels `labels`: its encoded
+    path and terminator, or with a z-order context `ctx`, its label codes
+    padded with zero units to the context's path width.  A label absent
+    from the context leaves the codes before it, which no path completes."""
     if ctx is None:
-        lit = "".join("/" + step.label for step in qpath.steps).encode("ascii") + _TERMINATOR
+        lit = ("/" + "/".join(labels)).encode("ascii") + _TERMINATOR
         return _PathLiteral(lit, math.inf, len(lit))
     codes = []
-    for step in qpath.steps:
-        code = ctx.code_bytes(step.label)
+    for label in labels:
+        code = ctx.code_bytes(label)
         if code is None:
             return _PathLiteral(b"".join(codes), ctx.path_width, -1)
         codes.append(code)
@@ -483,15 +500,25 @@ def _compile_literal(qpath: QueryPath, ctx: ZoContext | None) -> _PathLiteral:
     return _PathLiteral(lit, ctx.path_width, len(lit))
 
 
+def _automaton(qpath: QueryPath, ctx: ZoContext | None) -> _PathAutomaton:
+    """The cached automaton of `qpath`; `ctx` is the z-order context, None
+    for ASCII paths.  A z-order automaton is keyed by what fixes it: the
+    query, the path width and the codes of the query's named labels."""
+    if ctx is None:
+        return _compile_ascii(qpath)
+    codes = tuple(ctx.code_bytes(step.label) for step in qpath.steps if step.label is not None)
+    return _compile_zo(qpath, ctx.path_width, codes)
+
+
 def _matcher(qpath: QueryPath, ctx: ZoContext | None):
     """The path matcher for `qpath`, chosen by its shape: a literal when
     every step is a named child step and there is no trailing ``//``, the
-    automaton otherwise; `ctx` is the z-order context, None for ASCII paths."""
-    if qpath.trailing is not Trailing.DESCENDANT and all(
-        step.axis is Axis.CHILD and step.label is not None for step in qpath.steps
-    ):
-        return _compile_literal(qpath, ctx)
-    return _compile_ascii(qpath) if ctx is None else _compile_zo(qpath, ctx)
+    automaton's DFA otherwise."""
+    if qpath.trailing is not Trailing.DESCENDANT and qpath.steps:
+        axes, labels = zip(*qpath.steps)
+        if Axis.DESCENDANT not in axes and None not in labels:
+            return _compile_literal(labels, ctx)
+    return _automaton(qpath, ctx).dfa()
 
 
 # --- query evaluation over an index ------------------------------------------
@@ -516,11 +543,12 @@ def run_query(
     are not both settled, only the edges in the byte window of the node's
     branching dimension are tested: between the value bounds still closed at
     a value node, which every edge in that window passes, and within the
-    byte hull of the path states at a path node, where each edge is stepped.
-    A node whose edges span both dimensions has all of its edges tested.
-    Path substrings go through the path matcher's feed.  A subtree
-    whose predicates have both settled is collected whole: its refs are one
-    slice of `index.refs`.
+    hull of the path state at a path node, where each edge's byte is looked
+    up in the state's row.  A node whose edges span both dimensions has all
+    of its edges tested.  A path substring is looked up in the path state's
+    memo before it is fed; an empty substring leaves its check's state as
+    it is.  A subtree whose predicates have both settled is collected whole:
+    its refs are one slice of `index.refs`.
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
@@ -528,45 +556,51 @@ def run_query(
         raise ValueError(
             f"range width {vrange.width} does not match index width {index.value_width}"
         )
-    ctx = None
-    if index.scheme == "zo":
-        ctx = index.zo_ctx
-        assert ctx is not None
+    ctx = index.zo_ctx if index.scheme == "zo" else None
+    assert ctx is not None or index.scheme != "zo"
     matcher = _matcher(qpath, ctx)
-    step = matcher.step
+    rows, hulls, pmatched, memo = matcher.rows, matcher.hulls, matcher.matched, matcher.memo
     feed = matcher.feed
-    hull = matcher.hull
-    low = vrange.low
-    high = vrange.high
+    low, high = vrange.low, vrange.high
+    vmatched = _RANGE_MATCHED[index.value_width]
     dim, end, s_p, s_v = index.dim, index.end, index.s_p, index.s_v
     estart, ebyte, edim, echild = index.estart, index.ebyte, index.edim, index.echild
     all_refs, reflo = index.refs, index.reflo
-    P = _DIM_CODE[Dimension.P]
-    V = _DIM_CODE[Dimension.V]
+    P, V = _DIM_CODE[Dimension.P], _DIM_CODE[Dimension.V]
     refs: list[int] = []
     visited = 0
 
     # A node id with the state of both checks on entering it.
-    stack = [(0, 0, False, False, False, matcher.start, 0, False)]
+    stack = [(0, 0, matcher.start)]
+    push, pop = stack.append, stack.pop
     while stack:
-        i, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched = stack.pop()
+        i, vs, ps = pop()
         visited += 1
         if trace is not None:
             trace.append(i)
 
-        if not vmatched:
-            fed = feed_range(low, high, vpos, lopen, hopen, s_v[i])
-            if fed is None:
-                continue
-            vpos, lopen, hopen, vmatched = fed
+        vm = vmatched[vs]
+        if not vm:
+            data = s_v[i]
+            if data:
+                vs = _feed_range(low, high, vs, data)
+                if vs < 0:
+                    continue
+                vm = vmatched[vs]
 
-        if not pmatched:
-            fed = feed(pstates, consumed, s_p[i])
-            if fed is None:
-                continue
-            pstates, consumed, pmatched = fed
+        pm = pmatched[ps]
+        if not pm:
+            data = s_p[i]
+            if data:
+                t = memo[ps].get(data)
+                if t is None:
+                    t = feed(ps, data)
+                if t < 0:
+                    continue
+                ps = t
+                pm = pmatched[t]
 
-        if vmatched and pmatched:
+        if vm and pm:
             # collect the whole subtree, without further checks
             e = end[i]
             refs += all_refs[reflo[i] : reflo[e]]
@@ -578,41 +612,47 @@ def run_query(
         # Leaf outcomes are always final, so node i is inner.  Its edges
         # are sorted by byte; they are pushed last to first, so that the
         # children are visited in edge order.
-        e0 = estart[i]
-        e1 = estart[i + 1]
+        e0, e1 = estart[i], estart[i + 1]
         d = dim[i]
         if d == V:
-            if not vmatched:
-                if not lopen:
-                    e0 = bisect_left(ebyte, low[vpos], e0, e1)
-                if not hopen:
-                    e1 = bisect_right(ebyte, high[vpos], e0, e1)
+            if not vm:
+                if not vs & 2:
+                    e0 = bisect_left(ebyte, low[vs >> 2], e0, e1)
+                if not vs & 1:
+                    e1 = bisect_right(ebyte, high[vs >> 2], e0, e1)
         elif d == P:
-            if not pmatched:
-                lo, hi = hull(pstates)
+            if not pm:
+                lo, hi = hulls[ps]
                 e0 = bisect_left(ebyte, lo, e0, e1)
                 e1 = bisect_right(ebyte, hi, e0, e1)
+                row = rows[ps]
                 for e in range(e1 - 1, e0 - 1, -1):
-                    if step(pstates, ebyte[e]):
-                        c = echild[e]
-                        stack.append((c, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
+                    t = row[ebyte[e]]
+                    if t is None:
+                        t = matcher.target(ps, ebyte[e])
+                    if t >= 0:
+                        push((echild[e], vs, ps))
                 continue
         else:
+            lo, hi = hulls[ps]
+            row = rows[ps]
             for e in range(e1 - 1, e0 - 1, -1):
                 b = ebyte[e]
                 if edim[e] == V:
-                    if not vmatched:
-                        if not lopen and b < low[vpos]:
-                            continue
-                        if not hopen and b > high[vpos]:
-                            continue
-                elif not pmatched and not step(pstates, b):
-                    continue
-                c = echild[e]
-                stack.append((c, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
+                    if not vm and (
+                        (not vs & 2 and b < low[vs >> 2]) or (not vs & 1 and b > high[vs >> 2])
+                    ):
+                        continue
+                elif not pm:
+                    t = row[b] if lo <= b <= hi else _DEAD
+                    if t is None:
+                        t = matcher.target(ps, b)
+                    if t < 0:
+                        continue
+                push((echild[e], vs, ps))
             continue
         for c in reversed(echild[e0:e1]):
-            stack.append((c, vpos, lopen, hopen, vmatched, pstates, consumed, pmatched))
+            push((c, vs, ps))
     return QueryResult(refs=refs, visited=visited)
 
 

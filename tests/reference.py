@@ -8,7 +8,9 @@ discriminative bytes are found by comparing one position of all keys at a
 time, and a partitioning is a dict from the byte at the split position to
 the keys that carry it.  The static interleavings are built one key at a
 time, chunk by chunk (`static_tagged`), to check the batch tagger of
-`rcas.interleave`.
+`rcas.interleave`.  The query loop is restated over NFA state sets and a
+(pos, lopen, hopen) range state (`run_query_sets`), to check the integer
+states of `rcas.query.run_query`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
+from rcas import query
 from rcas.interleave import ZoContext
 from rcas.keys import _DIM_CODE, CompositeKey, Dimension
-from rcas.trie import NODE_KINDS
+from rcas.query import QueryPath, QueryResult, ValueRange
+from rcas.trie import NODE_KINDS, RcasIndex
 
 Partition = Sequence[CompositeKey]
 
@@ -241,3 +245,98 @@ def static_tagged(key: CompositeKey, scheme: str, ctx: ZoContext | None = None) 
         l_p, l_v = len(spath), len(key.value)
         return _rounds(_chunks(key.value, -(-l_v // l_p)), _chunks(spath, -(-l_p // l_v)))
     raise ValueError(f"unknown static scheme {scheme!r}")
+
+
+# --- the query loop over NFA state sets --------------------------------------
+
+
+def feed_range(
+    low: bytes, high: bytes, pos: int, lopen: bool, hopen: bool, data: bytes
+) -> tuple[int, bool, bool, bool] | None:
+    """Advance the closed-range check [low, high] over the value bytes
+    `data` from byte position `pos`; None once the prefix leaves the range,
+    otherwise (pos, lopen, hopen, matched).  While `lopen` is False the
+    bytes so far equal the low bound's prefix; `hopen` mirrors it for the
+    high bound.  Matched means both bounds are open or the width is used up.
+    """
+    for b in data:
+        if not lopen:
+            if b < low[pos]:
+                return None
+            lopen = b > low[pos]
+        if not hopen:
+            if b > high[pos]:
+                return None
+            hopen = b < high[pos]
+        pos += 1
+    return pos, lopen, hopen, pos == len(low) or (lopen and hopen)
+
+
+def _step(nfa, states: frozenset, b: int) -> frozenset:
+    return frozenset(t for s in states for cls, t in nfa.edges[s] if b in cls)
+
+
+def _feed_path(nfa, states: frozenset, consumed: int, data: bytes):
+    """The NFA's states after `data`, which follows the first `consumed`
+    path bytes: None on a dead end, otherwise (states, consumed, matched)."""
+    for b in data:
+        states = _step(nfa, states, b)
+        if not states:
+            return None
+    consumed += len(data)
+    if nfa.width and consumed >= nfa.width:
+        return (states, consumed, True) if states & nfa.accepts else None
+    return states, consumed, bool(states & nfa.universal)
+
+
+def run_query_sets(
+    index: RcasIndex, qpath: QueryPath, vrange: ValueRange, trace: list | None = None
+) -> QueryResult:
+    """`run_query` with the state of each check spelled out: the node, then
+    (pos, lopen, hopen, matched) of the range and (NFA state set, consumed,
+    matched) of the path.  Every query shape runs on the NFA, whose state
+    sets are stepped a byte at a time, with no DFA, memo or literal.  An
+    inner node's edges are tested as in `run_query`: in the byte window the
+    range admits at a value node, one step each at a path node, and each by
+    its own dimension at a node whose edges span both.
+    """
+    ctx = index.zo_ctx if index.scheme == "zo" else None
+    nfa = query._automaton(qpath, ctx)
+    low, high = vrange.low, vrange.high
+    P, V = _DIM_CODE[Dimension.P], _DIM_CODE[Dimension.V]
+    refs: list[int] = []
+    visited = 0
+    stack = [(0, (0, False, False, False), (frozenset({0}), 0, False))]
+    while stack:
+        i, vstate, pstate = stack.pop()
+        visited += 1
+        if trace is not None:
+            trace.append(i)
+        if not vstate[3]:
+            vstate = feed_range(low, high, *vstate[:3], index.s_v[i])
+            if vstate is None:
+                continue
+        if not pstate[2]:
+            pstate = _feed_path(nfa, *pstate[:2], index.s_p[i])
+            if pstate is None:
+                continue
+        if vstate[3] and pstate[2]:
+            e = index.end[i]
+            refs += index.refs[index.reflo[i] : index.reflo[e]]
+            visited += e - i - 1
+            if trace is not None:
+                trace += range(i + 1, e)
+            continue
+        pos, lopen, hopen, vmatched = vstate
+        admitted = []
+        for e in range(index.estart[i], index.estart[i + 1]):
+            b = index.ebyte[e]
+            d = index.edim[e] if index.dim[i] not in (P, V) else index.dim[i]
+            if d == V and not vmatched:
+                if (not lopen and b < low[pos]) or (not hopen and b > high[pos]):
+                    continue
+            elif d == P and not pstate[2] and not _step(nfa, pstate[0], b):
+                continue
+            admitted.append(index.echild[e])
+        stack += [(c, vstate, pstate) for c in reversed(admitted)]
+    return QueryResult(refs=refs, visited=visited)

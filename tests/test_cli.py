@@ -209,6 +209,15 @@ class TestBench:
         summaries = [r for r in body if r[0] == "summary"]
         assert len(summaries) == 5
 
+    @pytest.mark.parametrize("repeat", ["0", "-3"])
+    def test_repeat_below_one_is_usage_error(self, capsys, bom_file, tmp_path, repeat):
+        queries = tmp_path / "queries.csv"
+        queries.write_text("//;0;4294967295\n")
+        code, out, err = run_cli(capsys, "bench", bom_file, str(queries), "--repeat", repeat)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: --repeat must be at least 1")
+
     def test_empty_query_file(self, capsys, bom_file, tmp_path):
         queries = tmp_path / "queries.csv"
         queries.write_text("")
@@ -236,6 +245,34 @@ class TestCostModel:
         a = float(csv_rows(without)[1][1])
         b = float(csv_rows(with_root)[1][1])
         assert b == pytest.approx(a + 1)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--fanout", "0"),
+            ("--fanout", "-2"),
+            ("--fanout", "nan"),
+            ("--fanout", "inf"),
+            ("--height", "0"),
+            ("--height", "-1"),
+            ("--sel-path", "0"),
+            ("--sel-path", "1.5"),
+            ("--sel-path", "nan"),
+            ("--sel-value", "-0.1"),
+            ("--sel-value", "2"),
+        ],
+    )
+    def test_out_of_domain_arguments_are_usage_errors(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "costmodel", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage error: {flag} must ")
+
+    def test_boundary_arguments_are_accepted(self, capsys):
+        args = ["--height", "1", "--sel-path", "1", "--sel-value", "1", "--fanout", "0.5"]
+        code, out, _ = run_cli(capsys, "costmodel", *args)
+        assert code == 0
+        assert [r[0] for r in csv_rows(out)[1:]] == ["dy", "pv", "vp"]
 
     def test_other_heights_skip_fixed_vectors(self, capsys):
         code, out, _ = run_cli(capsys, "costmodel", "--height", "6")

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -16,14 +18,15 @@ from rcas.query import (
     Trailing,
     ValueRange,
     WILDCARD,
-    _FEED_CACHE_MAX,
-    _HULL_CACHE_MAX,
-    _STEP_CACHE_MAX,
+    _DEAD,
+    _MEMO_CACHE_MAX,
+    _RANGE_MATCHED,
+    _STATE_CACHE_MAX,
+    _PathLiteral,
+    _automaton,
     _compile_ascii,
-    _compile_literal,
-    _compile_zo,
+    _feed_range,
     cas_query,
-    feed_range,
     parse_query_path,
     path_matches,
     run_query,
@@ -32,6 +35,7 @@ from rcas.query import (
 from rcas.trie import SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
+from reference import run_query_sets
 from treeview import root
 
 
@@ -164,13 +168,21 @@ class TestDeclarativeSemantics:
 
 
 class TestMatchValue:
-    """The evaluator's range check, fed value bytes from the start state."""
+    """The evaluator's range check, fed value bytes from the start state.
+
+    `feed` decodes the state code the check returns into (pos, lopen,
+    hopen, matched), or None for a dead end.
+    """
 
     RANGE = ValueRange(bytes.fromhex("000186a0"), bytes.fromhex("0007a120"))
 
     @staticmethod
     def feed(data, vrange, state=(0, False, False)):
-        return feed_range(vrange.low, vrange.high, *state, data)
+        pos, lopen, hopen = state
+        code = _feed_range(vrange.low, vrange.high, pos * 4 + lopen * 2 + hopen, data)
+        if code == _DEAD:
+            return None
+        return code >> 2, bool(code & 2), bool(code & 1), _RANGE_MATCHED[vrange.width][code]
 
     def test_leaf_below_lower_bound(self):
         assert self.feed(bytes.fromhex("00010e50"), self.RANGE) is None
@@ -202,29 +214,32 @@ class TestMatchValue:
 
 
 class TestMatchPath:
-    """The compiled path automaton the evaluator feeds node substrings into.
+    """The lazy DFA of the compiled path automaton, which the evaluator
+    feeds node substrings into.
 
-    `feed(states, consumed, data)` returns None on a dead end, else
-    (states, consumed, matched).
+    `feed` returns None on a dead end, else (DFA, state id, matched); the
+    feed's outcome is in the memo of the state it started from.
     """
 
     @staticmethod
     def feed(q, data, fed=None):
-        automaton = _compile_ascii(q)
-        states, consumed, _ = fed if fed is not None else (automaton.start, 0, False)
-        return automaton.feed(states, consumed, data)
+        dfa, state, _ = fed if fed is not None else (_compile_ascii(q).dfa(), None, False)
+        if state is None:
+            state = dfa.start
+        t = dfa.feed(state, data)
+        assert dfa.memo[state][data] == t
+        return None if t == _DEAD else (dfa, t, dfa.matched[t])
 
     def test_partial_label_skipped_by_descendant(self):
         q = parse_query_path("/bom/item//battery")
-        states, consumed, matched = self.feed(q, b"/bom/item/ca")
-        assert states and consumed == 12
+        _, state, matched = self.feed(q, b"/bom/item/ca")
+        assert state >= 0
         assert not matched
 
     def test_complete_path_match(self):
         q = parse_query_path("/bom/item//battery")
         fed = self.feed(q, b"/bom/item/ca")
-        _, consumed, matched = self.feed(q, b"r/battery\x00", fed)
-        assert consumed == len(b"/bom/item/car/battery\x00")
+        _, _, matched = self.feed(q, b"r/battery\x00", fed)
         assert matched
 
     def test_label_mismatch(self):
@@ -281,30 +296,51 @@ class TestMatchPath:
                 seen_match = fed[2]
 
 
-def _assert_same_outcomes(literal, automaton, data: bytes, cuts: list[int]) -> None:
+def _follows(matcher, state: int, b: int) -> bool:
+    """Whether the evaluator follows an edge of byte `b` from `state`: the
+    byte lies in the state's hull and its row entry is not dead."""
+    lo, hi = matcher.hulls[state]
+    t = matcher.rows[state][b]
+    if t is None:
+        t = matcher.target(state, b)
+    return lo <= b <= hi and t != _DEAD
+
+
+def _assert_same_outcomes(literal, dfa, data: bytes, cuts: list[int]) -> None:
     """Feed `data`, split at `cuts` into node substrings (some empty), to
-    both matchers; before each feed their hulls and steps must agree, and
-    each feed must end alike, until a dead end or a match."""
+    both matchers; before each feed their hulls and followed bytes must
+    agree, and each feed must end alike, until a dead end or a match.  A
+    z-order DFA state counts the bytes consumed, which is the literal's
+    offset."""
     bounds = sorted(min(c, len(data)) for c in cuts)
     pieces = [data[a:b] for a, b in zip([0] + bounds, bounds + [len(data)])]
-    lstate, astate, consumed = literal.start, automaton.start, 0
+    lstate, astate = literal.start, dfa.start
     for piece in pieces:
-        assert literal.hull(lstate) == automaton.hull(astate)
+        assert literal.hulls[lstate] == dfa.hulls[astate]
         for b in range(256):
-            assert bool(literal.step(lstate, b)) == bool(automaton.step(astate, b)), b
-        lfed = literal.feed(lstate, consumed, piece)
-        afed = automaton.feed(astate, consumed, piece)
-        assert (lfed is None) == (afed is None)
-        if lfed is None:
+            assert _follows(literal, lstate, b) == _follows(dfa, astate, b), b
+        lfed = literal.feed(lstate, piece)
+        afed = dfa.feed(astate, piece)
+        assert (lfed == _DEAD) == (afed == _DEAD)
+        if lfed == _DEAD:
             return
-        assert lfed[1:] == afed[1:]
-        if lfed[2]:
+        assert literal.matched[lfed] == dfa.matched[afed]
+        if dfa.nfa.width:
+            assert dfa._keys[afed][1] == lfed
+        if literal.matched[lfed]:
             return
-        lstate, astate, consumed = lfed[0], afed[0], lfed[1]
+        lstate, astate = lfed, afed
 
 
 def _automaton_matcher(qpath, ctx):
-    return _compile_ascii(qpath) if ctx is None else _compile_zo(qpath, ctx)
+    return _automaton(qpath, ctx).dfa()
+
+
+def _literal_of(qpath, ctx) -> _PathLiteral:
+    """The matcher of an exact query, which is its literal."""
+    literal = query._matcher(qpath, ctx)
+    assert isinstance(literal, _PathLiteral)
+    return literal
 
 
 class TestPathLiteral:
@@ -337,10 +373,10 @@ class TestPathLiteral:
         qpath = self._query(labels, form, stored, trailing_slash)
         text = "/" + "/".join(stored)
         data = text.encode("ascii") + b"\x00"
-        literal = _compile_literal(qpath, None)
-        _assert_same_outcomes(literal, _compile_ascii(qpath), data, cuts)
-        fed = literal.feed(literal.start, 0, data)
-        assert (fed is not None and fed[2]) == path_matches(qpath, text)
+        literal = _literal_of(qpath, None)
+        _assert_same_outcomes(literal, _compile_ascii(qpath).dfa(), data, cuts)
+        fed = literal.feed(literal.start, data)
+        assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(labels=exact, stored=stored, form=forms, trailing_slash=st.booleans(), cuts=cuts)
@@ -349,28 +385,29 @@ class TestPathLiteral:
         qpath = self._query(labels, form, stored, trailing_slash)
         text = "/" + "/".join(stored)
         data = ctx.surrogate(text)
-        literal = _compile_literal(qpath, ctx)
-        _assert_same_outcomes(literal, _compile_zo(qpath, ctx), data, cuts)
-        fed = literal.feed(literal.start, 0, data)
-        assert (fed is not None and fed[2]) == path_matches(qpath, text)
+        literal = _literal_of(qpath, ctx)
+        _assert_same_outcomes(literal, _automaton(qpath, ctx).dfa(), data, cuts)
+        fed = literal.feed(literal.start, data)
+        assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
 
     def test_zo_literal_is_padded_codes(self):
         ctx = self.ZO_CTX
-        assert _compile_literal(parse_query_path("/car"), ctx).lit == ctx.surrogate("/car")
-        assert _compile_literal(parse_query_path("/a/b/ab"), ctx).lit == ctx.surrogate("/a/b/ab")
+        assert _literal_of(parse_query_path("/car"), ctx).lit == ctx.surrogate("/car")
+        assert _literal_of(parse_query_path("/a/b/ab"), ctx).lit == ctx.surrogate("/a/b/ab")
 
     @pytest.mark.parametrize("text", ["/a/zz", "/zz", "/a/b/ab/car", "/a/b/ab/car/x1"])
     def test_zo_absent_or_too_deep_matches_nothing(self, text):
         ctx = self.ZO_CTX
-        literal = _compile_literal(parse_query_path(text), ctx)
+        literal = _literal_of(parse_query_path(text), ctx)
         for stored in ("/a", "/a/b", "/a/b/ab", "/car/x1"):
-            fed = literal.feed(literal.start, 0, ctx.surrogate(stored))
-            assert fed is None or not fed[2], stored
+            fed = literal.feed(literal.start, ctx.surrogate(stored))
+            assert fed == _DEAD or not literal.matched[fed], stored
 
     @pytest.mark.parametrize("ctx", [None, ZO_CTX])
     def test_empty_substring_is_never_a_match(self, ctx):
-        literal = _compile_literal(parse_query_path("/a"), ctx)
-        assert literal.feed(literal.start, 0, b"") == (0, 0, False)
+        literal = _literal_of(parse_query_path("/a"), ctx)
+        assert literal.feed(literal.start, b"") == 0
+        assert not literal.matched[0]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([4, 8]))
@@ -587,20 +624,121 @@ class TestAutomatonCaches:
         rng = random.Random(4242)
         letters = "abcdefgh"
         keys = []
-        for i in range(_FEED_CACHE_MAX + 1000):
+        for i in range(_MEMO_CACHE_MAX + 1000):
             label = "".join(rng.choice(letters) for _ in range(rng.randint(4, 9)))
             path = f"/d/{label}/hit" if i % 10 == 0 else f"/d/{label}"
             keys.append(CompositeKey.make(path, rng.randint(0, 2**32 - 1), i))
         index = build_static(keys, "rcas")
         # nearly every node is fed once, and their path substrings differ
-        assert len(set(index.s_p)) > _FEED_CACHE_MAX
+        assert len(set(index.s_p)) > _MEMO_CACHE_MAX
         qpath = parse_query_path("//hit")
         everything = ValueRange.closed(0, 2**32 - 1)
-        assert sorted(run_query(index, qpath, everything).refs) == sorted(scan(keys, qpath, everything))
-        automaton = _compile_ascii(qpath)
-        assert len(automaton._feed_cache) <= _FEED_CACHE_MAX
-        assert len(automaton._step_cache) <= _STEP_CACHE_MAX
-        assert len(automaton._hull_cache) <= _HULL_CACHE_MAX
+        want = sorted(scan(keys, qpath, everything))
+        # one query passes the memo bound, and its ids stay valid throughout
+        assert sorted(run_query(index, qpath, everything).refs) == want
+        used = _compile_ascii(qpath)._dfa
+        assert used.memo_size > _MEMO_CACHE_MAX
+        # the next query starts from tables within the bounds
+        dfa = query._matcher(qpath, None)
+        assert dfa is not used
+        assert len(dfa.rows) <= _STATE_CACHE_MAX
+        assert sum(map(len, dfa.memo)) == dfa.memo_size <= _MEMO_CACHE_MAX
+        assert sorted(run_query(index, qpath, everything).refs) == want
+
+    def test_state_bound_resets_between_queries(self, monkeypatch, bom_keys):
+        index = build_static(bom_keys, "rcas")
+        qpath = parse_query_path("//battery")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        want = sorted(scan(bom_keys, qpath, everything))
+        monkeypatch.setattr(query, "_STATE_CACHE_MAX", 3)
+        starts = []
+        for _ in range(3):
+            dfa = query._matcher(qpath, None)
+            assert len(dfa.rows) <= 3
+            assert all(dfa is not earlier for earlier in starts)
+            starts.append(dfa)
+            assert sorted(run_query(index, qpath, everything).refs) == want
+            assert len(dfa.rows) > 3  # this query alone passed the bound
+
+    def test_concurrent_queries_give_each_state_one_id(self):
+        cfg = GeneratorConfig(seed=43, key_count=2000, label_alphabet_size=5, max_depth=5)
+        keys = records_to_keys(generate(cfg))
+        index = build_static(keys, "rcas")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        texts = ["//n01//n02", "/*/n03//", "//n04/*"]
+        want = {t: sorted(scan(keys, parse_query_path(t), everything)) for t in texts}
+        for text in texts:
+            _compile_ascii(parse_query_path(text))._dfa = None
+        got = []
+
+        def worker():
+            for text in texts * 3:
+                got.append(sorted(run_query(index, text, everything).refs) == want[text])
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 36 and all(got)
+        for text in texts:
+            dfa = _compile_ascii(parse_query_path(text))._dfa
+            assert len(set(dfa._keys)) == len(dfa._keys) == len(dfa._ids) == len(dfa.rows)
+
+
+class TestIntegerStates:
+    """`run_query` against the loop over NFA state sets and (pos, lopen,
+    hopen) range states in `reference.run_query_sets`."""
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_refs_visited_and_trace_equal_state_sets(self, width):
+        rng = random.Random(1200 + width)
+        cfg = GeneratorConfig(seed=width, key_count=400, label_alphabet_size=5, max_depth=5)
+        keys = records_to_keys(generate(cfg), width)
+        paths = [k.path_text for k in keys]
+        values = sorted(k.value_int for k in keys)
+        texts = [random_query_text(rng, paths) for _ in range(200)]
+        texts += rng.sample(sorted(set(paths)), 20) + ["/n00/n00/n00/n00/n00/n00", "/n01/zz"]
+        ranges = []
+        for _ in texts:
+            lo = rng.choice(values)
+            ranges.append(ValueRange.closed(lo, rng.choice([v for v in values if v >= lo]), width))
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            for text, vrange in zip(texts, ranges):
+                qpath = parse_query_path(text)
+                got_trace, want_trace = [], []
+                got = run_query(index, qpath, vrange, got_trace)
+                want = run_query_sets(index, qpath, vrange, want_trace)
+                assert (got.refs, got.visited) == (want.refs, want.visited), (scheme, text)
+                assert got_trace == want_trace, (scheme, text)
+
+
+class TestZoAutomatonCache:
+    # Over KEYS, 'a' has code 1 and 'b' code 2; over SWAPPED, the reverse.
+    KEYS = [CompositeKey.make("/a/b", 7, 0), CompositeKey.make("/b/a", 7, 1)]
+    SWAPPED = [CompositeKey.make("/b/a", 7, 0), CompositeKey.make("/a/b", 7, 1)]
+
+    def test_keyed_by_the_label_codes(self):
+        swapped = self.SWAPPED
+        qpath = parse_query_path("//a")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        answers = []
+        for keys in (self.KEYS, swapped):
+            index = build_static(keys, "zo")
+            answers.append(run_query(index, qpath, everything).refs)
+            assert answers[-1] == scan(keys, qpath, everything)
+        assert answers[0] != answers[1]
+        first = ZoContext.from_keys(self.KEYS)
+        assert _automaton(qpath, first) is not _automaton(qpath, ZoContext.from_keys(swapped))
+        equal = ZoContext(codes=dict(first.codes), max_labels=first.max_labels)
+        assert _automaton(qpath, equal) is _automaton(qpath, first)
 
 
 class TestWideValues:
