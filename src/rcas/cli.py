@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import costmodel, dataset, query, trie
 from .dataset import DataError, GeneratorConfig
-from .keys import CompositeKey, Dimension
+from .keys import Dimension, KeySet
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_keys(path: str, width: int) -> tuple[list[dataset.DatasetRecord], list[CompositeKey]]:
+def _load_keys(path: str, width: int) -> tuple[list[dataset.DatasetRecord], KeySet]:
     records = dataset.load_records(path)
     return records, dataset.records_to_keys(records, width)
 
@@ -252,8 +252,7 @@ def cmd_costmodel(args) -> int:
     for flag, sel in (("--sel-path", args.sel_path), ("--sel-value", args.sel_value)):
         if not 0 < sel <= 1:
             raise UsageError(f"{flag} must lie in (0, 1], not {sel}")
-    w = csv.writer(sys.stdout)
-    w.writerow(["vector", "cost_q", "cost_q_complementary", "avg", "stddev"])
+    rows = []
     for name in ("dy", "pv", "vp", "i1", "i2"):
         dims = _vector_for(name, args.height)
         if dims is None:
@@ -269,7 +268,15 @@ def cmd_costmodel(args) -> int:
         c1 = costmodel.estimate_cost(params, include_root=args.include_root)
         c2 = costmodel.estimate_cost(swapped, include_root=args.include_root)
         avg, sd = costmodel.robustness(params, include_root=args.include_root)
-        w.writerow([name, f"{c1:.2f}", f"{c2:.2f}", f"{avg:.2f}", f"{sd:.2f}"])
+        if not all(map(math.isfinite, (c1, c2, avg, sd))):
+            raise UsageError(
+                f"the cost of vector {name} overflows at --fanout {args.fanout}"
+                f" and --height {args.height}"
+            )
+        rows.append([name, f"{c1:.2f}", f"{c2:.2f}", f"{avg:.2f}", f"{sd:.2f}"])
+    w = csv.writer(sys.stdout)
+    w.writerow(["vector", "cost_q", "cost_q_complementary", "avg", "stddev"])
+    w.writerows(rows)
     return 0
 
 

@@ -2,6 +2,11 @@
 
 A dataset file holds one record per line, three ';'-separated fields:
 textual path, decimal unsigned value, and hexadecimal 64-bit reference.
+Blank lines are skipped.  The file is parsed a chunk of lines at a time, in
+a few passes over each chunk; a chunk that fails a check is parsed again
+line by line, so that the error names the first bad line.  Records become
+keys as columns (`keys.KeySet`), each distinct path and value encoded once.
+
 The generator produces reproducible hierarchies with Zipf-skewed values and
 a configurable fraction of duplicate (path, value) pairs, standing in for
 file-system style data whose sizes are heavily skewed towards small values.
@@ -10,19 +15,19 @@ file-system style data whose sizes are heavily skewed towards small values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import filterfalse, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .keys import CompositeKey, encode_path, encode_value
+from .keys import _PATH, _REF, _VALUE, KeySet, PathSyntaxError, _number, encode_path, encode_value
 
 
 class DataError(ValueError):
     """Raised for malformed dataset files or records."""
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetRecord:
+class DatasetRecord(NamedTuple):
     path: str
     value: int
     ref: int
@@ -68,23 +73,49 @@ def _fields(line: str, lineno: int) -> tuple[str, int, int]:
     return path, value, ref
 
 
+_CHUNK_BYTES = 1 << 20  # about this much of the file is parsed at a time
+
+
 def load_records(path: str) -> list[DatasetRecord]:
     """The records of a dataset file.  Records with equal paths share one
     path string."""
-    records = []
+    records: list[DatasetRecord] = []
     paths: dict[str, str] = {}
+    lineno = 1
     try:
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                text, value, ref = _fields(line, lineno)
-                records.append(DatasetRecord(paths.setdefault(text, text), value, ref))
+            while lines := fh.readlines(_CHUNK_BYTES):
+                records += _parse(lines, lineno, paths)
+                lineno += len(lines)
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset {path!r} is not ASCII: {exc}") from exc
     if not records:
         raise DataError(f"dataset {path!r} is empty")
     return records
+
+
+def _parse(lines: list[str], lineno: int, paths: dict[str, str]) -> list[DatasetRecord]:
+    """The records of consecutive lines, the first of which is line `lineno`,
+    with their paths taken from `paths` where equal ones were seen.
+
+    Each line's fields are counted, then all fields come from one split and
+    each column is converted in one pass; if any of that fails, the lines
+    are parsed one by one (`_fields`), which names the first bad line."""
+    kept = list(filterfalse(str.isspace, lines))
+    try:
+        if list(map(str.count, kept, repeat(";"))).count(2) != len(kept):
+            raise ValueError
+        fields = ";".join(kept).split(";")
+        values = list(map(int, fields[1::3]))
+        refs = list(map(int, fields[2::3], repeat(16)))
+        if values and (min(values) < 0 or min(refs) < 0 or max(refs) >= 1 << 64):
+            raise ValueError
+        texts = fields[0::3]
+    except ValueError:
+        parsed = (_fields(line, n) for n, line in enumerate(lines, lineno) if not line.isspace())
+        texts, values, refs = zip(*parsed)
+    texts = map(paths.setdefault, texts, texts)
+    return list(map(DatasetRecord._make, zip(texts, values, refs)))
 
 
 def write_records(records: Iterable[DatasetRecord], path: str) -> None:
@@ -94,23 +125,27 @@ def write_records(records: Iterable[DatasetRecord], path: str) -> None:
             fh.write("\n")
 
 
-def records_to_keys(records: Sequence[DatasetRecord], width: int = 4) -> list[CompositeKey]:
-    path_cache: dict[str, bytes] = {}
-    keys = []
-    for rec in records:
-        encoded = path_cache.get(rec.path)
-        if encoded is None:
+def records_to_keys(records: Sequence[DatasetRecord], width: int = 4) -> KeySet:
+    """The composite keys of the records, as columns: the records' paths and
+    values are numbered, and each distinct one is encoded once.  DataError
+    names the first record whose path or value cannot be encoded."""
+    path_texts, pid = _number(list(map(_PATH, records)))
+    value_ints, vid = _number(list(map(_VALUE, records)))
+    try:
+        paths = list(map(encode_path, path_texts))
+        values = list(map(encode_value, value_ints, repeat(width)))
+    except (PathSyntaxError, OverflowError):
+        for rec in records:
             try:
-                encoded = encode_path(rec.path)
-            except ValueError as exc:
+                encode_path(rec.path)
+            except PathSyntaxError as exc:
                 raise DataError(str(exc)) from exc
-            path_cache[rec.path] = encoded
-        try:
-            value = encode_value(rec.value, width)
-        except OverflowError as exc:
-            raise DataError(f"value {rec.value} does not fit width {width}") from exc
-        keys.append(CompositeKey(encoded, value, rec.ref))
-    return keys
+            try:
+                encode_value(rec.value, width)
+            except OverflowError as exc:
+                raise DataError(f"value {rec.value} does not fit width {width}") from exc
+        raise
+    return KeySet(paths, values, pid, vid, list(map(_REF, records)), width)
 
 
 @dataclass(frozen=True)
@@ -159,25 +194,17 @@ def generate(config: GeneratorConfig) -> list[DatasetRecord]:
     n = config.key_count
     labels = [f"n{i:02d}" for i in range(config.label_alphabet_size)]
 
-    depths = rng.integers(1, config.max_depth + 1, size=n)
-    picks = rng.integers(0, config.label_alphabet_size, size=(n, config.max_depth))
-    values = _zipf_values(rng, n, config.value_skew, config.value_max)
-
-    paths: list[str] = []
-    for i in range(n):
-        d = depths[i]
-        row = picks[i]
-        paths.append("/" + "/".join(labels[row[j]] for j in range(d)))
+    depths = rng.integers(1, config.max_depth + 1, size=n).tolist()
+    picks = rng.integers(0, config.label_alphabet_size, size=(n, config.max_depth)).tolist()
+    values = _zipf_values(rng, n, config.value_skew, config.value_max).tolist()
+    paths = ["/" + "/".join(map(labels.__getitem__, row[:d])) for row, d in zip(picks, depths)]
 
     if config.duplicate_fraction > 0 and n > 1:
         dup_mask = rng.random(n) < config.duplicate_fraction
         dup_mask[0] = False
         src = (rng.random(n) * np.arange(n)).astype(np.int64)
-        for i in np.nonzero(dup_mask)[0]:
-            j = src[i]
+        for i, j in zip(np.flatnonzero(dup_mask).tolist(), src[dup_mask].tolist()):
             paths[i] = paths[j]
             values[i] = values[j]
 
-    return [
-        DatasetRecord(path=paths[i], value=int(values[i]), ref=i + 1) for i in range(n)
-    ]
+    return list(map(DatasetRecord._make, zip(paths, values, range(1, n + 1))))

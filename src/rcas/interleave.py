@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .keys import _DIM_CODE, PATH_TERMINATOR, SLASH, CompositeKey, Dimension, decode_path
+from .keys import _DIM_CODE, PATH_TERMINATOR, SLASH, CompositeKey, Dimension, KeySet, decode_path
 
 STATIC_SCHEMES = ("pv", "vp", "lw", "zo")
 
@@ -51,8 +51,7 @@ class ZoContext:
     @classmethod
     def from_keys(cls, keys: Iterable[CompositeKey]) -> "ZoContext":
         """Number the labels of the keys' distinct paths in first-seen order."""
-        paths = dict.fromkeys(k.path for k in keys)
-        labels = [decode_path(p).split("/")[1:] for p in paths]
+        labels = [decode_path(p).split("/")[1:] for p in KeySet.of(keys).paths]
         codes = dict.fromkeys(chain.from_iterable(labels))
         if len(codes) > _MAX_SURROGATE:
             raise SurrogateOverflow("more than 2^24 - 1 distinct labels")

@@ -29,14 +29,22 @@ import zlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .interleave import STATIC_SCHEMES, ZoContext, _symbols
-from .keys import _DIM_CODE, PATH_TERMINATOR, VALUE_WIDTHS, CompositeKey, Dimension
+from .keys import (
+    _DIM_CODE,
+    _TERMINATOR,
+    PATH_TERMINATOR,
+    VALUE_WIDTHS,
+    CompositeKey,
+    Dimension,
+    KeySet,
+)
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
 
@@ -100,11 +108,6 @@ class RcasIndex:
     build_stats: BuildStats = field(default_factory=BuildStats)
 
 
-_PATH = attrgetter("path")
-_VALUE = attrgetter("value")
-_REF = attrgetter("ref")
-
-
 class _Refs(NamedTuple):
     """The refs of the distinct keys: key i's are refs[start[i] : start[i] + count[i]]."""
 
@@ -113,49 +116,32 @@ class _Refs(NamedTuple):
     count: np.ndarray
 
 
-def _number(items: list) -> tuple[list, np.ndarray]:
-    """The distinct items in order of first occurrence, and the number of
-    each item among them."""
-    ids = dict.fromkeys(items)
-    for i, item in enumerate(ids):
-        ids[item] = i
-    return list(ids), np.fromiter(map(ids.__getitem__, items), np.int64, len(items))
+def _aggregate(keys: KeySet, value_width: int | None) -> tuple[np.ndarray, np.ndarray, _Refs, int]:
+    """Collapse duplicate keys: the path id and the value id (into
+    `keys.paths` and `keys.values`) of each distinct (path, value) pair, the
+    refs of each pair in input order, and the value width.  A pair is one
+    integer over the two ids, so no object is made per key.
 
-
-def _aggregate(
-    keys: Sequence[CompositeKey], value_width: int | None
-) -> tuple[list[bytes], list[bytes], _Refs, int, _Seqs]:
-    """Collapse duplicate keys: the paths and the values of the distinct
-    (path, value) pairs, the refs of each pair in input order, and the value
-    width.  The pairs' paths also come back as sequences, checked to end in
-    their only NUL byte, so that they are prefix-free, as the partitioner
-    needs.
-
-    Paths and values are numbered apart, over the keys' own bytes objects,
-    so that no object is made per key; a pair is then one integer."""
+    The distinct paths are checked to end in their only NUL byte, so that
+    they are prefix-free, as the partitioner needs."""
     if not keys:
         raise ValueError("cannot build an index over an empty key set")
-    width = value_width if value_width is not None else len(keys[0].value)
-    paths, pid = _number(list(map(_PATH, keys)))
-    values, vid = _number(list(map(_VALUE, keys)))
-    for v in values:
-        if len(v) != width:
-            raise ValueError(f"key value width {len(v)} does not match index width {width}")
+    width = keys.width
+    if value_width is not None and value_width != width:
+        raise ValueError(f"key value width {width} does not match index width {value_width}")
     try:
-        refs = np.fromiter(map(_REF, keys), np.uint64, len(keys))
+        refs = np.fromiter(keys.refs, np.uint64, len(keys))
     except OverflowError as exc:
         raise ValueError(f"refs must lie in 0 .. 2**64 - 1 ({exc})") from exc
-    pair, group = np.unique(pid * len(values) + vid, return_inverse=True)
+    paths = keys.paths
+    ends = all(map(bytes.endswith, paths, repeat(_TERMINATOR)))
+    if not ends or b"".join(paths).count(_TERMINATOR) != len(paths):
+        raise ValueError("key paths must end in their only NUL byte")
+    n_values = len(keys.values)
+    pair, group = np.unique(keys.pid * n_values + keys.vid, return_inverse=True)
     count = np.bincount(group, minlength=len(pair))
     grouped = _Refs(refs[np.argsort(group, kind="stable")], np.cumsum(count) - count, count)
-    paths = list(map(paths.__getitem__, (pair // len(values)).tolist()))
-    values = list(map(values.__getitem__, (pair % len(values)).tolist()))
-    seqs = _Seqs.of(paths)
-    nuls = len(seqs.blob) - np.count_nonzero(seqs.data)  # the padding is NUL too
-    last = seqs.data[seqs.start + seqs.size - 1]
-    if nuls != len(paths) + _WINDOW_MAX or not seqs.size.all() or last.any():
-        raise ValueError("key paths must end in their only NUL byte")
-    return paths, values, grouped, width, seqs
+    return pair // n_values, pair % n_values, grouped, width
 
 
 # --- the partitioner --------------------------------------------------------
@@ -165,7 +151,8 @@ _WINDOW_CELLS = 1 << 17  # most (row, symbol) cells one round compares
 
 
 class _Seqs(NamedTuple):
-    """One symbol sequence per distinct key, joined into one blob.
+    """One symbol sequence per distinct key, read from one blob.  Keys with
+    an equal path (or value) read the same bytes of the blob (`take`).
 
     Sequences are read a window of symbols at a time at per-row offsets, so
     a long sequence costs only its own length, never a padded row for every
@@ -196,6 +183,10 @@ class _Seqs(NamedTuple):
         start = np.zeros(len(size), np.int32 if len(blob) < 2**31 else np.int64)
         np.cumsum(size[:-1], out=start[1:])
         return cls(blob, np.frombuffer(blob, dtype), start, size)
+
+    def take(self, ids: np.ndarray) -> "_Seqs":
+        """The sequences ids[0], ids[1], ..., read from this blob."""
+        return self._replace(start=self.start[ids], size=self.size[ids])
 
 
 def _dsc(seqs: _Seqs, rows: np.ndarray, starts: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -471,18 +462,21 @@ def _leaf_refs(refs: _Refs, rows: np.ndarray) -> np.ndarray:
 # --- the builders -----------------------------------------------------------
 
 
-def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> RcasIndex:
+def bulk_load(keys: Iterable[CompositeKey], value_width: int | None = None) -> RcasIndex:
     """Build the dynamically interleaved index for a set of composite keys.
 
     The partitioner (`_partition`) runs over two sequences per distinct
-    key, its path and its value, and starts in the value dimension; each
-    node then branches in the dimension other than its parent's unless that
-    one is used up.  A node's edges take its branching dimension.
+    key, its path and its value, read from blobs of the key set's distinct
+    paths and values (`keys.KeySet`), and starts in the value dimension;
+    each node then branches in the dimension other than its parent's unless
+    that one is used up.  A node's edges take its branching dimension.
     Discriminative byte scans resume at the parent's positions, and each
     pair is moved once per level of its root-to-leaf path.
     """
-    _, values, refs, width, paths = _aggregate(keys, value_width)
-    values = _Seqs.of(values)
+    keys = KeySet.of(keys)
+    pair_p, pair_v, refs, width = _aggregate(keys, value_width)
+    paths = _Seqs.of(keys.paths).take(pair_p)
+    values = _Seqs.of(keys.values).take(pair_v)
     stats = BuildStats()
     arity, nodes = _preorder(_partition([paths, values], refs.count, _V, stats))
     shape = _shape(arity)
@@ -507,7 +501,7 @@ def bulk_load(keys: Sequence[CompositeKey], value_width: int | None = None) -> R
 
 
 def build_static(
-    keys: Sequence[CompositeKey],
+    keys: Iterable[CompositeKey],
     scheme: str,
     ctx: ZoContext | None = None,
     value_width: int | None = None,
@@ -524,9 +518,12 @@ def build_static(
         return bulk_load(keys, value_width)
     if scheme not in STATIC_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    paths, values, refs, width, _ = _aggregate(keys, value_width)
+    keys = KeySet.of(keys)
+    pair_p, pair_v, refs, width = _aggregate(keys, value_width)
     if scheme == "zo" and ctx is None:
         ctx = ZoContext.from_keys(keys)
+    paths = list(map(keys.paths.__getitem__, pair_p.tolist()))
+    values = list(map(keys.values.__getitem__, pair_v.tolist()))
     symbols, size = _symbols(paths, values, scheme, ctx)
     del paths, values
     tagged = _Seqs.empty(size, "<u2")

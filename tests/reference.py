@@ -10,7 +10,8 @@ the keys that carry it.  The static interleavings are built one key at a
 time, chunk by chunk (`static_tagged`), to check the batch tagger of
 `rcas.interleave`.  The query loop is restated over NFA state sets and a
 (pos, lopen, hopen) range state (`run_query_sets`), to check the integer
-states of `rcas.query.run_query`.
+states of `rcas.query.run_query`.  Records become keys one at a time
+(`record_keys`), to check the columnar `rcas.dataset.records_to_keys`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from rcas import query
+from rcas.dataset import DataError, DatasetRecord
 from rcas.interleave import ZoContext
-from rcas.keys import _DIM_CODE, CompositeKey, Dimension
+from rcas.keys import _DIM_CODE, CompositeKey, Dimension, encode_path, encode_value
 from rcas.query import QueryPath, QueryResult, ValueRange
 from rcas.trie import NODE_KINDS, RcasIndex
 
@@ -340,3 +342,20 @@ def run_query_sets(
             admitted.append(index.echild[e])
         stack += [(c, vstate, pstate) for c in reversed(admitted)]
     return QueryResult(refs=refs, visited=visited)
+
+
+def record_keys(records: Sequence[DatasetRecord], width: int = 4) -> list[CompositeKey]:
+    """One key per record, in order, each encoded on its own; DataError for
+    the first record whose path or value cannot be encoded."""
+    keys = []
+    for rec in records:
+        try:
+            path = encode_path(rec.path)
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
+        try:
+            value = encode_value(rec.value, width)
+        except OverflowError as exc:
+            raise DataError(f"value {rec.value} does not fit width {width}") from exc
+        keys.append(CompositeKey(path, value, rec.ref))
+    return keys

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 
@@ -267,6 +268,18 @@ class TestCostModel:
         assert code == 1
         assert out == ""
         assert err.startswith(f"usage error: {flag} must ")
+
+    @pytest.mark.parametrize("fanout,height", [("1e300", "2"), ("1e200", "12")])
+    def test_overflowing_costs_are_usage_errors(self, capsys, fanout, height):
+        code, out, err = run_cli(capsys, "costmodel", "--fanout", fanout, "--height", height)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: the cost of vector dy overflows")
+
+    def test_large_finite_costs_are_printed(self, capsys):
+        code, out, _ = run_cli(capsys, "costmodel", "--height", "400")
+        assert code == 0
+        assert all(math.isfinite(float(x)) for r in csv_rows(out)[1:] for x in r[1:])
 
     def test_boundary_arguments_are_accepted(self, capsys):
         args = ["--height", "1", "--sel-path", "1", "--sel-value", "1", "--fanout", "0.5"]

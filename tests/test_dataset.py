@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from rcas import dataset
 from rcas.dataset import (
     BOM_EXAMPLE,
     DataError,
@@ -11,6 +14,10 @@ from rcas.dataset import (
     write_records,
     _fields,
 )
+from rcas.keys import KeySet
+from rcas.trie import bulk_load
+
+from reference import record_keys
 
 
 def parse_line(line: str) -> DatasetRecord:
@@ -63,6 +70,130 @@ class TestLineFormat:
             load_records(str(target))
 
 
+def load_text(tmp_path, text: str, newline: str = "\n") -> list[DatasetRecord]:
+    target = tmp_path / "data.csv"
+    target.write_bytes(text.replace("\n", newline).encode("ascii"))
+    return load_records(str(target))
+
+
+def first_error(tmp_path, text: str) -> str:
+    with pytest.raises(DataError) as info:
+        load_text(tmp_path, text)
+    return str(info.value)
+
+
+class TestChunkedLoad:
+    """`load_records` parses chunks of lines; with chunks of a few lines,
+    every check meets a chunk boundary."""
+
+    LINES = [f"/a/n{i};{i * 7};{i:x}" for i in range(1, 41)]
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", 40)
+
+    def test_many_chunks_parse_as_one(self, tmp_path, small_chunks):
+        records = load_text(tmp_path, "\n".join(self.LINES) + "\n")
+        assert records == [parse_line(line) for line in self.LINES]
+        assert all(type(r) is DatasetRecord for r in records)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("oops", "expected 3 ';'-separated fields, got 1"),
+            ("/a;1;2;3", "expected 3 ';'-separated fields, got 4"),
+            ("/a;-1;2", "bad value field '-1'"),
+            ("/a;x;2", "bad value field 'x'"),
+            ("/a;1;zz", "bad reference field 'zz'"),
+            ("/a;1;-5", "bad reference field '-5'"),
+            ("/a;1;" + "f" * 17, "bad reference field '" + "f" * 17 + "'"),
+        ],
+    )
+    @pytest.mark.parametrize("at", [0, 1, 22, 39])
+    def test_bad_line_reports_its_own_number(self, tmp_path, small_chunks, bad, message, at):
+        lines = list(self.LINES)
+        lines[at] = bad
+        assert first_error(tmp_path, "\n".join(lines) + "\n") == f"line {at + 1}: {message}"
+
+    def test_fields_are_counted_per_line(self, tmp_path, small_chunks):
+        # two and four fields balance out over the chunk, not per line, and
+        # split together they would make two records of integer fields
+        lines = list(self.LINES)
+        lines[25], lines[26] = "5;6", "7;8;9;a"
+        assert first_error(tmp_path, "\n".join(lines)) == "line 26: expected 3 ';'-separated fields, got 2"
+
+    def test_one_chunk_names_the_same_line(self, tmp_path):
+        lines = list(self.LINES)
+        lines[30] = "/a;1;zz"
+        assert first_error(tmp_path, "\n".join(lines)) == "line 31: bad reference field 'zz'"
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path, small_chunks):
+        text = "\n".join(self.LINES[:3] + ["", "   ", "\t", ""] + self.LINES[3:])
+        assert load_text(tmp_path, text) == [parse_line(line) for line in self.LINES]
+        message = "line 49: expected 3 ';'-separated fields, got 1"
+        assert first_error(tmp_path, "\n\n \n" + text + "\n\nbad\n") == message
+        assert first_error(tmp_path, " \n\t\n\n") == f"dataset {str(tmp_path / 'data.csv')!r} is empty"
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_line_ends_do_not_matter(self, tmp_path, monkeypatch, chunked):
+        if chunked:
+            monkeypatch.setattr(dataset, "_CHUNK_BYTES", 40)
+        text = "\n".join(self.LINES) + "\n"
+        lf = load_text(tmp_path, text)
+        assert load_text(tmp_path, text.rstrip("\n")) == lf
+        assert load_text(tmp_path, text, newline="\r\n") == lf
+        assert load_text(tmp_path, text.rstrip("\n"), newline="\r\n") == lf
+
+
+class TestRecordsToKeys:
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_equals_one_key_per_record(self, seed, width):
+        records = generate(GeneratorConfig(seed=seed, key_count=3000, duplicate_fraction=0.3))
+        keys = records_to_keys(records, width)
+        assert isinstance(keys, KeySet)
+        assert keys.width == width
+        assert list(keys) == record_keys(records, width)
+        assert list(records_to_keys(BOM_EXAMPLE, width)) == record_keys(BOM_EXAMPLE, width)
+
+    def test_refs_share_the_records_ints(self):
+        records = generate(GeneratorConfig(seed=3, key_count=50))
+        keys = records_to_keys(records)
+        assert all(k.ref is r.ref for k, r in zip(keys, records))
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [("/a", 1, 1), ("/b", 1 << 40, 2), ("b/", 1, 3)],
+            [("/a", 1, 1), ("/b/", 1, 2), ("/c", 1 << 40, 3)],
+            [("/a", 1, 1), ("/a/\x01", 1 << 40, 2)],
+            [("/a", 1, 1), ("/a", -1, 2)],
+        ],
+    )
+    def test_first_offending_record_is_named(self, records):
+        records = [DatasetRecord(*r) for r in records]
+        with pytest.raises(DataError) as expected:
+            record_keys(records, 4)
+        with pytest.raises(DataError) as got:
+            records_to_keys(records, 4)
+        assert str(got.value) == str(expected.value)
+
+    def test_unsupported_width_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unsupported value width"):
+            records_to_keys(BOM_EXAMPLE, 3)
+
+    def test_empty_records_give_an_empty_key_set(self):
+        keys = records_to_keys([], 8)
+        assert len(keys) == 0 and keys.width == 8
+        with pytest.raises(ValueError, match="^cannot build an index over an empty key set$"):
+            bulk_load(keys)
+
+    def test_wide_refs_are_rejected_at_build(self):
+        keys = records_to_keys([DatasetRecord("/a", 1, 1), DatasetRecord("/b", 2, 2**64)])
+        with pytest.raises(ValueError, match="^refs must lie in 0 .. 2\\*\\*64 - 1"):
+            bulk_load(keys)
+
+
 class TestExample:
     def test_eight_records_seven_distinct(self):
         assert len(BOM_EXAMPLE) == 8
@@ -109,6 +240,25 @@ class TestGenerator:
         med_skewed = sorted(r.value for r in skewed)[1000]
         med_flat = sorted(r.value for r in flat)[1000]
         assert med_skewed < med_flat
+
+    def test_records_are_pinned(self):
+        # a digest of the generator's output, so that a faster generator
+        # must still make the same records for every config
+        digest = hashlib.sha1()
+        for seed in (1, 5, 711):
+            for cfg in (
+                GeneratorConfig(seed=seed, key_count=3000),
+                GeneratorConfig(
+                    seed=seed, key_count=500, label_alphabet_size=3, max_depth=2, duplicate_fraction=0.0
+                ),
+                GeneratorConfig(
+                    seed=seed, key_count=800, value_skew=0.0, duplicate_fraction=0.5, value_max=1 << 40
+                ),
+                GeneratorConfig(seed=seed, key_count=1),
+            ):
+                for r in generate(cfg):
+                    digest.update(f"{r.path};{r.value};{r.ref}\n".encode())
+        assert digest.hexdigest() == "7988338c2d4de89094e6f7e1e55a2211d82a5e1c"
 
     def test_zero_count_rejected(self):
         with pytest.raises(DataError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcas import interleave
-from rcas.dataset import GeneratorConfig, generate, records_to_keys
+from rcas.dataset import DatasetRecord, GeneratorConfig, generate, records_to_keys
 from rcas.interleave import STATIC_SCHEMES, SurrogateOverflow, ZoContext, _symbols, static_interleave
 from rcas.keys import CompositeKey, Dimension
 from rcas.trie import _dsc, _Seqs, build_static
@@ -387,6 +387,13 @@ class TestZoErrors:
             ctx.surrogate("/a/b")
         with pytest.raises(KeyError, match="'b' missing from the surrogate dictionary"):
             build_static([CompositeKey.make("/a", 1, 0), CompositeKey.make("/a/b", 1, 1)], "zo", ctx)
+
+    def test_codes_in_first_seen_order(self):
+        records = [DatasetRecord(p, 1, i) for i, p in enumerate(["/c/a", "/b", "/c/a", "/a/d/c"])]
+        for keys in (records_to_keys(records), list(records_to_keys(records))):
+            ctx = ZoContext.from_keys(keys)
+            assert ctx.codes == {"c": 1, "a": 2, "b": 3, "d": 4}
+            assert ctx.max_labels == 3
 
     def test_surrogate_overflow(self, monkeypatch):
         monkeypatch.setattr(interleave, "_MAX_SURROGATE", 3)

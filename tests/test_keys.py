@@ -1,9 +1,14 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rcas import keys as keys_module
 from rcas.keys import (
     CompositeKey,
     Dimension,
+    KeySet,
     PathSyntaxError,
     decode_path,
     decode_value,
@@ -11,6 +16,7 @@ from rcas.keys import (
     encode_value,
 )
 
+from conftest import random_keys
 from reference import byte_at, complement, dim_bytes
 
 
@@ -40,10 +46,26 @@ def test_encode_path_reference_cases():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "a/b", "/a//b", "/a/", "/", "/a\x00b", "/café", "/a\tb"],
+    ["", "a/b", "/a//b", "/a/", "/", "/a\x00b", "/café", "/a\tb", "/a\x01", "/a\x7f"],
 )
 def test_encode_path_rejects_malformed(bad):
     with pytest.raises(PathSyntaxError):
+        encode_path(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("/a\x01\x02", "unprintable byte 0x01"),
+        ("/a b/\x7f\x1f", "unprintable byte 0x7F"),
+        ("/a\x01//", "unprintable byte 0x01"),
+        ("/", "empty label"),
+        ("/a/", "empty label"),
+        ("/a//b", "empty label"),
+    ],
+)
+def test_encode_path_names_the_first_fault(bad, message):
+    with pytest.raises(PathSyntaxError, match=message):
         encode_path(bad)
 
 
@@ -99,3 +121,61 @@ def test_encoded_paths_are_prefix_free(p, q):
     if p != q:
         assert not eq.startswith(ep)
         assert not ep.startswith(eq)
+
+
+class TestKeySet:
+    KEYS = random_keys(random.Random(13), 60)
+
+    def test_of_numbers_paths_and_values_in_first_seen_order(self):
+        ks = KeySet.of(self.KEYS)
+        assert ks.paths == list(dict.fromkeys(k.path for k in self.KEYS))
+        assert ks.values == list(dict.fromkeys(k.value for k in self.KEYS))
+        assert ks.pid.dtype == ks.vid.dtype == np.int64
+        assert ks.width == 4
+        assert list(ks) == self.KEYS
+        assert KeySet.of(ks) is ks
+        assert list(KeySet.of(iter(self.KEYS))) == self.KEYS
+
+    def test_keys_share_the_column_objects(self):
+        ks = KeySet.of(self.KEYS)
+        for i, k in enumerate(ks):
+            assert k.path is ks.paths[ks.pid[i]]
+            assert k.value is ks.values[ks.vid[i]]
+            assert k.ref is ks.refs[i]
+
+    def test_int_and_negative_indexing(self):
+        ks = KeySet.of(self.KEYS)
+        n = len(self.KEYS)
+        assert len(ks) == n
+        for i in (0, 1, n - 1, -1, -n):
+            assert ks[i] == self.KEYS[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ks[i]
+
+    @pytest.mark.parametrize(
+        "cut", [slice(2, 9), slice(None, None, -3), slice(40, 5, -1), slice(7, 7), slice(-5, None)]
+    )
+    def test_slices_are_key_sets_over_their_own_paths_and_values(self, cut):
+        ks = KeySet.of(self.KEYS)[cut]
+        assert isinstance(ks, KeySet)
+        assert list(ks) == self.KEYS[cut]
+        expected = KeySet.of(self.KEYS[cut])
+        assert (ks.paths, ks.values, ks.refs) == (expected.paths, expected.values, expected.refs)
+        assert ks.pid.tolist() == expected.pid.tolist()
+        assert ks.vid.tolist() == expected.vid.tolist()
+
+    def test_iteration_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(keys_module, "_CHUNK", 7)
+        assert list(KeySet.of(self.KEYS)) == self.KEYS
+
+    def test_empty(self):
+        ks = KeySet.of([])
+        assert len(ks) == 0 and not ks and list(ks) == []
+        assert ks.width == 0
+
+    def test_mixed_widths_rejected(self):
+        a = CompositeKey.make("/a", 1, 1, width=4)
+        b = CompositeKey.make("/b", 1, 2, width=8)
+        with pytest.raises(ValueError, match="^key value width 8 does not match index width 4$"):
+            KeySet.of([a, b])

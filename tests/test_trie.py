@@ -136,6 +136,20 @@ class TestBulkLoad:
                 with pytest.raises(ValueError, match="refs"):
                     build_static(keys, scheme)
 
+    def test_errors_name_the_fault(self):
+        four, eight = CompositeKey.make("/a", 1, 1, width=4), CompositeKey.make("/b", 1, 2, width=8)
+        cases = [
+            ([], {}, "cannot build an index over an empty key set"),
+            ([four, eight], {}, "key value width 8 does not match index width 4"),
+            ([four], {"value_width": 8}, "key value width 4 does not match index width 8"),
+            ([four, CompositeKey(b"/c\x00", four.value, 2**64)], {}, "refs must lie in 0 .. 2**64 - 1 ("),
+        ]
+        for keys, kwargs, message in cases:
+            for scheme in SCHEMES:
+                with pytest.raises(ValueError) as info:
+                    build_static(keys, scheme, **kwargs)
+                assert str(info.value).startswith(message)
+
     def test_leaves_reproduce_input_multiset(self):
         rng = random.Random(4040)
         for _ in range(60):
@@ -374,6 +388,32 @@ def _chain_index(depth: int) -> RcasIndex:
 def _build_counters(keys):
     stats = bulk_load(keys).build_stats
     return stats.byte_scans, stats.moves
+
+
+class TestKeySetInput:
+    """The builders read a key set's columns; a plain list of keys is
+    numbered into one first, and gives the same index."""
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_same_file_from_a_list_and_a_key_set(self, width):
+        cfg = GeneratorConfig(seed=21, key_count=1500, duplicate_fraction=0.3)
+        keys = records_to_keys(generate(cfg), width)
+        plain = list(keys)
+        assert type(plain[0]) is CompositeKey
+        ctx = ZoContext.from_keys(keys)
+        assert ctx == ZoContext.from_keys(plain)
+        for scheme in SCHEMES:
+            a, b = build_static(keys, scheme, ctx), build_static(plain, scheme, ctx)
+            assert save_bytes(a) == save_bytes(b)
+            assert a.build_stats == b.build_stats
+            assert collect_stats(a) == collect_stats(b)
+        assert save_bytes(bulk_load(keys)) == save_bytes(bulk_load(plain))
+
+    def test_slices_build_their_own_keys(self):
+        keys = records_to_keys(generate(GeneratorConfig(seed=22, key_count=600)))
+        part = keys[100:400:3]
+        for scheme in SCHEMES:
+            assert save_bytes(build_static(part, scheme)) == save_bytes(build_static(list(part), scheme))
 
 
 class TestBuildInstrumentation:
