@@ -33,9 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_keys(path: str, width: int) -> tuple[list[dataset.DatasetRecord], KeySet]:
-    records = dataset.load_records(path)
-    return records, dataset.records_to_keys(records, width)
+def _load_keys(path: str, width: int) -> KeySet:
+    return dataset.records_to_keys(dataset.load_records(path), width)
 
 
 def cmd_generate(args) -> int:
@@ -78,7 +77,7 @@ def _print_stats_csv(stats: trie.IndexStats, out) -> None:
 
 
 def cmd_build(args) -> int:
-    records, keys = _load_keys(args.dataset, args.width)
+    keys = _load_keys(args.dataset, args.width)
     started = time.perf_counter()
     index = trie.build_static(keys, args.scheme, value_width=args.width)
     elapsed = time.perf_counter() - started
@@ -91,7 +90,7 @@ def cmd_build(args) -> int:
     w = csv.writer(sys.stdout)
     w.writerow(["section", "metric", "value"])
     w.writerow(["build", "scheme", index.scheme])
-    w.writerow(["build", "records", len(records)])
+    w.writerow(["build", "records", len(keys)])
     w.writerow(["build", "build_seconds", f"{elapsed:.6f}"])
     w.writerow(["build", "byte_scans", index.build_stats.byte_scans])
     w.writerow(["build", "partition_moves", index.build_stats.moves])
@@ -107,7 +106,7 @@ def _obtain_index(args) -> trie.RcasIndex:
             raise DataError(f"index file {args.load!r}: {exc}") from exc
     if not args.dataset:
         raise UsageError("either --load or --dataset is required")
-    _, keys = _load_keys(args.dataset, args.width)
+    keys = _load_keys(args.dataset, args.width)
     return trie.build_static(keys, args.scheme, value_width=args.width)
 
 
@@ -154,7 +153,7 @@ def _parse_query_line(line: str, lineno: int) -> tuple[query.QueryPath, int, int
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise UsageError(f"--repeat must be at least 1, not {args.repeat}")
-    records, keys = _load_keys(args.dataset, args.width)
+    keys = _load_keys(args.dataset, args.width)
     queries = []
     try:
         with open(args.queries, "r", encoding="ascii") as fh:
@@ -221,9 +220,6 @@ def cmd_bench(args) -> int:
 
 
 _NAMED_VECTORS: dict[str, tuple[str, ...]] = {
-    "dy": (),
-    "pv": (),
-    "vp": (),
     "i1": ("V", "V", "V", "V", "P", "V", "P", "V", "P", "P", "P", "P"),
     "i2": ("V", "V", "V", "P", "P", "V", "P", "V", "V", "P", "P", "P"),
 }

@@ -68,9 +68,6 @@ class ZoContext:
             return None
         return code.to_bytes(_SURROGATE_WIDTH, "big")
 
-    def surrogate(self, path_text: str) -> bytes:
-        return self._surrogates([path_text]).tobytes()
-
     def _surrogates(self, path_texts: Sequence[str]) -> np.ndarray:
         """The surrogate path of each path, one row of `path_width` bytes:
         its label codes, then zero codes up to `max_labels`."""

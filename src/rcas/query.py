@@ -27,8 +27,9 @@ and the z-order index's fixed-width label surrogates, which end by position.
 A node's children are sorted by edge byte, so those that can pass are found
 by bisecting to a byte window: the value bounds still closed at a value
 node, the hull of the path state at a path node.  A label-wise node whose
-edges span both dimensions is scanned whole.  Compiled automata are cached,
-and a query starts on an empty DFA once the cached one passes its bounds.
+edges span both dimensions is scanned whole.  Each index keeps the DFAs of
+its queries (`RcasIndex.dfas`), and a query starts on an empty DFA once the
+kept one passes its bounds; literals are built per query.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .keys import (
@@ -263,10 +263,12 @@ _LIVE_ROW = (0,) * 256  # a row that follows every byte
 _NO_MEMO: dict[bytes, int] = {}  # a memo that stays empty
 
 # The most states and memo entries a lazy DFA holds when a query starts.  A
-# DFA past either bound is replaced by an empty one, so an automaton kept in
-# the compiled-query cache stays bounded however many nodes it has been fed.
+# DFA past either bound is replaced by an empty one, so a DFA kept by an
+# index stays bounded however many nodes it has been fed.
 _STATE_CACHE_MAX = 1024
 _MEMO_CACHE_MAX = 4096
+# The most DFAs one index keeps; a new query path on a full index empties it.
+_DFAS_MAX = 256
 
 _NEW_STATE = threading.Lock()  # concurrent queries never give a state two ids
 
@@ -279,14 +281,13 @@ class _PathAutomaton:
     completion of the path is accepted; reaching one matches a whole subtree
     before its paths end.  Paths that end at a terminator have `width` 0;
     the others complete once `width` bytes have been consumed, and then
-    their states must meet `accepts`.  Queries run the NFA as its `dfa`.
+    their states must meet `accepts`.  Queries run the NFA as a `_LazyDfa`.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.accepts = self.universal = frozenset()
         self.edges: list[list[tuple[bytes, int]]] = [[]]
-        self._dfa: _LazyDfa | None = None
 
     def edge(self, s: int, byte_class: bytes, t: int | None = None) -> int:
         """Add an edge from state `s` to `t`, or to a new state; returns
@@ -303,14 +304,6 @@ class _PathAutomaton:
         for cls in classes[:-1]:
             s = self.edge(s, cls)
         return self.edge(s, classes[-1], end)
-
-    def dfa(self) -> _LazyDfa:
-        """The DFA a query starts with: the last one, unless it has passed a
-        bound.  A running query keeps its own, so its ids stay valid."""
-        dfa = self._dfa
-        if dfa is None or len(dfa.rows) > _STATE_CACHE_MAX or dfa.memo_size > _MEMO_CACHE_MAX:
-            dfa = self._dfa = _LazyDfa(self)
-        return dfa
 
 
 class _LazyDfa:
@@ -377,7 +370,6 @@ class _LazyDfa:
         return t
 
 
-@lru_cache(maxsize=256)
 def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
     """Automaton over ASCII paths: '/'-prefixed labels, then the terminator.
 
@@ -412,18 +404,15 @@ def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
     return a
 
 
-@lru_cache(maxsize=256)
-def _compile_zo(qpath: QueryPath, path_width: int, codes: tuple) -> _PathAutomaton:
-    """Automaton over z-order surrogate paths of `path_width` bytes, where
-    `codes` holds the code of each named label of the query, in order, and
-    None for a label absent from the data.
+def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
+    """Automaton over the z-order surrogate paths of the context `ctx`,
+    which are `ctx.path_width` bytes long.
 
     Labels are 3-byte codes, and shorter paths are padded with all-zero
     units up to the fixed path width.  There is no terminator, so a path
     completes by position, once all of its surrogate bytes are fed.
     """
-    a = _PathAutomaton(width=path_width)
-    named = iter(codes)
+    a = _PathAutomaton(width=ctx.path_width)
     cur = 0
     for step in qpath.steps:
         if step.axis is Axis.DESCENDANT:
@@ -435,7 +424,7 @@ def _compile_zo(qpath: QueryPath, path_width: int, codes: tuple) -> _PathAutomat
             a.chain(cur, [_ZERO, _ZERO, _NONZERO], boundary)
             cur = boundary
         else:
-            code = next(named)
+            code = ctx.code_bytes(step.label)
             if code is None:
                 return a  # the label is absent from the data: nothing matches
             cur = a.chain(cur, [_SINGLE[c] for c in code])
@@ -501,24 +490,33 @@ def _compile_literal(labels: tuple[str, ...], ctx: ZoContext | None) -> _PathLit
 
 
 def _automaton(qpath: QueryPath, ctx: ZoContext | None) -> _PathAutomaton:
-    """The cached automaton of `qpath`; `ctx` is the z-order context, None
-    for ASCII paths.  A z-order automaton is keyed by what fixes it: the
-    query, the path width and the codes of the query's named labels."""
-    if ctx is None:
-        return _compile_ascii(qpath)
-    codes = tuple(ctx.code_bytes(step.label) for step in qpath.steps if step.label is not None)
-    return _compile_zo(qpath, ctx.path_width, codes)
+    """The automaton of `qpath`; `ctx` is the z-order context, None for
+    ASCII paths."""
+    return _compile_ascii(qpath) if ctx is None else _compile_zo(qpath, ctx)
 
 
-def _matcher(qpath: QueryPath, ctx: ZoContext | None):
-    """The path matcher for `qpath`, chosen by its shape: a literal when
-    every step is a named child step and there is no trailing ``//``, the
-    automaton's DFA otherwise."""
+def _matcher(index: RcasIndex, qpath: QueryPath):
+    """The path matcher for `qpath` on `index`, chosen by its shape: a
+    literal when every step is a named child step and there is no trailing
+    ``//``, otherwise the DFA the index keeps for `qpath`, made anew once it
+    passes a bound.  A running query keeps its own, so its ids stay valid.
+    Each step on `index.dfas` is one dict call and needs no lock: a race
+    can only drop a DFA or keep one more, never hand a query a wrong one."""
+    ctx = index.zo_ctx if index.scheme == "zo" else None
+    assert ctx is not None or index.scheme != "zo"
     if qpath.trailing is not Trailing.DESCENDANT and qpath.steps:
         axes, labels = zip(*qpath.steps)
         if Axis.DESCENDANT not in axes and None not in labels:
             return _compile_literal(labels, ctx)
-    return _automaton(qpath, ctx).dfa()
+    dfas = index.dfas
+    dfa = dfas.get(qpath)
+    if dfa is None:
+        if len(dfas) >= _DFAS_MAX:
+            dfas.clear()
+        dfa = dfas[qpath] = _LazyDfa(_automaton(qpath, ctx))
+    elif len(dfa.rows) > _STATE_CACHE_MAX or dfa.memo_size > _MEMO_CACHE_MAX:
+        dfa = dfas[qpath] = _LazyDfa(dfa.nfa)
+    return dfa
 
 
 # --- query evaluation over an index ------------------------------------------
@@ -556,9 +554,7 @@ def run_query(
         raise ValueError(
             f"range width {vrange.width} does not match index width {index.value_width}"
         )
-    ctx = index.zo_ctx if index.scheme == "zo" else None
-    assert ctx is not None or index.scheme != "zo"
-    matcher = _matcher(qpath, ctx)
+    matcher = _matcher(index, qpath)
     rows, hulls, pmatched, memo = matcher.rows, matcher.hulls, matcher.matched, matcher.memo
     feed = matcher.feed
     low, high = vrange.low, vrange.high

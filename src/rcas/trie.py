@@ -18,7 +18,8 @@ file format (`RCAS2`) stores them column by column.  Nothing recurses, so
 the depth of a trie is not bounded by the interpreter's recursion limit.
 
 Indexes are immutable once built: there is no insert or delete path, and any
-number of readers may traverse a built index concurrently.
+number of readers may traverse one concurrently.  An index keeps the DFAs of
+the queries run on it (`RcasIndex.dfas`); saving and equality ignore them.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class RcasIndex:
     subtree, in pre-order and each leaf's in input order, are
     `refs[reflo[i] : reflo[end[i]]]`.  `refs` is a list, so that a query
     collecting a subtree copies references to existing ints instead of
-    making one per ref.
+    making one per ref.  `dfas` keeps the DFA of each query path run on the
+    index (`query._matcher`); it is not saved, compared or shown in `repr`.
     """
 
     dim: bytes
@@ -106,6 +108,7 @@ class RcasIndex:
     scheme: str = "rcas"
     zo_ctx: ZoContext | None = None
     build_stats: BuildStats = field(default_factory=BuildStats)
+    dfas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class _Refs(NamedTuple):
@@ -576,6 +579,11 @@ _POINTER_BYTES = 8
 
 @dataclass
 class IndexStats:
+    """Structural statistics (`collect_stats`).  `size_estimate` is the
+    paper's size model: the bytes of the adaptive node layout (4/16/48/256
+    child slots; Leis et al., ICDE 2013), not those of the flat index, whose
+    measured size is its saved file (`index_bytes_per_key`)."""
+
     node_count: int
     leaf_count: int
     depth_histogram: dict[int, int]
@@ -592,11 +600,13 @@ _DIM_NAMES = tuple(d.value for d in (Dimension.P, Dimension.V, Dimension.BOT))
 
 
 def collect_stats(index: RcasIndex) -> IndexStats:
-    """Depth and node-type histograms plus a byte-size estimate.
+    """Depth and node-type histograms plus the size model of the paper.
 
     An inner node's kind is the smallest capacity class of `NODE_KINDS`
     that holds its children (those of a label-wise node over 256 share the
-    largest), and a `_MIXED` node counts under its first edge's dimension."""
+    largest), and a `_MIXED` node counts under its first edge's dimension.
+    The size estimate models these adaptive nodes, not the flat index, whose
+    measured size is the bytes of its saved file."""
     dim = np.frombuffer(index.dim, np.uint8)
     n = len(dim)
     depth = _down(np.ones(n, np.int64), np.frombuffer(index.end, np.int32))

@@ -296,7 +296,7 @@ class TestStaticInterleavings:
         # first-seen order over the example: bom, item, canoe, carabiner, car, ...
         assert ctx.codes["bom"] == 1
         assert ctx.codes["item"] == 2
-        s = ctx.surrogate("/bom/item/canoe")
+        s = ctx._surrogates(["/bom/item/canoe"]).tobytes()
         assert len(s) == 12
         assert s[:6] == b"\x00\x00\x01\x00\x00\x02"
         assert s[9:] == b"\x00\x00\x00"  # padded to the deepest path
@@ -304,7 +304,7 @@ class TestStaticInterleavings:
         # ceil(4/12) = 1 value byte then ceil(12/4) = 3 path bytes per round
         dims = [d for _, d in zo]
         assert dims == [V, P, P, P] * 4
-        assert bytes(b for b, d in zo if d is P) == ctx.surrogate("/bom/item/car/brake")
+        assert bytes(b for b, d in zo if d is P) == ctx._surrogates(["/bom/item/car/brake"]).tobytes()
         assert bytes(b for b, d in zo if d is V) == bom_named["k6"].value
 
     def test_zo_requires_context(self, bom_named):
@@ -377,14 +377,14 @@ class TestZoErrors:
     def test_path_deeper_than_context(self):
         ctx = ZoContext(codes={"a": 1}, max_labels=1)
         with pytest.raises(ValueError, match="'/a/a' is deeper than the surrogate context"):
-            ctx.surrogate("/a/a")
+            ctx._surrogates(["/a/a"]).tobytes()
         with pytest.raises(ValueError, match="'/a/a' is deeper than the surrogate context"):
             build_static([CompositeKey.make("/a", 1, 0), CompositeKey.make("/a/a", 1, 1)], "zo", ctx)
 
     def test_label_missing_from_context(self):
         ctx = ZoContext(codes={"a": 1}, max_labels=2)
         with pytest.raises(KeyError, match="'b' missing from the surrogate dictionary"):
-            ctx.surrogate("/a/b")
+            ctx._surrogates(["/a/b"]).tobytes()
         with pytest.raises(KeyError, match="'b' missing from the surrogate dictionary"):
             build_static([CompositeKey.make("/a", 1, 0), CompositeKey.make("/a/b", 1, 1)], "zo", ctx)
 

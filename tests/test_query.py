@@ -1,6 +1,9 @@
+import gc
 import random
 import sys
 import threading
+import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -22,9 +25,9 @@ from rcas.query import (
     _MEMO_CACHE_MAX,
     _RANGE_MATCHED,
     _STATE_CACHE_MAX,
+    _LazyDfa,
     _PathLiteral,
     _automaton,
-    _compile_ascii,
     _feed_range,
     cas_query,
     parse_query_path,
@@ -35,7 +38,7 @@ from rcas.query import (
 from rcas.trie import SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
-from reference import run_query_sets
+from reference import run_query_sets, surrogate
 from treeview import root
 
 
@@ -223,7 +226,7 @@ class TestMatchPath:
 
     @staticmethod
     def feed(q, data, fed=None):
-        dfa, state, _ = fed if fed is not None else (_compile_ascii(q).dfa(), None, False)
+        dfa, state, _ = fed if fed is not None else (_LazyDfa(_automaton(q, None)), None, False)
         if state is None:
             state = dfa.start
         t = dfa.feed(state, data)
@@ -332,13 +335,14 @@ def _assert_same_outcomes(literal, dfa, data: bytes, cuts: list[int]) -> None:
         lstate, astate = lfed, afed
 
 
-def _automaton_matcher(qpath, ctx):
-    return _automaton(qpath, ctx).dfa()
+def _automaton_matcher(index, qpath):
+    return _LazyDfa(_automaton(qpath, index.zo_ctx))
 
 
 def _literal_of(qpath, ctx) -> _PathLiteral:
     """The matcher of an exact query, which is its literal."""
-    literal = query._matcher(qpath, ctx)
+    index = SimpleNamespace(scheme="rcas" if ctx is None else "zo", zo_ctx=ctx, dfas={})
+    literal = query._matcher(index, qpath)
     assert isinstance(literal, _PathLiteral)
     return literal
 
@@ -374,7 +378,7 @@ class TestPathLiteral:
         text = "/" + "/".join(stored)
         data = text.encode("ascii") + b"\x00"
         literal = _literal_of(qpath, None)
-        _assert_same_outcomes(literal, _compile_ascii(qpath).dfa(), data, cuts)
+        _assert_same_outcomes(literal, _LazyDfa(_automaton(qpath, None)), data, cuts)
         fed = literal.feed(literal.start, data)
         assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
 
@@ -384,23 +388,23 @@ class TestPathLiteral:
         ctx = self.ZO_CTX
         qpath = self._query(labels, form, stored, trailing_slash)
         text = "/" + "/".join(stored)
-        data = ctx.surrogate(text)
+        data = surrogate(ctx, text)
         literal = _literal_of(qpath, ctx)
-        _assert_same_outcomes(literal, _automaton(qpath, ctx).dfa(), data, cuts)
+        _assert_same_outcomes(literal, _LazyDfa(_automaton(qpath, ctx)), data, cuts)
         fed = literal.feed(literal.start, data)
         assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
 
     def test_zo_literal_is_padded_codes(self):
         ctx = self.ZO_CTX
-        assert _literal_of(parse_query_path("/car"), ctx).lit == ctx.surrogate("/car")
-        assert _literal_of(parse_query_path("/a/b/ab"), ctx).lit == ctx.surrogate("/a/b/ab")
+        assert _literal_of(parse_query_path("/car"), ctx).lit == surrogate(ctx, "/car")
+        assert _literal_of(parse_query_path("/a/b/ab"), ctx).lit == surrogate(ctx, "/a/b/ab")
 
     @pytest.mark.parametrize("text", ["/a/zz", "/zz", "/a/b/ab/car", "/a/b/ab/car/x1"])
     def test_zo_absent_or_too_deep_matches_nothing(self, text):
         ctx = self.ZO_CTX
         literal = _literal_of(parse_query_path(text), ctx)
         for stored in ("/a", "/a/b", "/a/b/ab", "/car/x1"):
-            fed = literal.feed(literal.start, ctx.surrogate(stored))
+            fed = literal.feed(literal.start, surrogate(ctx, stored))
             assert fed == _DEAD or not literal.matched[fed], stored
 
     @pytest.mark.parametrize("ctx", [None, ZO_CTX])
@@ -603,8 +607,8 @@ class TestOracleEquivalence:
 
 class TestAutomatonCaches:
     def test_memo_shared_across_indexes(self):
-        # The compiled-query cache hands every index one automaton per query
-        # path, so feeds on the second index hit entries the first one made.
+        # Each index keeps its own DFA per query path, and a second query on
+        # an index feeds into the memo its first query filled.
         key_sets = [
             records_to_keys(generate(GeneratorConfig(seed=seed, key_count=300, label_alphabet_size=4, max_depth=4)))
             for seed in (41, 42)
@@ -619,6 +623,42 @@ class TestAutomatonCaches:
                     want = sorted(scan(keys, qpath, vrange))
                     assert want
                     assert sorted(run_query(index, qpath, vrange).refs) == want, (text, scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_dropping_an_index_frees_its_dfas(self, scheme, bom_keys):
+        index = build_static(bom_keys, scheme)
+        qpath = parse_query_path("//battery")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        assert sorted(run_query(index, qpath, everything).refs) == [3, 4, 8]
+        dfa = weakref.ref(index.dfas[qpath])
+        del index
+        gc.collect()
+        assert dfa() is None
+
+    def test_other_schemes_leave_the_dfa_of_an_index_alone(self):
+        keys = records_to_keys(generate(GeneratorConfig(seed=5, key_count=30_000)))
+        rcas, vp = build_static(keys, "rcas"), build_static(keys, "vp")
+        qpath = parse_query_path("//n00")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        want = sorted(scan(keys, qpath, everything))
+        assert sorted(run_query(rcas, qpath, everything).refs) == want
+        kept = rcas.dfas[qpath]
+        assert len(kept.rows) <= _STATE_CACHE_MAX and kept.memo_size <= _MEMO_CACHE_MAX
+        # the same query on vp feeds past the memo bound
+        assert sorted(run_query(vp, qpath, everything).refs) == want
+        assert vp.dfas[qpath].memo_size > _MEMO_CACHE_MAX
+        assert query._matcher(rcas, qpath) is kept
+
+    def test_full_index_starts_over(self, monkeypatch, bom_keys):
+        monkeypatch.setattr(query, "_DFAS_MAX", 3)
+        index = build_static(bom_keys, "rcas")
+        everything = ValueRange.closed(0, 2**32 - 1)
+        for text in ("//battery", "//car", "/bom//", "//item/*", "/*/item//brake"):
+            qpath = parse_query_path(text)
+            want = sorted(scan(bom_keys, qpath, everything))
+            assert sorted(run_query(index, qpath, everything).refs) == want
+            assert qpath in index.dfas
+            assert len(index.dfas) <= 3
 
     def test_caches_stay_bounded(self):
         rng = random.Random(4242)
@@ -636,10 +676,10 @@ class TestAutomatonCaches:
         want = sorted(scan(keys, qpath, everything))
         # one query passes the memo bound, and its ids stay valid throughout
         assert sorted(run_query(index, qpath, everything).refs) == want
-        used = _compile_ascii(qpath)._dfa
+        used = index.dfas[qpath]
         assert used.memo_size > _MEMO_CACHE_MAX
         # the next query starts from tables within the bounds
-        dfa = query._matcher(qpath, None)
+        dfa = query._matcher(index, qpath)
         assert dfa is not used
         assert len(dfa.rows) <= _STATE_CACHE_MAX
         assert sum(map(len, dfa.memo)) == dfa.memo_size <= _MEMO_CACHE_MAX
@@ -653,7 +693,7 @@ class TestAutomatonCaches:
         monkeypatch.setattr(query, "_STATE_CACHE_MAX", 3)
         starts = []
         for _ in range(3):
-            dfa = query._matcher(qpath, None)
+            dfa = query._matcher(index, qpath)
             assert len(dfa.rows) <= 3
             assert all(dfa is not earlier for earlier in starts)
             starts.append(dfa)
@@ -667,8 +707,7 @@ class TestAutomatonCaches:
         everything = ValueRange.closed(0, 2**32 - 1)
         texts = ["//n01//n02", "/*/n03//", "//n04/*"]
         want = {t: sorted(scan(keys, parse_query_path(t), everything)) for t in texts}
-        for text in texts:
-            _compile_ascii(parse_query_path(text))._dfa = None
+        assert not index.dfas  # the threads make the index's DFAs as they go
         got = []
 
         def worker():
@@ -688,7 +727,7 @@ class TestAutomatonCaches:
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 36 and all(got)
         for text in texts:
-            dfa = _compile_ascii(parse_query_path(text))._dfa
+            dfa = index.dfas[parse_query_path(text)]
             assert len(set(dfa._keys)) == len(dfa._keys) == len(dfa._ids) == len(dfa.rows)
 
 
@@ -729,16 +768,14 @@ class TestZoAutomatonCache:
         swapped = self.SWAPPED
         qpath = parse_query_path("//a")
         everything = ValueRange.closed(0, 2**32 - 1)
-        answers = []
+        answers, indexes = [], []
         for keys in (self.KEYS, swapped):
             index = build_static(keys, "zo")
             answers.append(run_query(index, qpath, everything).refs)
             assert answers[-1] == scan(keys, qpath, everything)
+            indexes.append(index)
         assert answers[0] != answers[1]
-        first = ZoContext.from_keys(self.KEYS)
-        assert _automaton(qpath, first) is not _automaton(qpath, ZoContext.from_keys(swapped))
-        equal = ZoContext(codes=dict(first.codes), max_labels=first.max_labels)
-        assert _automaton(qpath, equal) is _automaton(qpath, first)
+        assert indexes[0].dfas[qpath] is not indexes[1].dfas[qpath]
 
 
 class TestWideValues:
