@@ -16,6 +16,9 @@ A built index is a flat trie: columns over node ids that run in pre-order
 the columns from per-node child counts with array passes (`_shape`), and the
 file format (`RCAS2`) stores them column by column.  Nothing recurses, so
 the depth of a trie is not bounded by the interpreter's recursion limit.
+The nodes' path and value substrings, the only objects made per node, are
+cut from a blob a chunk of nodes at a time by one `struct.Struct`
+(`_slices`).
 
 Indexes are immutable once built: there is no insert or delete path, and any
 number of readers may traverse one concurrently.  An index keeps the DFAs of
@@ -160,7 +163,8 @@ class _Seqs(NamedTuple):
     Sequences are read a window of symbols at a time at per-row offsets, so
     a long sequence costs only its own length, never a padded row for every
     key.  `_WINDOW_MAX` zero symbols after the last sequence keep every
-    window inside the blob.  Node substrings are sliced from the blob.
+    window inside the blob.  Node substrings are cut from the blob a chunk
+    of nodes at a time (`_slices`).
 
     The blob is an anonymous memory map: it comes zero-filled, so the
     padding costs nothing, and it goes back to the system when released,
@@ -412,14 +416,37 @@ def _node_dims(leaf: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> np.nda
 _CHUNK = 1 << 14
 
 
+def _digits(size: np.ndarray) -> bytes:
+    """The struct format b"<size[0]>s<size[1]>s..." of one bytes field per
+    size.  Each size is written in decimal with as many places as the
+    largest, zero-padded (struct reads b"007s" as b"7s"), so that the
+    format is one array with one pass per decimal place."""
+    places = len(str(int(size.max())))
+    fmt = np.full((len(size), places + 1), ord("s"), np.uint8)
+    rest = size
+    for k in range(places - 1, -1, -1):
+        rest, fmt[:, k] = np.divmod(rest, 10)
+    fmt[:, :places] += ord("0")
+    return fmt.tobytes()
+
+
 def _slices(blob, start: np.ndarray, stop: np.ndarray) -> list[bytes]:
-    """blob[start[i]:stop[i]] for each i, as bytes, sliced in C.  A chunk
-    of offsets at a time becomes Python ints, so that they never all exist
-    at once next to the slices."""
+    """blob[start[i]:stop[i]] for each i, as bytes, cut in C.
+
+    A chunk of `_CHUNK` substrings at a time is gathered into one buffer by
+    one fancy index, and one `struct.Struct` of one "<size>s" field per
+    substring cuts it, so no Python object is made per substring but the
+    substring itself.  The struct is made here, not taken from the `struct`
+    module's process-wide cache of formats."""
+    data = np.frombuffer(blob, np.uint8)
     out: list[bytes] = []
     for at in range(0, len(start), _CHUNK):
-        cut = slice(at, at + _CHUNK)
-        out += map(blob.__getitem__, map(slice, start[cut].tolist(), stop[cut].tolist()))
+        first = start[at : at + _CHUNK].astype(np.int64)
+        size = stop[at : at + _CHUNK] - first
+        offset = np.cumsum(size) - size  # of each substring in the buffer
+        total = int(offset[-1] + size[-1])
+        buffer = data[np.repeat(first - offset, size) + np.arange(total)]
+        out += struct.Struct(_digits(size)).unpack(buffer)
     return out
 
 

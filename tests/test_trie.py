@@ -1,11 +1,17 @@
+import gc
+import mmap
 import random
+import struct
 import sys
+import tracemalloc
 import zlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcas import trie
 from rcas.cli import main
 from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, records_to_keys
 from rcas.interleave import ZoContext, static_interleave
@@ -629,20 +635,137 @@ class TestSerialization:
         rejected(chain((b"\x00\x00\x01\x00\x00\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
 
     def test_long_substring_round_trips(self):
-        """A 70,000-byte label builds, saves, loads bit-exact and answers
-        like `scan` in every scheme: lengths are varints, with no limit."""
-        keys = [CompositeKey.make("/" + "a" * 70_000, 5, 1), CompositeKey.make("/b", 7, 2)]
+        """A 100,000-byte label among ordinary keys builds, saves and loads
+        bit-exact with the same substrings, and answers like `scan` in every
+        scheme: lengths are varints, with no limit."""
+        label = "a" * 100_000
+        ordinary = list(records_to_keys(generate(GeneratorConfig(seed=23, key_count=300))))
+        keys = ordinary + [
+            CompositeKey.make("/n01/" + label, 5, 2**40),
+            CompositeKey.make("/n01/" + label + "/n02", 7, 2**40 + 1),
+            CompositeKey.make("/" + label, 9, 2**40 + 2),
+        ]
+        texts = ["//", "//n02", "/n01/" + label, "/" + label, ordinary[0].path_text, "/b"]
         everything = ValueRange.closed(0, 2**32 - 1)
+        ranges = [everything, ValueRange.closed(0, 6)]
+
+        def answers_like_scan(ix, text, vr):
+            qpath = parse_query_path(text)
+            assert sorted(run_query(ix, qpath, vr).refs) == sorted(scan(keys, qpath, vr))
+
         for scheme in SCHEMES:
             index = build_static(keys, scheme)
             blob = save_bytes(index)
             loaded = load_bytes(blob)
             assert save_bytes(loaded) == blob, scheme
-            for text in ("//", "/b", "//" + "a" * 70_000):
-                qpath = parse_query_path(text)
-                want = sorted(scan(keys, qpath, everything))
-                for ix in (index, loaded):
-                    assert sorted(run_query(ix, qpath, everything).refs) == want, (scheme, text[:4])
+            assert (loaded.s_p, loaded.s_v) == (index.s_p, index.s_v), scheme
+            if scheme != "zo":  # whose paths are surrogates
+                assert max(map(len, loaded.s_p)) >= 100_000, scheme
+            for text in texts:
+                for vr in ranges:
+                    for ix in (index, loaded):
+                        answers_like_scan(ix, text, vr)
+            # its DFA has a state per label byte, so it runs once, on the loaded index
+            answers_like_scan(loaded, "//" + label, everything)
+
+
+class TestSlices:
+    """`_slices` cuts what plain slicing cuts."""
+
+    @staticmethod
+    def assert_cuts(blob, ranges, dtype=np.int64):
+        start = np.array([a for a, _ in ranges], dtype)
+        stop = np.array([b for _, b in ranges], dtype)
+        assert trie._slices(blob, start, stop) == [bytes(blob[a:b]) for a, b in ranges]
+
+    @given(
+        st.binary(max_size=2500).flatmap(
+            lambda blob: st.tuples(
+                st.just(blob),
+                st.lists(
+                    st.tuples(st.integers(0, len(blob)), st.integers(0, len(blob))).map(sorted),
+                    max_size=12,
+                ),
+            )
+        ),
+        st.sampled_from([1, 3, 1 << 14]),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_plain_slicing(self, blob_ranges, chunk, dtype):
+        blob, ranges = blob_ranges
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trie, "_CHUNK", chunk)
+            self.assert_cuts(blob, ranges, dtype)
+
+    BLOB = bytes(range(256)) * 12  # 3,072 bytes
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 14])
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            [(0, 3), (10, 20), (700, 701)],  # gaps
+            [(50, 80), (10, 60), (0, 5), (40, 45), (40, 45)],  # overlapping, reversed, repeated
+            [(5, 5), (0, 3), (7, 7), (3072, 3072)],  # zero sizes
+            [(1, 1), (2, 2), (0, 0), (0, 4), (9, 9)],  # a first chunk of zero sizes only
+            [(0, 9), (0, 10), (5, 104), (1, 101), (2000, 2999), (1, 1001)],  # 9/10, 99/100, 999/1000
+            [(100, 1100), (0, 1), (3, 1002), (4, 103), (6, 16), (7, 16)],  # the same, largest first
+            [(3067, 3072), (0, 3072), (3071, 3072)],  # ending on the last byte
+            [],
+            [(i, i + 2 * i) for i in range(7)],  # chunks of 3, 3 and 1
+        ],
+    )
+    def test_fixed_cases(self, monkeypatch, ranges, chunk):
+        monkeypatch.setattr(trie, "_CHUNK", chunk)
+        self.assert_cuts(self.BLOB, ranges)
+        self.assert_cuts(self.BLOB, ranges, np.int32)
+
+    def test_cuts_a_memory_map(self, monkeypatch):
+        """The builders cut from the anonymous map their sequences live in."""
+        monkeypatch.setattr(trie, "_CHUNK", 3)
+        blob = mmap.mmap(-1, len(self.BLOB))
+        blob.write(self.BLOB)
+        self.assert_cuts(blob, [(0, 10), (3000, 3072), (5, 5), (2, 1002)])
+        blob.close()  # no view of the map outlives the call
+
+
+class TestProcessState:
+    """Building, saving and loading leave nothing behind in the process."""
+
+    def test_no_module_level_struct_calls(self, monkeypatch):
+        """The `struct` module's functions keep every format they compile in
+        a process-wide cache; the index code calls none of them."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a module-level struct function was called")
+
+        for name in ("pack", "pack_into", "unpack", "unpack_from", "iter_unpack", "calcsize"):
+            monkeypatch.setattr(struct, name, refuse)
+        monkeypatch.setattr(trie, "_CHUNK", 64)  # many structs per build and load
+        keys = records_to_keys(generate(GeneratorConfig(seed=24, key_count=1500)))
+        for scheme in SCHEMES:
+            blob = save_bytes(build_static(keys, scheme))
+            assert save_bytes(load_bytes(blob)) == blob, scheme
+
+    def test_loading_and_dropping_an_index_frees_it(self, monkeypatch):
+        keys = records_to_keys(generate(GeneratorConfig(seed=25, key_count=30_000)), 8)
+        # built in other chunks than the load cuts, so that a struct kept
+        # from the build could not serve the load
+        monkeypatch.setattr(trie, "_CHUNK", 1000)
+        blob = save_bytes(bulk_load(keys))
+        monkeypatch.undo()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = load_bytes(blob)
+            assert index.key_count == 30_000
+            del index
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2**20
 
 
 def resealed(blob: bytes) -> bytes:
