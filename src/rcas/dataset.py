@@ -4,8 +4,13 @@ A dataset file holds one record per line, three ';'-separated fields:
 textual path, decimal unsigned value, and hexadecimal 64-bit reference.
 Blank lines are skipped.  The file is parsed a chunk of lines at a time, in
 a few passes over each chunk; a chunk that fails a check is parsed again
-line by line, so that the error names the first bad line.  Records become
-keys as columns (`keys.KeySet`), each distinct path and value encoded once.
+line by line, so that the error names the first bad line.
+
+A dataset is held as columns (`Records`): the paths, the values and the
+refs, three lists, with no object per record.  The parser and the generator
+fill the columns directly, and a `DatasetRecord` is made only for a caller
+that iterates or indexes the dataset.  Records become keys as columns
+(`keys.KeySet`), each distinct path and value encoded once.
 
 The generator produces reproducible hierarchies with Zipf-skewed values and
 a configurable fraction of duplicate (path, value) pairs, standing in for
@@ -16,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
-from typing import Iterable, NamedTuple, Sequence
+from operator import eq
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +39,58 @@ class DatasetRecord(NamedTuple):
     ref: int
 
     def to_line(self) -> str:
-        return f"{self.path};{self.value};{self.ref:x}"
+        return _LINE(*self)
+
+
+_LINE = "{};{};{:x}".format  # the line of a path, a value and a ref
+
+
+class Records(Sequence[DatasetRecord]):
+    """A sequence of dataset records, held as columns.
+
+    Record i is (paths[i], values[i], refs[i]).  The three columns are
+    lists; a dataset file's records with equal paths share one path string.
+    The records of an iteration or an index are made on demand, and a slice
+    is a `Records`.  Records compare equal to any sequence of equal records.
+    """
+
+    __slots__ = ("paths", "values", "refs")
+
+    def __init__(self, paths: list[str], values: list[int], refs: list[int]):
+        self.paths = paths
+        self.values = values
+        self.refs = refs
+
+    @classmethod
+    def of(cls, records: Iterable[DatasetRecord]) -> "Records":
+        """The records as columns: a `Records` itself, or any other records
+        copied column by column."""
+        if isinstance(records, Records):
+            return records
+        if not isinstance(records, Sequence):
+            records = list(records)
+        return cls(list(map(_PATH, records)), list(map(_VALUE, records)), list(map(_REF, records)))
+
+    def __len__(self) -> int:
+        return len(self.refs)
+
+    def __getitem__(self, i: int | slice) -> DatasetRecord | Records:
+        if isinstance(i, slice):
+            return Records(self.paths[i], self.values[i], self.refs[i])
+        return DatasetRecord(self.paths[i], self.values[i], self.refs[i])
+
+    def __iter__(self) -> Iterator[DatasetRecord]:
+        return map(DatasetRecord._make, zip(self.paths, self.values, self.refs))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Records):
+            return self.refs == other.refs and self.values == other.values and self.paths == other.paths
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Records({list(self)!r})"
 
 
 # The running example: a bill of materials with seven distinct keys, one of
@@ -76,16 +133,19 @@ def _fields(line: str, lineno: int) -> tuple[str, int, int]:
 _CHUNK_BYTES = 1 << 20  # about this much of the file is parsed at a time
 
 
-def load_records(path: str) -> list[DatasetRecord]:
-    """The records of a dataset file.  Records with equal paths share one
-    path string."""
-    records: list[DatasetRecord] = []
-    paths: dict[str, str] = {}
+def load_records(path: str) -> Records:
+    """The records of a dataset file, as columns.  Records with equal paths
+    share one path string."""
+    records = Records([], [], [])
+    seen: dict[str, str] = {}
     lineno = 1
     try:
         with open(path, "r", encoding="ascii") as fh:
             while lines := fh.readlines(_CHUNK_BYTES):
-                records += _parse(lines, lineno, paths)
+                texts, values, refs = _parse(lines, lineno)
+                records.paths += map(seen.setdefault, texts, texts)
+                records.values += values
+                records.refs += refs
                 lineno += len(lines)
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset {path!r} is not ASCII: {exc}") from exc
@@ -94,58 +154,67 @@ def load_records(path: str) -> list[DatasetRecord]:
     return records
 
 
-def _parse(lines: list[str], lineno: int, paths: dict[str, str]) -> list[DatasetRecord]:
-    """The records of consecutive lines, the first of which is line `lineno`,
-    with their paths taken from `paths` where equal ones were seen.
+def _parse(lines: list[str], lineno: int) -> tuple[list[str], list[int], list[int]]:
+    """The path, value and ref columns of consecutive lines, the first of
+    which is line `lineno`.
 
     Each line's fields are counted, then all fields come from one split and
     each column is converted in one pass; if any of that fails, the lines
     are parsed one by one (`_fields`), which names the first bad line."""
     kept = list(filterfalse(str.isspace, lines))
+    if not kept:
+        return [], [], []
     try:
         if list(map(str.count, kept, repeat(";"))).count(2) != len(kept):
             raise ValueError
         fields = ";".join(kept).split(";")
         values = list(map(int, fields[1::3]))
         refs = list(map(int, fields[2::3], repeat(16)))
-        if values and (min(values) < 0 or min(refs) < 0 or max(refs) >= 1 << 64):
+        if min(values) < 0 or min(refs) < 0 or max(refs) >= 1 << 64:
             raise ValueError
-        texts = fields[0::3]
+        return fields[0::3], values, refs
     except ValueError:
-        parsed = (_fields(line, n) for n, line in enumerate(lines, lineno) if not line.isspace())
-        texts, values, refs = zip(*parsed)
-    texts = map(paths.setdefault, texts, texts)
-    return list(map(DatasetRecord._make, zip(texts, values, refs)))
+        parsed = [_fields(line, n) for n, line in enumerate(lines, lineno) if not line.isspace()]
+        return tuple(map(list, zip(*parsed)))
+
+
+_WRITE_CHUNK = 1 << 14  # lines joined per write
 
 
 def write_records(records: Iterable[DatasetRecord], path: str) -> None:
+    """Write the records one line each, a chunk of lines per write."""
+    records = Records.of(records)
+    paths, values, refs = records.paths, records.values, records.refs
     with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(rec.to_line())
+        for at in range(0, len(refs), _WRITE_CHUNK):
+            cut = slice(at, at + _WRITE_CHUNK)
+            fh.write("\n".join(map(_LINE, paths[cut], values[cut], refs[cut])))
             fh.write("\n")
 
 
-def records_to_keys(records: Sequence[DatasetRecord], width: int = 4) -> KeySet:
+def records_to_keys(records: Iterable[DatasetRecord], width: int = 4) -> KeySet:
     """The composite keys of the records, as columns: the records' paths and
-    values are numbered, and each distinct one is encoded once.  DataError
-    names the first record whose path or value cannot be encoded."""
-    path_texts, pid = _number(list(map(_PATH, records)))
-    value_ints, vid = _number(list(map(_VALUE, records)))
+    values are numbered, and each distinct one is encoded once.  Records
+    that are not a `Records` are first copied into columns.  DataError names
+    the first record whose path or value cannot be encoded."""
+    records = Records.of(records)
+    path_texts, pid = _number(records.paths)
+    value_ints, vid = _number(records.values)
     try:
         paths = list(map(encode_path, path_texts))
         values = list(map(encode_value, value_ints, repeat(width)))
     except (PathSyntaxError, OverflowError):
-        for rec in records:
+        for path, value in zip(records.paths, records.values):
             try:
-                encode_path(rec.path)
+                encode_path(path)
             except PathSyntaxError as exc:
                 raise DataError(str(exc)) from exc
             try:
-                encode_value(rec.value, width)
+                encode_value(value, width)
             except OverflowError as exc:
-                raise DataError(f"value {rec.value} does not fit width {width}") from exc
+                raise DataError(f"value {value} does not fit width {width}") from exc
         raise
-    return KeySet(paths, values, pid, vid, list(map(_REF, records)), width)
+    return KeySet(paths, values, pid, vid, list(records.refs), width)
 
 
 @dataclass(frozen=True)
@@ -188,7 +257,7 @@ def _zipf_values(rng: np.random.Generator, n: int, skew: float, value_max: int) 
     return values
 
 
-def generate(config: GeneratorConfig) -> list[DatasetRecord]:
+def generate(config: GeneratorConfig) -> Records:
     """Deterministically generate a dataset; same config, same records."""
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     n = config.key_count
@@ -207,4 +276,4 @@ def generate(config: GeneratorConfig) -> list[DatasetRecord]:
             paths[i] = paths[j]
             values[i] = values[j]
 
-    return list(map(DatasetRecord._make, zip(paths, values, range(1, n + 1))))
+    return Records(paths, values, list(range(1, n + 1)))

@@ -29,7 +29,8 @@ by bisecting to a byte window: the value bounds still closed at a value
 node, the hull of the path state at a path node.  A label-wise node whose
 edges span both dimensions is scanned whole.  Each index keeps the DFAs of
 its queries (`RcasIndex.dfas`), and a query starts on an empty DFA once the
-kept one passes its bounds; literals are built per query.
+kept one passes its bounds, which grow with the query's NFA and the index;
+literals are built per query.
 """
 
 from __future__ import annotations
@@ -262,15 +263,15 @@ _NO_HULL = (256, -1)  # the hull of a state that no edge leaves
 _LIVE_ROW = (0,) * 256  # a row that follows every byte
 _NO_MEMO: dict[bytes, int] = {}  # a memo that stays empty
 
-# The most states and memo entries a lazy DFA holds when a query starts.  A
-# DFA past either bound is replaced by an empty one, so a DFA kept by an
-# index stays bounded however many nodes it has been fed.
+# The most states and memo entries a lazy DFA holds when a query starts,
+# past its NFA's state count and its index's node count.  A DFA past either
+# bound is replaced by an empty one, so a DFA kept by an index stays bounded
+# however many nodes it has been fed, and keeps the states of a long label
+# and the memo of a large index.
 _STATE_CACHE_MAX = 1024
 _MEMO_CACHE_MAX = 4096
 # The most DFAs one index keeps; a new query path on a full index empties it.
 _DFAS_MAX = 256
-
-_NEW_STATE = threading.Lock()  # concurrent queries never give a state two ids
 
 
 class _PathAutomaton:
@@ -323,11 +324,12 @@ class _LazyDfa:
         self.memo_size = 0
         self._keys: list[tuple[frozenset, int]] = []
         self._ids: dict[tuple[frozenset, int], int] = {}
+        self._new_state = threading.Lock()  # concurrent queries never give a state two ids
         self.start = self._id(frozenset({0}), 0)
 
     def _id(self, states: frozenset, consumed: int) -> int:
         key = (states, consumed)
-        with _NEW_STATE:
+        with self._new_state:
             t = self._ids.get(key)
             if t is None:
                 nfa = self.nfa
@@ -499,7 +501,9 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
     """The path matcher for `qpath` on `index`, chosen by its shape: a
     literal when every step is a named child step and there is no trailing
     ``//``, otherwise the DFA the index keeps for `qpath`, made anew once it
-    passes a bound.  A running query keeps its own, so its ids stay valid.
+    passes a bound: `_STATE_CACHE_MAX` states past its NFA's, or
+    `_MEMO_CACHE_MAX` memo entries past the index's node count.  A running
+    query keeps its own, so its ids stay valid.
     Each step on `index.dfas` is one dict call and needs no lock: a race
     can only drop a DFA or keep one more, never hand a query a wrong one."""
     ctx = index.zo_ctx if index.scheme == "zo" else None
@@ -514,7 +518,10 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
         if len(dfas) >= _DFAS_MAX:
             dfas.clear()
         dfa = dfas[qpath] = _LazyDfa(_automaton(qpath, ctx))
-    elif len(dfa.rows) > _STATE_CACHE_MAX or dfa.memo_size > _MEMO_CACHE_MAX:
+    elif (
+        len(dfa.rows) > _STATE_CACHE_MAX + len(dfa.nfa.edges)
+        or dfa.memo_size > _MEMO_CACHE_MAX + len(index.dim)
+    ):
         dfa = dfas[qpath] = _LazyDfa(dfa.nfa)
     return dfa
 

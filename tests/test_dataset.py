@@ -1,13 +1,21 @@
+import ast
+import gc
 import hashlib
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rcas
 from rcas import dataset
 from rcas.dataset import (
     BOM_EXAMPLE,
     DataError,
     DatasetRecord,
     GeneratorConfig,
+    Records,
     generate,
     load_records,
     records_to_keys,
@@ -15,7 +23,7 @@ from rcas.dataset import (
     _fields,
 )
 from rcas.keys import KeySet
-from rcas.trie import bulk_load
+from rcas.trie import bulk_load, save_bytes
 
 from reference import record_keys
 
@@ -70,7 +78,7 @@ class TestLineFormat:
             load_records(str(target))
 
 
-def load_text(tmp_path, text: str, newline: str = "\n") -> list[DatasetRecord]:
+def load_text(tmp_path, text: str, newline: str = "\n") -> Records:
     target = tmp_path / "data.csv"
     target.write_bytes(text.replace("\n", newline).encode("ascii"))
     return load_records(str(target))
@@ -263,3 +271,144 @@ class TestGenerator:
     def test_zero_count_rejected(self):
         with pytest.raises(DataError):
             GeneratorConfig(seed=1, key_count=0)
+
+
+class TestWriteRecords:
+    @pytest.mark.parametrize(
+        "records",
+        [BOM_EXAMPLE, generate(GeneratorConfig(seed=9, key_count=40_000, value_max=1 << 40))],
+        ids=["bom", "generated"],
+    )
+    def test_bytes_equal_one_line_per_record(self, tmp_path, monkeypatch, records):
+        want = "".join(rec.to_line() + "\n" for rec in records).encode("ascii")
+        for chunk in (dataset._WRITE_CHUNK, 3):
+            monkeypatch.setattr(dataset, "_WRITE_CHUNK", chunk)
+            for given_as in (records, list(records), Records.of(records)):
+                target = tmp_path / "data.csv"
+                write_records(given_as, str(target))
+                assert target.read_bytes() == want
+
+
+_PATHS = ["/a", "/a/b", "/bom/item/car/battery", "/n00/n01", "/x y/~z"]
+
+
+@st.composite
+def dataset_texts(draw):
+    """A dataset file's text with blank lines and either line end, and the
+    width its values fit."""
+    width = draw(st.sampled_from([4, 8]))
+    record = st.tuples(
+        st.sampled_from(_PATHS), st.integers(0, (1 << 8 * width) - 1), st.integers(0, (1 << 64) - 1)
+    )
+    blank = st.sampled_from(["", " ", "\t", "  \t "])
+    lines = draw(st.lists(st.one_of(record.map(lambda r: DatasetRecord(*r).to_line()), blank), max_size=40))
+    lines.insert(draw(st.integers(0, len(lines))), DatasetRecord(*draw(record)).to_line())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", newline]))
+    return newline.join(lines) + end, width
+
+
+class TestRecords:
+    """`Records` against the line-by-line parse and a plain list of the same
+    `DatasetRecord`s."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dataset_texts(), st.sampled_from([1, 16, 64, 1 << 20]), st.data())
+    def test_behaves_as_the_list_of_its_records(self, tmp_path_factory, text_width, chunk_bytes, data):
+        text, width = text_width
+        target = tmp_path_factory.getbasetemp() / "records.csv"
+        target.write_bytes(text.encode("ascii"))
+        with mock.patch.object(dataset, "_CHUNK_BYTES", chunk_bytes):
+            records = load_records(str(target))
+        lines = text.replace("\r\n", "\n").split("\n")
+        want = [DatasetRecord(*_fields(line, n)) for n, line in enumerate(lines, 1) if line and not line.isspace()]
+
+        assert isinstance(records, Records)
+        assert list(records) == want
+        assert all(type(r) is DatasetRecord for r in records)
+
+        # one numbering path: equal key sets and equal index files
+        a, b = records_to_keys(records, width), records_to_keys(want, width)
+        assert (a.paths, a.values, a.refs, a.width) == (b.paths, b.values, b.refs, b.width)
+        assert np.array_equal(a.pid, b.pid) and np.array_equal(a.vid, b.vid)
+        assert a.pid.dtype == b.pid.dtype and a.vid.dtype == b.vid.dtype
+        assert save_bytes(bulk_load(a)) == save_bytes(bulk_load(b))
+
+        # a sequence of records
+        n = len(want)
+        assert len(records) == n
+        i = data.draw(st.integers(-n, n - 1))
+        assert records[i] == want[i] and type(records[i]) is DatasetRecord
+        with pytest.raises(IndexError):
+            records[n]
+        with pytest.raises(IndexError):
+            records[-n - 1]
+        cut = slice(
+            data.draw(st.none() | st.integers(-n - 2, n + 2)),
+            data.draw(st.none() | st.integers(-n - 2, n + 2)),
+            data.draw(st.none() | st.sampled_from([1, 2, 3, -1, -2])),
+        )
+        part = records[cut]
+        assert isinstance(part, Records)
+        assert part == want[cut] and want[cut] == part and list(part) == want[cut]
+        assert records == want and want == records and records == tuple(want)
+        assert not (records != want) and not (want != records)
+        assert records == Records.of(want) and Records.of(records) is records
+        other = want[:-1] + [want[-1]._replace(ref=want[-1].ref ^ 1)]
+        assert records != other and other != records
+        assert records != want + want[:1] and want[:-1] != records
+        assert list(reversed(records)) == want[::-1]
+        assert want[i] in records and records.index(want[i]) == want.index(want[i])
+
+
+def tracked_objects_held(make) -> int:
+    """How many more objects the garbage collector tracks while the result
+    of `make()` is held."""
+    gc.collect()
+    before = len(gc.get_objects())
+    held = make()
+    gc.collect()
+    after = len(gc.get_objects())
+    del held
+    return after - before
+
+
+class TestNoObjectPerRecord:
+    """Records are held as columns, so holding a dataset adds a few tracked
+    objects, however many records it has."""
+
+    def test_loaded_records(self, tmp_path):
+        files = {}
+        for n in (1_000, 10_000):
+            files[n] = str(tmp_path / f"data-{n}.csv")
+            write_records(generate(GeneratorConfig(seed=n, key_count=n)), files[n])
+        load_records(files[1_000])  # first calls may make lasting objects
+        held = {n: tracked_objects_held(lambda: load_records(path)) for n, path in files.items()}
+        assert held[10_000] <= 8
+        assert held[10_000] <= held[1_000]
+
+    def test_generated_records(self):
+        configs = {n: GeneratorConfig(seed=n, key_count=n) for n in (1_000, 10_000)}
+        generate(configs[1_000])  # first calls may make lasting objects
+        held = {n: tracked_objects_held(lambda: generate(config)) for n, config in configs.items()}
+        assert held[10_000] <= 8
+        assert held[10_000] <= held[1_000]
+
+    def test_library_leaves_the_collector_alone(self):
+        banned = {"disable", "freeze", "set_threshold"}
+        sources = sorted(Path(rcas.__file__).parent.rglob("*.py"))
+        assert sources
+        for source in sources:
+            tree = ast.parse(source.read_text(), str(source))
+            aliases = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+                if alias.name == "gc"
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    assert not banned & {alias.name for alias in node.names}, source.name
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert not (node.value.id in aliases and node.attr in banned), (source.name, node.attr)

@@ -660,7 +660,7 @@ class TestAutomatonCaches:
             assert qpath in index.dfas
             assert len(index.dfas) <= 3
 
-    def test_caches_stay_bounded(self):
+    def test_caches_stay_bounded(self, monkeypatch):
         rng = random.Random(4242)
         letters = "abcdefgh"
         keys = []
@@ -674,23 +674,49 @@ class TestAutomatonCaches:
         qpath = parse_query_path("//hit")
         everything = ValueRange.closed(0, 2**32 - 1)
         want = sorted(scan(keys, qpath, everything))
-        # one query passes the memo bound, and its ids stay valid throughout
+        # one query feeds more than _MEMO_CACHE_MAX entries, but no more
+        # than the index has nodes, so the next query keeps its DFA
         assert sorted(run_query(index, qpath, everything).refs) == want
         used = index.dfas[qpath]
-        assert used.memo_size > _MEMO_CACHE_MAX
-        # the next query starts from tables within the bounds
+        assert _MEMO_CACHE_MAX < used.memo_size <= len(index.dim)
+        assert query._matcher(index, qpath) is used
+        # with the memo bound at _MEMO_CACHE_MAX entries in all, that query
+        # passed it, and the next query starts from tables within the bounds
+        monkeypatch.setattr(query, "_MEMO_CACHE_MAX", _MEMO_CACHE_MAX - len(index.dim))
         dfa = query._matcher(index, qpath)
         assert dfa is not used
         assert len(dfa.rows) <= _STATE_CACHE_MAX
         assert sum(map(len, dfa.memo)) == dfa.memo_size <= _MEMO_CACHE_MAX
         assert sorted(run_query(index, qpath, everything).refs) == want
 
+    def test_long_label_keeps_its_dfa(self):
+        # a DFA state per label byte: past _STATE_CACHE_MAX, within the
+        # bound that its NFA's state count raises
+        label = "a" * 20_000
+        keys = list(records_to_keys(generate(GeneratorConfig(seed=23, key_count=300))))
+        keys += [CompositeKey.make("/n01/" + label, 5, 2**40), CompositeKey.make("/" + label, 9, 2**40 + 1)]
+        index = build_static(keys, "rcas")
+        qpath = parse_query_path("//" + label)
+        everything = ValueRange.closed(0, 2**32 - 1)
+        want = sorted(scan(keys, qpath, everything))
+        assert want == [2**40, 2**40 + 1]
+        assert sorted(run_query(index, qpath, everything).refs) == want
+        dfa = index.dfas[qpath]
+        rows = list(map(list, dfa.rows))
+        assert len(rows) > _STATE_CACHE_MAX
+        assert query._matcher(index, qpath) is dfa
+        assert sorted(run_query(index, qpath, everything).refs) == want
+        assert index.dfas[qpath] is dfa
+        assert dfa.rows[: len(rows)] == rows
+
     def test_state_bound_resets_between_queries(self, monkeypatch, bom_keys):
         index = build_static(bom_keys, "rcas")
         qpath = parse_query_path("//battery")
         everything = ValueRange.closed(0, 2**32 - 1)
         want = sorted(scan(bom_keys, qpath, everything))
-        monkeypatch.setattr(query, "_STATE_CACHE_MAX", 3)
+        nfa_states = len(query._matcher(index, qpath).nfa.edges)
+        # the state bound at 3 states in all
+        monkeypatch.setattr(query, "_STATE_CACHE_MAX", 3 - nfa_states)
         starts = []
         for _ in range(3):
             dfa = query._matcher(index, qpath)
