@@ -52,11 +52,7 @@ def cmd_generate(args) -> int:
             duplicate_fraction=args.dup_fraction,
         )
         records = dataset.generate(config)
-    if args.output:
-        dataset.write_records(records, args.output)
-    else:
-        for rec in records:
-            print(rec.to_line())
+    dataset.write_records(records, args.output or sys.stdout)
     return 0
 
 

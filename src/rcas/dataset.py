@@ -19,10 +19,11 @@ file-system style data whose sizes are heavily skewed towards small values.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from operator import eq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -181,11 +182,13 @@ def _parse(lines: list[str], lineno: int) -> tuple[list[str], list[int], list[in
 _WRITE_CHUNK = 1 << 14  # lines joined per write
 
 
-def write_records(records: Iterable[DatasetRecord], path: str) -> None:
-    """Write the records one line each, a chunk of lines per write."""
+def write_records(records: Iterable[DatasetRecord], path: str | TextIO) -> None:
+    """Write the records one line each, a chunk of lines per write, to the
+    file at `path` or to an open text stream, which is left open."""
     records = Records.of(records)
     paths, values, refs = records.paths, records.values, records.refs
-    with open(path, "w", encoding="ascii") as fh:
+    out = open(path, "w", encoding="ascii") if isinstance(path, str) else nullcontext(path)
+    with out as fh:
         for at in range(0, len(refs), _WRITE_CHUNK):
             cut = slice(at, at + _WRITE_CHUNK)
             fh.write("\n".join(map(_LINE, paths[cut], values[cut], refs[cut])))

@@ -550,10 +550,13 @@ def run_query(
     a value node, which every edge in that window passes, and within the
     hull of the path state at a path node, where each edge's byte is looked
     up in the state's row.  A node whose edges span both dimensions has all
-    of its edges tested.  A path substring is looked up in the path state's
-    memo before it is fed; an empty substring leaves its check's state as
-    it is.  A subtree whose predicates have both settled is collected whole:
-    its refs are one slice of `index.refs`.
+    of its edges tested.  Substrings are read from the index's `s_p` and
+    `s_v` columns, whose entries are its tables' shared objects, so a bytes
+    object's cached hash serves every node that holds it.  A path substring
+    is looked up in the path state's memo before it is fed; an empty
+    substring leaves its check's state as it is.  A subtree whose predicates
+    have both settled is collected whole: its refs are one slice of
+    `index.refs`, an `array('Q')`.
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)

@@ -12,13 +12,13 @@ once.  The dynamic scheme hands it two sequences per key (path and value),
 a static scheme one (its tagged string).
 
 A built index is a flat trie: columns over node ids that run in pre-order
-(`RcasIndex`), with no object per node.  The builders and the loader derive
-the columns from per-node child counts with array passes (`_shape`), and the
-file format (`RCAS2`) stores them column by column.  Nothing recurses, so
-the depth of a trie is not bounded by the interpreter's recursion limit.
-The nodes' path and value substrings, the only objects made per node, are
-cut from a blob a chunk of nodes at a time by one `struct.Struct`
-(`_slices`).
+(`RcasIndex`), with no object per node or per key.  The builders and the
+loader derive the columns from per-node child counts with array passes
+(`_shape`), and the file format (`RCAS3`) stores them column by column.
+Nothing recurses, so the depth of a trie is not bounded by the interpreter's
+recursion limit.  Each distinct path or value substring is one object, held
+in a table that the nodes point into by id (`_table`); the tables' entries
+are cut from a blob a chunk at a time by one `struct.Struct` (`_slices`).
 
 Indexes are immutable once built: there is no insert or delete path, and any
 number of readers may traverse one concurrently.  An index keeps the DFAs of
@@ -54,7 +54,7 @@ SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
-MAGIC = b"RCAS2"
+MAGIC = b"RCAS3"
 
 _P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
@@ -84,34 +84,52 @@ class RcasIndex:
     Node i's subtree is the id range [i, end[i]).  `dim[i]` is the dimension
     code it branches in (`keys._DIM_CODE`, the leaf code for a leaf), or
     `_MIXED` when its edges span both dimensions, which only the label-wise
-    scheme builds.  `s_p[i]` and `s_v[i]` are its path and value
-    substrings.  Its edges are the range [estart[i], estart[i + 1]), sorted
-    by (byte, dimension code): edge e leads on byte `ebyte[e]` of dimension
+    scheme builds.  Its path substring is `p_tab[p_id[i]]` and its value
+    substring `v_tab[v_id[i]]`: each table holds the distinct substrings of
+    its dimension once, in order of first appearance in pre-order.  `s_p`
+    and `s_v` are the same substrings as one column per dimension for the
+    query loop; each entry is its table's object, so they add no substring.
+    Node i's edges are the range [estart[i], estart[i + 1]), sorted by
+    (byte, dimension code): edge e leads on byte `ebyte[e]` of dimension
     `edim[e]` to node `echild[e]`, and that byte is the first byte of the
     child's substring in that dimension.  The refs of the leaves of i's
     subtree, in pre-order and each leaf's in input order, are
-    `refs[reflo[i] : reflo[end[i]]]`.  `refs` is a list, so that a query
-    collecting a subtree copies references to existing ints instead of
-    making one per ref.  `dfas` keeps the DFA of each query path run on the
-    index (`query._matcher`); it is not saved, compared or shown in `repr`.
+    `refs[reflo[i] : reflo[end[i]]]`, an `array('Q')`.  `dfas` keeps the DFA
+    of each query path run on the index (`query._matcher`).  Saving and
+    equality read neither `s_p`/`s_v` nor `dfas`, and `repr` shows neither.
     """
 
     dim: bytes
     end: array
-    s_p: list[bytes]
-    s_v: list[bytes]
+    p_tab: list[bytes]
+    v_tab: list[bytes]
+    p_id: array
+    v_id: array
     estart: array
     ebyte: bytes
     edim: bytes
     echild: array
-    refs: list[int]
+    refs: array
     reflo: array
     value_width: int
     key_count: int
     scheme: str = "rcas"
     zo_ctx: ZoContext | None = None
     build_stats: BuildStats = field(default_factory=BuildStats)
+    s_p: list[bytes] = field(init=False, repr=False, compare=False)
+    s_v: list[bytes] = field(init=False, repr=False, compare=False)
     dfas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.s_p = _column(self.p_tab, self.p_id)
+        self.s_v = _column(self.v_tab, self.v_id)
+
+
+def _column(tab: list[bytes], ids: array) -> list[bytes]:
+    """tab[ids[i]] for each i: references to the table's objects."""
+    objects = np.empty(len(tab), object)
+    objects[:] = tab
+    return objects[np.frombuffer(ids, np.int32)].tolist()
 
 
 class _Refs(NamedTuple):
@@ -163,8 +181,8 @@ class _Seqs(NamedTuple):
     Sequences are read a window of symbols at a time at per-row offsets, so
     a long sequence costs only its own length, never a padded row for every
     key.  `_WINDOW_MAX` zero symbols after the last sequence keep every
-    window inside the blob.  Node substrings are cut from the blob a chunk
-    of nodes at a time (`_slices`).
+    window inside the blob.  Node substrings are cut from the blob once
+    per distinct value, or per distinct span when long (`_table`).
 
     The blob is an anonymous memory map: it comes zero-filled, so the
     padding costs nothing, and it goes back to the system when released,
@@ -372,7 +390,10 @@ def _shape(arity: np.ndarray) -> _Shape:
     fewer than one until the last node takes the last.  Node i's subtree
     ends where the slot it took is given back, at the first k > i with
     open_[k] == open_[i] - 1, and a node's parent is the last node before it
-    one level up.  Both are found by a search over (count, position) keys.
+    one level up.  Both are found by a search over sorted (count, position)
+    keys.  The needle of node i is its own key one count lower, so the
+    needles, taken in key order, come sorted, which keeps the search's reads
+    close together.
     """
     n = len(arity)
     open_ = np.ones(n + 1, np.int64)
@@ -382,13 +403,17 @@ def _shape(arity: np.ndarray) -> _Shape:
         raise ValueError("the child counts do not form a tree in index file")
     pos = np.arange(n + 1, dtype=np.int64)
     keys = np.sort(open_ * (n + 1) + pos)
-    end = keys[np.searchsorted(keys, (open_[:n] - 1) * (n + 1) + pos[:n])] % (n + 1)
+    needles = keys[1:] - (n + 1)  # keys[0] is position n's, the only one of count 0
+    end = np.empty(n, np.int64)
+    end[needles % (n + 1)] = keys[np.searchsorted(keys, needles)] % (n + 1)
     depth = _down(np.ones(n, np.int64), end) - 1
     keys = np.sort(depth * (n + 1) + pos[:n])
-    parent = keys[np.searchsorted(keys, (depth[1:] - 1) * (n + 1) + pos[1:n]) - 1] % (n + 1)
+    needles = keys[1:] - (n + 1)  # keys[0] is the root's, the only one of depth 0
+    parent = np.empty(n, np.int64)
+    parent[needles % (n + 1)] = keys[np.searchsorted(keys, needles) - 1] % (n + 1)
     estart = np.zeros(n + 1, np.int64)
     np.cumsum(arity, out=estart[1:])
-    return _Shape(end, np.argsort(parent, kind="stable") + 1, estart)
+    return _Shape(end, np.argsort(parent[1:], kind="stable") + 1, estart)
 
 
 def _down(x: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -450,11 +475,52 @@ def _slices(blob, start: np.ndarray, stop: np.ndarray) -> list[bytes]:
     return out
 
 
+def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The distinct substrings blob[start[i]:stop[i]] in order of first
+    appearance, and the id of each i's substring among them.
+
+    A substring of up to 7 bytes is keyed by its bytes (a 1, then the
+    bytes, in one int64), a longer one by its span, so one sort groups the
+    short substrings by content and the long ones by (offset, size); the
+    first empty substring stands for all of them.  Each group is cut once
+    (`_slices`), and long spans that hold equal bytes then share one table
+    entry, so each distinct substring is one object."""
+    size = stop - start
+    keep = size > 0
+    empty = np.argmin(keep)  # the first empty substring, if there is one
+    keep[empty] = True
+    at = np.flatnonzero(keep)
+    start, size = start[at].astype(np.int64), size[at].astype(np.int64)
+    data = np.frombuffer(blob, np.uint8)
+    key = np.ones(len(at), np.int64)
+    on = np.flatnonzero((size > 0) & (size < 8))
+    for k in range(7):
+        key[on] = key[on] << 8 | data[start[on] + k]
+        on = on[size[on] > k + 1]
+    long = np.flatnonzero(size >= 8)
+    key[long] = -1 - start[long] * (int(size.max()) + 1) - size[long]
+    group, inverse = np.unique(key, return_inverse=True)
+    first = np.full(len(group), len(at))
+    np.minimum.at(first, inverse, np.arange(len(at)))  # the first of each group
+    order = np.argsort(first)  # the groups in order of first appearance
+    head = first[order]
+    cut = _slices(blob, start[head], start[head] + size[head])
+    seen: dict[bytes, int] = {}
+    # the position in `cut` of each cut substring's first equal
+    same = np.fromiter(map(seen.setdefault, cut, range(len(cut))), np.int64, len(cut))
+    entry = np.empty(len(group), np.int32)
+    entry[order] = (np.cumsum(same == np.arange(len(cut))) - 1)[same]
+    ids = np.empty(len(keep), np.int32)
+    ids[at] = entry[inverse]
+    ids[~keep] = ids[empty]
+    return list(seen), ids
+
+
 def _index(
     shape: _Shape,
     dim: np.ndarray,
-    s_p: list[bytes],
-    s_v: list[bytes],
+    p_table: tuple[list[bytes], np.ndarray],
+    v_table: tuple[list[bytes], np.ndarray],
     ebyte: np.ndarray,
     edim: np.ndarray,
     refcount: np.ndarray,
@@ -470,13 +536,15 @@ def _index(
     return RcasIndex(
         dim=dim.astype(np.uint8).tobytes(),
         end=ints(shape.end),
-        s_p=s_p,
-        s_v=s_v,
+        p_tab=p_table[0],
+        v_tab=v_table[0],
+        p_id=ints(p_table[1]),
+        v_id=ints(v_table[1]),
         estart=ints(shape.estart),
         ebyte=ebyte.astype(np.uint8).tobytes(),
         edim=edim.astype(np.uint8).tobytes(),
         echild=ints(shape.echild),
-        refs=refs.tolist(),
+        refs=array("Q", refs.astype(np.uint64).tobytes()),
         reflo=array("Q", reflo.tobytes()),
         **meta,
     )
@@ -517,8 +585,8 @@ def bulk_load(keys: Iterable[CompositeKey], value_width: int | None = None) -> R
     return _index(
         shape,
         _node_dims(leaf, edim, shape.estart),
-        _slices(paths.blob, p0 + nodes.lo[0], p0 + nodes.hi[0]),
-        _slices(values.blob, v0 + nodes.lo[1], v0 + nodes.hi[1]),
+        _table(paths.blob, p0 + nodes.lo[0], p0 + nodes.hi[0]),
+        _table(values.blob, v0 + nodes.lo[1], v0 + nodes.hi[1]),
         nodes.key[shape.echild],
         edim,
         np.where(leaf, refs.count[nodes.row], 0),
@@ -542,8 +610,8 @@ def build_static(
     symbols (`interleave.static_interleave`, made for all keys at once),
     byte * 256 + dimension code, so edges are ordered by byte, then by
     dimension.  A node whose edges span both dimensions is `_MIXED`.  The
-    nodes' symbol ranges are split into `s_p` and `s_v` by one mask (`_split`).
-    """
+    nodes' symbol ranges are split into path and value substrings by one mask
+    (`_split`)."""
     if scheme == "rcas":
         return bulk_load(keys, value_width)
     if scheme not in STATIC_SCHEMES:
@@ -564,14 +632,14 @@ def build_static(
     shape = _shape(arity)
     leaf = nodes.split < 0
     t0 = tagged.start[nodes.row]
-    s_p, s_v = _split(tagged.data[:-_WINDOW_MAX], t0 + nodes.lo[0], t0 + nodes.hi[0])
+    p_table, v_table = _split(tagged.data[:-_WINDOW_MAX], t0 + nodes.lo[0], t0 + nodes.hi[0])
     edges = nodes.key[shape.echild]
     edim = edges & 0xFF
     return _index(
         shape,
         _node_dims(leaf, edim, shape.estart),
-        s_p,
-        s_v,
+        p_table,
+        v_table,
         edges >> 8,
         edim,
         np.where(leaf, refs.count[nodes.row], 0),
@@ -584,10 +652,13 @@ def build_static(
     )
 
 
-def _split(symbols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[bytes], list[bytes]]:
+def _split(
+    symbols: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[tuple[list[bytes], np.ndarray], tuple[list[bytes], np.ndarray]]:
     """The path bytes and the value bytes of each range [lo[i], hi[i]) of
-    tagged symbols.  A running count of value symbols maps a range to its
-    ranges in a blob of all path bytes and a blob of all value bytes."""
+    tagged symbols, as a table each (`_table`).  A running count of value
+    symbols maps a range to its ranges in a blob of all path bytes and a
+    blob of all value bytes."""
     code, byte = symbols.view(np.uint8).reshape(-1, 2).T
     is_value = code.astype(bool)  # the codes are 0 for P and 1 for V
     before = np.zeros(len(symbols) + 1, np.int32)  # value symbols before each symbol
@@ -595,7 +666,7 @@ def _split(symbols: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list[by
     v_lo, v_hi = before[lo], before[hi]
     del before
     p_blob, v_blob = byte[~is_value].tobytes(), byte[is_value].tobytes()
-    return _slices(p_blob, lo - v_lo, hi - v_hi), _slices(v_blob, v_lo, v_hi)
+    return _table(p_blob, lo - v_lo, hi - v_hi), _table(v_blob, v_lo, v_hi)
 
 
 # --- structural statistics --------------------------------------------------
@@ -653,7 +724,10 @@ def collect_stats(index: RcasIndex) -> IndexStats:
         (_KIND_NAMES[k // dims], _DIM_NAMES[k % dims]): c for k, c in enumerate(kinds.tolist()) if c
     }
     leaves = int(leaf.sum())
-    substrings = sum(map(len, index.s_p)) + sum(map(len, index.s_v))
+    substrings = sum(
+        int(_lengths(tab)[np.frombuffer(ids, np.int32)].sum())
+        for tab, ids in ((index.p_tab, index.p_id), (index.v_tab, index.v_id))
+    )
     size = (
         _HEADER_BYTES * n
         + substrings
@@ -675,28 +749,38 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 
 # --- serialization ----------------------------------------------------------
 #
-# An RCAS2 file is a header, the node and edge columns in pre-order, and a
-# CRC-32 (zlib) of all that precedes it, big-endian:
+# An RCAS3 file is a header, the substring tables and the node and edge
+# columns in pre-order, and a CRC-32 (zlib) of all that precedes it,
+# big-endian:
 #
-#   header   magic "RCAS2", scheme code u8, value width u8, key count u64,
-#            node count u64, byte length of the node table u64; for zo also
-#            max labels u64, label count u64, byte length u64 and the labels
-#            in code order, joined by '/'
+#   header   magic "RCAS3", scheme code u8, value width u8, key count u64,
+#            node count u64, path table count u64, value table count u64,
+#            byte length of the varint table u64; for zo also max labels u64,
+#            label count u64, byte length u64 and the labels in code order,
+#            joined by '/'
 #   dims     one dimension code per node (`RcasIndex.dim`)
-#   table    LEB128 varints, three per node: path substring length, value
-#            substring length, and child count (inner) or ref count (leaf)
+#   table    LEB128 varints: the length of each path table entry, the length
+#            of each value table entry, then three per node: path substring
+#            id, value substring id, and child count (inner) or ref count
+#            (leaf)
 #   edges    one byte per edge (node count - 1), grouped by parent
 #   mixed    the dimension code of each edge of the `_MIXED` nodes
-#   blobs    the path substrings, then the value substrings, concatenated
+#   blobs    the path table's entries, then the value table's, concatenated
 #   refs     one LEB128 varint per key
 #
-# Every length is a varint, so no substring is too long to save.
+# Every length is a varint, so no substring is too long to save.  A table
+# holds each distinct substring of its dimension once, in order of first
+# appearance in pre-order (`RcasIndex`), and is written as the index holds it.
 
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
-_HEADER = struct.Struct(">5sBBQQQ")
+_HEADER = struct.Struct(">5sBBQQQQQ")
 _ZO_HEADER = struct.Struct(">QQQ")
 _CRC = struct.Struct(">I")
+
+
+def _lengths(tab: list[bytes]) -> np.ndarray:
+    return np.fromiter(map(len, tab), np.int64, len(tab))
 
 
 def _varints(values: np.ndarray) -> bytes:
@@ -705,13 +789,20 @@ def _varints(values: np.ndarray) -> bytes:
     v = values.astype(np.uint64)
     size = np.ones(len(v), np.int64)
     for k in range(1, 10):
-        size += v >= np.uint64(1 << (7 * k))
+        more = v >= np.uint64(1 << (7 * k))
+        if not more.any():
+            break
+        size += more
     start = np.cumsum(size) - size
     out = np.empty(int(size.sum()), np.uint8)
-    for k in range(int(size.max(initial=0))):
-        on = np.flatnonzero(size > k)
+    low = (v & np.uint64(0x7F)).astype(np.uint8)
+    on = np.flatnonzero(size > 1)  # the values with a byte k still to write
+    low[on] |= 0x80
+    out[start] = low
+    for k in range(1, int(size.max(initial=0))):
         more = np.where(size[on] > k + 1, 0x80, 0).astype(np.uint8)
         out[start[on] + k] = ((v[on] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8) | more
+        on = on[size[on] > k + 1]
     return out.tobytes()
 
 
@@ -727,26 +818,28 @@ def _read_varints(column: bytes, count: int) -> np.ndarray:
     overlong = (size > 1) & (col[last] == 0)  # a zero group at the top
     if (size > 10).any() or overlong.any() or ((size == 10) & (col[last] > 1)).any():
         raise ValueError("bad varint in index file")
-    out = np.zeros(count, np.uint64)
-    for k in range(int(size.max(initial=0))):
-        on = np.flatnonzero(size > k)
+    out = (col[first] & 0x7F).astype(np.uint64)
+    on = np.flatnonzero(size > 1)  # the varints with a byte k still to read
+    for k in range(1, int(size.max(initial=0))):
         out[on] |= (col[first[on] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
+        on = on[size[on] > k + 1]
     return out
 
 
 def save_bytes(index: RcasIndex) -> bytes:
-    """Serialize an index to the RCAS2 format."""
+    """Serialize an index to the RCAS3 format."""
     dim = np.frombuffer(index.dim, np.uint8)
     n = len(dim)
     arity = np.diff(np.frombuffer(index.estart, np.int32))
-    table = np.empty((n, 3), np.uint64)
-    table[:, 0] = np.fromiter(map(len, index.s_p), np.int64, n)
-    table[:, 1] = np.fromiter(map(len, index.s_v), np.int64, n)
-    table[:, 2] = arity + np.diff(np.frombuffer(index.reflo, np.uint64)).astype(np.int64)
-    nodes = _varints(table.ravel())
+    nodes = np.empty((n, 3), np.uint64)
+    nodes[:, 0] = np.frombuffer(index.p_id, np.int32)
+    nodes[:, 1] = np.frombuffer(index.v_id, np.int32)
+    nodes[:, 2] = arity + np.diff(np.frombuffer(index.reflo, np.uint64)).astype(np.int64)
+    table = _varints(np.concatenate([_lengths(index.p_tab), _lengths(index.v_tab), nodes.ravel()]))
     mixed = np.frombuffer(index.edim, np.uint8)[np.repeat(dim == _MIXED, arity)]
     scheme = _SCHEME_CODE[index.scheme]
-    head = [_HEADER.pack(MAGIC, scheme, index.value_width, index.key_count, n, len(nodes))]
+    counts = (index.key_count, n, len(index.p_tab), len(index.v_tab), len(table))
+    head = [_HEADER.pack(MAGIC, scheme, index.value_width, *counts)]
     if index.scheme == "zo":
         ctx = index.zo_ctx
         assert ctx is not None
@@ -756,25 +849,26 @@ def save_bytes(index: RcasIndex) -> bytes:
         [
             *head,
             index.dim,
-            nodes,
+            table,
             index.ebyte,
             mixed.tobytes(),
-            b"".join(index.s_p),
-            b"".join(index.s_v),
-            _varints(np.fromiter(index.refs, np.uint64, len(index.refs))),
+            b"".join(index.p_tab),
+            b"".join(index.v_tab),
+            _varints(np.frombuffer(index.refs, np.uint64)),
         ]
     )
     return body + _CRC.pack(zlib.crc32(body))
 
 
 def load_bytes(data: bytes) -> RcasIndex:
-    """Read an RCAS2 file, checking that it holds one well-formed index.
+    """Read an RCAS3 file, checking that it holds one well-formed index.
 
     Every check raises ValueError: the checksum, the header, the varint
-    columns, the tree shape the child counts give, the edges (their order,
-    their dimension codes, and each edge byte against the child's first
-    byte in that dimension), that every root-to-leaf path spells a whole
-    key, and that the refs add up to the key count."""
+    column, each substring id against its table, the tree shape the child
+    counts give, the edges (their order, their dimension codes, and each
+    edge byte against the child's first byte in that dimension), that every
+    root-to-leaf path spells a whole key, and that the refs add up to the
+    key count."""
     data = bytes(data)
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not an index file (bad magic)")
@@ -790,7 +884,7 @@ def load_bytes(data: bytes) -> RcasIndex:
         pos += size
         return data[pos - size : pos]
 
-    _, scheme_code, width, key_count, n, table_bytes = _HEADER.unpack_from(data)
+    _, scheme_code, width, key_count, n, n_p, n_v, table_bytes = _HEADER.unpack_from(data)
     scheme = _SCHEME_FROM_CODE.get(scheme_code)
     if scheme is None:
         raise ValueError("unknown scheme code in index file")
@@ -807,10 +901,15 @@ def load_bytes(data: bytes) -> RcasIndex:
     if not n:
         raise ValueError("index file holds no nodes")
     dims = np.frombuffer(take(n), np.uint8)
-    table = _read_varints(take(table_bytes), 3 * n).reshape(n, 3)
+    table = _read_varints(take(table_bytes), n_p + n_v + 3 * n)
     if table.max() > len(data):
         raise ValueError("node table out of range in index file")
-    len_p, len_v, count = table.astype(np.int64).T
+    table = table.astype(np.int64)
+    p_size, v_size = table[:n_p], table[n_p : n_p + n_v]  # of each table entry
+    p_id, v_id, count = table[n_p + n_v :].reshape(n, 3).T
+    if (p_id >= n_p).any() or (v_id >= n_v).any():
+        raise ValueError("substring id past the end of its table in index file")
+    len_p, len_v = p_size[p_id], v_size[v_id]
     if dims.max() > _MIXED:
         raise ValueError("bad dimension code in index file")
     leaf = dims == _BOT
@@ -828,10 +927,10 @@ def load_bytes(data: bytes) -> RcasIndex:
     siblings = np.repeat(np.arange(n), arity)
     if ((symbol[1:] <= symbol[:-1]) & (siblings[1:] == siblings[:-1])).any():
         raise ValueError("child edges out of order in index file")
-    p_at = pos + np.cumsum(len_p) - len_p
-    take(int(len_p.sum()))
-    v_at = pos + np.cumsum(len_v) - len_v
-    take(int(len_v.sum()))
+    p_at = pos + np.cumsum(p_size) - p_size  # the offset of each table entry
+    take(int(p_size.sum()))
+    v_at = pos + np.cumsum(v_size) - v_size
+    take(int(v_size.sum()))
     refcount = np.where(leaf, count, 0)
     if int(refcount.sum()) != key_count:
         raise ValueError("leaf ref counts do not add up to the key count in index file")
@@ -839,32 +938,32 @@ def load_bytes(data: bytes) -> RcasIndex:
 
     # each root-to-leaf path spells one whole key
     raw = np.frombuffer(data, np.uint8)
-    v_len = _down(len_v, shape.end)
+    v_down = _down(len_v, shape.end)
     if ctx is None:
-        ends = (len_p > 0) & (raw[p_at + len_p - 1] == PATH_TERMINATOR)
+        ends = ((p_size > 0) & (raw[p_at + p_size - 1] == PATH_TERMINATOR))[p_id]
         ended = _down(ends, shape.end)
         if ((len_p > 0) & (ended > ends)).any():
             raise ValueError("path bytes after the terminator in index file")
         path_done = ended > 0
-        too_long = v_len > width
+        too_long = v_down > width
     else:
-        p_len = _down(len_p, shape.end)
-        path_done = p_len == ctx.path_width
-        too_long = (v_len > width) | (p_len > ctx.path_width)
+        p_down = _down(len_p, shape.end)
+        path_done = p_down == ctx.path_width
+        too_long = (v_down > width) | (p_down > ctx.path_width)
     if too_long.any():
         raise ValueError("key longer than the index width in index file")
-    if (leaf & ((v_len != width) | ~path_done)).any():
+    if (leaf & ((v_down != width) | ~path_done)).any():
         raise ValueError("leaf does not end its key in index file")
     child = shape.echild
     on_p = edim == _P
-    first_at = np.where(on_p, p_at[child], v_at[child])
+    first_at = np.where(on_p, p_at[p_id[child]], v_at[v_id[child]])
     if not np.where(on_p, len_p[child], len_v[child]).all() or (raw[first_at] != ebyte).any():
         raise ValueError("edge byte is not the child's first byte in index file")
     return _index(
         shape,
         dims,
-        _slices(data, p_at, p_at + len_p),
-        _slices(data, v_at, v_at + len_v),
+        (_slices(data, p_at, p_at + p_size), p_id),
+        (_slices(data, v_at, v_at + v_size), v_id),
         ebyte,
         edim,
         refcount,

@@ -267,12 +267,14 @@ def test_criterion_09_build_bounds_and_scaling():
             value_max=4096,
         )
 
+    # both sizes are timed the same way, as the best of three builds, so that
+    # the ratio compares warm builds and not first-touch memory with reuse
     small_keys = records_to_keys(generate(config(100_000)))
     small_elapsed = min(_timed_build(small_keys)[0] for _ in range(3))
     del small_keys
 
     big_keys = records_to_keys(generate(config(1_000_000)))
-    big_elapsed, big_index = _timed_build(big_keys)
+    big_elapsed, big_index = min((_timed_build(big_keys) for _ in range(3)), key=lambda run: run[0])
 
     distinct = {(k.path, k.value) for k in big_keys}
     assert big_index.build_stats.byte_scans <= sum(len(p) + len(v) for p, v in distinct)
@@ -321,7 +323,7 @@ def test_criterion_11_serialization_round_trip():
     for scheme in ("rcas", "zo"):
         index = build_static(keys, scheme)
         blob = save_bytes(index)
-        assert blob.startswith(b"RCAS2")
+        assert blob.startswith(b"RCAS3")
         loaded = load_bytes(blob)
         assert save_bytes(loaded) == blob, "re-serialization must be byte-identical"
         for _ in range(100):

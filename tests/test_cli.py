@@ -20,10 +20,11 @@ def bom_file(tmp_path):
 @pytest.fixture
 def bad_indexes(bom_file, tmp_path):
     """The example index cut in half; and, each behind a recomputed
-    checksum, with its root's dimension code flipped to the leaf code,
-    which leaves the root's children without a parent, with the root's
-    child count set to 4 of its 3 children, with a value width outside
-    {4, 8}, and with a leaf whose path is never terminated."""
+    checksum, with the magic of the earlier RCAS2 format, with its root's
+    dimension code flipped to the leaf code, which leaves the root's
+    children without a parent, with the root's child count set to 4 of its
+    3 children, with a value width outside {4, 8}, and with a leaf whose
+    path is never terminated."""
     target = tmp_path / "bom.idx"
     assert main(["build", bom_file, "--save", str(target)]) == 0
     blob = target.read_bytes()
@@ -35,12 +36,13 @@ def bad_indexes(bom_file, tmp_path):
     def corrupt(name: str, at: int, new: bytes) -> str:
         return write(name, resealed(blob[:at] + new + blob[at + len(new) :]))
 
-    assert blob[31] == 1 and blob[44] == 3  # the root's dimension code and child count
+    assert blob[47] == 1 and blob[80] == 3  # the root's dimension code and child count
     assert blob[blob.index(b"r/battery") + 9] == 0  # the terminator that ends it
     return [
         write("truncated.idx", blob[: len(blob) // 2]),
-        corrupt("flipped.idx", 31, b"\x02"),
-        corrupt("wrong_kind.idx", 44, b"\x04"),
+        corrupt("old_format.idx", 0, b"RCAS2"),
+        corrupt("flipped.idx", 47, b"\x02"),
+        corrupt("wrong_kind.idx", 80, b"\x04"),
         corrupt("bad_width.idx", 6, bytes([151])),
         corrupt("unterminated.idx", blob.index(b"r/battery") + 9, b"\x89"),
     ]
@@ -73,6 +75,15 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--count", "0")
         assert code == 2
         assert "data error" in err
+
+    @pytest.mark.parametrize("argv", [("--example", "bom"), ("--seed", "3", "--count", "40000")])
+    def test_stdout_equals_output_file(self, capsys, tmp_path, argv):
+        """Without --output the same chunked writer prints the same bytes."""
+        target = tmp_path / "out.csv"
+        assert run_cli(capsys, "generate", *argv, "--output", str(target))[:2] == (0, "")
+        code, out, _ = run_cli(capsys, "generate", *argv)
+        assert code == 0
+        assert out.encode("ascii") == target.read_bytes()
 
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

@@ -5,11 +5,12 @@ import struct
 import sys
 import tracemalloc
 import zlib
+from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcas import trie
 from rcas.cli import main
@@ -66,14 +67,26 @@ EXPECTED_BOM_TREE = (
 )
 
 
-# The RCAS2 file of the running example's rcas index, byte for byte.
-EXAMPLE_RCAS2 = (
-    "524341533200040000000000000008000000000000000b000000000000002101"
-    "000102020202020102020c010301010202000306020104020105020107020104"
-    "03010a02020001020001010001032f610a0b0c5ab02f626f6d2f6974656d2f63"
-    "61722f62756d70657200656c740072616b65006162696e6572006e6f6500722f"
-    "626174746572790000000a8c0b4a0cc200f1010e5003d35ab007050602010308"
-    "0465bfeb73"
+# The RCAS3 file of the running example's rcas index, byte for byte: the
+# header (magic, scheme 0, width 4, 8 keys, 11 nodes, 10 path and 10 value
+# table entries, 53 bytes of varints), the dimension codes, the varints (the
+# path table's lengths, the value table's, then each node's path id, value id
+# and child or ref count), the edge bytes, the path and the value table
+# entries, the refs and the CRC-32.
+EXAMPLE_RCAS3 = (
+    "5243415333" "00" "04" "0000000000000008" "000000000000000b"
+    "000000000000000a" "000000000000000a" "0000000000000035"
+    "0100010202020202010202"
+    "0c01020604050704" "0a00"
+    "0100020202020302" "0101"
+    "000003" "010002" "020103" "030201" "040301" "050401" "060501" "070601"
+    "080702" "090802" "090901"
+    "0001032f610a0b0c5ab0"
+    "2f626f6d2f6974656d2f6361" "72" "2f62" "756d70657200" "656c7400" "72616b6500"
+    "6162696e657200" "6e6f6500" "722f62617474657279" "00"
+    "00" "0a8c" "0b4a" "0cc2" "00f1" "010e50" "03d3" "5a" "b0"
+    "0705060201030804"
+    "f0b2b146"
 )
 
 # The example's index file in every scheme, for corrupting.
@@ -524,7 +537,7 @@ class TestStaticBuilds:
 
 class TestSerialization:
     def test_magic_prefix(self, bom_index):
-        assert save_bytes(bom_index).startswith(b"RCAS2")
+        assert save_bytes(bom_index).startswith(b"RCAS3")
 
     def test_round_trip_all_schemes(self, bom_keys):
         for scheme in SCHEMES:
@@ -543,14 +556,17 @@ class TestSerialization:
         assert again.zo_ctx.codes == index.zo_ctx.codes
         assert again.zo_ctx.max_labels == index.zo_ctx.max_labels
 
-    def test_bad_magic_rejected(self):
+    def test_bad_magic_rejected(self, bom_index):
         with pytest.raises(ValueError):
             load_bytes(b"NOPE1" + b"\x00" * 32)
+        blob = save_bytes(bom_index)
+        with pytest.raises(ValueError, match="bad magic"):  # the earlier format has no reader
+            load_bytes(resealed(b"RCAS2" + blob[5:]))
 
     def test_example_bytes(self, bom_index):
-        """The exact RCAS2 bytes of the example index, so that any drift of
+        """The exact RCAS3 bytes of the example index, so that any drift of
         the format fails here first."""
-        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS2
+        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS3
 
     def test_truncation_rejected(self, bom_index):
         blob = save_bytes(bom_index)
@@ -562,11 +578,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="checksum"):
             load_bytes(blob[:40] + bytes([blob[40] ^ 1]) + blob[41:])
         # records that contradict themselves, each behind a valid checksum
-        dims = 5 + 1 + 1 + 8 + 8 + 8  # magic, scheme, width, key, node and table counts
+        counts = 5 + 1 + 1 + 8 + 8  # magic, scheme, width, key and node counts
+        assert blob[counts : counts + 24] == b"".join(c.to_bytes(8, "big") for c in (10, 10, 53))
+        dims = counts + 24  # after the table counts and the varint byte count
         assert blob[dims : dims + 4] == bytes([1, 0, 1, 2])  # V root, P, V, then a leaf
-        table = dims + 11  # the root's path length, value length and child count
-        assert blob[table : table + 3] == bytes([12, 1, 3])
-        edges = table + 33
+        table = dims + 11
+        assert blob[table : table + 2] == bytes([12, 1])  # the lengths of '/bom/item/ca' and 'r'
+        root = table + 20  # the root's path id, value id and child count
+        assert blob[root : root + 3] == bytes([0, 0, 3])
+        edges = table + 53
         assert blob[edges : edges + 3] == bytes([0x00, 0x01, 0x03])  # the root's
 
         def rejected(at: int, new: bytes, match: str | None = None) -> None:
@@ -577,9 +597,15 @@ class TestSerialization:
         rejected(dims + 3, b"\x01")  # a leaf as a V node: its ref count as children
         rejected(dims, b"\x04", "bad dimension code")
         for count in (2, 4):  # not the root's 3 children
-            rejected(table + 2, bytes([count]), "tree")
-        rejected(table + 2, b"\x00", "without children")
+            rejected(root + 2, bytes([count]), "tree")
+        rejected(root + 2, b"\x00", "without children")
         rejected(table, b"\x8c\x00", "varint")  # 12 spelled in two bytes
+        rejected(root, b"\x0a", "past the end of its table")  # 10 path entries
+        rejected(root + 1, b"\x0a", "past the end of its table")  # 10 value entries
+        for p_count, v_count in ((11, 10), (9, 10), (10, 11)):  # the varints hold 53
+            rejected(counts, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "count")
+        # the same number of varints, split one entry later: the value ids run past the end
+        rejected(counts, (11).to_bytes(8, "big") + (9).to_bytes(8, "big"), "past the end")
         for swapped in (b"\x01\x00", b"\x00\x00"):  # out of order, repeated
             rejected(edges, swapped, "out of order")
         rejected(edges + 2, b"\x02", "first byte")  # 0x03 leads to '\x03\xd3'
@@ -667,6 +693,70 @@ class TestSerialization:
                         answers_like_scan(ix, text, vr)
             # its DFA has a state per label byte, so it runs once, on the loaded index
             answers_like_scan(loaded, "//" + label, everything)
+
+
+class TestSubstringTables:
+    """Each distinct substring is one object in its table, which the nodes'
+    columns share, and refs are one array of unsigned 64-bit ints."""
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_one_object_per_distinct_substring(self, width):
+        keys = records_to_keys(generate(GeneratorConfig(seed=26, key_count=3000)), width)
+        for scheme in SCHEMES:
+            built = build_static(keys, scheme)
+            blob = save_bytes(built)
+            loaded = load_bytes(blob)
+            assert save_bytes(loaded) == blob, scheme
+            assert (loaded.p_tab, loaded.p_id) == (built.p_tab, built.p_id), scheme
+            assert (loaded.v_tab, loaded.v_id) == (built.v_tab, built.v_id), scheme
+            for ix in (built, loaded):
+                for tab, ids, column in ((ix.p_tab, ix.p_id, ix.s_p), (ix.v_tab, ix.v_id, ix.s_v)):
+                    assert len(set(tab)) == len(tab), scheme
+                    assert len({id(s) for s in column}) == len(tab), scheme
+                    assert all(s is tab[i] for s, i in zip(column, ids)), scheme
+                    assert list(dict.fromkeys(ids)) == list(range(len(tab))), scheme  # first appearance
+            assert len(built.p_tab) + len(built.v_tab) < len(built.dim), scheme
+
+    @given(
+        st.lists(st.sampled_from(b"ab\x00"), max_size=60).map(bytes).flatmap(
+            lambda blob: st.tuples(
+                st.just(blob),
+                st.lists(
+                    st.tuples(st.integers(0, len(blob)), st.integers(0, len(blob))).map(sorted),
+                    min_size=1,
+                    max_size=30,
+                ),
+            )
+        ),
+        st.sampled_from([1, 3, 1 << 14]),
+    )
+    @example((b"abcdefghij" * 3, [(0, 10), (3, 10), (10, 20), (13, 20), (3, 13), (0, 0), (5, 5)]), 3)
+    def test_table_of_spans(self, blob_ranges, chunk):
+        """Short substrings (up to 7 bytes) are grouped by their bytes and
+        longer ones by their span; equal long spans at other offsets, as in
+        the example, still share one entry."""
+        blob, ranges = blob_ranges
+        start = np.array([a for a, _ in ranges], np.int32)
+        stop = np.array([b for _, b in ranges], np.int32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trie, "_CHUNK", chunk)
+            tab, ids = trie._table(blob, start, stop)
+        subs = [blob[a:b] for a, b in ranges]
+        assert tab == list(dict.fromkeys(subs))
+        assert [tab[i] for i in ids] == subs
+
+    def test_refs_are_unsigned_64_bit(self):
+        top = 2**64 - 1
+        keys = [CompositeKey.make("/a", 1, 0), CompositeKey.make("/b", 2, top), CompositeKey.make("/b", 2, 5)]
+        for scheme in SCHEMES:
+            built = build_static(keys, scheme)
+            blob = save_bytes(built)
+            loaded = load_bytes(blob)
+            assert save_bytes(loaded) == blob, scheme
+            for ix in (built, loaded):
+                assert isinstance(ix.refs, array) and ix.refs.typecode == "Q", scheme
+                assert sorted(run_query(ix, "/b", ValueRange.closed(2, 2)).refs) == [5, top], scheme
+                assert sorted(run_query(ix, "//", ValueRange.closed(0, 9)).refs) == [0, 5, top], scheme
 
 
 class TestSlices:

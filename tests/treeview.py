@@ -144,16 +144,25 @@ def make_index(
         estart.append(len(ebyte))
         refs += node.refs or []
         reflo.append(len(refs))
+    def table(subs: list[bytes]) -> tuple[list[bytes], array]:
+        ids = {}
+        column = array("i", [ids.setdefault(s, len(ids)) for s in subs])
+        return list(ids), column
+
+    p_tab, p_id = table([node.s_p for node in order])
+    v_tab, v_id = table([node.s_v for node in order])
     return RcasIndex(
         dim=bytes(dims),
         end=array("i", end),
-        s_p=[node.s_p for node in order],
-        s_v=[node.s_v for node in order],
+        p_tab=p_tab,
+        v_tab=v_tab,
+        p_id=p_id,
+        v_id=v_id,
         estart=array("i", estart),
         ebyte=bytes(ebyte),
         edim=bytes(edim),
         echild=array("i", echild),
-        refs=refs,
+        refs=array("Q", refs),
         reflo=array("Q", reflo),
         value_width=value_width,
         key_count=key_count,
