@@ -75,7 +75,7 @@ def _print_stats_csv(stats: trie.IndexStats, out) -> None:
 def cmd_build(args) -> int:
     keys = _load_keys(args.dataset, args.width)
     started = time.perf_counter()
-    index = trie.build_static(keys, args.scheme, value_width=args.width)
+    index = trie.build_static(keys, args.scheme)
     elapsed = time.perf_counter() - started
     if args.save:
         try:
@@ -103,7 +103,7 @@ def _obtain_index(args) -> trie.RcasIndex:
     if not args.dataset:
         raise UsageError("either --load or --dataset is required")
     keys = _load_keys(args.dataset, args.width)
-    return trie.build_static(keys, args.scheme, value_width=args.width)
+    return trie.build_static(keys, args.scheme)
 
 
 def cmd_query(args) -> int:
@@ -159,9 +159,7 @@ def cmd_bench(args) -> int:
     except UnicodeDecodeError as exc:
         raise DataError(f"query file {args.queries!r} is not ASCII: {exc}") from exc
 
-    indexes = {
-        scheme: trie.build_static(keys, scheme, value_width=args.width) for scheme in trie.SCHEMES
-    }
+    indexes = {scheme: trie.build_static(keys, scheme) for scheme in trie.SCHEMES}
 
     w = csv.writer(sys.stdout)
     w.writerow(

@@ -17,8 +17,8 @@ loader derive the columns from per-node child counts with array passes
 (`_shape`), and the file format (`RCAS3`) stores them column by column.
 Nothing recurses, so the depth of a trie is not bounded by the interpreter's
 recursion limit.  Each distinct path or value substring is one object, held
-in a table that the nodes point into by id (`_table`); the tables' entries
-are cut from a blob a chunk at a time by one `struct.Struct` (`_slices`).
+in a table that the nodes point into by id (`_table`); each group of equal
+substrings is cut from its blob once (`_slices`).
 
 Indexes are immutable once built: there is no insert or delete path, and any
 number of readers may traverse one concurrently.  An index keeps the DFAs of
@@ -89,7 +89,9 @@ class RcasIndex:
     its dimension once, in order of first appearance in pre-order.  `s_p`
     and `s_v` are the same substrings as one column per dimension for the
     query loop; each entry is its table's object, so they add no substring.
-    Node i's edges are the range [estart[i], estart[i + 1]), sorted by
+    Both are kept: reading `p_tab[p_id[i]]` in the loop cost about 5% of
+    query time, and numbering `s_p`/`s_v` again at save took longer than
+    the rest of `save_bytes` (11.7 against 9.0 ms for 100,000 keys).  Node i's edges are the range [estart[i], estart[i + 1]), sorted by
     (byte, dimension code): edge e leads on byte `ebyte[e]` of dimension
     `edim[e]` to node `echild[e]`, and that byte is the first byte of the
     child's substring in that dimension.  The refs of the leaves of i's
@@ -140,19 +142,16 @@ class _Refs(NamedTuple):
     count: np.ndarray
 
 
-def _aggregate(keys: KeySet, value_width: int | None) -> tuple[np.ndarray, np.ndarray, _Refs, int]:
+def _aggregate(keys: KeySet) -> tuple[np.ndarray, np.ndarray, _Refs]:
     """Collapse duplicate keys: the path id and the value id (into
-    `keys.paths` and `keys.values`) of each distinct (path, value) pair, the
-    refs of each pair in input order, and the value width.  A pair is one
-    integer over the two ids, so no object is made per key.
+    `keys.paths` and `keys.values`) of each distinct (path, value) pair and
+    the refs of each pair in input order.  A pair is one integer over the
+    two ids, so no object is made per key.
 
     The distinct paths are checked to end in their only NUL byte, so that
     they are prefix-free, as the partitioner needs."""
     if not keys:
         raise ValueError("cannot build an index over an empty key set")
-    width = keys.width
-    if value_width is not None and value_width != width:
-        raise ValueError(f"key value width {width} does not match index width {value_width}")
     try:
         refs = np.fromiter(keys.refs, np.uint64, len(keys))
     except OverflowError as exc:
@@ -165,7 +164,7 @@ def _aggregate(keys: KeySet, value_width: int | None) -> tuple[np.ndarray, np.nd
     pair, group = np.unique(keys.pid * n_values + keys.vid, return_inverse=True)
     count = np.bincount(group, minlength=len(pair))
     grouped = _Refs(refs[np.argsort(group, kind="stable")], np.cumsum(count) - count, count)
-    return pair // n_values, pair % n_values, grouped, width
+    return pair // n_values, pair % n_values, grouped
 
 
 # --- the partitioner --------------------------------------------------------
@@ -181,8 +180,9 @@ class _Seqs(NamedTuple):
     Sequences are read a window of symbols at a time at per-row offsets, so
     a long sequence costs only its own length, never a padded row for every
     key.  `_WINDOW_MAX` zero symbols after the last sequence keep every
-    window inside the blob.  Node substrings are cut from the blob once
-    per distinct value, or per distinct span when long (`_table`).
+    window inside the blob.  Node substrings are sliced from the blob once
+    per distinct value, or per distinct span when long (`_table`); slicing
+    the map gives bytes.
 
     The blob is an anonymous memory map: it comes zero-filled, so the
     padding costs nothing, and it goes back to the system when released,
@@ -438,41 +438,9 @@ def _node_dims(leaf: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> np.nda
     return dim
 
 
-_CHUNK = 1 << 14
-
-
-def _digits(size: np.ndarray) -> bytes:
-    """The struct format b"<size[0]>s<size[1]>s..." of one bytes field per
-    size.  Each size is written in decimal with as many places as the
-    largest, zero-padded (struct reads b"007s" as b"7s"), so that the
-    format is one array with one pass per decimal place."""
-    places = len(str(int(size.max())))
-    fmt = np.full((len(size), places + 1), ord("s"), np.uint8)
-    rest = size
-    for k in range(places - 1, -1, -1):
-        rest, fmt[:, k] = np.divmod(rest, 10)
-    fmt[:, :places] += ord("0")
-    return fmt.tobytes()
-
-
 def _slices(blob, start: np.ndarray, stop: np.ndarray) -> list[bytes]:
-    """blob[start[i]:stop[i]] for each i, as bytes, cut in C.
-
-    A chunk of `_CHUNK` substrings at a time is gathered into one buffer by
-    one fancy index, and one `struct.Struct` of one "<size>s" field per
-    substring cuts it, so no Python object is made per substring but the
-    substring itself.  The struct is made here, not taken from the `struct`
-    module's process-wide cache of formats."""
-    data = np.frombuffer(blob, np.uint8)
-    out: list[bytes] = []
-    for at in range(0, len(start), _CHUNK):
-        first = start[at : at + _CHUNK].astype(np.int64)
-        size = stop[at : at + _CHUNK] - first
-        offset = np.cumsum(size) - size  # of each substring in the buffer
-        total = int(offset[-1] + size[-1])
-        buffer = data[np.repeat(first - offset, size) + np.arange(total)]
-        out += struct.Struct(_digits(size)).unpack(buffer)
-    return out
+    """blob[start[i]:stop[i]] for each i, as bytes."""
+    return [blob[a:b] for a, b in zip(start.tolist(), stop.tolist())]
 
 
 def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.ndarray]:
@@ -482,9 +450,11 @@ def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.n
     A substring of up to 7 bytes is keyed by its bytes (a 1, then the
     bytes, in one int64), a longer one by its span, so one sort groups the
     short substrings by content and the long ones by (offset, size); the
-    first empty substring stands for all of them.  Each group is cut once
+    first empty substring stands for all of them.  Each group is sliced once
     (`_slices`), and long spans that hold equal bytes then share one table
-    entry, so each distinct substring is one object."""
+    entry, so each distinct substring is one object.  Most node substrings
+    repeat, so a table holds a fraction of them: for 100,000 keys `bulk_load`
+    slices about 23k substrings for 191k node substrings."""
     size = stop - start
     keep = size > 0
     empty = np.argmin(keep)  # the first empty substring, if there is one
@@ -560,7 +530,7 @@ def _leaf_refs(refs: _Refs, rows: np.ndarray) -> np.ndarray:
 # --- the builders -----------------------------------------------------------
 
 
-def bulk_load(keys: Iterable[CompositeKey], value_width: int | None = None) -> RcasIndex:
+def bulk_load(keys: Iterable[CompositeKey]) -> RcasIndex:
     """Build the dynamically interleaved index for a set of composite keys.
 
     The partitioner (`_partition`) runs over two sequences per distinct
@@ -572,7 +542,7 @@ def bulk_load(keys: Iterable[CompositeKey], value_width: int | None = None) -> R
     pair is moved once per level of its root-to-leaf path.
     """
     keys = KeySet.of(keys)
-    pair_p, pair_v, refs, width = _aggregate(keys, value_width)
+    pair_p, pair_v, refs = _aggregate(keys)
     paths = _Seqs.of(keys.paths).take(pair_p)
     values = _Seqs.of(keys.values).take(pair_v)
     stats = BuildStats()
@@ -591,19 +561,14 @@ def bulk_load(keys: Iterable[CompositeKey], value_width: int | None = None) -> R
         edim,
         np.where(leaf, refs.count[nodes.row], 0),
         _leaf_refs(refs, nodes.row[leaf]),
-        value_width=width,
+        value_width=keys.width,
         key_count=len(keys),
         scheme="rcas",
         build_stats=stats,
     )
 
 
-def build_static(
-    keys: Iterable[CompositeKey],
-    scheme: str,
-    ctx: ZoContext | None = None,
-    value_width: int | None = None,
-) -> RcasIndex:
+def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | None = None) -> RcasIndex:
     """Build a trie over one of the static interleavings (pv, vp, lw, zo).
 
     The partitioner runs over one sequence per distinct key: its tagged
@@ -613,11 +578,11 @@ def build_static(
     nodes' symbol ranges are split into path and value substrings by one mask
     (`_split`)."""
     if scheme == "rcas":
-        return bulk_load(keys, value_width)
+        return bulk_load(keys)
     if scheme not in STATIC_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     keys = KeySet.of(keys)
-    pair_p, pair_v, refs, width = _aggregate(keys, value_width)
+    pair_p, pair_v, refs = _aggregate(keys)
     if scheme == "zo" and ctx is None:
         ctx = ZoContext.from_keys(keys)
     paths = list(map(keys.paths.__getitem__, pair_p.tolist()))
@@ -644,7 +609,7 @@ def build_static(
         edim,
         np.where(leaf, refs.count[nodes.row], 0),
         _leaf_refs(refs, nodes.row[leaf]),
-        value_width=width,
+        value_width=keys.width,
         key_count=len(keys),
         scheme=scheme,
         zo_ctx=ctx if scheme == "zo" else None,

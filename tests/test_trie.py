@@ -158,15 +158,14 @@ class TestBulkLoad:
     def test_errors_name_the_fault(self):
         four, eight = CompositeKey.make("/a", 1, 1, width=4), CompositeKey.make("/b", 1, 2, width=8)
         cases = [
-            ([], {}, "cannot build an index over an empty key set"),
-            ([four, eight], {}, "key value width 8 does not match index width 4"),
-            ([four], {"value_width": 8}, "key value width 4 does not match index width 8"),
-            ([four, CompositeKey(b"/c\x00", four.value, 2**64)], {}, "refs must lie in 0 .. 2**64 - 1 ("),
+            ([], "cannot build an index over an empty key set"),
+            ([four, eight], "key value width 8 does not match index width 4"),
+            ([four, CompositeKey(b"/c\x00", four.value, 2**64)], "refs must lie in 0 .. 2**64 - 1 ("),
         ]
-        for keys, kwargs, message in cases:
+        for keys, message in cases:
             for scheme in SCHEMES:
                 with pytest.raises(ValueError) as info:
-                    build_static(keys, scheme, **kwargs)
+                    build_static(keys, scheme)
                 assert str(info.value).startswith(message)
 
     def test_leaves_reproduce_input_multiset(self):
@@ -728,20 +727,27 @@ class TestSubstringTables:
                 ),
             )
         ),
-        st.sampled_from([1, 3, 1 << 14]),
+        st.booleans(),
     )
-    @example((b"abcdefghij" * 3, [(0, 10), (3, 10), (10, 20), (13, 20), (3, 13), (0, 0), (5, 5)]), 3)
-    def test_table_of_spans(self, blob_ranges, chunk):
+    @example((b"abcdefghij" * 3, [(0, 10), (3, 10), (10, 20), (13, 20), (3, 13), (0, 0), (5, 5)]), False)
+    @example((bytes(range(256)) * 12, [(0, 10), (3000, 3072), (5, 5), (2, 1002), (3071, 3072)]), True)
+    def test_table_of_spans(self, blob_ranges, mapped):
         """Short substrings (up to 7 bytes) are grouped by their bytes and
         longer ones by their span; equal long spans at other offsets, as in
-        the example, still share one entry."""
+        the first example, still share one entry.  The builders' blobs are
+        anonymous memory maps, and no view of one outlives the call."""
         blob, ranges = blob_ranges
         start = np.array([a for a, _ in ranges], np.int32)
         stop = np.array([b for _, b in ranges], np.int32)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trie, "_CHUNK", chunk)
+        if mapped:
+            source = mmap.mmap(-1, len(blob) + 1)  # an empty map cannot be made
+            source.write(blob)
+            tab, ids = trie._table(source, start, stop)
+            source.close()
+        else:
             tab, ids = trie._table(blob, start, stop)
         subs = [blob[a:b] for a, b in ranges]
+        assert all(type(s) is bytes for s in tab)
         assert tab == list(dict.fromkeys(subs))
         assert [tab[i] for i in ids] == subs
 
@@ -759,66 +765,6 @@ class TestSubstringTables:
                 assert sorted(run_query(ix, "//", ValueRange.closed(0, 9)).refs) == [0, 5, top], scheme
 
 
-class TestSlices:
-    """`_slices` cuts what plain slicing cuts."""
-
-    @staticmethod
-    def assert_cuts(blob, ranges, dtype=np.int64):
-        start = np.array([a for a, _ in ranges], dtype)
-        stop = np.array([b for _, b in ranges], dtype)
-        assert trie._slices(blob, start, stop) == [bytes(blob[a:b]) for a, b in ranges]
-
-    @given(
-        st.binary(max_size=2500).flatmap(
-            lambda blob: st.tuples(
-                st.just(blob),
-                st.lists(
-                    st.tuples(st.integers(0, len(blob)), st.integers(0, len(blob))).map(sorted),
-                    max_size=12,
-                ),
-            )
-        ),
-        st.sampled_from([1, 3, 1 << 14]),
-        st.sampled_from([np.int32, np.int64]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_equals_plain_slicing(self, blob_ranges, chunk, dtype):
-        blob, ranges = blob_ranges
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trie, "_CHUNK", chunk)
-            self.assert_cuts(blob, ranges, dtype)
-
-    BLOB = bytes(range(256)) * 12  # 3,072 bytes
-
-    @pytest.mark.parametrize("chunk", [3, 1 << 14])
-    @pytest.mark.parametrize(
-        "ranges",
-        [
-            [(0, 3), (10, 20), (700, 701)],  # gaps
-            [(50, 80), (10, 60), (0, 5), (40, 45), (40, 45)],  # overlapping, reversed, repeated
-            [(5, 5), (0, 3), (7, 7), (3072, 3072)],  # zero sizes
-            [(1, 1), (2, 2), (0, 0), (0, 4), (9, 9)],  # a first chunk of zero sizes only
-            [(0, 9), (0, 10), (5, 104), (1, 101), (2000, 2999), (1, 1001)],  # 9/10, 99/100, 999/1000
-            [(100, 1100), (0, 1), (3, 1002), (4, 103), (6, 16), (7, 16)],  # the same, largest first
-            [(3067, 3072), (0, 3072), (3071, 3072)],  # ending on the last byte
-            [],
-            [(i, i + 2 * i) for i in range(7)],  # chunks of 3, 3 and 1
-        ],
-    )
-    def test_fixed_cases(self, monkeypatch, ranges, chunk):
-        monkeypatch.setattr(trie, "_CHUNK", chunk)
-        self.assert_cuts(self.BLOB, ranges)
-        self.assert_cuts(self.BLOB, ranges, np.int32)
-
-    def test_cuts_a_memory_map(self, monkeypatch):
-        """The builders cut from the anonymous map their sequences live in."""
-        monkeypatch.setattr(trie, "_CHUNK", 3)
-        blob = mmap.mmap(-1, len(self.BLOB))
-        blob.write(self.BLOB)
-        self.assert_cuts(blob, [(0, 10), (3000, 3072), (5, 5), (2, 1002)])
-        blob.close()  # no view of the map outlives the call
-
-
 class TestProcessState:
     """Building, saving and loading leave nothing behind in the process."""
 
@@ -831,19 +777,14 @@ class TestProcessState:
 
         for name in ("pack", "pack_into", "unpack", "unpack_from", "iter_unpack", "calcsize"):
             monkeypatch.setattr(struct, name, refuse)
-        monkeypatch.setattr(trie, "_CHUNK", 64)  # many structs per build and load
         keys = records_to_keys(generate(GeneratorConfig(seed=24, key_count=1500)))
         for scheme in SCHEMES:
             blob = save_bytes(build_static(keys, scheme))
             assert save_bytes(load_bytes(blob)) == blob, scheme
 
-    def test_loading_and_dropping_an_index_frees_it(self, monkeypatch):
+    def test_loading_and_dropping_an_index_frees_it(self):
         keys = records_to_keys(generate(GeneratorConfig(seed=25, key_count=30_000)), 8)
-        # built in other chunks than the load cuts, so that a struct kept
-        # from the build could not serve the load
-        monkeypatch.setattr(trie, "_CHUNK", 1000)
         blob = save_bytes(bulk_load(keys))
-        monkeypatch.undo()
         gc.collect()
         tracemalloc.start()
         try:
