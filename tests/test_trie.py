@@ -765,6 +765,44 @@ class TestSubstringTables:
                 assert sorted(run_query(ix, "//", ValueRange.closed(0, 9)).refs) == [0, 5, top], scheme
 
 
+class TestSlices:
+    """`_slices` cuts what plain slicing cuts."""
+
+    BLOB = bytes(range(256)) * 12  # 3,072 bytes
+
+    @staticmethod
+    def assert_cuts(blob, ranges, dtype=np.int64):
+        start = np.array([a for a, _ in ranges], dtype)
+        stop = np.array([b for _, b in ranges], dtype)
+        cut = trie._slices(blob, start, stop)
+        assert all(type(s) is bytes for s in cut)
+        assert cut == [bytes(blob[a:b]) for a, b in ranges]
+
+    @given(
+        st.binary(max_size=2500).flatmap(
+            lambda blob: st.tuples(
+                st.just(blob),
+                st.lists(
+                    st.tuples(st.integers(0, len(blob)), st.integers(0, len(blob))).map(sorted),
+                    max_size=12,
+                ),
+            )
+        ),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_plain_slicing(self, blob_ranges, dtype):
+        blob, ranges = blob_ranges
+        self.assert_cuts(blob, ranges, dtype)
+
+    def test_cuts_a_memory_map(self):
+        """The builders cut from the anonymous map their sequences live in."""
+        blob = mmap.mmap(-1, len(self.BLOB))
+        blob.write(self.BLOB)
+        self.assert_cuts(blob, [(0, 10), (3000, 3072), (5, 5), (2, 1002)])
+        blob.close()  # no view of the map outlives the call
+
+
 class TestProcessState:
     """Building, saving and loading leave nothing behind in the process."""
 
