@@ -132,7 +132,7 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _parse_query_line(line: str, lineno: int) -> tuple[query.QueryPath, int, int]:
+def _parse_query_line(line: str, lineno: int, width: int) -> tuple[query.QueryPath, query.ValueRange]:
     parts = line.strip().split(";")
     if len(parts) != 3:
         raise DataError(f"query line {lineno}: expected 'path;low;high'")
@@ -143,7 +143,10 @@ def _parse_query_line(line: str, lineno: int) -> tuple[query.QueryPath, int, int
         raise DataError(f"query line {lineno}: bad range bounds") from None
     if low > high:
         raise DataError(f"query line {lineno}: impossible range")
-    return qpath, low, high
+    try:
+        return qpath, query.ValueRange.closed(low, high, width)
+    except OverflowError as exc:
+        raise DataError(f"query line {lineno}: {exc}") from exc
 
 
 def cmd_bench(args) -> int:
@@ -155,7 +158,7 @@ def cmd_bench(args) -> int:
         with open(args.queries, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    queries.append(_parse_query_line(line, lineno))
+                    queries.append(_parse_query_line(line, lineno, args.width))
     except UnicodeDecodeError as exc:
         raise DataError(f"query file {args.queries!r} is not ASCII: {exc}") from exc
 
@@ -168,8 +171,7 @@ def cmd_bench(args) -> int:
     runtimes: dict[str, list[float]] = {scheme: [] for scheme in trie.SCHEMES}
     n = len(keys)
     full = query.ValueRange.closed(0, (1 << (8 * args.width)) - 1, args.width)
-    for qpath, low, high in queries:
-        vrange = query.ValueRange.closed(low, high, args.width)
+    for qpath, vrange in queries:
         oracle = sorted(query.scan(keys, qpath, vrange))
         sel = costmodel.QuerySelectivities(
             total=len(oracle) / n,

@@ -19,9 +19,11 @@ file-system style data whose sizes are heavily skewed towards small values.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
+from numbers import Integral
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -184,15 +186,43 @@ _WRITE_CHUNK = 1 << 14  # lines joined per write
 
 def write_records(records: Iterable[DatasetRecord], path: str | TextIO) -> None:
     """Write the records one line each, a chunk of lines per write, to the
-    file at `path` or to an open text stream, which is left open."""
+    file at `path` or to an open text stream, which is left open.
+
+    DataError names the first record that `load_records` could not read
+    back; it is raised before the file is opened, so that it leaves no
+    file."""
     records = Records.of(records)
     paths, values, refs = records.paths, records.values, records.refs
+    _check_columns(paths, values, refs)
     out = open(path, "w", encoding="ascii") if isinstance(path, str) else nullcontext(path)
     with out as fh:
         for at in range(0, len(refs), _WRITE_CHUNK):
             cut = slice(at, at + _WRITE_CHUNK)
             fh.write("\n".join(map(_LINE, paths[cut], values[cut], refs[cut])))
             fh.write("\n")
+
+
+def _check_columns(paths: list[str], values: list[int], refs: list[int]) -> None:
+    """DataError naming the first record whose path holds ';', a line break
+    or a non-ASCII character, whose value is negative, or whose ref lies
+    outside 0 .. 2**64 - 1.  The columns are checked whole first, and only
+    a failing check looks for its record."""
+    text = "".join(paths)
+    if (
+        text.isascii()
+        and not any(map(text.__contains__, ";\n\r"))
+        and min(values, default=0) >= 0
+        and min(refs, default=0) >= 0
+        and max(refs, default=0) < 1 << 64
+    ):
+        return
+    for i, (path, value, ref) in enumerate(zip(paths, values, refs)):
+        if not path.isascii() or any(map(path.__contains__, ";\n\r")):
+            raise DataError(f"record {i}: path {path!r} holds ';', a line break or a non-ASCII character")
+        if value < 0:
+            raise DataError(f"record {i}: value {value} is negative")
+        if not 0 <= ref < 1 << 64:
+            raise DataError(f"record {i}: ref {ref} lies outside 0 .. 2**64 - 1")
 
 
 def records_to_keys(records: Iterable[DatasetRecord], width: int = 4) -> KeySet:
@@ -231,6 +261,8 @@ class GeneratorConfig:
     value_max: int = 1 << 20
 
     def __post_init__(self):
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise DataError("seed must be a non-negative integer")
         if self.key_count < 1:
             raise DataError("key_count must be positive")
         if self.label_alphabet_size < 1:
@@ -239,8 +271,10 @@ class GeneratorConfig:
             raise DataError("max_depth must be positive")
         if not 0.0 <= self.duplicate_fraction < 1.0:
             raise DataError("duplicate_fraction must lie in [0, 1)")
-        if self.value_skew < 0.0:
-            raise DataError("value_skew must be non-negative")
+        if not (math.isfinite(self.value_skew) and self.value_skew >= 0.0):
+            raise DataError("value_skew must be a non-negative number")
+        if not isinstance(self.value_max, Integral) or not 1 <= self.value_max <= 1 << 64:
+            raise DataError("value_max must be an integer in 1 .. 2**64")
 
 
 def _zipf_values(rng: np.random.Generator, n: int, skew: float, value_max: int) -> np.ndarray:

@@ -6,13 +6,15 @@ carrying the path/value substrings consumed since the parent's
 discriminative bytes.  The same node structure stores the keys produced by
 the static interleavings, so one query evaluator serves all schemes.
 
-One partitioner (`_partition`) builds every scheme: MSD radix partitioning
-over numpy arrays, one trie level at a time, for all open partitions at
-once.  The dynamic scheme hands it two sequences per key (path and value),
-a static scheme one (its tagged string).
+One builder (`build_static`, which `bulk_load` calls) builds every scheme
+through one partitioner (`_partition`): MSD radix partitioning over numpy
+arrays, one trie level at a time, for all open partitions at once.  The
+dynamic scheme hands it two sequences per key (path and value), a static
+scheme one (its tagged string); nothing else in a build depends on the
+scheme but how node ranges become substrings and edges.
 
 A built index is a flat trie: columns over node ids that run in pre-order
-(`RcasIndex`), with no object per node or per key.  The builders and the
+(`RcasIndex`), with no object per node or per key.  The builder and the
 loader derive the columns from per-node child counts with array passes
 (`_shape`), and the file format (`RCAS3`) stores them column by column.
 Nothing recurses, so the depth of a trie is not bounded by the interpreter's
@@ -134,19 +136,11 @@ def _column(tab: list[bytes], ids: array) -> list[bytes]:
     return objects[np.frombuffer(ids, np.int32)].tolist()
 
 
-class _Refs(NamedTuple):
-    """The refs of the distinct keys: key i's are refs[start[i] : start[i] + count[i]]."""
-
-    refs: np.ndarray  # uint64, grouped by key, each group in input order
-    start: np.ndarray
-    count: np.ndarray
-
-
-def _aggregate(keys: KeySet) -> tuple[np.ndarray, np.ndarray, _Refs]:
+def _aggregate(keys: KeySet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate keys: the path id and the value id (into
-    `keys.paths` and `keys.values`) of each distinct (path, value) pair and
-    the refs of each pair in input order.  A pair is one integer over the
-    two ids, so no object is made per key.
+    `keys.paths` and `keys.values`) of each distinct (path, value) pair,
+    the refs of the keys as uint64, and the pair id of each key (int32).  A
+    pair is one integer over the two ids, so no object is made per key.
 
     The distinct paths are checked to end in their only NUL byte, so that
     they are prefix-free, as the partitioner needs."""
@@ -162,9 +156,7 @@ def _aggregate(keys: KeySet) -> tuple[np.ndarray, np.ndarray, _Refs]:
         raise ValueError("key paths must end in their only NUL byte")
     n_values = len(keys.values)
     pair, group = np.unique(keys.pid * n_values + keys.vid, return_inverse=True)
-    count = np.bincount(group, minlength=len(pair))
-    grouped = _Refs(refs[np.argsort(group, kind="stable")], np.cumsum(count) - count, count)
-    return pair // n_values, pair % n_values, grouped
+    return pair // n_values, pair % n_values, refs, group.astype(np.int32)
 
 
 # --- the partitioner --------------------------------------------------------
@@ -520,95 +512,71 @@ def _index(
     )
 
 
-def _leaf_refs(refs: _Refs, rows: np.ndarray) -> np.ndarray:
-    """The refs of the keys `rows`, one key after the other."""
-    count = refs.count[rows]
-    skip = np.repeat(refs.start[rows] - (np.cumsum(count) - count), count)
-    return refs.refs[skip + np.arange(len(skip))]
-
-
-# --- the builders -----------------------------------------------------------
+# --- the builder ------------------------------------------------------------
 
 
 def bulk_load(keys: Iterable[CompositeKey]) -> RcasIndex:
-    """Build the dynamically interleaved index for a set of composite keys.
-
-    The partitioner (`_partition`) runs over two sequences per distinct
-    key, its path and its value, read from blobs of the key set's distinct
-    paths and values (`keys.KeySet`), and starts in the value dimension;
-    each node then branches in the dimension other than its parent's unless
-    that one is used up.  A node's edges take its branching dimension.
-    Discriminative byte scans resume at the parent's positions, and each
-    pair is moved once per level of its root-to-leaf path.
-    """
-    keys = KeySet.of(keys)
-    pair_p, pair_v, refs = _aggregate(keys)
-    paths = _Seqs.of(keys.paths).take(pair_p)
-    values = _Seqs.of(keys.values).take(pair_v)
-    stats = BuildStats()
-    arity, nodes = _preorder(_partition([paths, values], refs.count, _V, stats))
-    shape = _shape(arity)
-    leaf = nodes.split < 0
-    p0 = paths.start[nodes.row]
-    v0 = values.start[nodes.row]
-    edim = np.repeat(nodes.split, arity)  # sequence 0 is the path, 1 the value
-    return _index(
-        shape,
-        _node_dims(leaf, edim, shape.estart),
-        _table(paths.blob, p0 + nodes.lo[0], p0 + nodes.hi[0]),
-        _table(values.blob, v0 + nodes.lo[1], v0 + nodes.hi[1]),
-        nodes.key[shape.echild],
-        edim,
-        np.where(leaf, refs.count[nodes.row], 0),
-        _leaf_refs(refs, nodes.row[leaf]),
-        value_width=keys.width,
-        key_count=len(keys),
-        scheme="rcas",
-        build_stats=stats,
-    )
+    """Build the dynamically interleaved index for a set of composite keys
+    (`build_static` with the rcas scheme)."""
+    return build_static(keys, "rcas")
 
 
 def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | None = None) -> RcasIndex:
-    """Build a trie over one of the static interleavings (pv, vp, lw, zo).
+    """Build the trie of any scheme, dynamic (rcas) or static (pv, vp, lw,
+    zo).  The scheme decides only what the partitioner (`_partition`) reads
+    and how its nodes become substrings and edges.
 
-    The partitioner runs over one sequence per distinct key: its tagged
-    symbols (`interleave.static_interleave`, made for all keys at once),
-    byte * 256 + dimension code, so edges are ordered by byte, then by
-    dimension.  A node whose edges span both dimensions is `_MIXED`.  The
-    nodes' symbol ranges are split into path and value substrings by one mask
-    (`_split`)."""
-    if scheme == "rcas":
-        return bulk_load(keys)
-    if scheme not in STATIC_SCHEMES:
+    rcas reads two sequences per distinct key, its path and its value, from
+    blobs of the key set's distinct paths and values (`keys.KeySet`), and
+    starts in the value dimension; each node then branches in the dimension
+    other than its parent's unless that one is used up, and its edges take
+    that dimension.  A static scheme reads one sequence per distinct key,
+    its tagged symbols (`interleave.static_interleave`, made for all keys at
+    once), byte * 256 + dimension code, so edges are ordered by byte, then
+    by dimension; a node whose edges span both dimensions is `_MIXED`, and
+    one mask splits the nodes' symbol ranges into path and value substrings
+    (`_split`).  Either way each pair is moved once per level of its
+    root-to-leaf path, and one stable sort puts the refs in leaf order,
+    each leaf's in input order."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     keys = KeySet.of(keys)
-    pair_p, pair_v, refs = _aggregate(keys)
-    if scheme == "zo" and ctx is None:
-        ctx = ZoContext.from_keys(keys)
-    paths = list(map(keys.paths.__getitem__, pair_p.tolist()))
-    values = list(map(keys.values.__getitem__, pair_v.tolist()))
-    symbols, size = _symbols(paths, values, scheme, ctx)
-    del paths, values
-    tagged = _Seqs.empty(size, "<u2")
-    tagged.data[: len(symbols)] = symbols
-    del symbols
+    pair_p, pair_v, refs, pair_of_key = _aggregate(keys)
+    count = np.bincount(pair_of_key, minlength=len(pair_p))
+    if scheme == "rcas":
+        seqs, first = [_Seqs.of(keys.paths).take(pair_p), _Seqs.of(keys.values).take(pair_v)], _V
+    else:
+        if scheme == "zo" and ctx is None:
+            ctx = ZoContext.from_keys(keys)
+        paths = list(map(keys.paths.__getitem__, pair_p.tolist()))
+        values = list(map(keys.values.__getitem__, pair_v.tolist()))
+        symbols, size = _symbols(paths, values, scheme, ctx)
+        del paths, values
+        seqs, first = [_Seqs.empty(size, "<u2")], 0
+        seqs[0].data[: len(symbols)] = symbols
+        del symbols
     stats = BuildStats()
-    arity, nodes = _preorder(_partition([tagged], refs.count, 0, stats))
+    arity, nodes = _preorder(_partition(seqs, count, first, stats))
     shape = _shape(arity)
     leaf = nodes.split < 0
-    t0 = tagged.start[nodes.row]
-    p_table, v_table = _split(tagged.data[:-_WINDOW_MAX], t0 + nodes.lo[0], t0 + nodes.hi[0])
     edges = nodes.key[shape.echild]
-    edim = edges & 0xFF
+    at = [s.start[nodes.row] for s in seqs]  # where each node's first key starts in each blob
+    if scheme == "rcas":
+        tables = [_table(s.blob, a + lo, a + hi) for s, a, lo, hi in zip(seqs, at, nodes.lo, nodes.hi)]
+        ebyte, edim = edges, np.repeat(nodes.split, arity)  # sequence 0 is the path, 1 the value
+    else:
+        tables = _split(seqs[0].data[:-_WINDOW_MAX], at[0] + nodes.lo[0], at[0] + nodes.hi[0])
+        ebyte, edim = edges >> 8, edges & 0xFF
+    leaf_rank = np.empty(len(count), np.int32)
+    leaf_rank[nodes.row[leaf]] = np.arange(len(count), dtype=np.int32)
     return _index(
         shape,
         _node_dims(leaf, edim, shape.estart),
-        p_table,
-        v_table,
-        edges >> 8,
+        *tables,
+        ebyte,
         edim,
-        np.where(leaf, refs.count[nodes.row], 0),
-        _leaf_refs(refs, nodes.row[leaf]),
+        np.where(leaf, count[nodes.row], 0),
+        refs[np.argsort(leaf_rank[pair_of_key], kind="stable")],
         value_width=keys.width,
         key_count=len(keys),
         scheme=scheme,

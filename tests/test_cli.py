@@ -76,6 +76,20 @@ class TestGenerate:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--seed", "-1"), "seed must be a non-negative integer"),
+            (("--skew", "nan"), "value_skew must be a non-negative number"),
+            (("--skew", "-0.5"), "value_skew must be a non-negative number"),
+        ],
+        ids=["negative_seed", "nan_skew", "negative_skew"],
+    )
+    def test_bad_settings_are_data_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"data error: {message}\n"
+
     @pytest.mark.parametrize("argv", [("--example", "bom"), ("--seed", "3", "--count", "40000")])
     def test_stdout_equals_output_file(self, capsys, tmp_path, argv):
         """Without --output the same chunked writer prints the same bytes."""
@@ -229,6 +243,21 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("usage error: --repeat must be at least 1")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("/bom//;-1;5", "value -1 is negative"),
+            ("/bom//;0;99999999999", "value 99999999999 does not fit in 4 bytes"),
+        ],
+        ids=["negative_low", "high_past_width"],
+    )
+    def test_out_of_range_bound_is_data_error(self, capsys, bom_file, tmp_path, line, message):
+        queries = tmp_path / "queries.csv"
+        queries.write_text("//;0;4294967295\n" + line + "\n")
+        code, out, err = run_cli(capsys, "bench", bom_file, str(queries), "--width", "4")
+        assert (code, out) == (2, "")
+        assert err == f"data error: query line 2: {message}\n"
 
     def test_empty_query_file(self, capsys, bom_file, tmp_path):
         queries = tmp_path / "queries.csv"

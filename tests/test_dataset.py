@@ -272,6 +272,36 @@ class TestGenerator:
         with pytest.raises(DataError):
             GeneratorConfig(seed=1, key_count=0)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"seed": -1}, "seed must be a non-negative integer"),
+            ({"seed": 1.5}, "seed must be a non-negative integer"),
+            ({"seed": "7"}, "seed must be a non-negative integer"),
+            ({"value_max": 0}, "value_max must be an integer in 1 .. 2**64"),
+            ({"value_max": (1 << 64) + 1}, "value_max must be an integer in 1 .. 2**64"),
+            ({"value_max": 1000.0}, "value_max must be an integer in 1 .. 2**64"),
+            ({"value_skew": float("nan")}, "value_skew must be a non-negative number"),
+            ({"value_skew": float("inf")}, "value_skew must be a non-negative number"),
+            ({"value_skew": -0.1}, "value_skew must be a non-negative number"),
+        ],
+        ids=[
+            "negative_seed", "float_seed", "str_seed", "zero_value_max", "value_max_past_64_bits",
+            "float_value_max", "nan_skew", "inf_skew", "negative_skew",
+        ],
+    )
+    def test_bad_settings_rejected(self, setting, message):
+        with pytest.raises(DataError) as info:
+            GeneratorConfig(key_count=10, **setting)
+        assert str(info.value) == message
+
+    def test_edge_settings_accepted(self):
+        for value_max in (1, 1 << 64):
+            values = generate(GeneratorConfig(key_count=200, value_max=value_max)).values
+            assert 0 <= min(values) and max(values) < value_max
+        numpy_seed = GeneratorConfig(seed=np.int64(3), key_count=50)
+        assert generate(numpy_seed) == generate(GeneratorConfig(seed=3, key_count=50))
+
 
 class TestWriteRecords:
     @pytest.mark.parametrize(
@@ -287,6 +317,32 @@ class TestWriteRecords:
                 target = tmp_path / "data.csv"
                 write_records(given_as, str(target))
                 assert target.read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (DatasetRecord("/a;b", 1, 1), "record 1: path '/a;b' holds ';', a line break or a non-ASCII character"),
+            (DatasetRecord("/a\nb", 1, 1), "record 1: path '/a\\nb' holds ';', a line break"),
+            (DatasetRecord("/a\rb", 1, 1), "record 1: path '/a\\rb' holds ';', a line break"),
+            (DatasetRecord("/\u00e4", 1, 1), "record 1: path '/\u00e4' holds ';', a line break"),
+            (DatasetRecord("/a", -1, 1), "record 1: value -1 is negative"),
+            (DatasetRecord("/a", 1, -1), "record 1: ref -1 lies outside 0 .. 2**64 - 1"),
+            (DatasetRecord("/a", 1, 1 << 64), "record 1: ref 18446744073709551616 lies outside 0 .. 2**64 - 1"),
+        ],
+        ids=[
+            "semicolon", "newline", "carriage_return", "non_ascii", "negative_value", "negative_ref",
+            "ref_past_64_bits",
+        ],
+    )
+    def test_unreadable_records_rejected_before_writing(self, tmp_path, monkeypatch, record, message):
+        """A record that `load_records` could not read back is named, and
+        no file is left, even when earlier chunks hold only good records."""
+        monkeypatch.setattr(dataset, "_WRITE_CHUNK", 1)
+        target = tmp_path / "data.csv"
+        with pytest.raises(DataError) as info:
+            write_records([BOM_EXAMPLE[0], record, BOM_EXAMPLE[1]], str(target))
+        assert str(info.value).startswith(message)
+        assert not target.exists()
 
 
 _PATHS = ["/a", "/a/b", "/bom/item/car/battery", "/n00/n01", "/x y/~z"]

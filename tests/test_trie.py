@@ -187,9 +187,26 @@ class TestBulkLoad:
             CompositeKey.make("/a/b", 9, 11),
             CompositeKey.make("/a/b", 9, 2),
         ]
-        index = bulk_load(keys)
-        leaf_refs = [n.refs for _, n in nodes(index) if n.is_leaf]
-        assert [31, 11, 2] in leaf_refs
+        for scheme in SCHEMES:
+            leaf_refs = [n.refs for _, n in nodes(build_static(keys, scheme)) if n.is_leaf]
+            assert sorted(leaf_refs) == [[7], [31, 11, 2]], scheme
+
+    def test_spread_duplicates_keep_input_order(self):
+        # each distinct key recurs at random places in the input, under
+        # distinct random refs, so input order is not ref order
+        rng = random.Random(5151)
+        distinct = random_keys(rng, 40)
+        chosen = rng.choices(distinct, k=600)
+        refs = rng.sample(range(1 << 62), len(chosen))
+        keys = [CompositeKey(k.path, k.value, ref) for k, ref in zip(chosen, refs)]
+        by_key: dict[tuple[bytes, bytes], list[int]] = {}
+        for k in keys:
+            by_key.setdefault((k.path, k.value), []).append(k.ref)
+        want = sorted(by_key.values())
+        assert max(map(len, want)) > 10
+        for scheme in SCHEMES:
+            leaf_refs = [n.refs for _, n in nodes(build_static(keys, scheme)) if n.is_leaf]
+            assert sorted(leaf_refs) == want, scheme
 
     def test_no_duplicate_siblings(self):
         rng = random.Random(4242)
