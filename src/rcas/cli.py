@@ -16,6 +16,8 @@ import sys
 import time
 from typing import Sequence
 
+import numpy as np
+
 from . import costmodel, dataset, query, trie
 from .dataset import DataError, GeneratorConfig
 from .keys import Dimension, KeySet
@@ -171,12 +173,14 @@ def cmd_bench(args) -> int:
     runtimes: dict[str, list[float]] = {scheme: [] for scheme in trie.SCHEMES}
     n = len(keys)
     full = query.ValueRange.closed(0, (1 << (8 * args.width)) - 1, args.width)
+    per_value = np.bincount(keys.vid, minlength=len(keys.values))  # keys per distinct value
     for qpath, vrange in queries:
         oracle = sorted(query.scan(keys, qpath, vrange))
+        in_range = [vrange.low <= v <= vrange.high for v in keys.values]
         sel = costmodel.QuerySelectivities(
             total=len(oracle) / n,
             path=len(query.scan(keys, qpath, full)) / n,
-            value=sum(1 for k in keys if vrange.low <= k.value <= vrange.high) / n,
+            value=int(per_value[in_range].sum()) / n,
         )
         for scheme in trie.SCHEMES:
             index = indexes[scheme]

@@ -202,15 +202,23 @@ def write_records(records: Iterable[DatasetRecord], path: str | TextIO) -> None:
             fh.write("\n")
 
 
+def _integers(column: list) -> bool:
+    """Whether every item of `column` is an integer and none is a bool."""
+    return all(issubclass(t, Integral) and t is not bool for t in set(map(type, column)))
+
+
 def _check_columns(paths: list[str], values: list[int], refs: list[int]) -> None:
     """DataError naming the first record whose path holds ';', a line break
-    or a non-ASCII character, whose value is negative, or whose ref lies
-    outside 0 .. 2**64 - 1.  The columns are checked whole first, and only
-    a failing check looks for its record."""
+    or a non-ASCII character, whose value is not an integer or is negative,
+    or whose ref is not an integer or lies outside 0 .. 2**64 - 1.  The
+    columns are checked whole first, and only a failing check looks for its
+    record."""
     text = "".join(paths)
     if (
         text.isascii()
         and not any(map(text.__contains__, ";\n\r"))
+        and _integers(values)
+        and _integers(refs)
         and min(values, default=0) >= 0
         and min(refs, default=0) >= 0
         and max(refs, default=0) < 1 << 64
@@ -219,8 +227,12 @@ def _check_columns(paths: list[str], values: list[int], refs: list[int]) -> None
     for i, (path, value, ref) in enumerate(zip(paths, values, refs)):
         if not path.isascii() or any(map(path.__contains__, ";\n\r")):
             raise DataError(f"record {i}: path {path!r} holds ';', a line break or a non-ASCII character")
+        if not _integers([value]):
+            raise DataError(f"record {i}: value {value!r} is not an integer")
         if value < 0:
             raise DataError(f"record {i}: value {value} is negative")
+        if not _integers([ref]):
+            raise DataError(f"record {i}: ref {ref!r} is not an integer")
         if not 0 <= ref < 1 << 64:
             raise DataError(f"record {i}: ref {ref} lies outside 0 .. 2**64 - 1")
 

@@ -15,14 +15,16 @@ has opened.  The path check has two matchers with the same per-state
 tables, chosen by the shape of the query alone.  An exact query (named
 child steps only, no trailing ``//``) accepts one path and compiles to it
 as a literal, whose state is the offset reached: feeding it a node
-substring is one ``startswith``.  Every other query compiles to a
-byte-level NFA, which generalizes mark-and-backtrack handling of descendant
-axes to any number of axes, and runs as a DFA made lazily by subset
-construction: a state set gets an id when first reached, with a row of
-byte targets filled on demand, its byte hull, whether it matched, and a
-memo from node substring to the id reached.  Both matchers encode the
-ASCII paths of the rcas, pv, vp and lw indexes, which end at a terminator,
-and the z-order index's fixed-width label surrogates, which end by position.
+substring is one ``startswith``.  On an ASCII index the literal is the
+query text itself, less a trailing ``/``, and the terminator.  Every other
+query compiles to a byte-level NFA, which generalizes mark-and-backtrack
+handling of descendant axes to any number of axes, and runs as a DFA made
+lazily by subset construction: a state set gets an id when first reached,
+with a row of byte targets filled on demand, its byte hull, whether it
+matched, and a memo from node substring to the id reached.  Both matchers
+encode the ASCII paths of the rcas, pv, vp and lw indexes, which end at a
+terminator, and the z-order index's fixed-width label surrogates, which end
+by position.
 
 A node's children are sorted by edge byte, so those that can pass are found
 by bisecting to a byte window: the value bounds still closed at a value
@@ -31,6 +33,11 @@ edges span both dimensions is scanned whole.  Each index keeps the DFAs of
 its queries (`RcasIndex.dfas`), and a query starts on an empty DFA once the
 kept one passes its bounds, which grow with the query's NFA and the index;
 literals are built per query.
+
+Before its walk, a query pays a fixed cost for its path, its range and its
+matcher, so each is made in few steps: the parser makes its `Step` and
+`QueryPath` tuples without calling their classes, and `ValueRange.closed`
+orders its encoded bounds itself instead of validating them again.
 """
 
 from __future__ import annotations
@@ -79,6 +86,9 @@ class Step(NamedTuple):
 
 
 class QueryPath(NamedTuple):
+    """A parsed query path.  `text` is the text its steps were parsed from;
+    an exact query matches the path spelled by it."""
+
     steps: tuple[Step, ...]
     trailing: Trailing
     text: str
@@ -89,6 +99,11 @@ class QueryPath(NamedTuple):
 
 class QuerySyntaxError(ValueError):
     pass
+
+
+_AXES = (None, Axis.CHILD, Axis.DESCENDANT)  # the axis after a run of 1 or 2 slashes
+_TRAILINGS = (Trailing.NONE, Trailing.CHILD, Trailing.DESCENDANT)
+_new = tuple.__new__  # builds a Step or QueryPath without a Python-level call
 
 
 def parse_query_path(text: str) -> QueryPath:
@@ -107,6 +122,9 @@ def parse_query_path(text: str) -> QueryPath:
     if text[0] != "/":
         raise QuerySyntaxError(f"query path {text!r} does not start with '/'")
 
+    # On ASCII text, isprintable admits exactly PATH_BYTE_MIN..PATH_BYTE_MAX,
+    # '/' among them; the labels are searched only when the whole text fails.
+    printable = text.isprintable()
     # Split at every '/': a run of k slashes before a label leaves k - 1
     # empty parts ahead of it, and a run of k at the end leaves k.
     steps: list[Step] = []
@@ -117,19 +135,17 @@ def parse_query_path(text: str) -> QueryPath:
             continue
         if run > 2:
             raise QuerySyntaxError(f"query path {text!r} contains a '/'-run longer than 2")
-        # on ASCII text, exactly the bytes outside PATH_BYTE_MIN..PATH_BYTE_MAX
-        if not label.isprintable():
+        if not printable and not label.isprintable():
             ch = next(ch for ch in label if not ch.isprintable())
             raise QuerySyntaxError(f"bad character {ch!r} in query label {label!r}")
-        axis = Axis.DESCENDANT if run == 2 else Axis.CHILD
-        steps.append(Step(axis, None if label == WILDCARD else label))
+        steps.append(_new(Step, (_AXES[run], None if label == WILDCARD else label)))
         run = 1
     if run > 3:
         raise QuerySyntaxError(f"query path {text!r} contains a '/'-run longer than 2")
-    trailing = (Trailing.NONE, Trailing.CHILD, Trailing.DESCENDANT)[run - 1]
+    trailing = _TRAILINGS[run - 1]
     if not steps and trailing is not Trailing.DESCENDANT:
         raise QuerySyntaxError("'/' alone is not a valid query path")
-    return QueryPath(steps=tuple(steps), trailing=trailing, text=text)
+    return _new(QueryPath, (tuple(steps), trailing, text))
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,17 @@ class ValueRange:
 
     @classmethod
     def closed(cls, low: int, high: int, width: int = 4) -> "ValueRange":
-        return cls(encode_value(low, width), encode_value(high, width))
+        """The range [low, high] at `width` bytes: the bounds are encoded and
+        ordered here, so the instance is made without `__post_init__`."""
+        lo = encode_value(low, width)
+        hi = encode_value(high, width)
+        if lo > hi:
+            raise ValueError(f"empty range: {decode_value(lo)} > {decode_value(hi)}")
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["low"] = lo
+        fields["high"] = hi
+        return self
 
     @property
     def width(self) -> int:
@@ -157,6 +183,7 @@ class ValueRange:
 
 
 _DEAD = -1  # the state of a check that has failed
+_P, _V = _DIM_CODE[Dimension.P], _DIM_CODE[Dimension.V]
 
 # A range state code is pos * 4 + lopen * 2 + hopen; per value width, whether
 # each code has matched: both bounds open, or the whole width consumed.
@@ -461,7 +488,8 @@ class _PathLiteral:
         self.final = final
         self.rows = (_LIVE_ROW,) * (len(lit) + 1)
         self.memo = (_NO_MEMO,) * (len(lit) + 1)
-        self.hulls = [_PAIRS[b] for b in lit] + [_NO_HULL]
+        self.hulls = [_PAIRS[b] for b in lit]
+        self.hulls.append(_NO_HULL)
         self.matched = bytes(len(lit)) + (b"\x01" if final == len(lit) else b"\x00")
 
     def feed(self, offset: int, data: bytes) -> int:
@@ -473,16 +501,20 @@ class _PathLiteral:
         return offset
 
 
-def _compile_literal(labels: tuple[str, ...], ctx: ZoContext | None) -> _PathLiteral:
-    """The literal of the exact query with the labels `labels`: its encoded
-    path and terminator, or with a z-order context `ctx`, its label codes
-    padded with zero units to the context's path width.  A label absent
-    from the context leaves the codes before it, which no path completes."""
+def _compile_literal(qpath: QueryPath, ctx: ZoContext | None) -> _PathLiteral:
+    """The literal of the exact query `qpath`: its text, less a trailing
+    '/', and the terminator, or with a z-order context `ctx`, its label
+    codes padded with zero units to the context's path width.  A label
+    absent from the context leaves the codes before it, which no path
+    completes."""
     if ctx is None:
-        lit = ("/" + "/".join(labels)).encode("ascii") + _TERMINATOR
+        text = qpath.text
+        if qpath.trailing is Trailing.CHILD:
+            text = text[:-1]
+        lit = text.encode("ascii") + _TERMINATOR
         return _PathLiteral(lit, math.inf, len(lit))
     codes = []
-    for label in labels:
+    for _, label in qpath.steps:
         code = ctx.code_bytes(label)
         if code is None:
             return _PathLiteral(b"".join(codes), ctx.path_width, -1)
@@ -511,7 +543,7 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
     if qpath.trailing is not Trailing.DESCENDANT and qpath.steps:
         axes, labels = zip(*qpath.steps)
         if Axis.DESCENDANT not in axes and None not in labels:
-            return _compile_literal(labels, ctx)
+            return _compile_literal(qpath, ctx)
     dfas = index.dfas
     dfa = dfas.get(qpath)
     if dfa is None:
@@ -560,7 +592,7 @@ def run_query(
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
-    if vrange.width != index.value_width:
+    if len(vrange.low) != index.value_width:
         raise ValueError(
             f"range width {vrange.width} does not match index width {index.value_width}"
         )
@@ -572,7 +604,7 @@ def run_query(
     dim, end, s_p, s_v = index.dim, index.end, index.s_p, index.s_v
     estart, ebyte, edim, echild = index.estart, index.ebyte, index.edim, index.echild
     all_refs, reflo = index.refs, index.reflo
-    P, V = _DIM_CODE[Dimension.P], _DIM_CODE[Dimension.V]
+    P, V = _P, _V
     refs: list[int] = []
     visited = 0
 

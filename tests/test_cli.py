@@ -5,7 +5,7 @@ import math
 import pytest
 
 from rcas.cli import main
-from rcas.dataset import BOM_EXAMPLE, write_records
+from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, write_records
 
 from test_trie import resealed
 
@@ -258,6 +258,26 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", bom_file, str(queries), "--width", "4")
         assert (code, out) == (2, "")
         assert err == f"data error: query line 2: {message}\n"
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_value_selectivity_counts_every_key(self, capsys, tmp_path, width):
+        """sigma_v is the share of keys, duplicates included, whose value
+        lies in the query's range."""
+        records = generate(GeneratorConfig(seed=3, key_count=2000, duplicate_fraction=0.3))
+        data = tmp_path / "data.csv"
+        write_records(records, str(data))
+        values = sorted(records.values)
+        ranges = [(values[0], values[0]), (values[100], values[1500]), (0, 0), (values[-1] + 1, values[-1] + 9),
+                  (0, (1 << 8 * width) - 1)]
+        queries = tmp_path / "queries.csv"
+        queries.write_text("".join(f"/n00//;{lo};{hi}\n" for lo, hi in ranges))
+        code, out, _ = run_cli(capsys, "bench", str(data), str(queries), "--width", str(width))
+        assert code == 0
+        header, *body = csv_rows(out)
+        got = [r[header.index("sigma_v")] for r in body if r[0] != "summary" and r[1] == "rcas"]
+        want = [f"{sum(lo <= v <= hi for v in records.values) / len(records):.6f}" for lo, hi in ranges]
+        assert got == want
+        assert want[0] != want[1] and want[3] == "0.000000" and want[4] == "1.000000"
 
     def test_empty_query_file(self, capsys, bom_file, tmp_path):
         queries = tmp_path / "queries.csv"

@@ -328,10 +328,15 @@ class TestWriteRecords:
             (DatasetRecord("/a", -1, 1), "record 1: value -1 is negative"),
             (DatasetRecord("/a", 1, -1), "record 1: ref -1 lies outside 0 .. 2**64 - 1"),
             (DatasetRecord("/a", 1, 1 << 64), "record 1: ref 18446744073709551616 lies outside 0 .. 2**64 - 1"),
+            (DatasetRecord("/a", 2.5, 1), "record 1: value 2.5 is not an integer"),
+            (DatasetRecord("/a", True, 1), "record 1: value True is not an integer"),
+            (DatasetRecord("/a", "7", 1), "record 1: value '7' is not an integer"),
+            (DatasetRecord("/a", 1, 1.5), "record 1: ref 1.5 is not an integer"),
+            (DatasetRecord("/a", 1, False), "record 1: ref False is not an integer"),
         ],
         ids=[
             "semicolon", "newline", "carriage_return", "non_ascii", "negative_value", "negative_ref",
-            "ref_past_64_bits",
+            "ref_past_64_bits", "float_value", "bool_value", "str_value", "float_ref", "bool_ref",
         ],
     )
     def test_unreadable_records_rejected_before_writing(self, tmp_path, monkeypatch, record, message):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rcas import query
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
 from rcas.interleave import ZoContext
-from rcas.keys import PATH_BYTE_MAX, PATH_BYTE_MIN, CompositeKey, Dimension
+from rcas.keys import PATH_BYTE_MAX, PATH_BYTE_MIN, CompositeKey, Dimension, encode_value
 from rcas.query import (
     Axis,
     QueryPath,
@@ -102,6 +102,25 @@ class TestParse:
             assert str(got.value) == str(exc)
         else:
             assert parse_query_path(text) == want
+
+    @pytest.mark.parametrize("text", ["/n03/n05/n01/n07", "/bom/*/car/", "/a//b//", "//x*y", "//"])
+    def test_parsed_tuples_equal_field_constructions(self, text):
+        """The parser makes its tuples without calling their classes: they
+        are still `Step`s and a `QueryPath`, equal to and hashing like
+        tuples built field by field, with the same field values."""
+        q = parse_query_path(text)
+        want = reference_parse(text)
+        built = QueryPath(
+            steps=tuple(Step(axis=s.axis, label=s.label) for s in want.steps),
+            trailing=want.trailing,
+            text=want.text,
+        )
+        assert type(q) is QueryPath and all(type(s) is Step for s in q.steps)
+        assert q == built and hash(q) == hash(built)
+        assert (q.steps, q.trailing, q.text, str(q)) == (built.steps, built.trailing, text, text)
+        for got, step in zip(q.steps, built.steps):
+            assert (got.axis, got.label) == (step.axis, step.label)
+            assert got.axis in Axis and got.matches("x*y") == step.matches("x*y")
 
 
 def reference_parse(text: str) -> QueryPath:
@@ -394,6 +413,22 @@ class TestPathLiteral:
         fed = literal.feed(literal.start, data)
         assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
 
+    # printable labels with '*' inside them; a label of '*' alone is the
+    # wildcard and makes the query inexact
+    label = st.text(st.sampled_from("ab* ~"), min_size=1, max_size=4).filter(lambda label: label != WILDCARD)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(labels=st.lists(label, min_size=1, max_size=5), trailing_slash=st.booleans())
+    def test_ascii_literal_is_the_label_join(self, labels, trailing_slash):
+        """The literal taken from the query text, less a trailing '/', is
+        the labels joined by '/' and the terminator."""
+        qpath = parse_query_path("/" + "/".join(labels) + ("/" if trailing_slash else ""))
+        assert all(step.label == label for step, label in zip(qpath.steps, labels))
+        literal = _literal_of(qpath, None)
+        assert literal.lit == ("/" + "/".join(labels)).encode("ascii") + b"\x00"
+        assert literal.final == len(literal.lit)
+        assert literal.hulls == [(b, b) for b in literal.lit] + [query._NO_HULL]
+
     def test_zo_literal_is_padded_codes(self):
         ctx = self.ZO_CTX
         assert _literal_of(parse_query_path("/car"), ctx).lit == surrogate(ctx, "/car")
@@ -538,6 +573,41 @@ class TestQueryErrors:
     def test_range_bounds_must_share_width(self):
         with pytest.raises(ValueError):
             ValueRange(b"\x00" * 4, b"\xff" * 8)
+
+    @pytest.mark.parametrize(
+        "low, high, width, error, message",
+        [
+            (0, 1, 5, ValueError, "unsupported value width 5, expected one of (4, 8)"),
+            (-1, 1, 4, OverflowError, "value -1 is negative"),
+            (1 << 32, 1, 4, OverflowError, "value 4294967296 does not fit in 4 bytes"),
+            (0, 1 << 64, 8, OverflowError, "value 18446744073709551616 does not fit in 8 bytes"),
+            (0, -1, 4, OverflowError, "value -1 is negative"),
+            (5, 4, 4, ValueError, "empty range: 5 > 4"),
+            (1 << 32, 4, 4, OverflowError, "value 4294967296 does not fit in 4 bytes"),
+            (-1, 1 << 32, 4, OverflowError, "value -1 is negative"),
+        ],
+        ids=["bad_width", "negative_low", "low_too_large", "high_too_large", "negative_high",
+             "low_above_high", "overflowing_low_above_high", "both_bad"],
+    )
+    def test_closed_raises_like_the_validating_constructor(self, low, high, width, error, message):
+        """`closed` builds its instance without `__post_init__`, and raises
+        what encoding each bound and then validating would raise, in the
+        same order: the low bound, the high bound, the empty range."""
+        with pytest.raises(error) as got:
+            ValueRange.closed(low, high, width)
+        assert type(got.value) is error and str(got.value) == message
+        with pytest.raises(error) as validated:
+            ValueRange(encode_value(low, width), encode_value(high, width))
+        assert str(validated.value) == message
+
+    @pytest.mark.parametrize("low, high, width", [(0, 0, 4), (3, 2**32 - 1, 4), (7, 1 << 40, 8)])
+    def test_closed_equals_the_validating_constructor(self, low, high, width):
+        got = ValueRange.closed(low, high, width)
+        want = ValueRange(encode_value(low, width), encode_value(high, width))
+        assert type(got) is ValueRange and got == want and hash(got) == hash(want)
+        assert (got.low, got.high, got.width) == (want.low, want.high, width)
+        with pytest.raises(AttributeError):
+            got.low = want.high  # still frozen
 
 
 def _assert_all_schemes_match_scan(rng, keys, queries, paths):
