@@ -16,8 +16,6 @@ import sys
 import time
 from typing import Sequence
 
-import numpy as np
-
 from . import costmodel, dataset, query, trie
 from .dataset import DataError, GeneratorConfig
 from .keys import Dimension, KeySet
@@ -173,14 +171,13 @@ def cmd_bench(args) -> int:
     runtimes: dict[str, list[float]] = {scheme: [] for scheme in trie.SCHEMES}
     n = len(keys)
     full = query.ValueRange.closed(0, (1 << (8 * args.width)) - 1, args.width)
-    per_value = np.bincount(keys.vid, minlength=len(keys.values))  # keys per distinct value
+    anywhere = query.parse_query_path("//")
     for qpath, vrange in queries:
         oracle = sorted(query.scan(keys, qpath, vrange))
-        in_range = [vrange.low <= v <= vrange.high for v in keys.values]
         sel = costmodel.QuerySelectivities(
             total=len(oracle) / n,
             path=len(query.scan(keys, qpath, full)) / n,
-            value=int(per_value[in_range].sum()) / n,
+            value=len(query.scan(keys, anywhere, vrange)) / n,
         )
         for scheme in trie.SCHEMES:
             index = indexes[scheme]
@@ -340,16 +337,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, query.QuerySyntaxError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except query.QuerySyntaxError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

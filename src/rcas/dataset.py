@@ -41,9 +41,6 @@ class DatasetRecord(NamedTuple):
     value: int
     ref: int
 
-    def to_line(self) -> str:
-        return _LINE(*self)
-
 
 _LINE = "{};{};{:x}".format  # the line of a path, a value and a ref
 

@@ -8,8 +8,8 @@ answer prefix and range predicates without ever decoding a key.
 
 A key set is held as columns (`KeySet`): its distinct encoded paths and
 values, and per key their ids and its reference.  The builders read the
-columns; a `CompositeKey` object is made only for a caller that iterates or
-indexes the set.
+columns, as does the brute-force `query.scan`; a `CompositeKey` object is
+made only for a caller that iterates or indexes the set.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -125,8 +125,6 @@ _PATH = attrgetter("path")
 _VALUE = attrgetter("value")
 _REF = attrgetter("ref")
 
-_CHUNK = 1 << 14  # keys made per batch of ids turned into Python ints
-
 
 def _number(items: Sequence) -> tuple[list, np.ndarray]:
     """The distinct items in order of first occurrence, and the number of
@@ -147,8 +145,9 @@ class KeySet(Sequence[CompositeKey]):
     for an empty set).  Refs are checked to fit 64 bits where an index is
     built from the set.
 
-    The keys of an iteration or an index are made on demand, and share the
-    path, value and ref objects of the columns.
+    Nothing in the library iterates a key set: it reads the columns.  An
+    index or an iteration (the inherited one, by index) makes its keys on
+    demand, and they share the path, value and ref objects of the columns.
     """
 
     __slots__ = ("paths", "values", "pid", "vid", "refs", "width")
@@ -198,15 +197,3 @@ class KeySet(Sequence[CompositeKey]):
             return KeySet(paths, values, pid, vid, self.refs[i], self.width)
         ref = self.refs[i]  # IndexError out of range
         return CompositeKey(self.paths[self.pid[i]], self.values[self.vid[i]], ref)
-
-    def __iter__(self) -> Iterator[CompositeKey]:
-        paths, values, refs = self.paths, self.values, self.refs
-        for at in range(0, len(refs), _CHUNK):
-            cut = slice(at, at + _CHUNK)
-            yield from map(
-                CompositeKey,
-                map(paths.__getitem__, self.pid[cut].tolist()),
-                map(values.__getitem__, self.vid[cut].tolist()),
-                refs[cut],
-            )
-

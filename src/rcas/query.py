@@ -49,6 +49,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .keys import (
     _DIM_CODE,
     PATH_TERMINATOR,
@@ -56,6 +58,8 @@ from .keys import (
     VALUE_WIDTHS,
     CompositeKey,
     Dimension,
+    KeySet,
+    decode_path,
     decode_value,
     encode_value,
 )
@@ -75,6 +79,9 @@ class Trailing(enum.Enum):
 
 
 WILDCARD = "*"
+# Members read on every query, bound once, as `_P` and `_V` are.
+_DESC_AXIS = Axis.DESCENDANT
+_DESC_TAIL, _CHILD_TAIL = Trailing.DESCENDANT, Trailing.CHILD
 
 
 class Step(NamedTuple):
@@ -143,7 +150,7 @@ def parse_query_path(text: str) -> QueryPath:
     if run > 3:
         raise QuerySyntaxError(f"query path {text!r} contains a '/'-run longer than 2")
     trailing = _TRAILINGS[run - 1]
-    if not steps and trailing is not Trailing.DESCENDANT:
+    if not steps and trailing is not _DESC_TAIL:
         raise QuerySyntaxError("'/' alone is not a valid query path")
     return _new(QueryPath, (tuple(steps), trailing, text))
 
@@ -234,7 +241,7 @@ def path_matches(qpath: QueryPath, path_text: str) -> bool:
     steps = qpath.steps
     m = len(steps)
     states = {0}
-    if qpath.trailing is Trailing.DESCENDANT and m == 0:
+    if qpath.trailing is _DESC_TAIL and m == 0:
         return True
     for label in labels:
         nxt = set()
@@ -244,9 +251,9 @@ def path_matches(qpath: QueryPath, path_text: str) -> bool:
             step = steps[i]
             if step.matches(label):
                 nxt.add(i + 1)
-            if step.axis is Axis.DESCENDANT:
+            if step.axis is _DESC_AXIS:
                 nxt.add(i)
-        if qpath.trailing is Trailing.DESCENDANT and m in nxt:
+        if qpath.trailing is _DESC_TAIL and m in nxt:
             return True
         states = nxt
         if not states:
@@ -257,21 +264,24 @@ def path_matches(qpath: QueryPath, path_text: str) -> bool:
 def scan(
     keys: Iterable[CompositeKey], qpath: QueryPath, vrange: ValueRange
 ) -> list[int]:
-    """Brute-force evaluation: check every key against both predicates."""
+    """Brute-force evaluation over the keys as columns (`KeySet.of`).
+
+    The path predicate is decided once per distinct path, by
+    `path_matches`, and the range once per distinct value.  One mask over
+    the keys' path and value ids then gives the refs of the keys that pass
+    both, in key order.  ValueError when the keys' values differ in width.
+    """
+    keys = KeySet.of(keys)
     low = decode_value(vrange.low)
     high = decode_value(vrange.high)
-    out = []
-    match_cache: dict[bytes, bool] = {}
-    for k in keys:
-        if not low <= k.value_int <= high:
-            continue
-        hit = match_cache.get(k.path)
-        if hit is None:
-            hit = path_matches(qpath, k.path_text)
-            match_cache[k.path] = hit
-        if hit:
-            out.append(k.ref)
-    return out
+    path_ok = np.fromiter(
+        (path_matches(qpath, decode_path(p)) for p in keys.paths), bool, len(keys.paths)
+    )
+    value_ok = np.fromiter(
+        (low <= decode_value(v) <= high for v in keys.values), bool, len(keys.values)
+    )
+    hits = np.flatnonzero(path_ok[keys.pid] & value_ok[keys.vid])
+    return list(map(keys.refs.__getitem__, hits.tolist()))
 
 
 # --- byte-level path automaton -----------------------------------------------
@@ -411,7 +421,7 @@ def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
     cur = 0
     for step in qpath.steps:
         after_slash = a.edge(cur, _SLASH)
-        if step.axis is Axis.DESCENDANT:
+        if step.axis is _DESC_AXIS:
             skip = a.edge(cur, _SLASH)
             a.edge(skip, _NONZERO, skip)  # labels and slashes
             a.edge(skip, _SLASH, after_slash)
@@ -422,7 +432,7 @@ def _compile_ascii(qpath: QueryPath) -> _PathAutomaton:
             cur = a.chain(after_slash, [_SINGLE[c] for c in step.label.encode("ascii")])
     accept = a.edge(cur, _TERMINATOR)
     universal = {accept}
-    if qpath.trailing is Trailing.DESCENDANT:
+    if qpath.trailing is _DESC_TAIL:
         # one or more further labels; paths hold no empty label, so the
         # labels and their slashes need not be told apart
         below = a.edge(cur, _SLASH)
@@ -444,7 +454,7 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
     a = _PathAutomaton(width=ctx.path_width)
     cur = 0
     for step in qpath.steps:
-        if step.axis is Axis.DESCENDANT:
+        if step.axis is _DESC_AXIS:
             a.chain(cur, [_ANY, _ANY, _ANY], cur)  # skip any one unit
         if step.label is None:
             # any unit except the all-zero padding
@@ -457,7 +467,7 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
             if code is None:
                 return a  # the label is absent from the data: nothing matches
             cur = a.chain(cur, [_SINGLE[c] for c in code])
-    if qpath.trailing is Trailing.DESCENDANT:
+    if qpath.trailing is _DESC_TAIL:
         u = a.edge(cur, _ANY)
         a.edge(u, _ANY, u)
         a.accepts = a.universal = frozenset({cur, u})
@@ -509,7 +519,7 @@ def _compile_literal(qpath: QueryPath, ctx: ZoContext | None) -> _PathLiteral:
     completes."""
     if ctx is None:
         text = qpath.text
-        if qpath.trailing is Trailing.CHILD:
+        if qpath.trailing is _CHILD_TAIL:
             text = text[:-1]
         lit = text.encode("ascii") + _TERMINATOR
         return _PathLiteral(lit, math.inf, len(lit))
@@ -540,9 +550,9 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
     can only drop a DFA or keep one more, never hand a query a wrong one."""
     ctx = index.zo_ctx if index.scheme == "zo" else None
     assert ctx is not None or index.scheme != "zo"
-    if qpath.trailing is not Trailing.DESCENDANT and qpath.steps:
+    if qpath.trailing is not _DESC_TAIL and qpath.steps:
         axes, labels = zip(*qpath.steps)
-        if Axis.DESCENDANT not in axes and None not in labels:
+        if _DESC_AXIS not in axes and None not in labels:
             return _compile_literal(qpath, ctx)
     dfas = index.dfas
     dfa = dfas.get(qpath)

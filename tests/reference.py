@@ -11,7 +11,9 @@ time, chunk by chunk (`static_tagged`), to check the batch tagger of
 `rcas.interleave`.  The query loop is restated over NFA state sets and a
 (pos, lopen, hopen) range state (`run_query_sets`), to check the integer
 states of `rcas.query.run_query`.  Records become keys one at a time
-(`record_keys`), to check the columnar `rcas.dataset.records_to_keys`.
+(`record_keys`), to check the columnar `rcas.dataset.records_to_keys`, and
+a query is answered one key at a time (`scan_keys`), to check the columnar
+`rcas.query.scan`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 from rcas import query
 from rcas.dataset import DataError, DatasetRecord
 from rcas.interleave import ZoContext
-from rcas.keys import _DIM_CODE, CompositeKey, Dimension, encode_path, encode_value
+from rcas.keys import _DIM_CODE, CompositeKey, Dimension, decode_value, encode_path, encode_value
 from rcas.query import QueryPath, QueryResult, ValueRange
 from rcas.trie import NODE_KINDS, RcasIndex
 
@@ -359,3 +361,13 @@ def record_keys(records: Sequence[DatasetRecord], width: int = 4) -> list[Compos
             raise DataError(f"value {rec.value} does not fit width {width}") from exc
         keys.append(CompositeKey(path, value, rec.ref))
     return keys
+
+
+def scan_keys(keys: Iterable[CompositeKey], qpath: QueryPath, vrange: ValueRange) -> list[int]:
+    """The refs of the keys whose value lies in `vrange` and whose path
+    `query.path_matches` accepts, one key at a time, in key order."""
+    low = decode_value(vrange.low)
+    high = decode_value(vrange.high)
+    return [
+        k.ref for k in keys if low <= k.value_int <= high and query.path_matches(qpath, k.path_text)
+    ]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rcas import keys as keys_module
 from rcas.keys import (
     CompositeKey,
     Dimension,
@@ -165,8 +164,7 @@ class TestKeySet:
         assert ks.pid.tolist() == expected.pid.tolist()
         assert ks.vid.tolist() == expected.vid.tolist()
 
-    def test_iteration_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(keys_module, "_CHUNK", 7)
+    def test_iteration_across_chunks(self):
         assert list(KeySet.of(self.KEYS)) == self.KEYS
 
     def test_empty(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rcas import query
 from rcas.dataset import GeneratorConfig, generate, records_to_keys
 from rcas.interleave import ZoContext
-from rcas.keys import PATH_BYTE_MAX, PATH_BYTE_MIN, CompositeKey, Dimension, encode_value
+from rcas.keys import PATH_BYTE_MAX, PATH_BYTE_MIN, CompositeKey, Dimension, KeySet, encode_value
 from rcas.query import (
     Axis,
     QueryPath,
@@ -38,7 +38,7 @@ from rcas.query import (
 from rcas.trie import SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
-from reference import run_query_sets, surrogate
+from reference import run_query_sets, scan_keys, surrogate
 from treeview import root
 
 
@@ -626,6 +626,65 @@ def _assert_all_schemes_match_scan(rng, keys, queries, paths):
         for scheme, index in indexes.items():
             got = run_query(index, qpath, vrange)
             assert sorted(got.refs) == want, (scheme, qpath.text, lo, hi)
+
+
+_SCAN_LABELS = ["a", "b", "ab"]
+_SCAN_SHAPES = ["exact", "star", "desc_label", "trailing", "missing"]
+
+
+@st.composite
+def scan_cases(draw):
+    """Keys of one width over a few (path, value) pairs, repeated, with
+    random refs; and a query of one of the `_SCAN_SHAPES` with a random
+    closed range.  The query's labels and the range's bounds are often
+    those of a key."""
+    width = draw(st.sampled_from([4, 8]))
+    top = (1 << 8 * width) - 1
+    labels = st.lists(st.sampled_from(_SCAN_LABELS), min_size=1, max_size=4)
+    values = st.sampled_from([0, 1, 255, 256, top]) | st.integers(0, top)
+    pairs = draw(st.lists(st.tuples(labels, values), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30))
+    refs = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=len(picks), max_size=len(picks)))
+    keys = [
+        CompositeKey.make("/" + "/".join(path), value, ref, width)
+        for (path, value), ref in zip(picks, refs)
+    ]
+
+    steps = list(draw(st.sampled_from([path for path, _ in pairs]) | labels))
+    shape = draw(st.sampled_from(_SCAN_SHAPES))
+    if shape == "star":
+        steps[draw(st.integers(0, len(steps) - 1))] = WILDCARD
+    elif shape == "missing":
+        steps[-1] = "zz"  # no key holds this label
+    text = "/" + "/".join(steps)
+    if shape == "desc_label":
+        text = "//" + steps[-1]
+    elif shape == "trailing":
+        text += "//"
+    bound = st.sampled_from([v for _, v in pairs]) | st.integers(0, top)
+    low, high = sorted((draw(bound), draw(bound)))
+    return keys, parse_query_path(text), ValueRange.closed(low, high, width)
+
+
+class TestScan:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=scan_cases(), given_as=st.sampled_from(["key_set", "list", "generator"]))
+    def test_equals_one_key_at_a_time(self, case, given_as):
+        """The same refs in the same order as the per-key oracle, whatever
+        iterable holds the keys."""
+        keys, qpath, vrange = case
+        held = {"key_set": KeySet.of(keys), "list": list(keys), "generator": (k for k in keys)}[given_as]
+        assert scan(held, qpath, vrange) == scan_keys(keys, qpath, vrange)
+
+    def test_empty_input(self):
+        everything = ValueRange.closed(0, 2**32 - 1)
+        for keys in ([], KeySet.of([]), iter([])):
+            assert scan(keys, parse_query_path("//"), everything) == []
+
+    def test_mixed_widths_rejected(self):
+        keys = [CompositeKey.make("/a", 1, 1, width=4), CompositeKey.make("/b", 1, 2, width=8)]
+        with pytest.raises(ValueError, match="^key value width 8 does not match index width 4$"):
+            scan(keys, parse_query_path("//"), ValueRange.closed(0, 7))
 
 
 class TestOracleEquivalence:
