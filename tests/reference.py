@@ -13,7 +13,9 @@ time, chunk by chunk (`static_tagged`), to check the batch tagger of
 states of `rcas.query.run_query`.  Records become keys one at a time
 (`record_keys`), to check the columnar `rcas.dataset.records_to_keys`, and
 a query is answered one key at a time (`scan_keys`), to check the columnar
-`rcas.query.scan`.
+`rcas.query.scan`.  A tree's subtree ends and child lists are read off its
+child counts by a stack walk (`tree_shape`), to check the array passes of
+`rcas.trie._shape`.
 """
 
 from __future__ import annotations
@@ -371,3 +373,29 @@ def scan_keys(keys: Iterable[CompositeKey], qpath: QueryPath, vrange: ValueRange
     return [
         k.ref for k in keys if low <= k.value_int <= high and query.path_matches(qpath, k.path_text)
     ]
+
+
+def tree_shape(arity: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The subtree ends, the children (grouped by parent, parents in
+    pre-order) and each node's first edge, of the tree whose nodes have the
+    child counts `arity` in pre-order, by walking the nodes with a stack of
+    (node, children still to come); ValueError, with `_shape`'s message,
+    when the counts do not form one tree."""
+    end = [0] * len(arity)
+    children: list[list[int]] = [[] for _ in arity]
+    stack: list[list[int]] = []
+    for i, count in enumerate(arity):
+        if i and not stack:  # the tree ended before this node
+            raise ValueError("the child counts do not form a tree in index file")
+        if stack:
+            children[stack[-1][0]].append(i)
+            stack[-1][1] -= 1
+        stack.append([i, count])
+        while stack and not stack[-1][1]:
+            end[stack.pop()[0]] = i + 1
+    if stack or not arity:  # children still to come, or no root
+        raise ValueError("the child counts do not form a tree in index file")
+    estart = [0]
+    for count in arity:
+        estart.append(estart[-1] + count)
+    return end, [c for kids in children for c in kids], estart
