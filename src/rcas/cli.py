@@ -18,6 +18,7 @@ from typing import Sequence
 
 from . import costmodel, dataset, query, trie
 from .dataset import DataError, GeneratorConfig
+from .interleave import SurrogateOverflow
 from .keys import Dimension, KeySet
 
 USAGE_EXIT = 1
@@ -340,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, query.QuerySyntaxError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, SurrogateOverflow) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

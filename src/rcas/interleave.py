@@ -4,13 +4,11 @@ Path-value and value-path concatenation, label-wise alternation, and the
 z-order style merge over fixed-length surrogate paths.  Each scheme turns a
 key into tagged symbols, byte * 256 + dimension code (`keys._DIM_CODE`:
 0 = P, 1 = V), which the flat trie builder partitions (`trie.build_static`).
-All keys are tagged at once by array passes (`_symbols`).  In pv, vp and lw
-the path bytes keep their order, so the value bytes are scattered to their
-positions and the path bytes fill the rest in one masked assignment.  In zo
-every key has one length, so the values and the surrogate paths (one per
-distinct path) are joined as columns and put in round order by one column
-permutation.  The dynamic interleaving is built directly into the trie
-(`trie.bulk_load`).
+All keys are tagged at once by one array pass for every scheme (`_symbols`):
+the path bytes keep their order, so the value bytes are scattered to the
+scheme's positions and the path bytes fill the rest.  A zo key's path bytes
+are its surrogate path, made once per distinct path (`ZoContext`).  The
+dynamic interleaving is built directly into the trie (`trie.bulk_load`).
 """
 
 from __future__ import annotations
@@ -42,11 +40,21 @@ class ZoContext:
 
     Labels are assigned 3-byte codes in first-seen order starting at 1; code
     0 is reserved for the empty-label padding that stretches every surrogate
-    path to the depth of the deepest path in the dataset.
+    path to the depth of the deepest path in the dataset.  The codes of n
+    labels are 1 .. n and each label is a path label (printable ASCII, not
+    empty, no '/'), or ValueError: an index file lists the labels joined by
+    '/' in code order, so a loaded context numbers them as the saved one.
     """
 
     codes: dict[str, int]
     max_labels: int
+
+    def __post_init__(self) -> None:
+        if sorted(self.codes.values()) != list(range(1, len(self.codes) + 1)):
+            raise ValueError("z-order label codes are not 1 .. n")
+        for label in self.codes:
+            if not label or "/" in label or not (label.isascii() and label.isprintable()):
+                raise ValueError(f"z-order label {label!r} is not a path label")
 
     @classmethod
     def from_keys(cls, keys: Iterable[CompositeKey]) -> "ZoContext":
@@ -96,44 +104,39 @@ def static_interleave(key: CompositeKey, scheme: str, ctx: ZoContext | None = No
     surrogate path, ceil(l_V/l_P) value bytes then ceil(l_P/l_V) path bytes
     per round.
     """
-    return _symbols([key.path], [key.value], scheme, ctx)[0].tobytes()
+    if scheme == "zo" and ctx is None:
+        raise ValueError("the zo scheme needs a surrogate context")
+    path = ctx._surrogates([key.path_text])[0] if scheme == "zo" else np.frombuffer(key.path, np.uint8)
+    value = np.frombuffer(key.value, np.uint8)[None]
+    return _symbols(path, np.array([len(path)], np.int32), value, scheme)[0].tobytes()
 
 
-def _symbols(
-    paths: Sequence[bytes], values: Sequence[bytes], scheme: str, ctx: ZoContext | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tagged symbols (`<u2`) of the keys (paths[i], values[i]), one key
-    after the other, and each key's symbol count (see `static_interleave`).
-    The values share one width."""
-    n = len(paths)
-    value = np.frombuffer(b"".join(values), np.uint8).reshape(n, -1)
-    width = value.shape[1]
-    if scheme == "zo":
-        if ctx is None:
-            raise ValueError("the zo scheme needs a surrogate context")
-        ids = {p: i for i, p in enumerate(dict.fromkeys(paths))}
-        spath = ctx._surrogates(list(map(decode_path, ids)))
-        spath = spath[np.fromiter(map(ids.__getitem__, paths), np.int32, n)]
-        order, code = _zo_order(width, ctx.path_width)
-        out = np.concatenate([value, spath], axis=1)[:, order].astype("<u2") << 8 | code
-        return out.reshape(-1), np.full(n, width + ctx.path_width, np.int32)
-    if scheme not in STATIC_SCHEMES:
-        raise ValueError(f"unknown static scheme {scheme!r}")
-    path = np.frombuffer(b"".join(paths), np.uint8)
-    size = np.fromiter(map(len, paths), np.int32, n)
-    start = np.cumsum(size, dtype=np.int32) - size  # of each path in `path`
-    at = start + width * np.arange(n, dtype=np.int32)  # of each key in the output
-    k = np.arange(width, dtype=np.int32)
+def _symbols(path: np.ndarray, size: np.ndarray, value: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """The tagged symbols (`<u2`) of n keys, one key after the other, and
+    each key's symbol count (see `static_interleave`).  Key i's path is the
+    next size[i] bytes of `path` (for zo, its surrogate path, so all have
+    one size), and its value is row i of `value`, an (n, width) matrix."""
+    n, width = value.shape
+    itype = np.int32 if len(path) + n * width < 2**31 else np.int64
+    start = np.cumsum(size, dtype=itype) - size  # of each path in `path`
+    at = start + width * np.arange(n, dtype=itype)  # of each key in the output
+    k = np.arange(width, dtype=itype)
     if scheme == "pv":
         pos = (at + size)[:, None] + k
     elif scheme == "vp":
         pos = at[:, None] + k
-    else:  # value byte k goes ahead of path unit k, or after the path
-        unit = np.flatnonzero((path == SLASH) | (path == PATH_TERMINATOR)).astype(np.int32)
+    elif scheme == "lw":  # value byte k goes ahead of path unit k, or after the path
+        unit = np.flatnonzero((path == SLASH) | (path == PATH_TERMINATOR)).astype(itype)
         unit = np.append(unit, len(path))  # never empty, so `take` can clip
-        j = np.searchsorted(unit, start).astype(np.int32)[:, None] + k
+        j = np.searchsorted(unit, start).astype(itype)[:, None] + k
         # a unit past the key's last starts at or after the key's end
         pos = at[:, None] + k + np.minimum(unit.take(j, mode="clip") - start[:, None], size[:, None])
+    elif scheme == "zo":  # round r: c_v = ceil(l_V/l_P) value bytes, then c_p = ceil(l_P/l_V) path bytes
+        l_p = int(size[0])  # every surrogate path has one length
+        c_v, c_p = -(-width // l_p), -(-l_p // width)
+        pos = at[:, None] + k + np.minimum(k // c_v * c_p, l_p)  # after the path bytes of earlier rounds
+    else:
+        raise ValueError(f"unknown static scheme {scheme!r}")
     out = np.zeros(len(path) + n * width, "<u2")
     is_value = np.zeros(len(out), bool)
     is_value[pos] = True
@@ -142,14 +145,3 @@ def _symbols(
     out |= _P
     out[pos] = value.astype("<u2") << 8 | _V
     return out, size + width
-
-
-def _zo_order(l_v: int, l_p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The z-order rounds as a permutation of the columns (value bytes, then
-    surrogate path bytes), and the dimension code of each output column:
-    round r takes c_v = ceil(l_V/l_P) value bytes, then c_p = ceil(l_P/l_V)
-    path bytes."""
-    c_v, c_p = -(-l_v // l_p), -(-l_p // l_v)
-    rounds = np.concatenate([np.arange(l_v) // c_v * 2, np.arange(l_p) // c_p * 2 + 1])
-    order = np.argsort(rounds, kind="stable")
-    return order, np.where(order < l_v, _V, _P).astype("<u2")

@@ -10,8 +10,8 @@ One builder (`build_static`, which `bulk_load` calls) builds every scheme
 through one partitioner (`_partition`): MSD radix partitioning over numpy
 arrays, one trie level at a time, for all open partitions at once.  The
 dynamic scheme hands it two sequences per key (path and value), a static
-scheme one (its tagged string); nothing else in a build depends on the
-scheme but how node ranges become substrings and edges.
+scheme one (its tagged string).  Every scheme cuts its node substrings from
+the same two blobs, of the key set's distinct paths and values.
 
 A built index is a flat trie: columns over node ids that run in pre-order
 (`RcasIndex`), with no object per node or per key.  The builder and the
@@ -50,6 +50,7 @@ from .keys import (
     CompositeKey,
     Dimension,
     KeySet,
+    decode_path,
 )
 
 SCHEMES = ("rcas",) + STATIC_SCHEMES
@@ -204,6 +205,14 @@ class _Seqs(NamedTuple):
     def take(self, ids: np.ndarray) -> "_Seqs":
         """The sequences ids[0], ids[1], ..., read from this blob."""
         return self._replace(start=self.start[ids], size=self.size[ids])
+
+    def joined(self) -> np.ndarray:
+        """The symbols of all sequences, one sequence after the other,
+        gathered with 32-bit indices where they fit."""
+        total = int(self.size.sum(dtype=np.int64))
+        itype = np.int32 if max(total, len(self.data)) < 2**31 else np.int64
+        shift = np.cumsum(self.size, dtype=itype) - self.size - self.start  # output offset less blob offset
+        return self.data[np.arange(total, dtype=itype) - np.repeat(shift, self.size)]
 
 
 def _dsc(seqs: _Seqs, rows: np.ndarray, starts: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -554,25 +563,29 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     that dimension.  A static scheme reads one sequence per distinct key,
     its tagged symbols (`interleave.static_interleave`, made for all keys at
     once), byte * 256 + dimension code, so edges are ordered by byte, then
-    by dimension; a node whose edges span both dimensions is `_MIXED`, and
-    one mask splits the nodes' symbol ranges into path and value substrings
-    (`_split`).  Either way each pair is moved once per level of its
-    root-to-leaf path, and one stable sort puts the refs in leaf order,
-    each leaf's in input order."""
+    by dimension; a node whose edges span both dimensions is `_MIXED`.  Its
+    path bytes are read from the blob of distinct paths (for zo, of their
+    surrogate paths), so a running count of value symbols turns a node's
+    symbol range into a range of each blob (`_untag`), and every scheme
+    cuts its substrings from the same two blobs (`_table`).  Either way each
+    pair is moved once per level of its root-to-leaf path, and one stable
+    sort puts the refs in leaf order, each leaf's in input order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     keys = KeySet.of(keys)
     pair_p, pair_v, refs, pair_of_key = _aggregate(keys)
     count = np.bincount(pair_of_key, minlength=len(pair_p))
-    if scheme == "rcas":
-        seqs, first = [_Seqs.of(keys.paths).take(pair_p), _Seqs.of(keys.values).take(pair_v)], _V
-    else:
-        if scheme == "zo" and ctx is None:
+    if scheme == "zo":
+        if ctx is None:
             ctx = ZoContext.from_keys(keys)
-        paths = list(map(keys.paths.__getitem__, pair_p.tolist()))
-        values = list(map(keys.values.__getitem__, pair_v.tolist()))
-        symbols, size = _symbols(paths, values, scheme, ctx)
-        del paths, values
+        paths = _Seqs.of(list(ctx._surrogates(list(map(decode_path, keys.paths)))))
+    else:
+        paths = _Seqs.of(keys.paths)
+    paths, values = paths.take(pair_p), _Seqs.of(keys.values).take(pair_v)
+    if scheme == "rcas":
+        seqs, first = [paths, values], _V
+    else:
+        symbols, size = _symbols(paths.joined(), paths.size, values.joined().reshape(len(count), -1), scheme)
         seqs, first = [_Seqs.empty(size, "<u2")], 0
         seqs[0].data[: len(symbols)] = symbols
         del symbols
@@ -581,13 +594,15 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     shape = _shape(arity)
     leaf = nodes.split < 0
     edges = nodes.key[shape.echild]
-    at = [s.start[nodes.row] for s in seqs]  # where each node's first key starts in each blob
     if scheme == "rcas":
-        tables = [_table(s.blob, a + lo, a + hi) for s, a, lo, hi in zip(seqs, at, nodes.lo, nodes.hi)]
-        ebyte, edim = edges, np.repeat(nodes.split, arity)  # sequence 0 is the path, 1 the value
+        lo, hi = nodes.lo, nodes.hi  # sequence 0 is the path, 1 the value
+        ebyte, edim = edges, np.repeat(nodes.split, arity)
     else:
-        tables = _split(seqs[0].data[:-_WINDOW_MAX], at[0] + nodes.lo[0], at[0] + nodes.hi[0])
+        lo, hi = _untag(seqs[0], nodes.row, nodes.lo[0], nodes.hi[0])
         ebyte, edim = edges >> 8, edges & 0xFF
+    at = [s.start[nodes.row] for s in (paths, values)]  # where each node's first pair starts in each blob
+    tables = [_table(s.blob, a + l, a + h) for s, a, l, h in zip((paths, values), at, lo, hi)]
+    del seqs, paths, values, lo, hi, at  # before the index's columns are made
     leaf_rank = np.empty(len(count), np.int32)
     leaf_rank[nodes.row[leaf]] = np.arange(len(count), dtype=np.int32)
     return _index(
@@ -606,21 +621,19 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     )
 
 
-def _split(
-    symbols: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[tuple[list[bytes], np.ndarray], tuple[list[bytes], np.ndarray]]:
-    """The path bytes and the value bytes of each range [lo[i], hi[i]) of
-    tagged symbols, as a table each (`_table`).  A running count of value
-    symbols maps a range to its ranges in a blob of all path bytes and a
-    blob of all value bytes."""
-    code, byte = symbols.view(np.uint8).reshape(-1, 2).T
-    is_value = code.astype(bool)  # the codes are 0 for P and 1 for V
-    before = np.zeros(len(symbols) + 1, np.int32)  # value symbols before each symbol
-    np.cumsum(is_value, out=before[1:])
-    v_lo, v_hi = before[lo], before[hi]
-    del before
-    p_blob, v_blob = byte[~is_value].tobytes(), byte[is_value].tobytes()
-    return _table(p_blob, lo - v_lo, hi - v_hi), _table(v_blob, v_lo, v_hi)
+def _untag(tagged: _Seqs, row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
+    """The range [lo[i], hi[i]) of the tagged sequence row[i] as a range of
+    that pair's path and a range of its value: the value symbols before a
+    position are the value bytes before it, and the others path bytes."""
+    before = np.zeros(len(tagged.data) + 1, np.int32)  # the value symbols before each position
+    before[1:] = tagged.data.view(np.uint8)[::2]  # a symbol's low byte is its code, 1 for V
+    np.cumsum(before, out=before)
+    at = tagged.start[row]
+    v_lo, v_hi, past = before[at + lo], before[at + hi], before[at]  # past: of the earlier pairs
+    del before, at
+    v_lo -= past
+    v_hi -= past
+    return [lo - v_lo, v_lo], [hi - v_hi, v_hi]
 
 
 # --- structural statistics --------------------------------------------------
@@ -823,7 +836,7 @@ def save_bytes(index: RcasIndex) -> bytes:
     if index.scheme == "zo":
         ctx = index.zo_ctx
         assert ctx is not None
-        labels = "/".join(ctx.codes).encode("ascii")  # insertion order == code order
+        labels = "/".join(sorted(ctx.codes, key=ctx.codes.__getitem__)).encode("ascii")
         parts.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
     parts += [
         index.dim,

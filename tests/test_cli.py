@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rcas import interleave
 from rcas.cli import main
 from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, write_records
 
@@ -152,6 +153,13 @@ class TestBuild:
         assert code == 0
         assert out.splitlines()[0] == "matches: 2"
 
+    def test_too_many_labels_for_zo_is_data_error(self, capsys, bom_file, monkeypatch):
+        monkeypatch.setattr(interleave, "_MAX_SURROGATE", 2)
+        code, out, err = run_cli(capsys, "build", bom_file, "--scheme", "zo")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error: more than 2^24 - 1 distinct labels")
+
 
 class TestQuery:
     def test_worked_example(self, capsys, bom_file):
@@ -234,6 +242,15 @@ class TestBench:
             assert len(sizes) == 1, f"schemes disagree on {q}"
         summaries = [r for r in body if r[0] == "summary"]
         assert len(summaries) == 5
+
+    def test_too_many_labels_for_zo_is_data_error(self, capsys, bom_file, tmp_path, monkeypatch):
+        queries = tmp_path / "queries.csv"
+        queries.write_text("/bom/item//battery;100000;500000\n")
+        monkeypatch.setattr(interleave, "_MAX_SURROGATE", 2)
+        code, out, err = run_cli(capsys, "bench", bom_file, str(queries), "--repeat", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error: more than 2^24 - 1 distinct labels")
 
     @pytest.mark.parametrize("repeat", ["0", "-3"])
     def test_repeat_below_one_is_usage_error(self, capsys, bom_file, tmp_path, repeat):

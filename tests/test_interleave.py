@@ -330,8 +330,15 @@ def _assert_batch_matches_oracle(keys, schemes=STATIC_SCHEMES):
     """All keys tagged at once, split per key, equal each key's oracle
     string, and so does the one-key `static_interleave`."""
     ctx = ZoContext.from_keys(keys) if "zo" in schemes else None
+    value = np.frombuffer(b"".join(k.value for k in keys), np.uint8).reshape(len(keys), -1)
     for scheme in schemes:
-        symbols, size = _symbols([k.path for k in keys], [k.value for k in keys], scheme, ctx)
+        if scheme == "zo":  # each key's path bytes are its surrogate path
+            path = ctx._surrogates([k.path_text for k in keys]).reshape(-1)
+            sizes = np.full(len(keys), ctx.path_width, np.int32)
+        else:
+            path = np.frombuffer(b"".join(k.path for k in keys), np.uint8)
+            sizes = np.array([len(k.path) for k in keys], np.int32)
+        symbols, size = _symbols(path, sizes, value, scheme)
         assert int(size.sum()) == len(symbols)
         parts = np.split(symbols, np.cumsum(size)[:-1])
         want = [static_tagged(k, scheme, ctx) for k in keys]
@@ -394,6 +401,16 @@ class TestZoErrors:
             ctx = ZoContext.from_keys(keys)
             assert ctx.codes == {"c": 1, "a": 2, "b": 3, "d": 4}
             assert ctx.max_labels == 3
+
+    @pytest.mark.parametrize("codes", [{"a": 1, "b": 5}, {"a": 0}, {"a": 2}, {"a": 1, "b": 1}, {"a": 2, "b": 3}])
+    def test_codes_must_run_from_one_to_n(self, codes):
+        with pytest.raises(ValueError, match="codes are not 1 .. n"):
+            ZoContext(codes=codes, max_labels=2)
+
+    @pytest.mark.parametrize("label", ["", "a/b", "/", "\u00e9", "tab\there", "\x7f"])
+    def test_labels_must_be_path_labels(self, label):
+        with pytest.raises(ValueError, match="is not a path label"):
+            ZoContext(codes={"a": 1, label: 2}, max_labels=2)
 
     def test_surrogate_overflow(self, monkeypatch):
         monkeypatch.setattr(interleave, "_MAX_SURROGATE", 3)

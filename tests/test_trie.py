@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import mmap
 import random
 import struct
@@ -88,6 +89,12 @@ EXAMPLE_RCAS3 = (
     "0705060201030804"
     "f0b2b146"
 )
+
+# One SHA-256 over the index file, `BuildStats` and `IndexStats` of every
+# scheme for generator seeds 5 and 6 at widths 4 and 8 (3,000 keys, 30%
+# duplicates), so that a change meant to keep every index as it is shows
+# any drift.
+PINNED_INDEXES_SHA256 = "c6252b1a32512af875852ccccd5f1971c0ed87a4634c88c60f9e6dc69d60ff67"
 
 # The example's index file in every scheme, for corrupting.
 EXAMPLE_BLOBS = [save_bytes(build_static(records_to_keys(BOM_EXAMPLE), s)) for s in SCHEMES]
@@ -572,6 +579,21 @@ class TestSerialization:
         assert again.zo_ctx.codes == index.zo_ctx.codes
         assert again.zo_ctx.max_labels == index.zo_ctx.max_labels
 
+    def test_zo_codes_out_of_insertion_order_round_trip(self):
+        """The labels are saved in code order, so a context whose codes do
+        not follow its insertion order loads with the same codes, and the
+        loaded index answers as the built one."""
+        keys = [CompositeKey.make("/a/b", 5, 1), CompositeKey.make("/b/a", 5, 2)]
+        index = build_static(keys, "zo", ZoContext(codes={"b": 2, "a": 1}, max_labels=2))
+        again = load_bytes(save_bytes(index))
+        assert again.zo_ctx.codes == {"a": 1, "b": 2}
+        vr = ValueRange.closed(0, 100)
+        assert run_query(again, "/a/b", vr).refs == [1]
+        for text in ("/a/b", "/b/a", "/a/*", "//a"):
+            want = sorted(scan(keys, parse_query_path(text), vr))
+            assert sorted(run_query(index, text, vr).refs) == want
+            assert sorted(run_query(again, text, vr).refs) == want
+
     def test_bad_magic_rejected(self, bom_index):
         with pytest.raises(ValueError):
             load_bytes(b"NOPE1" + b"\x00" * 32)
@@ -583,6 +605,19 @@ class TestSerialization:
         """The exact RCAS3 bytes of the example index, so that any drift of
         the format fails here first."""
         assert save_bytes(bom_index).hex() == EXAMPLE_RCAS3
+
+    def test_generated_indexes_pinned(self):
+        digest = hashlib.sha256()
+        for seed in (5, 6):
+            for width in (4, 8):
+                cfg = GeneratorConfig(seed=seed, key_count=3000, duplicate_fraction=0.3)
+                keys = records_to_keys(generate(cfg), width)
+                for scheme in SCHEMES:
+                    index = build_static(keys, scheme)
+                    digest.update(save_bytes(index))
+                    digest.update(repr(index.build_stats).encode())
+                    digest.update(repr(collect_stats(index)).encode())
+        assert digest.hexdigest() == PINNED_INDEXES_SHA256
 
     def test_truncation_rejected(self, bom_index):
         blob = save_bytes(bom_index)
@@ -647,6 +682,8 @@ class TestSerialization:
         at = blob.index(b"/car/")
         with pytest.raises(ValueError, match="label dictionary"):
             load_bytes(resealed(blob[: at + 1] + b"bom" + blob[at + 4 :]))
+        with pytest.raises(ValueError, match="not a path label"):
+            load_bytes(resealed(blob[: at + 1] + b"\x01" + blob[at + 2 :]))
 
     def test_unfinished_keys_rejected(self):
         """Records that are well formed one by one, but whose root-to-leaf
