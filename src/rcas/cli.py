@@ -41,8 +41,6 @@ def _load_keys(path: str, width: int) -> KeySet:
 def cmd_generate(args) -> int:
     if args.example == "bom":
         records = list(dataset.BOM_EXAMPLE)
-    elif args.example is not None:
-        raise UsageError(f"unknown example {args.example!r}")
     else:
         config = GeneratorConfig(
             seed=args.seed,
@@ -57,9 +55,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _print_stats_csv(stats: trie.IndexStats, out) -> None:
-    w = csv.writer(out)
+def _print_stats_csv(stats: trie.IndexStats, rows: Sequence[list] = ()) -> None:
+    """The header, then `rows`, then the rows of `stats`, to stdout."""
+    w = csv.writer(sys.stdout)
     w.writerow(["section", "metric", "value"])
+    w.writerows(rows)
     w.writerow(["summary", "nodes", stats.node_count])
     w.writerow(["summary", "leaves", stats.leaf_count])
     w.writerow(["summary", "keys", stats.key_count])
@@ -83,15 +83,14 @@ def cmd_build(args) -> int:
             trie.save(index, args.save)
         except ValueError as exc:
             raise DataError(f"cannot save {args.save!r}: {exc}") from exc
-    stats = trie.collect_stats(index)
-    w = csv.writer(sys.stdout)
-    w.writerow(["section", "metric", "value"])
-    w.writerow(["build", "scheme", index.scheme])
-    w.writerow(["build", "records", len(keys)])
-    w.writerow(["build", "build_seconds", f"{elapsed:.6f}"])
-    w.writerow(["build", "byte_scans", index.build_stats.byte_scans])
-    w.writerow(["build", "partition_moves", index.build_stats.moves])
-    _print_stats_csv(stats, sys.stdout)
+    build = [
+        ["build", "scheme", index.scheme],
+        ["build", "records", len(keys)],
+        ["build", "build_seconds", f"{elapsed:.6f}"],
+        ["build", "byte_scans", index.build_stats.byte_scans],
+        ["build", "partition_moves", index.build_stats.moves],
+    ]
+    _print_stats_csv(trie.collect_stats(index), build)
     return 0
 
 
@@ -129,7 +128,7 @@ def cmd_query(args) -> int:
 
 def cmd_stats(args) -> int:
     index = _obtain_index(args)
-    _print_stats_csv(trie.collect_stats(index), sys.stdout)
+    _print_stats_csv(trie.collect_stats(index))
     return 0
 
 
@@ -261,7 +260,7 @@ def cmd_costmodel(args) -> int:
         swapped = dataclasses.replace(params, sel_path=args.sel_value, sel_value=args.sel_path)
         c1 = costmodel.estimate_cost(params, include_root=args.include_root)
         c2 = costmodel.estimate_cost(swapped, include_root=args.include_root)
-        avg, sd = costmodel.robustness(params, include_root=args.include_root)
+        avg, sd = costmodel._pair_stats(c1, c2)
         if not all(map(math.isfinite, (c1, c2, avg, sd))):
             raise UsageError(
                 f"the cost of vector {name} overflows at --fanout {args.fanout}"

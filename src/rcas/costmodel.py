@@ -115,9 +115,7 @@ def pair_costs(
     return np.cumprod(f1, axis=1).sum(axis=1) + np.cumprod(f2, axis=1).sum(axis=1)
 
 
-def alternating_is_optimal(
-    fanout: float, height: int, sel_path: float, sel_value: float, rel_tol: float = 1e-9
-) -> bool:
+def alternating_is_optimal(fanout: float, height: int, sel_path: float, sel_value: float) -> bool:
     """Exhaustively check that the alternating vector minimizes the
     complementary-pair cost over all 2**height dimension vectors."""
     if height < 1:
@@ -128,7 +126,7 @@ def alternating_is_optimal(
     # alternating V,P,V,... -> P at odd levels -> bits 0b...1010
     idx = sum(1 << i for i in range(1, height, 2))
     dy = costs[idx]
-    return bool(dy <= costs.min() * (1.0 + rel_tol) + 1e-12)
+    return bool(dy <= costs.min() * (1.0 + 1e-9) + 1e-12)
 
 
 def calibrate(

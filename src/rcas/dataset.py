@@ -113,8 +113,6 @@ def _fields(line: str, lineno: int) -> tuple[str, int, int]:
     if len(parts) != 3:
         raise DataError(f"line {lineno}: expected 3 ';'-separated fields, got {len(parts)}")
     path, value_s, ref_s = parts
-    if not path.isascii():
-        raise DataError(f"line {lineno}: non-ASCII path")
     try:
         value = int(value_s, 10)
         if value < 0:

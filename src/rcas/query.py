@@ -31,8 +31,10 @@ by bisecting to a byte window: the value bounds still closed at a value
 node, the hull of the path state at a path node.  A label-wise node whose
 edges span both dimensions is scanned whole.  Each index keeps the DFAs of
 its queries (`RcasIndex.dfas`), and a query starts on an empty DFA once the
-kept one passes its bounds, which grow with the query's NFA and the index;
-literals are built per query.
+kept one passes its state bound, which grows with the query's NFA.  A DFA's
+memo holds at most one entry per node of its index: the DFA is
+deterministic and a node is entered in the state its parent's substring led
+to.  Literals are built per query.
 
 Before its walk, a query pays a fixed cost for its path, its range and its
 matcher, so each is made in few steps: the parser makes its `Step` and
@@ -300,13 +302,11 @@ _NO_HULL = (256, -1)  # the hull of a state that no edge leaves
 _LIVE_ROW = (0,) * 256  # a row that follows every byte
 _NO_MEMO: dict[bytes, int] = {}  # a memo that stays empty
 
-# The most states and memo entries a lazy DFA holds when a query starts,
-# past its NFA's state count and its index's node count.  A DFA past either
-# bound is replaced by an empty one, so a DFA kept by an index stays bounded
-# however many nodes it has been fed, and keeps the states of a long label
-# and the memo of a large index.
+# The most states a lazy DFA holds when a query starts, past its NFA's state
+# count.  A DFA past the bound is replaced by an empty one, so a DFA kept by
+# an index stays bounded however many nodes it has been fed, and keeps the
+# states of a long label.
 _STATE_CACHE_MAX = 1024
-_MEMO_CACHE_MAX = 4096
 # The most DFAs one index keeps; a new query path on a full index empties it.
 _DFAS_MAX = 256
 
@@ -358,7 +358,6 @@ class _LazyDfa:
     def __init__(self, nfa: _PathAutomaton):
         self.nfa = nfa
         self.rows, self.hulls, self.matched, self.memo = [], [], [], []
-        self.memo_size = 0
         self._keys: list[tuple[frozenset, int]] = []
         self._ids: dict[tuple[frozenset, int], int] = {}
         self._new_state = threading.Lock()  # concurrent queries never give a state two ids
@@ -405,7 +404,6 @@ class _LazyDfa:
             if not self.matched[t] and 0 < self.nfa.width == self._keys[t][1]:
                 t = _DEAD  # complete, not accepted
         self.memo[ps][data] = t
-        self.memo_size += 1  # a count lost to a concurrent feed only delays a reset
         return t
 
 
@@ -543,9 +541,9 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
     """The path matcher for `qpath` on `index`, chosen by its shape: a
     literal when every step is a named child step and there is no trailing
     ``//``, otherwise the DFA the index keeps for `qpath`, made anew once it
-    passes a bound: `_STATE_CACHE_MAX` states past its NFA's, or
-    `_MEMO_CACHE_MAX` memo entries past the index's node count.  A running
-    query keeps its own, so its ids stay valid.
+    holds over `_STATE_CACHE_MAX` states past its NFA's.  Its memo holds at
+    most one entry per node of `index`, as each node is entered in one
+    state.  A running query keeps its own, so its ids stay valid.
     Each step on `index.dfas` is one dict call and needs no lock: a race
     can only drop a DFA or keep one more, never hand a query a wrong one."""
     ctx = index.zo_ctx if index.scheme == "zo" else None
@@ -560,10 +558,7 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
         if len(dfas) >= _DFAS_MAX:
             dfas.clear()
         dfa = dfas[qpath] = _LazyDfa(_automaton(qpath, ctx))
-    elif (
-        len(dfa.rows) > _STATE_CACHE_MAX + len(dfa.nfa.edges)
-        or dfa.memo_size > _MEMO_CACHE_MAX + len(index.dim)
-    ):
+    elif len(dfa.rows) > _STATE_CACHE_MAX + len(dfa.nfa.edges):
         dfa = dfas[qpath] = _LazyDfa(dfa.nfa)
     return dfa
 

@@ -760,7 +760,8 @@ def _varints(values: np.ndarray) -> bytes:
         if not more.any():
             break
         size += more
-    start = np.cumsum(size, dtype=np.int64)
+    start = size.astype(np.int64)  # summed in place, as a cast sum copies `size` first
+    np.cumsum(start, out=start)
     start -= size
     out = np.empty(int(size.sum()), np.uint8)
     low = v.astype(np.uint8)  # the low byte

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from rcas import interleave
+from rcas import costmodel, interleave
 from rcas.cli import main
 from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, write_records
 
@@ -83,8 +83,11 @@ class TestGenerate:
             (("--seed", "-1"), "seed must be a non-negative integer"),
             (("--skew", "nan"), "value_skew must be a non-negative number"),
             (("--skew", "-0.5"), "value_skew must be a non-negative number"),
+            (("--alphabet", "0"), "label_alphabet_size must be positive"),
+            (("--max-depth", "0"), "max_depth must be positive"),
+            (("--dup-fraction", "1"), "duplicate_fraction must lie in [0, 1)"),
         ],
-        ids=["negative_seed", "nan_skew", "negative_skew"],
+        ids=["negative_seed", "nan_skew", "negative_skew", "no_alphabet", "no_depth", "all_duplicates"],
     )
     def test_bad_settings_are_data_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "generate", *argv)
@@ -122,6 +125,20 @@ class TestBuild:
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "build", "/no/such/file.csv")
         assert code == 2
+
+    def test_unsavable_path_is_data_error(self, capsys, bom_file):
+        code, out, err = run_cli(capsys, "build", bom_file, "--save", "a\x00b")
+        assert (code, out) == (2, "")
+        assert err.startswith("data error: cannot save 'a\\x00b': ")
+
+    @pytest.mark.parametrize("command", ["build", "stats"])
+    def test_header_printed_once(self, capsys, bom_file, command):
+        argv = [bom_file] if command == "build" else ["--dataset", bom_file]
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0
+        rows = csv_rows(out)
+        assert rows[0] == ["section", "metric", "value"]
+        assert rows.count(rows[0]) == 1
 
     def test_empty_file_is_data_error(self, capsys, tmp_path):
         target = tmp_path / "empty.csv"
@@ -197,6 +214,13 @@ class TestQuery:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("seconds")]
         assert strip(direct) == strip(loaded)
 
+    def test_bound_past_the_loaded_width_is_data_error(self, capsys, bom_file, tmp_path):
+        target = str(tmp_path / "bom.idx")
+        assert run_cli(capsys, "build", bom_file, "--save", target)[0] == 0
+        code, out, err = run_cli(capsys, "query", "/bom", "0", "4294967296", "--load", target)
+        assert (code, out) == (2, "")
+        assert err == "data error: value 4294967296 does not fit in 4 bytes\n"
+
     def test_truncated_index_is_data_error(self, capsys, bad_indexes):
         for path in bad_indexes:
             code, _, err = run_cli(capsys, "query", "//", "0", "1", "--load", path)
@@ -266,8 +290,11 @@ class TestBench:
         [
             ("/bom//;-1;5", "value -1 is negative"),
             ("/bom//;0;99999999999", "value 99999999999 does not fit in 4 bytes"),
+            ("/bom;5", "expected 'path;low;high'"),
+            ("/bom;x;5", "bad range bounds"),
+            ("/bom;5;3", "impossible range"),
         ],
-        ids=["negative_low", "high_past_width"],
+        ids=["negative_low", "high_past_width", "two_fields", "bad_bound", "impossible_range"],
     )
     def test_out_of_range_bound_is_data_error(self, capsys, bom_file, tmp_path, line, message):
         queries = tmp_path / "queries.csv"
@@ -296,6 +323,13 @@ class TestBench:
         assert got == want
         assert want[0] != want[1] and want[3] == "0.000000" and want[4] == "1.000000"
 
+    def test_non_ascii_query_file_is_data_error(self, capsys, bom_file, tmp_path):
+        queries = tmp_path / "queries.csv"
+        queries.write_bytes(b"//;0;4294967295\n/b\xc3\xa4;0;5\n")
+        code, out, err = run_cli(capsys, "bench", bom_file, str(queries))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"data error: query file {str(queries)!r} is not ASCII: ")
+
     def test_empty_query_file(self, capsys, bom_file, tmp_path):
         queries = tmp_path / "queries.csv"
         queries.write_text("")
@@ -316,6 +350,15 @@ class TestCostModel:
         assert float(rows["pv"][0]) == pytest.approx(113280)
         assert float(rows["i1"][1]) == pytest.approx(85780)
         assert float(rows["i2"][3]) == pytest.approx(33567.77, abs=0.01)
+
+    @pytest.mark.parametrize("argv", [(), ("--height", "6")])
+    def test_two_cost_evaluations_per_row(self, capsys, monkeypatch, argv):
+        calls = []
+        evaluate = costmodel.estimate_cost
+        monkeypatch.setattr(costmodel, "estimate_cost", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+        code, out, _ = run_cli(capsys, "costmodel", *argv)
+        assert code == 0
+        assert len(calls) == 2 * len(csv_rows(out)[1:])
 
     def test_include_root_shifts_by_one(self, capsys):
         _, without, _ = run_cli(capsys, "costmodel")

@@ -169,6 +169,7 @@ class TestRecordsToKeys:
         assert keys.width == width
         assert list(keys) == record_keys(records, width)
         assert list(records_to_keys(BOM_EXAMPLE, width)) == record_keys(BOM_EXAMPLE, width)
+        assert list(records_to_keys((r for r in records), width)) == list(keys)
 
     def test_refs_share_the_records_ints(self):
         records = generate(GeneratorConfig(seed=3, key_count=50))
@@ -319,7 +320,7 @@ class TestWriteRecords:
         want = "".join(record_line(*rec) + "\n" for rec in records).encode("ascii")
         for chunk in (dataset._WRITE_CHUNK, 3):
             monkeypatch.setattr(dataset, "_WRITE_CHUNK", chunk)
-            for given_as in (records, list(records), Records.of(records)):
+            for given_as in (records, list(records), Records.of(records), (r for r in records)):
                 target = tmp_path / "data.csv"
                 write_records(given_as, str(target))
                 assert target.read_bytes() == want

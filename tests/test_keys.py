@@ -114,6 +114,12 @@ def test_path_round_trip(p):
     assert decode_path(encode_path(p)) == p
 
 
+@pytest.mark.parametrize("raw", [b"/a", b""])
+def test_decode_path_needs_its_terminator(raw):
+    with pytest.raises(PathSyntaxError, match="missing its terminator"):
+        decode_path(raw)
+
+
 @given(_paths, _paths)
 def test_encoded_paths_are_prefix_free(p, q):
     ep, eq = encode_path(p), encode_path(q)

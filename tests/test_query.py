@@ -22,7 +22,6 @@ from rcas.query import (
     ValueRange,
     WILDCARD,
     _DEAD,
-    _MEMO_CACHE_MAX,
     _RANGE_MATCHED,
     _STATE_CACHE_MAX,
     _LazyDfa,
@@ -772,10 +771,10 @@ class TestAutomatonCaches:
         want = sorted(scan(keys, qpath, everything))
         assert sorted(run_query(rcas, qpath, everything).refs) == want
         kept = rcas.dfas[qpath]
-        assert len(kept.rows) <= _STATE_CACHE_MAX and kept.memo_size <= _MEMO_CACHE_MAX
-        # the same query on vp feeds past the memo bound
+        assert len(kept.rows) <= _STATE_CACHE_MAX and sum(map(len, kept.memo)) <= len(rcas.dim)
+        # the same query on vp feeds a DFA of its own
         assert sorted(run_query(vp, qpath, everything).refs) == want
-        assert vp.dfas[qpath].memo_size > _MEMO_CACHE_MAX
+        assert vp.dfas[qpath] is not kept
         assert query._matcher(rcas, qpath) is kept
 
     def test_full_index_starts_over(self, monkeypatch, bom_keys):
@@ -789,34 +788,53 @@ class TestAutomatonCaches:
             assert qpath in index.dfas
             assert len(index.dfas) <= 3
 
-    def test_caches_stay_bounded(self, monkeypatch):
+    def test_caches_stay_bounded(self):
         rng = random.Random(4242)
         letters = "abcdefgh"
         keys = []
-        for i in range(_MEMO_CACHE_MAX + 1000):
+        many = 4096
+        for i in range(many + 1000):
             label = "".join(rng.choice(letters) for _ in range(rng.randint(4, 9)))
             path = f"/d/{label}/hit" if i % 10 == 0 else f"/d/{label}"
             keys.append(CompositeKey.make(path, rng.randint(0, 2**32 - 1), i))
         index = build_static(keys, "rcas")
         # nearly every node is fed once, and their path substrings differ
-        assert len(set(index.s_p)) > _MEMO_CACHE_MAX
+        assert len(set(index.s_p)) > many
         qpath = parse_query_path("//hit")
         everything = ValueRange.closed(0, 2**32 - 1)
         want = sorted(scan(keys, qpath, everything))
-        # one query feeds more than _MEMO_CACHE_MAX entries, but no more
-        # than the index has nodes, so the next query keeps its DFA
+        # one query feeds many entries, but no more than the index has
+        # nodes, and the next query keeps its DFA
         assert sorted(run_query(index, qpath, everything).refs) == want
         used = index.dfas[qpath]
-        assert _MEMO_CACHE_MAX < used.memo_size <= len(index.dim)
+        assert many < sum(map(len, used.memo)) <= len(index.dim)
         assert query._matcher(index, qpath) is used
-        # with the memo bound at _MEMO_CACHE_MAX entries in all, that query
-        # passed it, and the next query starts from tables within the bounds
-        monkeypatch.setattr(query, "_MEMO_CACHE_MAX", _MEMO_CACHE_MAX - len(index.dim))
-        dfa = query._matcher(index, qpath)
-        assert dfa is not used
-        assert len(dfa.rows) <= _STATE_CACHE_MAX
-        assert sum(map(len, dfa.memo)) == dfa.memo_size <= _MEMO_CACHE_MAX
-        assert sorted(run_query(index, qpath, everything).refs) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([4, 8]))
+    def test_memo_holds_one_entry_per_node_at_most(self, seed, width):
+        """A node is entered in the one path state its parent's substring
+        led to, so however many queries a DFA serves, each node with path
+        bytes adds at most one memo entry."""
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(
+            seed=seed, key_count=rng.randint(50, 1500), label_alphabet_size=rng.randint(2, 12),
+            max_depth=rng.randint(1, 6), duplicate_fraction=0.2,
+        )
+        keys = records_to_keys(generate(cfg), width)
+        paths = [k.path_text for k in keys]
+        values = sorted(k.value_int for k in keys)
+        texts = ["//", "/*//"] + [random_query_text(rng, paths) for _ in range(20)]
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            for text in texts * 2:
+                lo = rng.choice(values)
+                hi = rng.choice([v for v in values if v >= lo] + [(1 << 8 * width) - 1])
+                run_query(index, text, ValueRange.closed(lo, hi, width))
+            assert index.dfas
+            fed = sum(map(bool, index.s_p))  # the nodes with path bytes
+            for dfa in index.dfas.values():
+                assert sum(map(len, dfa.memo)) <= fed <= len(index.dim)
 
     def test_long_label_keeps_its_dfa(self):
         # a DFA state per label byte: past _STATE_CACHE_MAX, within the

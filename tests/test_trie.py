@@ -509,6 +509,10 @@ class TestStaticBuilds:
         assert top.dim is V
         assert {b for _, b, _ in top.children} == {0x00, 0x01, 0x03}
 
+    def test_unknown_scheme_rejected(self, bom_keys):
+        with pytest.raises(ValueError, match="^unknown scheme 'nope'$"):
+            build_static(bom_keys, "nope")
+
     def test_singleton_static(self):
         k = CompositeKey.make("/s", 3, 9)
         for scheme in ("pv", "vp", "lw", "zo"):
@@ -665,6 +669,11 @@ class TestSerialization:
         rejected(7, (9).to_bytes(8, "big"), "key count")  # 8 refs in the leaves
         battery = blob.index(b"r/battery\x00") + 9
         rejected(battery, b"\x89", "leaf does not end")  # a leaf's path never ends
+        rejected(counts - 8, bytes(8), "holds no nodes")  # the node count
+        # the first table value, 12, spelled as 16383 in one more varint byte
+        wide = blob[: counts + 16] + (54).to_bytes(8, "big") + blob[dims:table] + b"\xff\x7f" + blob[table + 1 :]
+        with pytest.raises(ValueError, match="node table out of range"):
+            load_bytes(resealed(wide))
 
     def test_non_canonical_files_rejected(self, bom_keys):
         """A file that would load but not save back to the same bytes:
