@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed query
 syntax, impossible ranges), 2 for data errors (unparsable dataset lines,
-width overflows, empty inputs).
+width overflows, empty inputs), 141 when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import statistics
 import sys
 import time
@@ -23,6 +24,7 @@ from .keys import Dimension, KeySet
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
+PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 
 class UsageError(Exception):
@@ -336,10 +338,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone is met here, not at shutdown
+        return code
     except (UsageError, query.QuerySyntaxError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except BrokenPipeError:
+        # the reader of stdout has gone: stop quietly, and point stdout at
+        # the null device so that the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_EXIT
     except (DataError, OSError, SurrogateOverflow) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -15,6 +15,11 @@ that iterates or indexes the dataset.  Records become keys as columns
 The generator produces reproducible hierarchies with Zipf-skewed values and
 a configurable fraction of duplicate (path, value) pairs, standing in for
 file-system style data whose sizes are heavily skewed towards small values.
+It draws every record's depth, labels and value as arrays, then numbers the
+distinct path prefixes one level at a time and spells each one once, as its
+parent's text plus one label; records with equal paths share that string.
+A duplicate takes its path and value from the original that its chain of
+copies ends at.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
-from numbers import Integral
+from numbers import Integral, Real
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -270,12 +275,15 @@ class GeneratorConfig:
     def __post_init__(self):
         if not isinstance(self.seed, Integral) or self.seed < 0:
             raise DataError("seed must be a non-negative integer")
-        if self.key_count < 1:
-            raise DataError("key_count must be positive")
-        if self.label_alphabet_size < 1:
-            raise DataError("label_alphabet_size must be positive")
-        if self.max_depth < 1:
-            raise DataError("max_depth must be positive")
+        for name in ("key_count", "label_alphabet_size", "max_depth"):
+            count = getattr(self, name)
+            if not isinstance(count, Integral) or isinstance(count, bool):
+                raise DataError(f"{name} must be a positive integer")
+            if count < 1:
+                raise DataError(f"{name} must be positive")
+        for name in ("duplicate_fraction", "value_skew"):
+            if not isinstance(getattr(self, name), Real):
+                raise DataError(f"{name} must be a real number")
         if not 0.0 <= self.duplicate_fraction < 1.0:
             raise DataError("duplicate_fraction must lie in [0, 1)")
         if not (math.isfinite(self.value_skew) and self.value_skew >= 0.0):
@@ -302,22 +310,40 @@ def _zipf_values(rng: np.random.Generator, n: int, skew: float, value_max: int) 
 
 
 def generate(config: GeneratorConfig) -> Records:
-    """Deterministically generate a dataset; same config, same records."""
+    """Deterministically generate a dataset; same config, same records.
+
+    A record copies the path and value of its original: itself, or for a
+    duplicate the original of an earlier record.  Each distinct path prefix
+    of the originals is numbered and spelled once, one level at a time."""
+    n, alphabet, max_depth = config.key_count, config.label_alphabet_size, config.max_depth
+    # a prefix is keyed by its parent's id times the alphabet size plus its
+    # label; ids lie below n * max_depth + 1, so every key fits in int64
+    if (n * max_depth + 1) * alphabet > 1 << 63:
+        raise DataError("key_count * max_depth * label_alphabet_size is too large to generate")
     rng = np.random.default_rng(np.random.PCG64(config.seed))
-    n = config.key_count
-    labels = [f"n{i:02d}" for i in range(config.label_alphabet_size)]
+    depths = rng.integers(1, max_depth + 1, size=n)
+    picks = rng.integers(0, alphabet, size=(n, max_depth))
+    values = _zipf_values(rng, n, config.value_skew, config.value_max)
 
-    depths = rng.integers(1, config.max_depth + 1, size=n).tolist()
-    picks = rng.integers(0, config.label_alphabet_size, size=(n, config.max_depth)).tolist()
-    values = _zipf_values(rng, n, config.value_skew, config.value_max).tolist()
-    paths = ["/" + "/".join(map(labels.__getitem__, row[:d])) for row, d in zip(picks, depths)]
-
+    root = np.arange(n)
     if config.duplicate_fraction > 0 and n > 1:
         dup_mask = rng.random(n) < config.duplicate_fraction
         dup_mask[0] = False
         src = (rng.random(n) * np.arange(n)).astype(np.int64)
-        for i, j in zip(np.flatnonzero(dup_mask).tolist(), src[dup_mask].tolist()):
-            paths[i] = paths[j]
-            values[i] = values[j]
+        # a duplicate copies an earlier record, so following the copies
+        # ends at an original
+        root[dup_mask] = src[dup_mask]
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
-    return Records(paths, values, list(range(1, n + 1)))
+    labels = np.array([f"/n{i:02d}" for i in range(alphabet)], dtype=object)
+    text = np.array([""], dtype=object)  # the path of each prefix id; 0 is the root
+    prefix = np.zeros(n, dtype=np.int64)  # each original's deepest prefix so far
+    live = np.flatnonzero(root == np.arange(n))
+    for level in range(max_depth):
+        live = live[depths[live] > level]
+        keys, inverse = np.unique(prefix[live] * alphabet + picks[live, level], return_inverse=True)
+        prefix[live] = len(text) + inverse
+        text = np.concatenate((text, text[keys // alphabet] + labels[keys % alphabet]))
+
+    return Records(text[prefix[root]].tolist(), values[root].tolist(), list(range(1, n + 1)))

@@ -1,9 +1,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rcas
 from rcas import costmodel, interleave
 from rcas.cli import main
 from rcas.dataset import BOM_EXAMPLE, GeneratorConfig, generate, write_records
@@ -422,3 +427,39 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+def rcas_process(*argv, stdout):
+    """`rcas` in a child process, as the console script runs it, with
+    block-buffered output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(rcas.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = "import sys; from rcas.cli import main; sys.exit(main())"
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+class TestBrokenPipe:
+    """A reader that stops reading ends the command quietly, with the exit
+    code a shell reports for a tool that SIGPIPE ended."""
+
+    def test_reader_closes_after_one_line(self):
+        proc = rcas_process("generate", "--count", "200000", stdout=subprocess.PIPE)
+        assert proc.stdout.readline().endswith(b";1\n")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
+    @pytest.mark.parametrize("command", ["generate", "build"])
+    def test_reader_gone_before_the_first_write(self, bom_file, command):
+        # the output fits the buffer, so it is first written when flushed
+        argv = ["generate", "--example", "bom"] if command == "generate" else ["build", bom_file]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = rcas_process(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")

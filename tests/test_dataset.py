@@ -70,6 +70,11 @@ class TestLineFormat:
         assert all(p is batteries[0] for p in batteries)
         assert len({id(r.path) for r in records}) == len({r.path for r in records})
 
+    def test_generated_equal_paths_share_one_string(self):
+        records = generate(GeneratorConfig(seed=5, key_count=3000, duplicate_fraction=0.3))
+        assert len(set(records.paths)) < len(records)
+        assert len({id(p) for p in records.paths}) == len(set(records.paths))
+
     def test_records_and_keys_have_no_instance_dict(self):
         # one object per record and per key: no per-instance dict
         rec = BOM_EXAMPLE[0]
@@ -275,6 +280,24 @@ class TestGenerator:
                     digest.update(f"{r.path};{r.value};{r.ref}\n".encode())
         assert digest.hexdigest() == "7988338c2d4de89094e6f7e1e55a2211d82a5e1c"
 
+    def test_wider_settings_are_pinned(self):
+        # settings the pin above does not reach: 4-character labels, one
+        # level and twelve, long chains of copies, and two records; taken
+        # from the generator that spelled each record's path on its own
+        digest = hashlib.sha1()
+        for seed in (2, 9, 404):
+            for cfg in (
+                GeneratorConfig(seed=seed, key_count=1500, label_alphabet_size=150),
+                GeneratorConfig(seed=seed, key_count=700, max_depth=1),
+                GeneratorConfig(seed=seed, key_count=700, max_depth=12, label_alphabet_size=20),
+                GeneratorConfig(seed=seed, key_count=2000, duplicate_fraction=0.95),
+                GeneratorConfig(seed=seed, key_count=2),
+                GeneratorConfig(seed=seed, key_count=2, duplicate_fraction=0.95, max_depth=1, label_alphabet_size=1),
+            ):
+                for r in generate(cfg):
+                    digest.update(f"{r.path};{r.value};{r.ref}\n".encode())
+        assert digest.hexdigest() == "fcea704f81e8cc819cfd1ed36e6b12f728734531"
+
     def test_zero_count_rejected(self):
         with pytest.raises(DataError):
             GeneratorConfig(seed=1, key_count=0)
@@ -291,15 +314,28 @@ class TestGenerator:
             ({"value_skew": float("nan")}, "value_skew must be a non-negative number"),
             ({"value_skew": float("inf")}, "value_skew must be a non-negative number"),
             ({"value_skew": -0.1}, "value_skew must be a non-negative number"),
+            ({"value_skew": "1.1"}, "value_skew must be a real number"),
+            ({"key_count": 10.5}, "key_count must be a positive integer"),
+            ({"key_count": True}, "key_count must be a positive integer"),
+            ({"key_count": -3}, "key_count must be positive"),
+            ({"label_alphabet_size": 2.5}, "label_alphabet_size must be a positive integer"),
+            ({"label_alphabet_size": 0}, "label_alphabet_size must be positive"),
+            ({"max_depth": 2.5}, "max_depth must be a positive integer"),
+            ({"max_depth": np.bool_(True)}, "max_depth must be a positive integer"),
+            ({"max_depth": 0}, "max_depth must be positive"),
+            ({"duplicate_fraction": "0.1"}, "duplicate_fraction must be a real number"),
+            ({"duplicate_fraction": float("nan")}, "duplicate_fraction must lie in [0, 1)"),
         ],
         ids=[
             "negative_seed", "float_seed", "str_seed", "zero_value_max", "value_max_past_64_bits",
-            "float_value_max", "nan_skew", "inf_skew", "negative_skew",
+            "float_value_max", "nan_skew", "inf_skew", "negative_skew", "str_skew", "float_count",
+            "bool_count", "negative_count", "float_alphabet", "no_alphabet", "float_depth", "numpy_bool_depth",
+            "no_depth", "str_dup_fraction", "nan_dup_fraction",
         ],
     )
     def test_bad_settings_rejected(self, setting, message):
         with pytest.raises(DataError) as info:
-            GeneratorConfig(key_count=10, **setting)
+            GeneratorConfig(**{"key_count": 10, **setting})
         assert str(info.value) == message
 
     def test_edge_settings_accepted(self):
@@ -308,6 +344,18 @@ class TestGenerator:
             assert 0 <= min(values) and max(values) < value_max
         numpy_seed = GeneratorConfig(seed=np.int64(3), key_count=50)
         assert generate(numpy_seed) == generate(GeneratorConfig(seed=3, key_count=50))
+        numpy_counts = GeneratorConfig(
+            key_count=np.int32(50), label_alphabet_size=np.uint8(4), max_depth=np.int64(3),
+            duplicate_fraction=np.float32(0.25), value_skew=np.float64(0.5),
+        )
+        plain = GeneratorConfig(key_count=50, label_alphabet_size=4, max_depth=3, duplicate_fraction=0.25, value_skew=0.5)
+        assert generate(numpy_counts) == generate(plain)
+
+    def test_prefix_keys_past_64_bits_rejected(self):
+        # rejected before any draw, so no memory is asked for
+        config = GeneratorConfig(key_count=1 << 40, label_alphabet_size=1 << 20, max_depth=8)
+        with pytest.raises(DataError, match="^key_count \\* max_depth \\* label_alphabet_size is too large"):
+            generate(config)
 
 
 class TestWriteRecords:
@@ -429,14 +477,25 @@ class TestRecords:
         assert want[i] in records and records.index(want[i]) == want.index(want[i])
 
 
+def tracked_count() -> int:
+    """How many objects the garbage collector tracks, collected until the
+    count settles: a collection untracks a tuple of untracked items, so a
+    tuple that holds such a tuple may be untracked only by the next one."""
+    last = None
+    while True:
+        gc.collect()
+        count = len(gc.get_objects())
+        if count == last:
+            return count
+        last = count
+
+
 def tracked_objects_held(make) -> int:
     """How many more objects the garbage collector tracks while the result
     of `make()` is held."""
-    gc.collect()
-    before = len(gc.get_objects())
+    before = tracked_count()
     held = make()
-    gc.collect()
-    after = len(gc.get_objects())
+    after = tracked_count()
     del held
     return after - before
 
