@@ -97,13 +97,11 @@ def cmd_build(args) -> int:
 
 
 def _obtain_index(args) -> trie.RcasIndex:
-    if args.load:
+    if args.load is not None:
         try:
             return trie.load(args.load)
         except ValueError as exc:
             raise DataError(f"index file {args.load!r}: {exc}") from exc
-    if not args.dataset:
-        raise UsageError("either --load or --dataset is required")
     keys = _load_keys(args.dataset, args.width)
     return trie.build_static(keys, args.scheme)
 
@@ -295,8 +293,10 @@ def _make_parser() -> _Parser:
         p.add_argument("--width", type=int, choices=[4, 8], default=4)
         if with_save:
             p.add_argument("--save", default=None)
-        if with_load:
-            p.add_argument("--load", default=None)
+        if with_load:  # exactly one source of the index
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--dataset")
+            source.add_argument("--load")
 
     p = sub.add_parser("build", help="build an index and report statistics")
     p.add_argument("dataset")
@@ -307,12 +307,10 @@ def _make_parser() -> _Parser:
     p.add_argument("path", help="query path, e.g. /bom/item//battery")
     p.add_argument("low", type=int)
     p.add_argument("high", type=int)
-    p.add_argument("--dataset", default=None)
     add_index_args(p, with_load=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("stats", help="print structural statistics")
-    p.add_argument("--dataset", default=None)
     add_index_args(p, with_load=True)
     p.set_defaults(func=cmd_stats)
 

@@ -2,8 +2,9 @@
 
 Path-value and value-path concatenation, label-wise alternation, and the
 z-order style merge over fixed-length surrogate paths.  Each scheme turns a
-key into tagged symbols, byte * 256 + dimension code (`keys._DIM_CODE`:
-0 = P, 1 = V), which the flat trie builder partitions (`trie.build_static`).
+key into tagged symbols, dimension code * 256 + byte (`keys._DIM_CODE`:
+0 = P, 1 = V), which the flat trie builder partitions (`trie.build_static`),
+so a node's edges are ordered by dimension, path edges first, then by byte.
 All keys are tagged at once by one array pass for every scheme (`_symbols`):
 the path bytes keep their order, so the value bytes are scattered to the
 scheme's positions and the path bytes fill the rest.  A zo key's path bytes
@@ -26,7 +27,6 @@ STATIC_SCHEMES = ("pv", "vp", "lw", "zo")
 _SURROGATE_WIDTH = 3
 _MAX_SURROGATE = (1 << (8 * _SURROGATE_WIDTH)) - 1
 
-_P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
 
 
@@ -108,14 +108,15 @@ def static_interleave(key: CompositeKey, scheme: str, ctx: ZoContext | None = No
         raise ValueError("the zo scheme needs a surrogate context")
     path = ctx._surrogates([key.path_text])[0] if scheme == "zo" else np.frombuffer(key.path, np.uint8)
     value = np.frombuffer(key.value, np.uint8)[None]
-    return _symbols(path, np.array([len(path)], np.int32), value, scheme)[0].tobytes()
+    return _symbols(path, np.array([len(path)], np.int32), value, scheme)[0].astype(">u2").tobytes()
 
 
 def _symbols(path: np.ndarray, size: np.ndarray, value: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """The tagged symbols (`<u2`) of n keys, one key after the other, and
-    each key's symbol count (see `static_interleave`).  Key i's path is the
-    next size[i] bytes of `path` (for zo, its surrogate path, so all have
-    one size), and its value is row i of `value`, an (n, width) matrix."""
+    """The tagged symbols (`<u2`, dimension code * 256 + byte) of n keys,
+    one key after the other, and each key's symbol count (see
+    `static_interleave`).  Key i's path is the next size[i] bytes of `path`
+    (for zo, its surrogate path, so all have one size), and its value is
+    row i of `value`, an (n, width) matrix."""
     n, width = value.shape
     itype = np.int32 if len(path) + n * width < 2**31 else np.int64
     start = np.cumsum(size, dtype=itype) - size  # of each path in `path`
@@ -140,8 +141,6 @@ def _symbols(path: np.ndarray, size: np.ndarray, value: np.ndarray, scheme: str)
     out = np.zeros(len(path) + n * width, "<u2")
     is_value = np.zeros(len(out), bool)
     is_value[pos] = True
-    out[~is_value] = path
-    out <<= 8
-    out |= _P
-    out[pos] = value.astype("<u2") << 8 | _V
+    out[~is_value] = path  # P's code is 0
+    out[pos] = value.astype("<u2") | _V << 8
     return out, size + width

@@ -26,13 +26,14 @@ encode the ASCII paths of the rcas, pv, vp and lw indexes, which end at a
 terminator, and the z-order index's fixed-width label surrogates, which end
 by position.
 
-A node's children are sorted by edge byte, so those that can pass are found
-by bisecting to a byte window: the value bounds still closed at a value
-node, the hull of the path state at a path node.  A label-wise node whose
-edges span both dimensions is scanned whole.  Each index keeps the DFAs of
-its queries (`RcasIndex.dfas`), and a query starts on an empty DFA once the
-kept one passes its state bound, which grows with the query's NFA.  A DFA's
-memo holds at most one entry per node of its index: the DFA is
+A node's children are sorted by (dimension, edge byte): a run of path edges,
+then a run of value edges, either of which may be empty.  The children that
+can pass are found by bisecting each run to a byte window: the value bounds
+still closed, and the hull of the path state.  So a label-wise node whose
+edges span both dimensions is served as any other.  Each index keeps the
+DFAs of its queries (`RcasIndex.dfas`), and a query starts on an empty DFA
+once the kept one passes its state bound, which grows with the query's NFA.
+A DFA's memo holds at most one entry per node of its index: the DFA is
 deterministic and a node is entered in the state its parent's substring led
 to.  Literals are built per query.
 
@@ -581,19 +582,21 @@ def run_query(
     """Evaluate a path+range query; returns matching refs and nodes visited.
 
     The trie is walked once in pre-order; `trace`, if given, receives the id
-    of every visited node in that order.  At an inner node whose predicates
-    are not both settled, only the edges in the byte window of the node's
-    branching dimension are tested: between the value bounds still closed at
-    a value node, which every edge in that window passes, and within the
-    hull of the path state at a path node, where each edge's byte is looked
-    up in the state's row.  A node whose edges span both dimensions has all
-    of its edges tested.  Substrings are read from the index's `s_p` and
-    `s_v` columns, whose entries are its tables' shared objects, so a bytes
-    object's cached hash serves every node that holds it.  A path substring
-    is looked up in the path state's memo before it is fed; an empty
-    substring leaves its check's state as it is.  A subtree whose predicates
-    have both settled is collected whole: its refs are one slice of
-    `index.refs`, an `array('Q')`.
+    of every visited node in that order.  An inner node's edges are its path
+    edges, then its value edges, each run sorted by byte; the split between
+    them is its first edge when it branches in V, its end when it branches
+    in P, and found by bisecting the edge dimensions on a node whose edges
+    span both.  Of the value edges, those between the value bounds still
+    closed are taken, and every one of them passes.  Of the path edges, all
+    are taken once the path has matched; otherwise those within the hull of
+    the path state are tested, each edge's byte looked up in the state's
+    row.  Substrings are read from the index's `s_p` and `s_v` columns,
+    whose entries are its tables' shared objects, so a bytes object's
+    cached hash serves every node that holds it.  A path substring is looked
+    up in the path state's memo before it is fed; an empty substring leaves
+    its check's state as it is.  A subtree whose predicates have both
+    settled is collected whole: its refs are one slice of `index.refs`, an
+    `array('Q')`.
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
@@ -653,49 +656,39 @@ def run_query(
             continue
 
         # Leaf outcomes are always final, so node i is inner.  Its edges
-        # are sorted by byte; they are pushed last to first, so that the
-        # children are visited in edge order.
+        # are sorted by (dimension, byte): its path edges [e0, m), then its
+        # value edges [m, e1).  Each run is pushed last to first, the value
+        # run first, so that the children are visited in edge order.
         e0, e1 = estart[i], estart[i + 1]
         d = dim[i]
-        if d == V:
+        if d == P:
+            m = e1
+        else:  # the value edges between the bounds still closed
+            m = e0 if d == V else bisect_left(edim, V, e0, e1)
+            a = m
             if not vm:
                 if not vs & 2:
-                    e0 = bisect_left(ebyte, low[vs >> 2], e0, e1)
+                    a = bisect_left(ebyte, low[vs >> 2], a, e1)
                 if not vs & 1:
-                    e1 = bisect_right(ebyte, high[vs >> 2], e0, e1)
-        elif d == P:
-            if not pm:
-                lo, hi = hulls[ps]
-                e0 = bisect_left(ebyte, lo, e0, e1)
-                e1 = bisect_right(ebyte, hi, e0, e1)
-                row = rows[ps]
-                for e in range(e1 - 1, e0 - 1, -1):
-                    t = row[ebyte[e]]
-                    if t is None:
-                        t = matcher.target(ps, ebyte[e])
-                    if t >= 0:
-                        push((echild[e], vs, ps))
+                    e1 = bisect_right(ebyte, high[vs >> 2], a, e1)
+            for c in reversed(echild[a:e1]):
+                push((c, vs, ps))
+            if m == e0:
                 continue
-        else:
-            lo, hi = hulls[ps]
-            row = rows[ps]
-            for e in range(e1 - 1, e0 - 1, -1):
-                b = ebyte[e]
-                if edim[e] == V:
-                    if not vm and (
-                        (not vs & 2 and b < low[vs >> 2]) or (not vs & 1 and b > high[vs >> 2])
-                    ):
-                        continue
-                elif not pm:
-                    t = row[b] if lo <= b <= hi else _DEAD
-                    if t is None:
-                        t = matcher.target(ps, b)
-                    if t < 0:
-                        continue
-                push((echild[e], vs, ps))
+        if pm:  # the path edges: all of them, or those the path state admits
+            for c in reversed(echild[e0:m]):
+                push((c, vs, ps))
             continue
-        for c in reversed(echild[e0:e1]):
-            push((c, vs, ps))
+        lo, hi = hulls[ps]
+        a = bisect_left(ebyte, lo, e0, m)
+        b = bisect_right(ebyte, hi, a, m)
+        row = rows[ps]
+        for e in range(b - 1, a - 1, -1):
+            t = row[ebyte[e]]
+            if t is None:
+                t = matcher.target(ps, ebyte[e])
+            if t >= 0:
+                push((echild[e], vs, ps))
     return QueryResult(refs=refs, visited=visited)
 
 

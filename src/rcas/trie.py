@@ -94,10 +94,12 @@ class RcasIndex:
     query loop; each entry is its table's object, so they add no substring.
     Both are kept: reading `p_tab[p_id[i]]` in the loop cost about 5% of
     query time, and numbering `s_p`/`s_v` again at save took longer than
-    the rest of `save_bytes` (11.7 against 9.0 ms for 100,000 keys).  Node i's edges are the range [estart[i], estart[i + 1]), sorted by
-    (byte, dimension code): edge e leads on byte `ebyte[e]` of dimension
-    `edim[e]` to node `echild[e]`, and that byte is the first byte of the
-    child's substring in that dimension.  The refs of the leaves of i's
+    the rest of `save_bytes` (11.7 against 9.0 ms for 100,000 keys).  Node
+    i's edges are the range [estart[i], estart[i + 1]), sorted by
+    (dimension code, byte), so a `_MIXED` node's path edges come before its
+    value edges: edge e leads on byte `ebyte[e]` of dimension `edim[e]` to
+    node `echild[e]`, and that byte is the first byte of the child's
+    substring in that dimension.  The refs of the leaves of i's
     subtree, in pre-order and each leaf's in input order, are
     `refs[reflo[i] : reflo[end[i]]]`, an `array('Q')`.  `dfas` keeps the DFA
     of each query path run on the index (`query._matcher`).  Saving and
@@ -447,13 +449,12 @@ def _down(x: np.ndarray, end: np.ndarray) -> np.ndarray:
 
 def _node_dims(leaf: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> np.ndarray:
     """Each node's dimension code: the leaf code, the dimension all of its
-    edges share, or `_MIXED`."""
+    edges share, or `_MIXED`.  Edges ascend by dimension code, so a node's
+    first and last edges span its codes."""
     dim = np.full(len(leaf), _BOT, np.uint8)
-    inner = np.flatnonzero(~leaf)
-    if inner.size:
-        lo = np.minimum.reduceat(edim, estart[inner])
-        hi = np.maximum.reduceat(edim, estart[inner])
-        dim[inner] = np.where(lo == hi, lo, _MIXED)
+    inner = ~leaf
+    first, last = edim[estart[:-1][inner]], edim[estart[1:][inner] - 1]
+    dim[inner] = np.where(first == last, first, _MIXED)
     return dim
 
 
@@ -562,8 +563,8 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     other than its parent's unless that one is used up, and its edges take
     that dimension.  A static scheme reads one sequence per distinct key,
     its tagged symbols (`interleave.static_interleave`, made for all keys at
-    once), byte * 256 + dimension code, so edges are ordered by byte, then
-    by dimension; a node whose edges span both dimensions is `_MIXED`.  Its
+    once), dimension code * 256 + byte, so edges are ordered by dimension,
+    then by byte; a node whose edges span both dimensions is `_MIXED`.  Its
     path bytes are read from the blob of distinct paths (for zo, of their
     surrogate paths), so a running count of value symbols turns a node's
     symbol range into a range of each blob (`_untag`), and every scheme
@@ -599,7 +600,7 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
         ebyte, edim = edges, np.repeat(nodes.split, arity)
     else:
         lo, hi = _untag(seqs[0], nodes.row, nodes.lo[0], nodes.hi[0])
-        ebyte, edim = edges >> 8, edges & 0xFF
+        ebyte, edim = edges & 0xFF, edges >> 8
     at = [s.start[nodes.row] for s in (paths, values)]  # where each node's first pair starts in each blob
     tables = [_table(s.blob, a + l, a + h) for s, a, l, h in zip((paths, values), at, lo, hi)]
     del seqs, paths, values, lo, hi, at  # before the index's columns are made
@@ -626,7 +627,7 @@ def _untag(tagged: _Seqs, row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tu
     that pair's path and a range of its value: the value symbols before a
     position are the value bytes before it, and the others path bytes."""
     before = np.zeros(len(tagged.data) + 1, np.int32)  # the value symbols before each position
-    before[1:] = tagged.data.view(np.uint8)[::2]  # a symbol's low byte is its code, 1 for V
+    before[1:] = tagged.data.view(np.uint8)[1::2]  # a symbol's high byte is its code, 1 for V
     np.cumsum(before, out=before)
     at = tagged.start[row]
     v_lo, v_hi, past = before[at + lo], before[at + hi], before[at]  # past: of the earlier pairs
@@ -680,9 +681,7 @@ def collect_stats(index: RcasIndex) -> IndexStats:
     arity = np.diff(estart)
     refcount = np.diff(np.frombuffer(index.reflo, np.uint64))
     leaf = dim == _BOT
-    named = dim.copy()
-    mixed = np.flatnonzero(dim == _MIXED)
-    named[mixed] = np.frombuffer(index.edim, np.uint8)[estart[mixed]]
+    named = np.where(dim == _MIXED, _P, dim)  # a mixed node's first edge is a path edge
     kind = np.where(leaf, len(NODE_KINDS), np.searchsorted(NODE_KINDS, np.minimum(arity, 256)))
     capacity = np.array(NODE_KINDS + (0,))[kind]
     dims = len(_DIM_NAMES)
@@ -730,7 +729,8 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 #            of each value table entry, then three per node: path substring
 #            id, value substring id, and child count (inner) or ref count
 #            (leaf)
-#   edges    one byte per edge (node count - 1), grouped by parent
+#   edges    one byte per edge (node count - 1), grouped by parent, each
+#            node's ascending by (dimension code, byte)
 #   mixed    the dimension code of each edge of the `_MIXED` nodes
 #   blobs    the path table's entries, then the value table's, concatenated
 #   refs     one LEB128 varint per key
@@ -869,8 +869,9 @@ def load_bytes(data: bytes) -> RcasIndex:
     over the part of the file where it can fail: only the edges of `_MIXED`
     nodes carry their own dimension codes, so only they are checked to
     span both dimensions (`_check_mixed`); the edge order is one comparison
-    of (byte, dimension code) symbols as int16, set aside at each node's
-    first edge (`_check_order`); and only varints longer than a byte are
+    of (dimension code, byte) symbols as int16, set aside at each node's
+    first edge (`_check_order`), and a file whose edges follow another
+    order is rejected; and only varints longer than a byte are
     checked for a canonical spelling (`_read_varints`).  The node table and
     the table offsets are 32-bit when the file is under 2 GiB, the table is
     dropped once split into its columns, and the root-to-leaf and edge
@@ -972,8 +973,9 @@ def _check_mixed(codes: np.ndarray, arity: np.ndarray) -> None:
 
 
 def _check_order(ebyte: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> None:
-    """Each node's edges strictly ascend by (byte, dimension code)."""
-    symbol = ebyte.astype(np.int16) * 2 + edim
+    """Each node's edges strictly ascend by (dimension code, byte), the
+    order the builder gives them."""
+    symbol = edim.astype(np.int16) * 256 + ebyte
     n = len(estart) - 1
     later = np.empty(n, bool)  # edge e sorts after edge e - 1, or is its node's first
     np.greater(symbol[1:], symbol[:-1], out=later[1:-1])

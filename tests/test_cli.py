@@ -206,6 +206,13 @@ class TestQuery:
         code, _, _ = run_cli(capsys, "query", "//", "0", "1")
         assert code == 1
 
+    def test_both_index_sources_is_usage_error(self, capsys, bom_file, tmp_path):
+        saved = str(tmp_path / "bom.idx")
+        assert run_cli(capsys, "build", bom_file, "--save", saved)[0] == 0
+        code, out, err = run_cli(capsys, "query", "//", "0", "1", "--load", saved, "--dataset", bom_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and "not allowed with" in err
+
     def test_save_then_load_matches_in_memory(self, capsys, bom_file, tmp_path):
         saved = tmp_path / "bom.idx"
         code, _, _ = run_cli(capsys, "build", bom_file, "--save", str(saved))
@@ -241,6 +248,14 @@ class TestStats:
         assert rows[("summary", "unique_keys")] == "7"
         assert rows[("node_types", "4/V")] == "3"
         assert rows[("node_types", "leaf/bot")] == "7"
+
+    def test_index_source_is_one_of_two(self, capsys, bom_file, tmp_path):
+        saved = str(tmp_path / "bom.idx")
+        assert run_cli(capsys, "build", bom_file, "--save", saved)[0] == 0
+        for sources in ((), ("--load", saved, "--dataset", bom_file)):
+            code, out, err = run_cli(capsys, "stats", *sources)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error: ")
 
     def test_truncated_index_is_data_error(self, capsys, bad_indexes):
         for path in bad_indexes:

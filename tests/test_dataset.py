@@ -308,9 +308,12 @@ class TestGenerator:
             ({"seed": -1}, "seed must be a non-negative integer"),
             ({"seed": 1.5}, "seed must be a non-negative integer"),
             ({"seed": "7"}, "seed must be a non-negative integer"),
+            ({"seed": True}, "seed must be a non-negative integer"),
+            ({"seed": False}, "seed must be a non-negative integer"),
             ({"value_max": 0}, "value_max must be an integer in 1 .. 2**64"),
             ({"value_max": (1 << 64) + 1}, "value_max must be an integer in 1 .. 2**64"),
             ({"value_max": 1000.0}, "value_max must be an integer in 1 .. 2**64"),
+            ({"value_max": True}, "value_max must be an integer in 1 .. 2**64"),
             ({"value_skew": float("nan")}, "value_skew must be a non-negative number"),
             ({"value_skew": float("inf")}, "value_skew must be a non-negative number"),
             ({"value_skew": -0.1}, "value_skew must be a non-negative number"),
@@ -327,10 +330,10 @@ class TestGenerator:
             ({"duplicate_fraction": float("nan")}, "duplicate_fraction must lie in [0, 1)"),
         ],
         ids=[
-            "negative_seed", "float_seed", "str_seed", "zero_value_max", "value_max_past_64_bits",
-            "float_value_max", "nan_skew", "inf_skew", "negative_skew", "str_skew", "float_count",
-            "bool_count", "negative_count", "float_alphabet", "no_alphabet", "float_depth", "numpy_bool_depth",
-            "no_depth", "str_dup_fraction", "nan_dup_fraction",
+            "negative_seed", "float_seed", "str_seed", "true_seed", "false_seed", "zero_value_max",
+            "value_max_past_64_bits", "float_value_max", "bool_value_max", "nan_skew", "inf_skew",
+            "negative_skew", "str_skew", "float_count", "bool_count", "negative_count", "float_alphabet",
+            "no_alphabet", "float_depth", "numpy_bool_depth", "no_depth", "str_dup_fraction", "nan_dup_fraction",
         ],
     )
     def test_bad_settings_rejected(self, setting, message):

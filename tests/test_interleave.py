@@ -342,7 +342,7 @@ def _assert_batch_matches_oracle(keys, schemes=STATIC_SCHEMES):
         assert int(size.sum()) == len(symbols)
         parts = np.split(symbols, np.cumsum(size)[:-1])
         want = [static_tagged(k, scheme, ctx) for k in keys]
-        assert [p.tobytes() for p in parts] == want, scheme
+        assert [p.astype(">u2").tobytes() for p in parts] == want, scheme
         assert static_interleave(keys[-1], scheme, ctx) == want[-1], scheme
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import sys
 import threading
@@ -34,7 +35,7 @@ from rcas.query import (
     run_query,
     scan,
 )
-from rcas.trie import SCHEMES, build_static
+from rcas.trie import _MIXED, SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
 from reference import run_query_sets, scan_keys, surrogate
@@ -686,6 +687,10 @@ class TestScan:
             scan(keys, parse_query_path("//"), ValueRange.closed(0, 7))
 
 
+# Taken before the edges of a node were ordered by (dimension, byte).
+PINNED_VARIABLE_LABELS_SHA256 = "0279b8b760751332e6f2c984b00e4ee44a52efe71cc725e8cdc1a2f746e85d8c"
+
+
 class TestOracleEquivalence:
     def test_all_schemes_match_scan_on_generated_data(self):
         rng = random.Random(2024)
@@ -715,6 +720,35 @@ class TestOracleEquivalence:
             f"/{label}/*", f"//*/{label}//", f"/*/*/{label}", f"/{label}/*/*//",
         ]
         _assert_all_schemes_match_scan(rng, keys, fixed + [None] * 80, paths)
+
+    def test_variable_length_labels_pinned(self):
+        """150 labels of three and four characters ('/n99', '/n100') give
+        label-wise nodes whose edges span both dimensions.  Every scheme
+        answers random queries, with point and wide ranges, as scan does,
+        and the answers and visited counts equal those pinned before the
+        edges were ordered by (dimension, byte)."""
+        digest = hashlib.sha256()
+        for seed in (31, 32):
+            rng = random.Random(seed)
+            cfg = GeneratorConfig(seed=seed, key_count=2000, label_alphabet_size=150, duplicate_fraction=0.2)
+            keys = records_to_keys(generate(cfg))
+            paths = [k.path_text for k in keys]
+            values = sorted(k.value_int for k in keys)
+            cases = []
+            for _ in range(60):
+                lo = rng.choice(values)
+                hi = lo if rng.random() < 0.5 else rng.choice([v for v in values if v >= lo] + [2**32 - 1])
+                qpath = parse_query_path(random_query_text(rng, paths))
+                cases.append((qpath, lo, hi, sorted(scan(keys, qpath, ValueRange.closed(lo, hi)))))
+            for scheme in SCHEMES:
+                index = build_static(keys, scheme)
+                if scheme == "lw":
+                    assert index.dim.count(_MIXED)
+                for qpath, lo, hi, want in cases:
+                    got = run_query(index, qpath, ValueRange.closed(lo, hi))
+                    assert sorted(got.refs) == want, (scheme, qpath.text, lo, hi)
+                    digest.update(f"{scheme} {qpath.text} {lo} {hi} {want} {got.visited}\n".encode())
+        assert digest.hexdigest() == PINNED_VARIABLE_LABELS_SHA256
 
     def test_prune_soundness_on_adversarial_keys(self):
         rng = random.Random(3030)

@@ -319,9 +319,10 @@ def _assert_spells_tagged(top: NodeView, key: CompositeKey, tagged: bytes) -> No
         if node.is_leaf:
             assert at == len(symbols) and key.ref in node.refs
             return
-        edges = [(d, b) for d, b, _ in node.children]
-        assert node.dim is edges[0][0]
-        assert node.mixed == any(d is not node.dim for d, _ in edges)
+        edges = [(_DIM_CODE[d], b) for d, b, _ in node.children]
+        assert edges == sorted(set(edges))  # strictly ascending by (dimension code, byte)
+        assert node.dim is DIM_FROM_CODE[edges[0][0]]
+        assert node.mixed == (edges[0][0] != edges[-1][0])
         code, byte = symbols[at]
         node = node.child(DIM_FROM_CODE[code], byte)
         assert node is not None
@@ -536,9 +537,9 @@ class TestStaticBuilds:
         ]
         index = build_static(keys, "lw")
         top = root(index)
-        assert top.dim is V
+        assert top.dim is P  # a mixed node's path edges come first
         assert top.s_p == b"/ab"
-        assert [(d, b) for d, b, _ in top.children] == [(V, 0x10), (P, 0x63), (V, 0x70)]
+        assert [(d, b) for d, b, _ in top.children] == [(P, 0x63), (V, 0x10), (V, 0x70)]
         assert top.mixed
         everything = ValueRange.closed(0, 2**32 - 1)
         for text in ("//", "/ab//", "/abc/*", "//x"):
