@@ -262,11 +262,6 @@ def records_to_keys(records: Iterable[DatasetRecord], width: int = 4) -> KeySet:
     return KeySet(paths, values, pid, vid, list(records.refs), width)
 
 
-def _integer(x) -> bool:
-    """Whether `x` is an integer and not a bool."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int = 0
@@ -278,11 +273,11 @@ class GeneratorConfig:
     value_max: int = 1 << 20
 
     def __post_init__(self):
-        if not _integer(self.seed) or self.seed < 0:
+        if not _integers([self.seed]) or self.seed < 0:
             raise DataError("seed must be a non-negative integer")
         for name in ("key_count", "label_alphabet_size", "max_depth"):
             count = getattr(self, name)
-            if not _integer(count):
+            if not _integers([count]):
                 raise DataError(f"{name} must be a positive integer")
             if count < 1:
                 raise DataError(f"{name} must be positive")
@@ -293,7 +288,7 @@ class GeneratorConfig:
             raise DataError("duplicate_fraction must lie in [0, 1)")
         if not (math.isfinite(self.value_skew) and self.value_skew >= 0.0):
             raise DataError("value_skew must be a non-negative number")
-        if not _integer(self.value_max) or not 1 <= self.value_max <= 1 << 64:
+        if not _integers([self.value_max]) or not 1 <= self.value_max <= 1 << 64:
             raise DataError("value_max must be an integer in 1 .. 2**64")
 
 

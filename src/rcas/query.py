@@ -12,19 +12,18 @@ matched is collected without further checks.
 
 The range state codes the bound position reached and whether each bound
 has opened.  The path check has two matchers with the same per-state
-tables, chosen by the shape of the query alone.  An exact query (named
-child steps only, no trailing ``//``) accepts one path and compiles to it
-as a literal, whose state is the offset reached: feeding it a node
-substring is one ``startswith``.  On an ASCII index the literal is the
-query text itself, less a trailing ``/``, and the terminator.  Every other
-query compiles to a byte-level NFA, which generalizes mark-and-backtrack
-handling of descendant axes to any number of axes, and runs as a DFA made
-lazily by subset construction: a state set gets an id when first reached,
-with a row of byte targets filled on demand, its byte hull, whether it
-matched, and a memo from node substring to the id reached.  Both matchers
-encode the ASCII paths of the rcas, pv, vp and lw indexes, which end at a
-terminator, and the z-order index's fixed-width label surrogates, which end
-by position.
+tables.  On the ASCII paths of the rcas, pv, vp and lw indexes, which end
+at a terminator, an exact query (named child steps only, no trailing
+``//``) accepts one path and compiles to it as a literal: the query text,
+less a trailing ``/``, and the terminator.  Its state is the offset
+reached, so feeding it a node substring is one ``startswith``.  Every
+other query, and every query on the z-order index's fixed-width label
+surrogates, which end by position, compiles to a byte-level NFA, which
+generalizes mark-and-backtrack handling of descendant axes to any number
+of axes, and runs as a DFA made lazily by subset construction: a state set
+gets an id when first reached, with a row of byte targets filled on
+demand, its byte hull, whether it matched, and a memo from node substring
+to the id reached.
 
 A node's children are sorted by (dimension, edge byte): a run of path edges,
 then a run of value edges, either of which may be empty.  The children that
@@ -46,7 +45,6 @@ orders its encoded bounds itself instead of validating them again.
 from __future__ import annotations
 
 import enum
-import math
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -478,58 +476,30 @@ def _compile_zo(qpath: QueryPath, ctx: ZoContext) -> _PathAutomaton:
 
 
 class _PathLiteral:
-    """Matcher for the one path an exact query accepts: the literal `lit`.
+    """Matcher for the one ASCII path an exact query accepts: the literal
+    `lit`.
 
     It has the tables of the DFA, but a state is the offset into `lit`
     reached so far.  The hull of an offset is the byte there, so the hull
     alone selects the edges to follow: every row follows every byte, the
     memo is shared, empty and never written, and `feed` is one
-    `startswith`.  The path matches once the offset reaches `final`, which
-    is `len(lit)` unless nothing can match (-1).  As in the automaton, a
-    path that completes at `width` bytes without matching is a dead end.
+    `startswith`.  The path matches once the offset reaches `len(lit)`.
     """
 
     start = 0
 
-    def __init__(self, lit: bytes, width: float, final: int):
+    def __init__(self, lit: bytes):
         self.lit = lit
-        self.width = width
-        self.final = final
         self.rows = (_LIVE_ROW,) * (len(lit) + 1)
         self.memo = (_NO_MEMO,) * (len(lit) + 1)
         self.hulls = [_PAIRS[b] for b in lit]
         self.hulls.append(_NO_HULL)
-        self.matched = bytes(len(lit)) + (b"\x01" if final == len(lit) else b"\x00")
+        self.matched = bytes(len(lit)) + b"\x01"
 
     def feed(self, offset: int, data: bytes) -> int:
-        if not self.lit.startswith(data, offset):
-            return _DEAD
-        offset += len(data)
-        if offset != self.final and offset >= self.width:
-            return _DEAD
-        return offset
-
-
-def _compile_literal(qpath: QueryPath, ctx: ZoContext | None) -> _PathLiteral:
-    """The literal of the exact query `qpath`: its text, less a trailing
-    '/', and the terminator, or with a z-order context `ctx`, its label
-    codes padded with zero units to the context's path width.  A label
-    absent from the context leaves the codes before it, which no path
-    completes."""
-    if ctx is None:
-        text = qpath.text
-        if qpath.trailing is _CHILD_TAIL:
-            text = text[:-1]
-        lit = text.encode("ascii") + _TERMINATOR
-        return _PathLiteral(lit, math.inf, len(lit))
-    codes = []
-    for _, label in qpath.steps:
-        code = ctx.code_bytes(label)
-        if code is None:
-            return _PathLiteral(b"".join(codes), ctx.path_width, -1)
-        codes.append(code)
-    lit = b"".join(codes).ljust(ctx.path_width, _ZERO)
-    return _PathLiteral(lit, ctx.path_width, len(lit))
+        if self.lit.startswith(data, offset):
+            return offset + len(data)
+        return _DEAD
 
 
 def _automaton(qpath: QueryPath, ctx: ZoContext | None) -> _PathAutomaton:
@@ -539,20 +509,23 @@ def _automaton(qpath: QueryPath, ctx: ZoContext | None) -> _PathAutomaton:
 
 
 def _matcher(index: RcasIndex, qpath: QueryPath):
-    """The path matcher for `qpath` on `index`, chosen by its shape: a
-    literal when every step is a named child step and there is no trailing
-    ``//``, otherwise the DFA the index keeps for `qpath`, made anew once it
-    holds over `_STATE_CACHE_MAX` states past its NFA's.  Its memo holds at
-    most one entry per node of `index`, as each node is entered in one
-    state.  A running query keeps its own, so its ids stay valid.
-    Each step on `index.dfas` is one dict call and needs no lock: a race
-    can only drop a DFA or keep one more, never hand a query a wrong one."""
+    """The path matcher for `qpath` on `index`.  On an index of ASCII
+    paths, an exact query (every step a named child step, no trailing
+    ``//``) gets a literal: its text, less a trailing '/', and the
+    terminator.  Every other query, and every query on a z-order index,
+    gets the DFA the index keeps for `qpath`, made anew once it holds over
+    `_STATE_CACHE_MAX` states past its NFA's.  Its memo holds at most one
+    entry per node of `index`, as each node is entered in one state.  A
+    running query keeps its own, so its ids stay valid.  Each step on
+    `index.dfas` is one dict call and needs no lock: a race can only drop
+    a DFA or keep one more, never hand a query a wrong one."""
     ctx = index.zo_ctx if index.scheme == "zo" else None
     assert ctx is not None or index.scheme != "zo"
-    if qpath.trailing is not _DESC_TAIL and qpath.steps:
+    if ctx is None and qpath.trailing is not _DESC_TAIL and qpath.steps:
         axes, labels = zip(*qpath.steps)
         if _DESC_AXIS not in axes and None not in labels:
-            return _compile_literal(qpath, ctx)
+            text = qpath.text[:-1] if qpath.trailing is _CHILD_TAIL else qpath.text
+            return _PathLiteral(text.encode("ascii") + _TERMINATOR)
     dfas = index.dfas
     dfa = dfas.get(qpath)
     if dfa is None:

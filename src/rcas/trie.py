@@ -104,6 +104,8 @@ class RcasIndex:
     `refs[reflo[i] : reflo[end[i]]]`, an `array('Q')`.  `dfas` keeps the DFA
     of each query path run on the index (`query._matcher`).  Saving and
     equality read neither `s_p`/`s_v` nor `dfas`, and `repr` shows neither.
+    Equality also ignores `build_stats`, which saving does not write, so a
+    reopened index equals the index it was saved from.
     """
 
     dim: bytes
@@ -122,7 +124,7 @@ class RcasIndex:
     key_count: int
     scheme: str = "rcas"
     zo_ctx: ZoContext | None = None
-    build_stats: BuildStats = field(default_factory=BuildStats)
+    build_stats: BuildStats = field(default_factory=BuildStats, compare=False)
     s_p: list[bytes] = field(init=False, repr=False, compare=False)
     s_v: list[bytes] = field(init=False, repr=False, compare=False)
     dfas: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -38,7 +38,7 @@ from rcas.query import (
 from rcas.trie import _MIXED, SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
-from reference import run_query_sets, scan_keys, surrogate
+from reference import run_query_sets, scan_keys
 from treeview import root
 
 
@@ -331,9 +331,7 @@ def _follows(matcher, state: int, b: int) -> bool:
 def _assert_same_outcomes(literal, dfa, data: bytes, cuts: list[int]) -> None:
     """Feed `data`, split at `cuts` into node substrings (some empty), to
     both matchers; before each feed their hulls and followed bytes must
-    agree, and each feed must end alike, until a dead end or a match.  A
-    z-order DFA state counts the bytes consumed, which is the literal's
-    offset."""
+    agree, and each feed must end alike, until a dead end or a match."""
     bounds = sorted(min(c, len(data)) for c in cuts)
     pieces = [data[a:b] for a, b in zip([0] + bounds, bounds + [len(data)])]
     lstate, astate = literal.start, dfa.start
@@ -347,8 +345,6 @@ def _assert_same_outcomes(literal, dfa, data: bytes, cuts: list[int]) -> None:
         if lfed == _DEAD:
             return
         assert literal.matched[lfed] == dfa.matched[afed]
-        if dfa.nfa.width:
-            assert dfa._keys[afed][1] == lfed
         if literal.matched[lfed]:
             return
         lstate, astate = lfed, afed
@@ -358,9 +354,9 @@ def _automaton_matcher(index, qpath):
     return _LazyDfa(_automaton(qpath, index.zo_ctx))
 
 
-def _literal_of(qpath, ctx) -> _PathLiteral:
-    """The matcher of an exact query, which is its literal."""
-    index = SimpleNamespace(scheme="rcas" if ctx is None else "zo", zo_ctx=ctx, dfas={})
+def _literal_of(qpath) -> _PathLiteral:
+    """The matcher of an exact query on an ASCII index, which is its literal."""
+    index = SimpleNamespace(scheme="rcas", zo_ctx=None, dfas={})
     literal = query._matcher(index, qpath)
     assert isinstance(literal, _PathLiteral)
     return literal
@@ -370,10 +366,8 @@ class TestPathLiteral:
     """The literal that exact queries compile to, against the automata."""
 
     LABELS = ["a", "b", "ab", "car", "x1"]
-    # a z-order context over LABELS with paths of up to three labels
-    ZO_CTX = ZoContext.from_keys(
-        [CompositeKey.make(p, 0, i) for i, p in enumerate(["/a/b/ab", "/car/x1", "/b"])]
-    )
+    # keys over LABELS with paths of up to three labels
+    ZO_KEYS = [CompositeKey.make(p, 0, i) for i, p in enumerate(["/a/b/ab", "/car/x1", "/b"])]
 
     exact = st.lists(st.sampled_from(LABELS + ["zz"]), min_size=1, max_size=5)
     stored = st.lists(st.sampled_from(LABELS), min_size=1, max_size=3)
@@ -396,20 +390,8 @@ class TestPathLiteral:
         qpath = self._query(labels, form, stored, trailing_slash)
         text = "/" + "/".join(stored)
         data = text.encode("ascii") + b"\x00"
-        literal = _literal_of(qpath, None)
+        literal = _literal_of(qpath)
         _assert_same_outcomes(literal, _LazyDfa(_automaton(qpath, None)), data, cuts)
-        fed = literal.feed(literal.start, data)
-        assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(labels=exact, stored=stored, form=forms, trailing_slash=st.booleans(), cuts=cuts)
-    def test_zo_outcomes_equal_automaton(self, labels, stored, form, trailing_slash, cuts):
-        ctx = self.ZO_CTX
-        qpath = self._query(labels, form, stored, trailing_slash)
-        text = "/" + "/".join(stored)
-        data = surrogate(ctx, text)
-        literal = _literal_of(qpath, ctx)
-        _assert_same_outcomes(literal, _LazyDfa(_automaton(qpath, ctx)), data, cuts)
         fed = literal.feed(literal.start, data)
         assert (fed != _DEAD and literal.matched[fed]) == path_matches(qpath, text)
 
@@ -424,27 +406,35 @@ class TestPathLiteral:
         the labels joined by '/' and the terminator."""
         qpath = parse_query_path("/" + "/".join(labels) + ("/" if trailing_slash else ""))
         assert all(step.label == label for step, label in zip(qpath.steps, labels))
-        literal = _literal_of(qpath, None)
+        literal = _literal_of(qpath)
         assert literal.lit == ("/" + "/".join(labels)).encode("ascii") + b"\x00"
-        assert literal.final == len(literal.lit)
+        assert literal.matched == bytes(len(literal.lit)) + b"\x01"
         assert literal.hulls == [(b, b) for b in literal.lit] + [query._NO_HULL]
 
-    def test_zo_literal_is_padded_codes(self):
-        ctx = self.ZO_CTX
-        assert _literal_of(parse_query_path("/car"), ctx).lit == surrogate(ctx, "/car")
-        assert _literal_of(parse_query_path("/a/b/ab"), ctx).lit == surrogate(ctx, "/a/b/ab")
+    def _run_zo_exact(self, text):
+        """The refs of the exact query `text` on a z-order index over
+        ZO_KEYS, after checking that they equal scan's and that the query
+        ran on the DFA the index keeps for it."""
+        index = build_static(self.ZO_KEYS, "zo")
+        qpath = parse_query_path(text)
+        everything = ValueRange.closed(0, 2**32 - 1)
+        refs = run_query(index, qpath, everything).refs
+        assert sorted(refs) == scan(self.ZO_KEYS, qpath, everything)
+        assert query._matcher(index, qpath) is index.dfas[qpath]
+        return refs
 
-    @pytest.mark.parametrize("text", ["/a/zz", "/zz", "/a/b/ab/car", "/a/b/ab/car/x1"])
+    @pytest.mark.parametrize("text", ["/a/zz", "/zz", "/a/b/ab/car", "/a/b/ab/car/x1", "/zz/", "/a/b/ab/car/"])
     def test_zo_absent_or_too_deep_matches_nothing(self, text):
-        ctx = self.ZO_CTX
-        literal = _literal_of(parse_query_path(text), ctx)
-        for stored in ("/a", "/a/b", "/a/b/ab", "/car/x1"):
-            fed = literal.feed(literal.start, surrogate(ctx, stored))
-            assert fed == _DEAD or not literal.matched[fed], stored
+        assert self._run_zo_exact(text) == []
 
-    @pytest.mark.parametrize("ctx", [None, ZO_CTX])
-    def test_empty_substring_is_never_a_match(self, ctx):
-        literal = _literal_of(parse_query_path("/a"), ctx)
+    @pytest.mark.parametrize(
+        "text,want", [("/a/b/ab", [0]), ("/car/x1", [1]), ("/b", [2]), ("/a/b/ab/", [0]), ("/b/", [2]), ("/a/b", [])]
+    )
+    def test_zo_exact_query_runs_on_the_kept_dfa(self, text, want):
+        assert self._run_zo_exact(text) == want
+
+    def test_empty_substring_is_never_a_match(self):
+        literal = _literal_of(parse_query_path("/a"))
         assert literal.feed(literal.start, b"") == 0
         assert not literal.matched[0]
 
@@ -689,6 +679,8 @@ class TestScan:
 
 # Taken before the edges of a node were ordered by (dimension, byte).
 PINNED_VARIABLE_LABELS_SHA256 = "0279b8b760751332e6f2c984b00e4ee44a52efe71cc725e8cdc1a2f746e85d8c"
+# Taken while z-order exact queries still ran on a literal of their own.
+PINNED_EXACT_SHA256 = "42bb0d882276d854af09860e9f4a3e92debfef0929a6370d9f82cd6b1f2ec5d4"
 
 
 class TestOracleEquivalence:
@@ -749,6 +741,49 @@ class TestOracleEquivalence:
                     assert sorted(got.refs) == want, (scheme, qpath.text, lo, hi)
                     digest.update(f"{scheme} {qpath.text} {lo} {hi} {want} {got.visited}\n".encode())
         assert digest.hexdigest() == PINNED_VARIABLE_LABELS_SHA256
+
+    def test_exact_queries_pinned(self):
+        """Exact queries on every scheme, at widths 4 and 8: hits, misses
+        (a stored path cut short or with one label swapped), absent labels,
+        paths deeper than any stored, and each of these with a trailing '/'.
+        Every answer equals scan, and the refs in their order and the
+        visited counts equal those pinned while z-order exact queries still
+        ran on a literal of their own."""
+        digest = hashlib.sha256()
+        for seed, alphabet, width in ((41, 8, 4), (42, 150, 8)):
+            rng = random.Random(seed)
+            cfg = GeneratorConfig(seed=seed, key_count=2000, label_alphabet_size=alphabet, duplicate_fraction=0.2)
+            keys = records_to_keys(generate(cfg), width)
+            paths = sorted({k.path_text for k in keys})
+            labels = sorted({label for p in paths for label in p.split("/")[1:]})
+            deepest = max(paths, key=lambda p: p.count("/"))
+            texts = [deepest, deepest + "/" + labels[0], "/zz", deepest + "/zz"]
+            for _ in range(40):
+                steps = rng.choice(paths).split("/")[1:]
+                edit = rng.randrange(5)
+                if edit == 1:
+                    steps = steps[: rng.randint(1, len(steps))]
+                elif edit == 2:
+                    steps = steps + [rng.choice(labels)]
+                elif edit == 3:
+                    steps[rng.randrange(len(steps))] = rng.choice(labels + ["zz"])
+                texts.append("/" + "/".join(steps))
+            texts += [text + "/" for text in texts]
+            values = sorted(k.value_int for k in keys)
+            cases = []
+            for text in texts:
+                lo = rng.choice(values)
+                hi = lo if rng.random() < 0.3 else rng.choice([v for v in values if v >= lo] + [2**32 - 1])
+                qpath = parse_query_path(text)
+                want = sorted(scan(keys, qpath, ValueRange.closed(lo, hi, width)))
+                cases.append((qpath, lo, hi, want))
+            for scheme in SCHEMES:
+                index = build_static(keys, scheme)
+                for qpath, lo, hi, want in cases:
+                    got = run_query(index, qpath, ValueRange.closed(lo, hi, width))
+                    assert sorted(got.refs) == want, (scheme, qpath.text)
+                    digest.update(f"{scheme} {qpath.text} {lo} {hi} {got.refs} {got.visited}\n".encode())
+        assert digest.hexdigest() == PINNED_EXACT_SHA256
 
     def test_prune_soundness_on_adversarial_keys(self):
         rng = random.Random(3030)

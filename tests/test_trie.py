@@ -577,6 +577,19 @@ class TestSerialization:
             assert again.value_width == index.value_width
             assert again.key_count == index.key_count
 
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_reopened_index_equals_the_saved_one(self, bom_records, width):
+        """Equality ignores `build_stats`, which is not saved, so an index
+        loaded from its bytes equals the index it was saved from.  On the
+        150-label dataset, lw builds nodes whose edges span both dimensions."""
+        wide = generate(GeneratorConfig(seed=3, key_count=3000, label_alphabet_size=150))
+        for records in (bom_records, wide):
+            keys = records_to_keys(records, width)
+            indexes = {scheme: build_static(keys, scheme) for scheme in SCHEMES}
+            for scheme, index in indexes.items():
+                assert load_bytes(save_bytes(index)) == index, scheme
+        assert indexes["lw"].dim.count(_MIXED)
+
     def test_zo_context_survives(self, bom_keys):
         index = build_static(bom_keys, "zo")
         again = load_bytes(save_bytes(index))
