@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import statistics
@@ -216,25 +215,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_NAMED_VECTORS: dict[str, tuple[str, ...]] = {
-    "i1": ("V", "V", "V", "V", "P", "V", "P", "V", "P", "P", "P", "P"),
-    "i2": ("V", "V", "V", "P", "P", "V", "P", "V", "V", "P", "P", "P"),
-}
-
-
-def _vector_for(name: str, height: int) -> tuple[Dimension, ...] | None:
-    if name == "dy":
-        return costmodel.alternating_dims(height)
-    if name == "pv":
-        half = height // 2
-        return tuple([Dimension.P] * (height - half) + [Dimension.V] * half)
-    if name == "vp":
-        half = height // 2
-        return tuple([Dimension.V] * (height - half) + [Dimension.P] * half)
-    fixed = _NAMED_VECTORS[name]
-    if len(fixed) != height:
-        return None
-    return tuple(Dimension.P if c == "P" else Dimension.V for c in fixed)
+def _vectors(height: int) -> dict[str, str]:
+    """The tabulated dimension vectors, spelled in P and V; i1 and i2 are
+    the fixed vectors of height 12."""
+    half = height // 2
+    return {
+        "dy": ("VP" * height)[:height],
+        "pv": "P" * (height - half) + "V" * half,
+        "vp": "V" * (height - half) + "P" * half,
+        "i1": "VVVVPVPVPPPP",
+        "i2": "VVVPPVPVVPPP",
+    }
 
 
 def cmd_costmodel(args) -> int:
@@ -246,21 +237,18 @@ def cmd_costmodel(args) -> int:
         if not 0 < sel <= 1:
             raise UsageError(f"{flag} must lie in (0, 1], not {sel}")
     rows = []
-    for name in ("dy", "pv", "vp", "i1", "i2"):
-        dims = _vector_for(name, args.height)
-        if dims is None:
+    for name, spelled in _vectors(args.height).items():
+        if len(spelled) != args.height:
             continue
         params = costmodel.CostModelParams(
             fanout=args.fanout,
             height=args.height,
-            dims=dims,
+            dims=tuple(map(Dimension, spelled)),
             sel_path=args.sel_path,
             sel_value=args.sel_value,
         )
-        swapped = dataclasses.replace(params, sel_path=args.sel_value, sel_value=args.sel_path)
-        c1 = costmodel.estimate_cost(params, include_root=args.include_root)
-        c2 = costmodel.estimate_cost(swapped, include_root=args.include_root)
-        avg, sd = costmodel._pair_stats(c1, c2)
+        c1, c2 = costmodel.complementary_costs(params, include_root=args.include_root)
+        avg, sd = costmodel.pair_stats(c1, c2)
         if not all(map(math.isfinite, (c1, c2, avg, sd))):
             raise UsageError(
                 f"the cost of vector {name} overflows at --fanout {args.fanout}"
@@ -289,8 +277,9 @@ def _make_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     def add_index_args(p, with_save=False, with_load=False):
-        p.add_argument("--scheme", choices=trie.SCHEMES, default="rcas")
-        p.add_argument("--width", type=int, choices=[4, 8], default=4)
+        only = " (read with --dataset only; a --load file keeps its own)" if with_load else ""
+        p.add_argument("--scheme", choices=trie.SCHEMES, default="rcas", help="partitioning scheme" + only)
+        p.add_argument("--width", type=int, choices=[4, 8], default=4, help="value width in bytes" + only)
         if with_save:
             p.add_argument("--save", default=None)
         if with_load:  # exactly one source of the index

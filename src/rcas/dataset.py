@@ -19,7 +19,9 @@ It draws every record's depth, labels and value as arrays, then numbers the
 distinct path prefixes one level at a time and spells each one once, as its
 parent's text plus one label; records with equal paths share that string.
 A duplicate takes its path and value from the original that its chain of
-copies ends at.
+copies ends at.  Values are Zipf ranks scaled by an odd multiplier, so they
+can pass `value_max` by less than 2**16 (see `_zipf_values`), but never
+reach 2**32 when `value_max` is at most 2**32.
 """
 
 from __future__ import annotations
@@ -293,7 +295,14 @@ class GeneratorConfig:
 
 
 def _zipf_values(rng: np.random.Generator, n: int, skew: float, value_max: int) -> np.ndarray:
-    """Zipf-distributed values: skewed ranks spread over [0, value_max)."""
+    """Zipf-distributed values: skewed ranks spread over about [0, value_max).
+
+    With n = min(value_max, 2**16) ranks and m = value_max // n, rank r
+    becomes r * (m | 1) if m > 1, else r.  An even m is rounded up, so the
+    largest value, (n - 1) * (m | 1), can pass value_max by less than n: at
+    the default 2**20 it is 65,535 * 17 = 1,114,095.  At most 2**32 - 1 when
+    value_max is at most 2**32.
+    """
     n_ranks = int(min(value_max, 1 << 16))
     ranks = np.arange(1, n_ranks + 1, dtype=np.float64)
     weights = ranks ** (-skew) if skew > 0 else np.ones(n_ranks)

@@ -15,7 +15,8 @@ states of `rcas.query.run_query`.  Records become keys one at a time
 a query is answered one key at a time (`scan_keys`), to check the columnar
 `rcas.query.scan`.  A tree's subtree ends and child lists are read off its
 child counts by a stack walk (`tree_shape`), to check the array passes of
-`rcas.trie._shape`.
+`rcas.trie._shape`.  The cost formula is a plain loop over the dimension
+vector (`estimate_cost_loop`), to check `rcas.costmodel.estimate_cost`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from rcas import query
+from rcas.costmodel import CostModelParams
 from rcas.dataset import DataError, DatasetRecord
 from rcas.interleave import ZoContext
 from rcas.keys import _DIM_CODE, CompositeKey, Dimension, decode_value, encode_path, encode_value
@@ -399,3 +401,14 @@ def tree_shape(arity: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     for count in arity:
         estart.append(estart[-1] + count)
     return end, [c for kids in children for c in kids], estart
+
+
+def estimate_cost_loop(params: CostModelParams, include_root: bool = True) -> float:
+    """C = 1 + sum_l prod_{i<=l} o * sigma_{phi_i}, one level at a time."""
+    total = 1.0 if include_root else 0.0
+    level = 1.0
+    for d in params.dims:
+        sel = params.sel_value if d is Dimension.V else params.sel_path
+        level *= params.fanout * sel
+        total += level
+    return total

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from rcas.costmodel import (
     alternating_dims,
     alternating_is_optimal,
     calibrate,
-    complementary,
+    complementary_costs,
     error_factor,
     estimate_cost,
     pair_costs,
     robustness,
 )
 from rcas.keys import Dimension
+
+from reference import estimate_cost_loop
 
 P, V = Dimension.P, Dimension.V
 
@@ -61,6 +64,16 @@ class TestEstimate:
         p = params_for("dy")
         assert estimate_cost(p, True) == pytest.approx(estimate_cost(p, False) + 1.0)
 
+    def test_equals_the_reference_loop(self):
+        rng = random.Random(2801)
+        for _ in range(2000):
+            h = rng.randint(1, 40)
+            dims = tuple(rng.choice((P, V)) for _ in range(h))
+            o = rng.choice((rng.uniform(0.1, 100.0), 10 ** rng.uniform(-5, 30)))
+            params = CostModelParams(o, h, dims, rng.random(), rng.random())
+            for root in (True, False):
+                assert estimate_cost(params, root) == estimate_cost_loop(params, root)
+
     def test_vector_length_enforced(self):
         with pytest.raises(ValueError):
             CostModelParams(10.0, 3, (V, P), 0.5, 0.1)
@@ -84,18 +97,6 @@ class TestQuerySelectivities:
     def test_fractions_only(self):
         with pytest.raises(ValueError):
             QuerySelectivities(total=0.5, path=1.5, value=0.9)
-
-
-class TestComplementary:
-    def test_swap(self):
-        assert complementary(0.5, 0.1) == (0.1, 0.5)
-
-    def test_fixed_point(self):
-        assert complementary(0.3, 0.3) == (0.3, 0.3)
-
-    def test_involution(self):
-        a, b = complementary(*complementary(0.5, 0.1))
-        assert (a, b) == (0.5, 0.1)
 
 
 class TestRobustness:
@@ -150,6 +151,27 @@ class TestAlternatingOptimality:
             loose_a = set(np.nonzero(a <= a.min() * (1 + 1e-6))[0])
             assert tight_a <= loose_b
             assert tight_b <= loose_a
+
+    def test_pair_costs_are_complementary_costs(self):
+        rng = random.Random(2802)
+        for h in range(1, 9):
+            for _ in range(3):
+                o, sp, sv = rng.uniform(1.1, 64), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
+                costs = pair_costs(o, h, sp, sv)
+                for v in range(1 << h):
+                    dims = tuple(P if v >> i & 1 else V for i in range(h))
+                    pair = complementary_costs(CostModelParams(o, h, dims, sp, sv), include_root=False)
+                    assert costs[v] == pytest.approx(sum(pair), rel=1e-12), (h, v)
+
+    def test_pair_costs_memory_is_a_few_arrays(self):
+        # 2**18 float64 entries are 2 MiB; a (2**18 x 18) matrix would be 36
+        tracemalloc.start()
+        try:
+            pair_costs(10, 18, 0.5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
     def test_height_bounds(self):
         with pytest.raises(ValueError):

@@ -354,6 +354,18 @@ class TestGenerator:
         plain = GeneratorConfig(key_count=50, label_alphabet_size=4, max_depth=3, duplicate_fraction=0.25, value_skew=0.5)
         assert generate(numpy_counts) == generate(plain)
 
+    @pytest.mark.parametrize("value_max", [1000, 70_000, 1 << 20, 1 << 32, 1 << 64])
+    def test_values_reach_the_multiplied_top_rank(self, value_max):
+        # ranks are spread by an odd multiplier, so the top value can pass
+        # value_max (the default 2**20 reaches 1,114,095)
+        n = min(value_max, 1 << 16)
+        m = value_max // n
+        bound = (n - 1) * (m | 1 if m > 1 else 1)
+        values = dataset._zipf_values(np.random.default_rng(5), 1 << 20, 0.0, value_max)
+        assert int(values.min()) == 0 and int(values.max()) == bound
+        if value_max <= 1 << 32:
+            assert int(values.max()) < 1 << 32
+
     def test_prefix_keys_past_64_bits_rejected(self):
         # rejected before any draw, so no memory is asked for
         config = GeneratorConfig(key_count=1 << 40, label_alphabet_size=1 << 20, max_depth=8)
