@@ -24,6 +24,9 @@ from .keys import Dimension, KeySet
 USAGE_EXIT = 1
 DATA_EXIT = 2
 PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
+# The largest `rcas costmodel --height`: each vector is built and evaluated
+# in pure Python, in time and memory linear in the height.
+HEIGHT_MAX = 10_000
 
 
 class UsageError(Exception):
@@ -233,6 +236,8 @@ def cmd_costmodel(args) -> int:
         raise UsageError(f"--fanout must be a positive number, not {args.fanout}")
     if args.height < 1:
         raise UsageError(f"--height must be at least 1, not {args.height}")
+    if args.height > HEIGHT_MAX:
+        raise UsageError(f"--height must be at most {HEIGHT_MAX}, not {args.height}")
     for flag, sel in (("--sel-path", args.sel_path), ("--sel-value", args.sel_value)):
         if not 0 < sel <= 1:
             raise UsageError(f"{flag} must lie in (0, 1], not {sel}")
@@ -312,7 +317,7 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("costmodel", help="tabulate the analytic cost model")
     p.add_argument("--fanout", type=float, default=10.0)
-    p.add_argument("--height", type=int, default=12)
+    p.add_argument("--height", type=int, default=12, help=f"1 to {HEIGHT_MAX}")
     p.add_argument("--sel-path", type=float, default=0.5)
     p.add_argument("--sel-value", type=float, default=0.1)
     p.add_argument("--include-root", action="store_true")

@@ -203,29 +203,29 @@ _RANGE_MATCHED = {
 
 def _feed_range(low: bytes, high: bytes, vs: int, data: bytes) -> int:
     """Advance the closed-range check [low, high] from state code `vs` over
-    the value bytes `data`; returns the next code, or _DEAD as soon as the
-    prefix leaves the range.  `pos` is the byte position reached in the
-    bounds.  While `lopen` is 0 the bytes so far equal the low bound's
-    prefix; once a byte above it is seen, no completion can fall below it.
-    `hopen` mirrors this for the high bound."""
+    the value bytes `data`; returns the next code, or _DEAD if the prefix
+    leaves the range.  `pos` is the byte position reached in the bounds.
+    While `lopen` is 0 the bytes so far equal the low bound's prefix; once
+    they exceed it, no completion can fall below it.  `hopen` mirrors this
+    for the high bound.  Each bound still closed is compared with `data` at
+    `pos` as bytes, whose order is the byte order of the encoded values."""
     pos = vs >> 2
     lopen = vs & 2
     hopen = vs & 1
-    for b in data:
-        if not lopen:
-            lb = low[pos]
-            if b < lb:
-                return _DEAD
-            if b > lb:
-                lopen = 2
-        if not hopen:
-            hb = high[pos]
-            if b > hb:
-                return _DEAD
-            if b < hb:
-                hopen = 1
-        pos += 1
-    return pos * 4 + lopen + hopen
+    end = pos + len(data)
+    if not lopen:
+        bound = low[pos:end]
+        if data < bound:
+            return _DEAD
+        if data != bound:
+            lopen = 2
+    if not hopen:
+        bound = high[pos:end]
+        if data > bound:
+            return _DEAD
+        if data != bound:
+            hopen = 1
+    return end * 4 + lopen + hopen
 
 
 # --- declarative path semantics (reference oracle) ---------------------------
@@ -519,8 +519,7 @@ def _matcher(index: RcasIndex, qpath: QueryPath):
     running query keeps its own, so its ids stay valid.  Each step on
     `index.dfas` is one dict call and needs no lock: a race can only drop
     a DFA or keep one more, never hand a query a wrong one."""
-    ctx = index.zo_ctx if index.scheme == "zo" else None
-    assert ctx is not None or index.scheme != "zo"
+    ctx = index.zo_ctx
     if ctx is None and qpath.trailing is not _DESC_TAIL and qpath.steps:
         axes, labels = zip(*qpath.steps)
         if _DESC_AXIS not in axes and None not in labels:

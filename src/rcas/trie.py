@@ -67,17 +67,19 @@ _MIXED = 3  # the dimension code of a node whose edges span both dimensions
 
 @dataclass
 class BuildStats:
-    """Instrumentation counters for one bulk load.
+    """Counters of the bulk load that built a trie, read off the finished
+    trie (`RcasIndex.build_stats`), so a reopened index reports them too.
 
-    `byte_scans` counts the byte positions consumed while locating
-    discriminative bytes (each position of each distinct key is consumed by
-    exactly one node, so the total is bounded by the summed key lengths).
-    `moves` counts physical (key, ref) moves into partition slots, one per
-    ingested pair per inner node on its root-to-leaf path.
+    `byte_scans` is the bytes of all node substrings: each byte position of
+    each distinct key is consumed by exactly one node while locating
+    discriminative bytes, so the total is bounded by the summed key lengths.
+    `moves` is the (key, ref) pairs below each inner node, summed: each
+    pair is moved into a partition slot once per inner node on its
+    root-to-leaf path.
     """
 
-    byte_scans: int = 0
-    moves: int = 0
+    byte_scans: int
+    moves: int
 
 
 @dataclass
@@ -104,8 +106,12 @@ class RcasIndex:
     `refs[reflo[i] : reflo[end[i]]]`, an `array('Q')`.  `dfas` keeps the DFA
     of each query path run on the index (`query._matcher`).  Saving and
     equality read neither `s_p`/`s_v` nor `dfas`, and `repr` shows neither.
-    Equality also ignores `build_stats`, which saving does not write, so a
-    reopened index equals the index it was saved from.
+
+    The index holds only what it cannot derive: `key_count` and
+    `build_stats` are read off the columns, so a reopened index equals the
+    index it was saved from and reports the same counters.  `zo_ctx`, the
+    z-order context, is set exactly when the scheme is zo; ValueError
+    otherwise.
     """
 
     dim: bytes
@@ -121,17 +127,28 @@ class RcasIndex:
     refs: array
     reflo: array
     value_width: int
-    key_count: int
     scheme: str = "rcas"
     zo_ctx: ZoContext | None = None
-    build_stats: BuildStats = field(default_factory=BuildStats, compare=False)
     s_p: list[bytes] = field(init=False, repr=False, compare=False)
     s_v: list[bytes] = field(init=False, repr=False, compare=False)
     dfas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if (self.scheme == "zo") != (self.zo_ctx is not None):
+            raise ValueError("a zo index needs a z-order context, and other schemes take none")
         self.s_p = _column(self.p_tab, self.p_id)
         self.s_v = _column(self.v_tab, self.v_id)
+
+    @property
+    def key_count(self) -> int:
+        return len(self.refs)
+
+    @property
+    def build_stats(self) -> BuildStats:
+        reflo = np.frombuffer(self.reflo, np.uint64)
+        below = reflo[np.frombuffer(self.end, np.int32)] - reflo[:-1]  # the refs of each subtree
+        inner = np.frombuffer(self.dim, np.uint8) != _BOT
+        return BuildStats(byte_scans=_substring_bytes(self), moves=int(below[inner].sum()))
 
 
 def _column(tab: list[bytes], ids: array) -> list[bytes]:
@@ -139,6 +156,18 @@ def _column(tab: list[bytes], ids: array) -> list[bytes]:
     objects = np.empty(len(tab), object)
     objects[:] = tab
     return objects[np.frombuffer(ids, np.int32)].tolist()
+
+
+def _lengths(tab: list[bytes]) -> np.ndarray:
+    return np.fromiter(map(len, tab), np.int64, len(tab))
+
+
+def _substring_bytes(index: RcasIndex) -> int:
+    """The bytes of all node substrings, of both dimensions."""
+    return sum(
+        int(_lengths(tab)[np.frombuffer(ids, np.int32)].sum())
+        for tab, ids in ((index.p_tab, index.p_id), (index.v_tab, index.v_id))
+    )
 
 
 def _aggregate(keys: KeySet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -276,24 +305,26 @@ class _Level(NamedTuple):
     split: np.ndarray
 
 
-def _partition(
-    seqs: list[_Seqs], weight: np.ndarray, first: int, stats: BuildStats
-) -> Iterator[_Level]:
+def _partition(seqs: list[_Seqs], first: int) -> Iterator[_Level]:
     """Build a trie over distinct keys by MSD radix partitioning, one level
     at a time (Kärkkäinen and Rantala, "Engineering Radix Sort for
     Strings").
 
-    Each key is one symbol sequence per dimension (`seqs`); its `weight`,
-    the number of its refs, counts towards `stats.moves`.  A level finds the
-    discriminative position of every open partition in every sequence
+    Each key is one symbol sequence per dimension (`seqs`).  A level finds
+    the discriminative position of every open partition in every sequence
     (`_dsc`, resumed at the parent's), and branches each one on a sequence:
     the root on `first`, every other node on the sequence after its
     parent's, or the one after that when that sequence is used up.  A stable
     sort by (partition, symbol there) then yields the partitions of the next
     level; singletons become leaves.
+
+    So each symbol of a key is consumed by one node, and each key moves once
+    per inner node above its leaf: the build's counters are properties of
+    the trie, which `RcasIndex.build_stats` reads off it, and nothing here
+    counts them.
     """
     k = len(seqs)
-    rows = np.arange(len(weight), dtype=np.int32)
+    rows = np.arange(len(seqs[0].start), dtype=np.int32)
     starts = np.zeros(1, np.int32)
     parent = np.full(1, -1)
     key = np.zeros(1, seqs[0].data.dtype)
@@ -316,8 +347,6 @@ def _partition(
             want = want[inner]
             spent = np.choose(want, [h[inner] >= s.size[row[inner]] for h, s in zip(hi, seqs)])
             split[inner] = np.where(spent, (want + 1) % k, want)
-            stats.moves += int(weight[rows].sum())
-        stats.byte_scans += sum(int((h - l).sum()) for h, l in zip(hi, lo))
         yield _Level(parent, key, row, lo, hi, split)
         if not inner.size:
             return
@@ -592,8 +621,7 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
         seqs, first = [_Seqs.empty(size, "<u2")], 0
         seqs[0].data[: len(symbols)] = symbols
         del symbols
-    stats = BuildStats()
-    arity, nodes = _preorder(_partition(seqs, count, first, stats))
+    arity, nodes = _preorder(_partition(seqs, first))
     shape = _shape(arity)
     leaf = nodes.split < 0
     edges = nodes.key[shape.echild]
@@ -617,10 +645,8 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
         np.where(leaf, count[nodes.row], 0),
         refs[np.argsort(leaf_rank[pair_of_key], kind="stable")],
         value_width=keys.width,
-        key_count=len(keys),
         scheme=scheme,
         zo_ctx=ctx if scheme == "zo" else None,
-        build_stats=stats,
     )
 
 
@@ -692,13 +718,9 @@ def collect_stats(index: RcasIndex) -> IndexStats:
         (_KIND_NAMES[k // dims], _DIM_NAMES[k % dims]): c for k, c in enumerate(kinds.tolist()) if c
     }
     leaves = int(leaf.sum())
-    substrings = sum(
-        int(_lengths(tab)[np.frombuffer(ids, np.int32)].sum())
-        for tab, ids in ((index.p_tab, index.p_id), (index.v_tab, index.v_id))
-    )
     size = (
         _HEADER_BYTES * n
-        + substrings
+        + _substring_bytes(index)
         + _POINTER_BYTES * int(refcount.sum())
         + (_POINTER_BYTES + 1) * int(capacity.sum())
     )
@@ -746,10 +768,6 @@ _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
 _HEADER = struct.Struct(">5sBBQQQQQ")
 _ZO_HEADER = struct.Struct(">QQQ")
 _CRC = struct.Struct(">I")
-
-
-def _lengths(tab: list[bytes]) -> np.ndarray:
-    return np.fromiter(map(len, tab), np.int64, len(tab))
 
 
 def _varints(values: np.ndarray) -> bytes:
@@ -814,10 +832,10 @@ def save_bytes(index: RcasIndex) -> bytes:
 
     The varint table is encoded from one column of its values, filled in
     place, and the checksum is taken over the parts before their one join,
-    so a save makes few temporaries: 7.8 MiB at its tracemalloc peak for
-    100,000 keys of width 8, where it made 14.9.  Fresh pages are a large
-    part of a save's cost once the allocator has given its heap back to
-    the system, as it may between two saves."""
+    so a save makes few temporaries: 6.8 MiB at its tracemalloc peak for
+    100,000 keys of width 8.  Fresh pages are a large part of a save's cost
+    once the allocator has given its heap back to the system, as it may
+    between two saves."""
     dim = np.frombuffer(index.dim, np.uint8)
     n = len(dim)
     n_p, n_v = len(index.p_tab), len(index.v_tab)
@@ -836,9 +854,8 @@ def save_bytes(index: RcasIndex) -> bytes:
     scheme = _SCHEME_CODE[index.scheme]
     counts = (index.key_count, n, n_p, n_v, len(table))
     parts = [_HEADER.pack(MAGIC, scheme, index.value_width, *counts)]
-    if index.scheme == "zo":
-        ctx = index.zo_ctx
-        assert ctx is not None
+    ctx = index.zo_ctx
+    if ctx is not None:
         labels = "/".join(sorted(ctx.codes, key=ctx.codes.__getitem__)).encode("ascii")
         parts.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
     parts += [
@@ -879,9 +896,9 @@ def load_bytes(data: bytes) -> RcasIndex:
     dropped once split into its columns, and the root-to-leaf and edge
     byte checks run in a helper (`_check_keys`) whose arrays are gone
     before the index is built.  For 100,000 keys of width 8 (a 0.86 MiB
-    file, 95,567 nodes) opening takes 32.5 ms where it took 44.4 (min of 30
-    calls each, interleaved), and its tracemalloc peak is 11.9 MiB where it
-    was 20.1, against the 5.8 MiB the index holds."""
+    file, 95,567 nodes) opening takes 21.6 ms (min of 30 calls, on a shared
+    2-core x86 host), and its tracemalloc peak is 11.9 MiB, against the
+    5.8 MiB the index holds."""
     data = bytes(data)
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not an index file (bad magic)")
@@ -960,7 +977,6 @@ def load_bytes(data: bytes) -> RcasIndex:
         refcount,
         refs,
         value_width=width,
-        key_count=key_count,
         scheme=scheme,
         zo_ctx=ctx,
     )

@@ -421,6 +421,22 @@ class TestCostModel:
         assert code == 0
         assert all(math.isfinite(float(x)) for r in csv_rows(out)[1:] for x in r[1:])
 
+    @pytest.mark.parametrize("height", ["10001", str(10**9)])
+    def test_heights_past_the_bound_are_usage_errors(self, capsys, monkeypatch, height):
+        calls = []
+        monkeypatch.setattr(costmodel, "estimate_cost", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "costmodel", "--height", height)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"usage error: --height must be at most 10000, not {height}"]
+        assert calls == []  # rejected before any vector is evaluated
+
+    def test_largest_height_is_accepted(self, capsys):
+        args = ["--height", "10000", "--sel-path", "1", "--sel-value", "1", "--fanout", "0.5"]
+        code, out, _ = run_cli(capsys, "costmodel", *args)
+        assert code == 0
+        assert [r[0] for r in csv_rows(out)[1:]] == ["dy", "pv", "vp"]
+
     def test_boundary_arguments_are_accepted(self, capsys):
         args = ["--height", "1", "--sel-path", "1", "--sel-value", "1", "--fanout", "0.5"]
         code, out, _ = run_cli(capsys, "costmodel", *args)

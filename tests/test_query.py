@@ -38,7 +38,7 @@ from rcas.query import (
 from rcas.trie import _MIXED, SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
-from reference import run_query_sets, scan_keys
+from reference import feed_range, run_query_sets, scan_keys
 from treeview import root
 
 
@@ -233,6 +233,35 @@ class TestMatchValue:
         rng = ValueRange.closed(100, 100)
         *_, matched = self.feed(bytes.fromhex("00000064"), rng)
         assert matched
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_equals_the_byte_loop(self, width):
+        """`_feed_range` compares the substring with each bound still closed
+        as bytes; the oracle walks it byte by byte.  The substrings' bytes
+        are mostly a bound's, one above or below it, 0x00 or 0xFF."""
+        rng = random.Random(2900 + width)
+        outcomes = set()
+        for _ in range(20_000):
+            a = bytes(rng.choice((0, 0xFF, rng.randrange(256))) for _ in range(width))
+            b = a[: rng.randrange(width + 1)] + bytes(rng.randrange(256) for _ in range(width))
+            low, high = sorted((a, b[:width]))
+            pos = rng.randrange(width + 1)
+            data = []
+            for p in range(pos, pos + rng.randrange(width - pos + 1)):
+                near = rng.choice((low[p], high[p]))
+                data.append(rng.choice((near, near, near, near - 1, near + 1, 0, 0xFF, rng.randrange(256))))
+            data = bytes(min(max(x, 0), 0xFF) for x in data)
+            lopen, hopen = rng.random() < 0.5, rng.random() < 0.5
+            want = feed_range(low, high, pos, lopen, hopen, data)
+            code = _feed_range(low, high, pos * 4 + lopen * 2 + hopen, data)
+            if want is None:
+                assert code == _DEAD, (low, high, pos, lopen, hopen, data)
+            else:
+                end, lopen, hopen, matched = want
+                assert code == end * 4 + lopen * 2 + hopen, (low, high, pos, data)
+                assert _RANGE_MATCHED[width][code] == matched
+            outcomes.add(None if want is None else want[1:3])
+        assert len(outcomes) == 5  # dead, and each pair of open flags
 
 
 class TestMatchPath:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import mmap
@@ -425,7 +426,7 @@ def _chain_index(depth: int) -> RcasIndex:
     node = Node(b"\x00", b"\x00\x00\x00\x07", BOT, [], [1])
     for i in range(depth):
         node = Node(b"a" if i < depth - 1 else b"/", b"", P, [(P, node.s_p[0], node)], None)
-    return make_index(node, value_width=4, key_count=1)
+    return make_index(node, value_width=4)
 
 
 def _build_counters(keys):
@@ -483,6 +484,19 @@ class TestBuildInstrumentation:
         assert s2 <= 2 * s1
         assert m2 <= 2 * m1
 
+    def test_counters_are_read_off_the_trie(self):
+        """`byte_scans` is the bytes of all node substrings, and `moves` the
+        refs of each leaf times its depth, the inner nodes above it."""
+        rng = random.Random(2929)
+        for _ in range(20):
+            keys = random_keys(rng, width=rng.choice((4, 8)))
+            for scheme in SCHEMES:
+                index = build_static(keys, scheme)
+                walked = list(nodes(index))
+                stats = index.build_stats
+                assert stats.byte_scans == sum(len(n.s_p) + len(n.s_v) for _, n in walked), scheme
+                assert stats.moves == sum(len(n.refs) * depth for depth, n in walked if n.is_leaf), scheme
+
     def test_generator_datasets_within_bounds(self):
         for seed in (1, 2, 3):
             cfg = GeneratorConfig(seed=seed, key_count=400, duplicate_fraction=0.25)
@@ -509,6 +523,13 @@ class TestStaticBuilds:
         assert top.s_p == b""
         assert top.dim is V
         assert {b for _, b, _ in top.children} == {0x00, 0x01, 0x03}
+
+    def test_zo_context_exactly_on_zo(self, bom_keys):
+        zo = build_static(bom_keys, "zo")
+        with pytest.raises(ValueError, match="z-order context"):
+            dataclasses.replace(zo, zo_ctx=None)
+        with pytest.raises(ValueError, match="z-order context"):
+            dataclasses.replace(build_static(bom_keys, "rcas"), zo_ctx=zo.zo_ctx)
 
     def test_unknown_scheme_rejected(self, bom_keys):
         with pytest.raises(ValueError, match="^unknown scheme 'nope'$"):
@@ -579,7 +600,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("width", [4, 8])
     def test_reopened_index_equals_the_saved_one(self, bom_records, width):
-        """Equality ignores `build_stats`, which is not saved, so an index
+        """Saving writes every field that equality compares, so an index
         loaded from its bytes equals the index it was saved from.  On the
         150-label dataset, lw builds nodes whose edges span both dimensions."""
         wide = generate(GeneratorConfig(seed=3, key_count=3000, label_alphabet_size=150))
@@ -589,6 +610,19 @@ class TestSerialization:
             for scheme, index in indexes.items():
                 assert load_bytes(save_bytes(index)) == index, scheme
         assert indexes["lw"].dim.count(_MIXED)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_reopened_index_reports_the_build_counters(self, bom_records, width):
+        """`key_count` and `build_stats` are read off the columns, so a
+        reopened index reports those of the index it was saved from."""
+        wide = generate(GeneratorConfig(seed=3, key_count=3000, label_alphabet_size=150))
+        for records in (bom_records, wide):
+            keys = records_to_keys(records, width)
+            for scheme in SCHEMES:
+                index = build_static(keys, scheme)
+                again = load_bytes(save_bytes(index))
+                assert again.build_stats == index.build_stats, scheme
+                assert again.key_count == index.key_count == len(keys), scheme
 
     def test_zo_context_survives(self, bom_keys):
         index = build_static(bom_keys, "zo")
@@ -720,19 +754,19 @@ class TestSerialization:
 
         def rejected(top, scheme="rcas", ctx=None):
             with pytest.raises(ValueError):
-                load_bytes(save_bytes(make_index(top, 4, 1, scheme, ctx)))
+                load_bytes(save_bytes(make_index(top, 4, scheme, ctx)))
 
         whole = chain((b"/a", b"\x00\x00"), (b"\x00", b"\x00\x01"))
-        assert load_bytes(save_bytes(make_index(whole, 4, 1))).key_count == 1
+        assert load_bytes(save_bytes(make_index(whole, 4))).key_count == 1
         rejected(chain((b"/a\x00", b"\x00\x00\x01")))  # a value byte short
         rejected(chain((b"/a", b"\x00\x00"), (b"\x00", b"\x00\x01\x02")))  # one too many
         with pytest.raises(ValueError, match="longer than the index width"):  # at the inner node
-            load_bytes(save_bytes(make_index(chain((b"/a", b"\x00" * 5), (b"\x00", b"")), 4, 1)))
+            load_bytes(save_bytes(make_index(chain((b"/a", b"\x00" * 5), (b"\x00", b"")), 4)))
         rejected(chain((b"/a", b"\x00\x00\x00\x01")))  # no terminator
         rejected(chain((b"/a\x00", b"\x00\x00"), (b"b\x00", b"\x00\x01")))  # bytes past it
         ctx = ZoContext(codes={"a": 1}, max_labels=2)  # surrogate paths of 6 bytes
         zo_leaf = chain((b"\x00\x00\x01\x00\x00\x00", b"\x00\x00\x00\x01"))
-        assert load_bytes(save_bytes(make_index(zo_leaf, 4, 1, "zo", ctx))).zo_ctx == ctx
+        assert load_bytes(save_bytes(make_index(zo_leaf, 4, "zo", ctx))).zo_ctx == ctx
         rejected(chain((b"\x00\x00\x01\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
         rejected(chain((b"\x00\x00\x01\x00\x00\x00\x00", b"\x00\x00\x00\x01")), "zo", ctx)
 

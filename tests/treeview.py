@@ -117,7 +117,6 @@ class Node:
 def make_index(
     top: Node,
     value_width: int,
-    key_count: int,
     scheme: str = "rcas",
     zo_ctx: ZoContext | None = None,
 ) -> RcasIndex:
@@ -165,7 +164,6 @@ def make_index(
         refs=array("Q", refs),
         reflo=array("Q", reflo),
         value_width=value_width,
-        key_count=key_count,
         scheme=scheme,
         zo_ctx=zo_ctx,
     )
