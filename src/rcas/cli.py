@@ -109,10 +109,10 @@ def _obtain_index(args) -> trie.RcasIndex:
 
 
 def cmd_query(args) -> int:
-    index = _obtain_index(args)
-    qpath = query.parse_query_path(args.path)
+    qpath = query.parse_query_path(args.path)  # usage errors before any file is read
     if args.low > args.high:
         raise UsageError(f"impossible range: {args.low} > {args.high}")
+    index = _obtain_index(args)
     try:
         vrange = query.ValueRange.closed(args.low, args.high, index.value_width)
     except OverflowError as exc:
@@ -154,8 +154,7 @@ def _parse_query_line(line: str, lineno: int, width: int) -> tuple[query.QueryPa
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise UsageError(f"--repeat must be at least 1, not {args.repeat}")
-    keys = _load_keys(args.dataset, args.width)
-    queries = []
+    queries = []  # read before the dataset: a query line needs the width only
     try:
         with open(args.queries, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -163,6 +162,7 @@ def cmd_bench(args) -> int:
                     queries.append(_parse_query_line(line, lineno, args.width))
     except UnicodeDecodeError as exc:
         raise DataError(f"query file {args.queries!r} is not ASCII: {exc}") from exc
+    keys = _load_keys(args.dataset, args.width)
 
     indexes = {scheme: trie.build_static(keys, scheme) for scheme in trie.SCHEMES}
 

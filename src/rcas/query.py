@@ -26,15 +26,16 @@ demand, its byte hull, whether it matched, and a memo from node substring
 to the id reached.
 
 A node's children are sorted by (dimension, edge byte): a run of path edges,
-then a run of value edges, either of which may be empty.  The children that
-can pass are found by bisecting each run to a byte window: the value bounds
-still closed, and the hull of the path state.  So a label-wise node whose
-edges span both dimensions is served as any other.  Each index keeps the
-DFAs of its queries (`RcasIndex.dfas`), and a query starts on an empty DFA
-once the kept one passes its state bound, which grows with the query's NFA.
-A DFA's memo holds at most one entry per node of its index: the DFA is
-deterministic and a node is entered in the state its parent's substring led
-to.  Literals are built per query.
+then a run of value edges, either of which may be empty, and the index holds
+where the value run starts (`RcasIndex.esplit`).  The children that can pass
+are found by bisecting each run to a byte window: the value bounds still
+closed, and the hull of the path state.  So every node is served by one
+rule, a label-wise node whose edges span both dimensions among them.  Each
+index keeps the DFAs of its queries (`RcasIndex.dfas`), and a query starts
+on an empty DFA once the kept one passes its state bound, which grows with
+the query's NFA.  A DFA's memo holds at most one entry per node of its
+index: the DFA is deterministic and a node is entered in the state its
+parent's substring led to.  Literals are built per query.
 
 Before its walk, a query pays a fixed cost for its path, its range and its
 matcher, so each is made in few steps: the parser makes its `Step` and
@@ -53,12 +54,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .keys import (
-    _DIM_CODE,
     PATH_TERMINATOR,
     SLASH,
     VALUE_WIDTHS,
     CompositeKey,
-    Dimension,
     KeySet,
     decode_path,
     decode_value,
@@ -80,7 +79,7 @@ class Trailing(enum.Enum):
 
 
 WILDCARD = "*"
-# Members read on every query, bound once, as `_P` and `_V` are.
+# Members read on every query, bound once.
 _DESC_AXIS = Axis.DESCENDANT
 _DESC_TAIL, _CHILD_TAIL = Trailing.DESCENDANT, Trailing.CHILD
 
@@ -191,7 +190,6 @@ class ValueRange:
 
 
 _DEAD = -1  # the state of a check that has failed
-_P, _V = _DIM_CODE[Dimension.P], _DIM_CODE[Dimension.V]
 
 # A range state code is pos * 4 + lopen * 2 + hopen; per value width, whether
 # each code has matched: both bounds open, or the whole width consumed.
@@ -555,20 +553,18 @@ def run_query(
 
     The trie is walked once in pre-order; `trace`, if given, receives the id
     of every visited node in that order.  An inner node's edges are its path
-    edges, then its value edges, each run sorted by byte; the split between
-    them is its first edge when it branches in V, its end when it branches
-    in P, and found by bisecting the edge dimensions on a node whose edges
-    span both.  Of the value edges, those between the value bounds still
-    closed are taken, and every one of them passes.  Of the path edges, all
-    are taken once the path has matched; otherwise those within the hull of
-    the path state are tested, each edge's byte looked up in the state's
-    row.  Substrings are read from the index's `s_p` and `s_v` columns,
-    whose entries are its tables' shared objects, so a bytes object's
-    cached hash serves every node that holds it.  A path substring is looked
-    up in the path state's memo before it is fed; an empty substring leaves
-    its check's state as it is.  A subtree whose predicates have both
-    settled is collected whole: its refs are one slice of `index.refs`, an
-    `array('Q')`.
+    edges, then its value edges, each run sorted by byte and either one
+    possibly empty; `index.esplit` holds where the value run starts.  Of the
+    value edges, those between the value bounds still closed are taken, and
+    every one of them passes.  Of the path edges, all are taken once the
+    path has matched; otherwise those within the hull of the path state are
+    tested, each edge's byte looked up in the state's row.  Substrings are
+    read from the index's `s_p` and `s_v` columns, whose entries are its
+    tables' shared objects, so a bytes object's cached hash serves every
+    node that holds it.  A path substring is looked up in the path state's
+    memo before it is fed; an empty substring leaves its check's state as
+    it is.  A subtree whose predicates have both settled is collected
+    whole: its refs are one slice of `index.refs`, an `array('Q')`.
     """
     if isinstance(qpath, str):
         qpath = parse_query_path(qpath)
@@ -581,10 +577,9 @@ def run_query(
     feed = matcher.feed
     low, high = vrange.low, vrange.high
     vmatched = _RANGE_MATCHED[index.value_width]
-    dim, end, s_p, s_v = index.dim, index.end, index.s_p, index.s_v
-    estart, ebyte, edim, echild = index.estart, index.ebyte, index.edim, index.echild
+    end, s_p, s_v = index.end, index.s_p, index.s_v
+    estart, esplit, ebyte, echild = index.estart, index.esplit, index.ebyte, index.echild
     all_refs, reflo = index.refs, index.reflo
-    P, V = _P, _V
     refs: list[int] = []
     visited = 0
 
@@ -631,12 +626,8 @@ def run_query(
         # are sorted by (dimension, byte): its path edges [e0, m), then its
         # value edges [m, e1).  Each run is pushed last to first, the value
         # run first, so that the children are visited in edge order.
-        e0, e1 = estart[i], estart[i + 1]
-        d = dim[i]
-        if d == P:
-            m = e1
-        else:  # the value edges between the bounds still closed
-            m = e0 if d == V else bisect_left(edim, V, e0, e1)
+        e0, m, e1 = estart[i], esplit[i], estart[i + 1]
+        if m < e1:  # the value edges between the bounds still closed
             a = m
             if not vm:
                 if not vs & 2:

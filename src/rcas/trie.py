@@ -62,7 +62,6 @@ MAGIC = b"RCAS3"
 _P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
 _BOT = _DIM_CODE[Dimension.BOT]
-_MIXED = 3  # the dimension code of a node whose edges span both dimensions
 
 
 @dataclass
@@ -86,26 +85,25 @@ class BuildStats:
 class RcasIndex:
     """A trie as columns over node ids, which run in pre-order.
 
-    Node i's subtree is the id range [i, end[i]).  `dim[i]` is the dimension
-    code it branches in (`keys._DIM_CODE`, the leaf code for a leaf), or
-    `_MIXED` when its edges span both dimensions, which only the label-wise
-    scheme builds.  Its path substring is `p_tab[p_id[i]]` and its value
-    substring `v_tab[v_id[i]]`: each table holds the distinct substrings of
-    its dimension once, in order of first appearance in pre-order.  `s_p`
-    and `s_v` are the same substrings as one column per dimension for the
-    query loop; each entry is its table's object, so they add no substring.
-    Both are kept: reading `p_tab[p_id[i]]` in the loop cost about 5% of
-    query time, and numbering `s_p`/`s_v` again at save took longer than
-    the rest of `save_bytes` (11.7 against 9.0 ms for 100,000 keys).  Node
-    i's edges are the range [estart[i], estart[i + 1]), sorted by
-    (dimension code, byte), so a `_MIXED` node's path edges come before its
-    value edges: edge e leads on byte `ebyte[e]` of dimension `edim[e]` to
-    node `echild[e]`, and that byte is the first byte of the child's
-    substring in that dimension.  The refs of the leaves of i's
-    subtree, in pre-order and each leaf's in input order, are
-    `refs[reflo[i] : reflo[end[i]]]`, an `array('Q')`.  `dfas` keeps the DFA
-    of each query path run on the index (`query._matcher`).  Saving and
-    equality read neither `s_p`/`s_v` nor `dfas`, and `repr` shows neither.
+    Node i's subtree is the id range [i, end[i]).  Its path substring is
+    `p_tab[p_id[i]]` and its value substring `v_tab[v_id[i]]`: each table
+    holds the distinct substrings of its dimension once, in order of first
+    appearance in pre-order.  `s_p` and `s_v` are the same substrings as
+    one column per dimension for the query loop; each entry is its table's
+    object, so they add no substring.  Both are kept: reading
+    `p_tab[p_id[i]]` in the loop cost about 5% of query time, and numbering
+    `s_p`/`s_v` again at save took longer than the rest of `save_bytes`
+    (11.7 against 9.0 ms for 100,000 keys).  Node i's edges are the range
+    [estart[i], estart[i + 1]), sorted by (dimension, byte): its path edges
+    [estart[i], esplit[i]), then its value edges [esplit[i], estart[i + 1]).
+    A leaf has neither, and only the label-wise scheme builds nodes with
+    both.  Edge e leads on byte `ebyte[e]` to node `echild[e]`, and that
+    byte is the first byte of the child's substring in the edge's
+    dimension.  The refs of the leaves of i's subtree, in pre-order and each
+    leaf's in input order, are `refs[reflo[i] : reflo[end[i]]]`, an
+    `array('Q')`.  `dfas` keeps the DFA of each query path run on the index
+    (`query._matcher`).  Saving and equality read neither `s_p`/`s_v` nor
+    `dfas`, and `repr` shows neither.
 
     The index holds only what it cannot derive: `key_count` and
     `build_stats` are read off the columns, so a reopened index equals the
@@ -114,15 +112,14 @@ class RcasIndex:
     otherwise.
     """
 
-    dim: bytes
     end: array
     p_tab: list[bytes]
     v_tab: list[bytes]
     p_id: array
     v_id: array
     estart: array
+    esplit: array
     ebyte: bytes
-    edim: bytes
     echild: array
     refs: array
     reflo: array
@@ -147,7 +144,7 @@ class RcasIndex:
     def build_stats(self) -> BuildStats:
         reflo = np.frombuffer(self.reflo, np.uint64)
         below = reflo[np.frombuffer(self.end, np.int32)] - reflo[:-1]  # the refs of each subtree
-        inner = np.frombuffer(self.dim, np.uint8) != _BOT
+        inner = np.diff(np.frombuffer(self.estart, np.int32)) > 0
         return BuildStats(byte_scans=_substring_bytes(self), moves=int(below[inner].sum()))
 
 
@@ -478,17 +475,6 @@ def _down(x: np.ndarray, end: np.ndarray) -> np.ndarray:
     return np.cumsum(step[:n])
 
 
-def _node_dims(leaf: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> np.ndarray:
-    """Each node's dimension code: the leaf code, the dimension all of its
-    edges share, or `_MIXED`.  Edges ascend by dimension code, so a node's
-    first and last edges span its codes."""
-    dim = np.full(len(leaf), _BOT, np.uint8)
-    inner = ~leaf
-    first, last = edim[estart[:-1][inner]], edim[estart[1:][inner] - 1]
-    dim[inner] = np.where(first == last, first, _MIXED)
-    return dim
-
-
 def _slices(blob, start: np.ndarray, stop: np.ndarray) -> list[bytes]:
     """blob[start[i]:stop[i]] for each i, as bytes."""
     return [blob[a:b] for a, b in zip(start.tolist(), stop.tolist())]
@@ -539,27 +525,27 @@ def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.n
 
 def _index(
     shape: _Shape,
-    dim: np.ndarray,
+    path_edges: np.ndarray,
     p_table: tuple[list[bytes], np.ndarray],
     v_table: tuple[list[bytes], np.ndarray],
     ebyte: np.ndarray,
-    edim: np.ndarray,
     refcount: np.ndarray,
     refs: np.ndarray,
     **meta,
 ) -> RcasIndex:
-    reflo = np.zeros(len(dim) + 1, np.uint64)
+    """The index of a tree; `path_edges` is each node's count of path
+    edges, which come before its value edges."""
+    reflo = np.zeros(len(path_edges) + 1, np.uint64)
     np.cumsum(refcount, out=reflo[1:])
     return RcasIndex(
-        dim=dim.astype(np.uint8).tobytes(),
         end=_array("i", shape.end),
         p_tab=p_table[0],
         v_tab=v_table[0],
         p_id=_array("i", p_table[1]),
         v_id=_array("i", v_table[1]),
         estart=_array("i", shape.estart),
+        esplit=_array("i", np.add(shape.estart[:-1], path_edges, dtype=np.int32)),
         ebyte=ebyte.astype(np.uint8).tobytes(),
-        edim=edim.astype(np.uint8).tobytes(),
         echild=_array("i", shape.echild),
         refs=_array("Q", refs),
         reflo=_array("Q", reflo),
@@ -595,7 +581,7 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     that dimension.  A static scheme reads one sequence per distinct key,
     its tagged symbols (`interleave.static_interleave`, made for all keys at
     once), dimension code * 256 + byte, so edges are ordered by dimension,
-    then by byte; a node whose edges span both dimensions is `_MIXED`.  Its
+    then by byte, and a label-wise node's edges may span both.  Its
     path bytes are read from the blob of distinct paths (for zo, of their
     surrogate paths), so a running count of value symbols turns a node's
     symbol range into a range of each blob (`_untag`), and every scheme
@@ -636,12 +622,13 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     del seqs, paths, values, lo, hi, at  # before the index's columns are made
     leaf_rank = np.empty(len(count), np.int32)
     leaf_rank[nodes.row[leaf]] = np.arange(len(count), dtype=np.int32)
+    path_edges = np.zeros(len(leaf), np.int32)  # of each node: a prefix of its edges
+    path_edges[~leaf] = np.add.reduceat(edim == _P, shape.estart[:-1][~leaf])
     return _index(
         shape,
-        _node_dims(leaf, edim, shape.estart),
+        path_edges,
         *tables,
         ebyte,
-        edim,
         np.where(leaf, count[nodes.row], 0),
         refs[np.argsort(leaf_rank[pair_of_key], kind="stable")],
         value_width=keys.width,
@@ -698,18 +685,19 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 
     An inner node's kind is the smallest capacity class of `NODE_KINDS`
     that holds its children (those of a label-wise node over 256 share the
-    largest), and a `_MIXED` node counts under its first edge's dimension.
-    The size estimate models these adaptive nodes, not the flat index, whose
-    measured size is the bytes of its saved file."""
-    dim = np.frombuffer(index.dim, np.uint8)
-    n = len(dim)
+    largest).  It counts under P when it has a path edge, under V
+    otherwise, so a label-wise node whose edges span both dimensions counts
+    under P.  The size estimate models these adaptive nodes, not the flat
+    index, whose measured size is the bytes of its saved file."""
+    estart = np.frombuffer(index.estart, np.int32)
+    n = len(estart) - 1
     depth = _down(np.ones(n, np.int64), np.frombuffer(index.end, np.int32))
     depth -= 1
-    estart = np.frombuffer(index.estart, np.int32)
     arity = np.diff(estart)
     refcount = np.diff(np.frombuffer(index.reflo, np.uint64))
-    leaf = dim == _BOT
-    named = np.where(dim == _MIXED, _P, dim)  # a mixed node's first edge is a path edge
+    leaf = arity == 0
+    has_p = np.frombuffer(index.esplit, np.int32) > estart[:-1]  # has a path edge
+    named = np.array([_V, _BOT, _P])[leaf + 2 * has_p]  # a leaf has no edge
     kind = np.where(leaf, len(NODE_KINDS), np.searchsorted(NODE_KINDS, np.minimum(arity, 256)))
     capacity = np.array(NODE_KINDS + (0,))[kind]
     dims = len(_DIM_NAMES)
@@ -748,7 +736,8 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 #            byte length of the varint table u64; for zo also max labels u64,
 #            label count u64, byte length u64 and the labels in code order,
 #            joined by '/'
-#   dims     one dimension code per node (`RcasIndex.dim`)
+#   dims     one dimension code per node: the code of the dimension all of
+#            its edges share, the leaf code, or `_MIXED` when they span both
 #   table    LEB128 varints: the length of each path table entry, the length
 #            of each value table entry, then three per node: path substring
 #            id, value substring id, and child count (inner) or ref count
@@ -762,7 +751,11 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 # Every length is a varint, so no substring is too long to save.  A table
 # holds each distinct substring of its dimension once, in order of first
 # appearance in pre-order (`RcasIndex`), and is written as the index holds it.
+# The dimension codes are the file's alone: a save derives them from each
+# node's split between its path and value edges (`RcasIndex.esplit`), and a
+# load checks them and derives the split back.
 
+_MIXED = 3  # the dimension code of a node whose edges span both dimensions
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
 _HEADER = struct.Struct(">5sBBQQQQQ")
@@ -836,10 +829,10 @@ def save_bytes(index: RcasIndex) -> bytes:
     100,000 keys of width 8.  Fresh pages are a large part of a save's cost
     once the allocator has given its heap back to the system, as it may
     between two saves."""
-    dim = np.frombuffer(index.dim, np.uint8)
-    n = len(dim)
+    estart = np.frombuffer(index.estart, np.int32)
+    n = len(estart) - 1
     n_p, n_v = len(index.p_tab), len(index.v_tab)
-    arity = np.diff(np.frombuffer(index.estart, np.int32))
+    arity = np.diff(estart)
     column = np.empty(n_p + n_v + 3 * n, np.uint64)  # the values of the varint table
     column[:n_p] = _lengths(index.p_tab)
     column[n_p : n_p + n_v] = _lengths(index.v_tab)
@@ -850,7 +843,14 @@ def save_bytes(index: RcasIndex) -> bytes:
     nodes[:, 2] += np.diff(np.frombuffer(index.reflo, np.uint64))
     table = _varints(column)
     del column, nodes
-    mixed = np.frombuffer(index.edim, np.uint8)[np.repeat(dim == _MIXED, arity)]
+    path_edges = np.frombuffer(index.esplit, np.int32) - estart[:-1]
+    has_v = path_edges < arity
+    dims = (has_v + 2 * ((path_edges > 0) == has_v)).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
+    mixed = b""
+    on = np.flatnonzero(dims == _MIXED)
+    if on.size:  # each mixed node's path codes, then its value codes
+        runs = np.column_stack((path_edges[on], arity[on] - path_edges[on])).ravel()
+        mixed = np.repeat(np.tile(np.array([_P, _V], np.uint8), on.size), runs).tobytes()
     scheme = _SCHEME_CODE[index.scheme]
     counts = (index.key_count, n, n_p, n_v, len(table))
     parts = [_HEADER.pack(MAGIC, scheme, index.value_width, *counts)]
@@ -859,10 +859,10 @@ def save_bytes(index: RcasIndex) -> bytes:
         labels = "/".join(sorted(ctx.codes, key=ctx.codes.__getitem__)).encode("ascii")
         parts.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
     parts += [
-        index.dim,
+        dims.tobytes(),
         table,
         index.ebyte,
-        mixed.tobytes(),
+        mixed,
         b"".join(index.p_tab),
         b"".join(index.v_tab),
         _varints(np.frombuffer(index.refs, np.uint64)),
@@ -887,18 +887,19 @@ def load_bytes(data: bytes) -> RcasIndex:
     The tree comes from the child counts alone (`_shape`).  Each check runs
     over the part of the file where it can fail: only the edges of `_MIXED`
     nodes carry their own dimension codes, so only they are checked to
-    span both dimensions (`_check_mixed`); the edge order is one comparison
-    of (dimension code, byte) symbols as int16, set aside at each node's
-    first edge (`_check_order`), and a file whose edges follow another
-    order is rejected; and only varints longer than a byte are
-    checked for a canonical spelling (`_read_varints`).  The node table and
-    the table offsets are 32-bit when the file is under 2 GiB, the table is
-    dropped once split into its columns, and the root-to-leaf and edge
-    byte checks run in a helper (`_check_keys`) whose arrays are gone
-    before the index is built.  For 100,000 keys of width 8 (a 0.86 MiB
-    file, 95,567 nodes) opening takes 21.6 ms (min of 30 calls, on a shared
-    2-core x86 host), and its tracemalloc peak is 11.9 MiB, against the
-    5.8 MiB the index holds."""
+    span both dimensions, and only their path edges are counted for the
+    split between each node's path and value edges (`_mixed_path_edges`); the
+    edge order is one comparison of (dimension code, byte) symbols as
+    int16, set aside at each node's first edge (`_check_order`), and a file
+    whose edges follow another order is rejected; and only varints longer
+    than a byte are checked for a canonical spelling (`_read_varints`).
+    The node table and the table offsets are 32-bit when the file is under
+    2 GiB, the table is dropped once split into its columns, and the
+    root-to-leaf and edge byte checks run in a helper (`_check_keys`) whose
+    arrays are gone before the index is built.  For 100,000 keys of width 8 (a 0.86 MiB
+    file, 95,567 nodes) opening takes 18.8 ms (min of 30 calls, on a shared
+    2-core x86 host), and its tracemalloc peak is 12.5 MiB, against the
+    6.0 MiB the index holds."""
     data = bytes(data)
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not an index file (bad magic)")
@@ -945,17 +946,18 @@ def load_bytes(data: bytes) -> RcasIndex:
     leaf = dims == _BOT
     if not count[~leaf].all():
         raise ValueError("inner node without children")
-    arity = np.where(leaf, 0, count)
-    refcount = np.where(leaf, count, 0)
+    arity = count * ~leaf  # products of masks: np.where took ten times as long
+    refcount = count * leaf
     del count
     shape = _shape(arity)
     ebyte = np.frombuffer(take(n - 1), np.uint8)
     edim = np.repeat(dims, arity)
+    path_edges = arity * (dims == _P)
     mixed = dims == _MIXED
     if mixed.any():  # only these nodes' edges carry their own dimension codes
         on = np.repeat(mixed, arity)
         edim[on] = np.frombuffer(take(int(on.sum())), np.uint8)
-        _check_mixed(edim[on], arity[mixed])
+        path_edges[mixed] = _mixed_path_edges(edim[on], arity[mixed])
     del arity
     _check_order(ebyte, edim, shape.estart)
     p_at = pos + np.cumsum(p_size, dtype=p_size.dtype) - p_size  # the offset of each table entry
@@ -969,11 +971,10 @@ def load_bytes(data: bytes) -> RcasIndex:
     _check_keys(np.frombuffer(data, np.uint8), tables, shape, leaf, ebyte, edim, width, ctx)
     return _index(
         shape,
-        dims,
+        path_edges,
         (_slices(data, p_at, p_at + p_size), p_id),
         (_slices(data, v_at, v_at + v_size), v_id),
         ebyte,
-        edim,
         refcount,
         refs,
         value_width=width,
@@ -982,12 +983,14 @@ def load_bytes(data: bytes) -> RcasIndex:
     )
 
 
-def _check_mixed(codes: np.ndarray, arity: np.ndarray) -> None:
-    """The edge dimension codes of the `_MIXED` nodes, whose child counts
-    are `arity`, are codes of P or V and span both on each node's edges."""
-    starts = np.cumsum(arity) - arity
-    if codes.max() > _V or (np.minimum.reduceat(codes, starts) == np.maximum.reduceat(codes, starts)).any():
+def _mixed_path_edges(codes: np.ndarray, arity: np.ndarray) -> np.ndarray:
+    """The path edges of each `_MIXED` node, whose child counts are `arity`
+    and whose edges' dimension codes are `codes`: they must be codes of P
+    or V and span both on each node's edges."""
+    path_edges = np.add.reduceat(codes == _P, np.cumsum(arity) - arity)
+    if codes.max() > _V or ((path_edges == 0) | (path_edges == arity)).any():
         raise ValueError("bad child edge in index file")
+    return path_edges
 
 
 def _check_order(ebyte: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> None:

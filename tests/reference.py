@@ -304,9 +304,9 @@ def run_query_sets(
     (pos, lopen, hopen, matched) of the range and (NFA state set, consumed,
     matched) of the path.  Every query shape runs on the NFA, whose state
     sets are stepped a byte at a time, with no DFA, memo or literal.  An
-    inner node's edges are tested as in `run_query`: in the byte window the
-    range admits at a value node, one step each at a path node, and each by
-    its own dimension at a node whose edges span both.
+    inner node's edges are tested one by one, each by its own dimension:
+    those before `index.esplit[i]` are path edges, stepped in the NFA, and
+    the others value edges, kept in the byte window the range admits.
     """
     ctx = index.zo_ctx if index.scheme == "zo" else None
     nfa = query._automaton(qpath, ctx)
@@ -339,7 +339,7 @@ def run_query_sets(
         admitted = []
         for e in range(index.estart[i], index.estart[i + 1]):
             b = index.ebyte[e]
-            d = index.edim[e] if index.dim[i] not in (P, V) else index.dim[i]
+            d = P if e < index.esplit[i] else V
             if d == V and not vmatched:
                 if (not lopen and b < low[pos]) or (not hopen and b > high[pos]):
                     continue

@@ -202,6 +202,15 @@ class TestQuery:
         code, _, _ = run_cli(capsys, "query", "///x", "0", "1", "--dataset", bom_file)
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["--load", "--dataset"])
+    @pytest.mark.parametrize("argv", [("///x", "0", "1"), ("//", "9", "1")], ids=["bad_path", "low_above_high"])
+    def test_usage_errors_before_any_file_is_read(self, capsys, tmp_path, source, argv):
+        """A bad path or range is reported as such, though the index file or
+        dataset named does not exist."""
+        code, out, err = run_cli(capsys, "query", *argv, source, str(tmp_path / "missing"))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
+
     def test_missing_index_source_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "query", "//", "0", "1")
         assert code == 1
@@ -342,6 +351,14 @@ class TestBench:
         want = [f"{sum(lo <= v <= hi for v in records.values) / len(records):.6f}" for lo, hi in ranges]
         assert got == want
         assert want[0] != want[1] and want[3] == "0.000000" and want[4] == "1.000000"
+
+    def test_query_file_is_read_before_the_dataset(self, capsys, tmp_path):
+        """A bad query line is named, though the dataset does not exist."""
+        queries = tmp_path / "queries.csv"
+        queries.write_text("//;0;4294967295\n/bom;5;3\n")
+        code, out, err = run_cli(capsys, "bench", str(tmp_path / "missing.csv"), str(queries))
+        assert (code, out) == (2, "")
+        assert err == "data error: query line 2: impossible range\n"
 
     def test_non_ascii_query_file_is_data_error(self, capsys, bom_file, tmp_path):
         queries = tmp_path / "queries.csv"

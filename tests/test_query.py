@@ -35,11 +35,11 @@ from rcas.query import (
     run_query,
     scan,
 )
-from rcas.trie import _MIXED, SCHEMES, build_static
+from rcas.trie import SCHEMES, build_static
 
 from conftest import random_keys, random_query_text
 from reference import feed_range, run_query_sets, scan_keys
-from treeview import root
+from treeview import nodes, root
 
 
 class TestParse:
@@ -764,7 +764,7 @@ class TestOracleEquivalence:
             for scheme in SCHEMES:
                 index = build_static(keys, scheme)
                 if scheme == "lw":
-                    assert index.dim.count(_MIXED)
+                    assert any(node.mixed for _, node in nodes(index))
                 for qpath, lo, hi, want in cases:
                     got = run_query(index, qpath, ValueRange.closed(lo, hi))
                     assert sorted(got.refs) == want, (scheme, qpath.text, lo, hi)
@@ -869,7 +869,7 @@ class TestAutomatonCaches:
         want = sorted(scan(keys, qpath, everything))
         assert sorted(run_query(rcas, qpath, everything).refs) == want
         kept = rcas.dfas[qpath]
-        assert len(kept.rows) <= _STATE_CACHE_MAX and sum(map(len, kept.memo)) <= len(rcas.dim)
+        assert len(kept.rows) <= _STATE_CACHE_MAX and sum(map(len, kept.memo)) <= len(rcas.end)
         # the same query on vp feeds a DFA of its own
         assert sorted(run_query(vp, qpath, everything).refs) == want
         assert vp.dfas[qpath] is not kept
@@ -905,7 +905,7 @@ class TestAutomatonCaches:
         # nodes, and the next query keeps its DFA
         assert sorted(run_query(index, qpath, everything).refs) == want
         used = index.dfas[qpath]
-        assert many < sum(map(len, used.memo)) <= len(index.dim)
+        assert many < sum(map(len, used.memo)) <= len(index.end)
         assert query._matcher(index, qpath) is used
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -932,7 +932,7 @@ class TestAutomatonCaches:
             assert index.dfas
             fed = sum(map(bool, index.s_p))  # the nodes with path bytes
             for dfa in index.dfas.values():
-                assert sum(map(len, dfa.memo)) <= fed <= len(index.dim)
+                assert sum(map(len, dfa.memo)) <= fed <= len(index.end)
 
     def test_long_label_keeps_its_dfa(self):
         # a DFA state per label byte: past _STATE_CACHE_MAX, within the

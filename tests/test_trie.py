@@ -97,6 +97,12 @@ EXAMPLE_RCAS3 = (
 # any drift.
 PINNED_INDEXES_SHA256 = "c6252b1a32512af875852ccccd5f1971c0ed87a4634c88c60f9e6dc69d60ff67"
 
+# The same over the 150-label dataset (seed 3, 3,000 keys, 30% duplicates) at
+# widths 4 and 8, whose labels of one to three bytes make lw build nodes whose
+# edges span both dimensions (24 and 30 of them), so that the digest covers
+# the RCAS3 section of their edge codes.
+PINNED_MIXED_INDEXES_SHA256 = "8fb49483d56b1d602fb4984c81b043adeff12d573e4d15a40505cf2fa0a8bd5e"
+
 # The example's index file in every scheme, for corrupting.
 EXAMPLE_BLOBS = [save_bytes(build_static(records_to_keys(BOM_EXAMPLE), s)) for s in SCHEMES]
 
@@ -609,7 +615,7 @@ class TestSerialization:
             indexes = {scheme: build_static(keys, scheme) for scheme in SCHEMES}
             for scheme, index in indexes.items():
                 assert load_bytes(save_bytes(index)) == index, scheme
-        assert indexes["lw"].dim.count(_MIXED)
+        assert any(node.mixed for _, node in nodes(indexes["lw"]))
 
     @pytest.mark.parametrize("width", [4, 8])
     def test_reopened_index_reports_the_build_counters(self, bom_records, width):
@@ -671,6 +677,21 @@ class TestSerialization:
                     digest.update(repr(collect_stats(index)).encode())
         assert digest.hexdigest() == PINNED_INDEXES_SHA256
 
+    def test_generated_mixed_indexes_pinned(self):
+        digest = hashlib.sha256()
+        mixed = 0
+        for width in (4, 8):
+            cfg = GeneratorConfig(seed=3, key_count=3000, label_alphabet_size=150, duplicate_fraction=0.3)
+            keys = records_to_keys(generate(cfg), width)
+            for scheme in ("rcas", "pv", "vp", "lw", "zo"):
+                index = build_static(keys, scheme)
+                digest.update(save_bytes(index))
+                digest.update(repr(index.build_stats).encode())
+                digest.update(repr(collect_stats(index)).encode())
+                mixed += sum(node.mixed for _, node in nodes(index))
+        assert mixed == 24 + 30
+        assert digest.hexdigest() == PINNED_MIXED_INDEXES_SHA256
+
     def test_truncation_rejected(self, bom_index):
         blob = save_bytes(bom_index)
         for cut in (blob[: len(blob) // 2], blob + b"\x00"):
@@ -731,10 +752,14 @@ class TestSerialization:
         for column in (b"\x8c\x00", b"\x80" * 10 + b"\x01", b"\xff" * 9 + b"\x02"):
             with pytest.raises(ValueError, match="varint"):
                 _read_varints(column, 1)
-        index = build_static(bom_keys, "rcas")
-        index.dim = bytes([_MIXED]) + index.dim[1:]  # the root's three edges are all V
+        blob = save_bytes(build_static(bom_keys, "rcas"))
+        dims = 5 + 1 + 1 + 8 * 5  # past the magic, scheme, width and five counts
+        mixed = dims + 11 + 53 + 10  # past the 11 node codes, 53 varint bytes and 10 edge bytes
+        assert blob[dims] == _DIM_CODE[V]
+        # the root marked mixed, with a mixed section that gives its three edges V
+        blob = blob[:dims] + bytes([_MIXED]) + blob[dims + 1 : mixed] + bytes([_DIM_CODE[V]] * 3) + blob[mixed:]
         with pytest.raises(ValueError, match="bad child edge"):
-            load_bytes(save_bytes(index))
+            load_bytes(resealed(blob))
         blob = save_bytes(build_static(bom_keys, "zo"))
         at = blob.index(b"/car/")
         with pytest.raises(ValueError, match="label dictionary"):
@@ -825,7 +850,7 @@ class TestSubstringTables:
                     assert len({id(s) for s in column}) == len(tab), scheme
                     assert all(s is tab[i] for s, i in zip(column, ids)), scheme
                     assert list(dict.fromkeys(ids)) == list(range(len(tab))), scheme  # first appearance
-            assert len(built.p_tab) + len(built.v_tab) < len(built.dim), scheme
+            assert len(built.p_tab) + len(built.v_tab) < len(built.end), scheme
 
     @given(
         st.lists(st.sampled_from(b"ab\x00"), max_size=60).map(bytes).flatmap(

@@ -14,10 +14,11 @@ from array import array
 from typing import Iterator
 
 from rcas.keys import _DIM_CODE, Dimension
-from rcas.trie import _MIXED, RcasIndex
+from rcas.trie import RcasIndex
 from rcas.interleave import ZoContext
 
 DIM_FROM_CODE = {v: k for k, v in _DIM_CODE.items()}
+P, V = Dimension.P, Dimension.V
 
 
 class NodeView:
@@ -45,19 +46,20 @@ class NodeView:
 
     @property
     def mixed(self) -> bool:
-        return self.index.dim[self.id] == _MIXED
+        """Whether the node has both path and value edges."""
+        ix = self.index
+        return ix.estart[self.id] < ix.esplit[self.id] < ix.estart[self.id + 1]
 
     @property
     def dim(self) -> Dimension:
         """The branching dimension; a mixed node's is its first edge's."""
-        code = self.index.dim[self.id]
-        if code == _MIXED:
-            code = self.index.edim[self.index.estart[self.id]]
-        return DIM_FROM_CODE[code]
+        if self.is_leaf:
+            return Dimension.BOT
+        return P if self.index.esplit[self.id] > self.index.estart[self.id] else V
 
     @property
     def is_leaf(self) -> bool:
-        return self.dim is Dimension.BOT
+        return self.index.estart[self.id] == self.index.estart[self.id + 1]
 
     @property
     def refs(self) -> list[int] | None:
@@ -70,7 +72,7 @@ class NodeView:
     def children(self) -> list[tuple[Dimension, int, "NodeView"]]:
         ix = self.index
         return [
-            (DIM_FROM_CODE[ix.edim[e]], ix.ebyte[e], NodeView(ix, ix.echild[e]))
+            (P if e < ix.esplit[self.id] else V, ix.ebyte[e], NodeView(ix, ix.echild[e]))
             for e in range(ix.estart[self.id], ix.estart[self.id + 1])
         ]
 
@@ -104,7 +106,7 @@ def nodes(index: RcasIndex) -> Iterator[tuple[int, NodeView]]:
 
 class Node:
     """A hand-made trie node: children are (dim, byte, Node) edges in edge
-    order, refs is None for an inner node."""
+    order, path edges first, refs is None for an inner node."""
 
     def __init__(self, s_p: bytes, s_v: bytes, dim: Dimension, children: list, refs: list | None):
         self.s_p = s_p
@@ -132,13 +134,11 @@ def make_index(
     for i in reversed(range(len(order))):
         children = order[i].children
         end[i] = end[ids[id(children[-1][2])]] if children else i + 1
-    dims, estart, ebyte, edim, echild, refs, reflo = [], [0], [], [], [], [], [0]
+    estart, esplit, ebyte, echild, refs, reflo = [0], [], [], [], [], [0]
     for node in order:
-        codes = {d for d, _, _ in node.children}
-        dims.append(_MIXED if len(codes) > 1 else _DIM_CODE[node.dim])
+        esplit.append(len(ebyte) + sum(d is P for d, _, _ in node.children))
         for d, b, child in node.children:
             ebyte.append(b)
-            edim.append(_DIM_CODE[d])
             echild.append(ids[id(child)])
         estart.append(len(ebyte))
         refs += node.refs or []
@@ -151,15 +151,14 @@ def make_index(
     p_tab, p_id = table([node.s_p for node in order])
     v_tab, v_id = table([node.s_v for node in order])
     return RcasIndex(
-        dim=bytes(dims),
         end=array("i", end),
         p_tab=p_tab,
         v_tab=v_tab,
         p_id=p_id,
         v_id=v_id,
         estart=array("i", estart),
+        esplit=array("i", esplit),
         ebyte=bytes(ebyte),
-        edim=bytes(edim),
         echild=array("i", echild),
         refs=array("Q", refs),
         reflo=array("Q", reflo),
