@@ -27,6 +27,7 @@ reach 2**32 when `value_max` is at most 2**32.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
@@ -186,9 +187,10 @@ def _parse(lines: list[str], lineno: int) -> tuple[list[str], list[int], list[in
 _WRITE_CHUNK = 1 << 14  # lines joined per write
 
 
-def write_records(records: Iterable[DatasetRecord], path: str | TextIO) -> None:
+def write_records(records: Iterable[DatasetRecord], path: str | os.PathLike | TextIO) -> None:
     """Write the records one line each, a chunk of lines per write, to the
-    file at `path` or to an open text stream, which is left open.
+    file at `path` (a str or path-like object) or to an open text stream,
+    which is left open.
 
     DataError names the first record that `load_records` could not read
     back; it is raised before the file is opened, so that it leaves no
@@ -196,7 +198,7 @@ def write_records(records: Iterable[DatasetRecord], path: str | TextIO) -> None:
     records = Records.of(records)
     paths, values, refs = records.paths, records.values, records.refs
     _check_columns(paths, values, refs)
-    out = open(path, "w", encoding="ascii") if isinstance(path, str) else nullcontext(path)
+    out = open(path, "w", encoding="ascii") if isinstance(path, (str, os.PathLike)) else nullcontext(path)
     with out as fh:
         for at in range(0, len(refs), _WRITE_CHUNK):
             cut = slice(at, at + _WRITE_CHUNK)

@@ -285,7 +285,8 @@ def scan(
 
 # --- byte-level path automaton -----------------------------------------------
 
-# The byte classes an automaton edge can admit, each spelled as the bytes in it.
+# The byte classes an automaton edge can admit, each spelled as the bytes in
+# it in ascending order, so its ends are its least and greatest byte.
 _ANY = bytes(range(256))
 _NONZERO = _ANY[1:]
 _LABEL = bytes(b for b in _NONZERO if b != SLASH)  # neither '/' nor the terminator
@@ -346,10 +347,11 @@ class _LazyDfa:
     used.  A state is an NFA state set and, for paths that complete by
     position, the bytes consumed.  Per state id, `rows` holds each byte's
     target (None until asked for, _DEAD where no edge admits the byte),
-    `hulls` the lowest and highest byte an edge admits, `matched` whether
-    every completion is accepted, and `memo` the outcome of each node
-    substring fed.  A state that completes unaccepted is a live row target,
-    as the NFA has edges for that byte, but a dead end as a feed's outcome.
+    `hulls` the lowest and highest byte an edge admits, read off the ends
+    of the edges' classes, `matched` whether every completion is accepted,
+    and `memo` the outcome of each node substring fed.  A state that
+    completes unaccepted is a live row target, as the NFA has edges for
+    that byte, but a dead end as a feed's outcome.
     """
 
     def __init__(self, nfa: _PathAutomaton):
@@ -367,7 +369,7 @@ class _LazyDfa:
             if t is None:
                 nfa = self.nfa
                 classes = [cls for s in states for cls, _ in nfa.edges[s]]
-                hull = (min(map(min, classes)), max(map(max, classes))) if classes else _NO_HULL
+                hull = (min(c[0] for c in classes), max(c[-1] for c in classes)) if classes else _NO_HULL
                 done = 0 < nfa.width == consumed
                 self.rows.append([None] * 256)
                 self.hulls.append(hull)

@@ -16,7 +16,9 @@ the same two blobs, of the key set's distinct paths and values.
 A built index is a flat trie: columns over node ids that run in pre-order
 (`RcasIndex`), with no object per node or per key.  The builder and the
 loader derive the columns from per-node child counts with array passes
-(`_shape`), and the file format (`RCAS3`) stores them column by column.
+(`_shape`) and hand each edge over as one (dimension, byte) symbol, which
+`_index` alone splits into the edge columns; the file format (`RCAS3`)
+stores them column by column.
 Nothing recurses, so the depth of a trie is not bounded by the interpreter's
 recursion limit.  Each distinct path or value substring is one object, held
 in a table that the nodes point into by id (`_table`); each group of equal
@@ -62,6 +64,7 @@ MAGIC = b"RCAS3"
 _P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
 _BOT = _DIM_CODE[Dimension.BOT]
+_V_SYMBOL = _V << 8  # the least value edge symbol: path edge symbols lie below it
 
 
 @dataclass
@@ -525,17 +528,22 @@ def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.n
 
 def _index(
     shape: _Shape,
-    path_edges: np.ndarray,
     p_table: tuple[list[bytes], np.ndarray],
     v_table: tuple[list[bytes], np.ndarray],
-    ebyte: np.ndarray,
+    symbol: np.ndarray,
     refcount: np.ndarray,
     refs: np.ndarray,
     **meta,
 ) -> RcasIndex:
-    """The index of a tree; `path_edges` is each node's count of path
-    edges, which come before its value edges."""
-    reflo = np.zeros(len(path_edges) + 1, np.uint64)
+    """The index of a tree whose edges are (dimension, byte) symbols,
+    dimension code * 256 + byte, each node's ascending, as the builder and
+    the loader both hand them over.  Only this turns them into columns: an
+    edge's byte is its symbol's low byte, and a node's path edges, the
+    symbols below `_V_SYMBOL`, come first, so one prefix count of them over
+    all edges gives each node's split (`RcasIndex.esplit`)."""
+    paths = np.zeros(len(symbol) + 1, np.int32)  # the path edges before each edge
+    np.cumsum(symbol < _V_SYMBOL, out=paths[1:])
+    reflo = np.zeros(len(refcount) + 1, np.uint64)
     np.cumsum(refcount, out=reflo[1:])
     return RcasIndex(
         end=_array("i", shape.end),
@@ -544,8 +552,8 @@ def _index(
         p_id=_array("i", p_table[1]),
         v_id=_array("i", v_table[1]),
         estart=_array("i", shape.estart),
-        esplit=_array("i", np.add(shape.estart[:-1], path_edges, dtype=np.int32)),
-        ebyte=ebyte.astype(np.uint8).tobytes(),
+        esplit=_array("i", shape.estart[:-1] + np.diff(paths[shape.estart])),
+        ebyte=symbol.astype(np.uint8).tobytes(),  # the low byte
         echild=_array("i", shape.echild),
         refs=_array("Q", refs),
         reflo=_array("Q", reflo),
@@ -572,7 +580,7 @@ def bulk_load(keys: Iterable[CompositeKey]) -> RcasIndex:
 def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | None = None) -> RcasIndex:
     """Build the trie of any scheme, dynamic (rcas) or static (pv, vp, lw,
     zo).  The scheme decides only what the partitioner (`_partition`) reads
-    and how its nodes become substrings and edges.
+    and how its nodes become substrings.
 
     rcas reads two sequences per distinct key, its path and its value, from
     blobs of the key set's distinct paths and values (`keys.KeySet`), and
@@ -581,8 +589,12 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     that dimension.  A static scheme reads one sequence per distinct key,
     its tagged symbols (`interleave.static_interleave`, made for all keys at
     once), dimension code * 256 + byte, so edges are ordered by dimension,
-    then by byte, and a label-wise node's edges may span both.  Its
-    path bytes are read from the blob of distinct paths (for zo, of their
+    then by byte, and a label-wise node's edges may span both.  Every
+    scheme hands its edges to `_index` in that form, one symbol each: the
+    child's key under the code of the sequence its parent splits on, which
+    for a static scheme's inner nodes is sequence 0, so its key stands
+    alone.  `_index` alone turns them into edge bytes and each node's split
+    into path and value edges.  Its path bytes are read from the blob of distinct paths (for zo, of their
     surrogate paths), so a running count of value symbols turns a node's
     symbol range into a range of each blob (`_untag`), and every scheme
     cuts its substrings from the same two blobs (`_table`).  Either way each
@@ -610,26 +622,19 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     arity, nodes = _preorder(_partition(seqs, first))
     shape = _shape(arity)
     leaf = nodes.split < 0
-    edges = nodes.key[shape.echild]
-    if scheme == "rcas":
-        lo, hi = nodes.lo, nodes.hi  # sequence 0 is the path, 1 the value
-        ebyte, edim = edges, np.repeat(nodes.split, arity)
-    else:
-        lo, hi = _untag(seqs[0], nodes.row, nodes.lo[0], nodes.hi[0])
-        ebyte, edim = edges & 0xFF, edges >> 8
+    # dimension code * 256 + byte: for rcas the sequence its parent splits on, 0 for static schemes
+    symbol = nodes.key[shape.echild] | np.repeat(nodes.split.astype(np.uint16) << 8, arity)
+    lo, hi = (nodes.lo, nodes.hi) if scheme == "rcas" else _untag(seqs[0], nodes)  # of the path, of the value
     at = [s.start[nodes.row] for s in (paths, values)]  # where each node's first pair starts in each blob
     tables = [_table(s.blob, a + l, a + h) for s, a, l, h in zip((paths, values), at, lo, hi)]
     del seqs, paths, values, lo, hi, at  # before the index's columns are made
     leaf_rank = np.empty(len(count), np.int32)
     leaf_rank[nodes.row[leaf]] = np.arange(len(count), dtype=np.int32)
-    path_edges = np.zeros(len(leaf), np.int32)  # of each node: a prefix of its edges
-    path_edges[~leaf] = np.add.reduceat(edim == _P, shape.estart[:-1][~leaf])
     return _index(
         shape,
-        path_edges,
         *tables,
-        ebyte,
-        np.where(leaf, count[nodes.row], 0),
+        symbol,
+        count[nodes.row] * leaf,
         refs[np.argsort(leaf_rank[pair_of_key], kind="stable")],
         value_width=keys.width,
         scheme=scheme,
@@ -637,14 +642,15 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     )
 
 
-def _untag(tagged: _Seqs, row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
-    """The range [lo[i], hi[i]) of the tagged sequence row[i] as a range of
-    that pair's path and a range of its value: the value symbols before a
-    position are the value bytes before it, and the others path bytes."""
+def _untag(tagged: _Seqs, nodes: _Level) -> tuple[list, list]:
+    """The range [lo[0], hi[0]) of each node in the tagged sequence of its
+    first pair, `row`, as a range of that pair's path and a range of its
+    value: the value symbols before a position are the value bytes before
+    it, and the others path bytes."""
     before = np.zeros(len(tagged.data) + 1, np.int32)  # the value symbols before each position
     before[1:] = tagged.data.view(np.uint8)[1::2]  # a symbol's high byte is its code, 1 for V
     np.cumsum(before, out=before)
-    at = tagged.start[row]
+    at, lo, hi = tagged.start[nodes.row], nodes.lo[0], nodes.hi[0]
     v_lo, v_hi, past = before[at + lo], before[at + hi], before[at]  # past: of the earlier pairs
     del before, at
     v_lo -= past
@@ -698,7 +704,7 @@ def collect_stats(index: RcasIndex) -> IndexStats:
     leaf = arity == 0
     has_p = np.frombuffer(index.esplit, np.int32) > estart[:-1]  # has a path edge
     named = np.array([_V, _BOT, _P])[leaf + 2 * has_p]  # a leaf has no edge
-    kind = np.where(leaf, len(NODE_KINDS), np.searchsorted(NODE_KINDS, np.minimum(arity, 256)))
+    kind = np.searchsorted(NODE_KINDS, np.minimum(arity, 256)) + len(NODE_KINDS) * leaf  # a leaf's arity is 0
     capacity = np.array(NODE_KINDS + (0,))[kind]
     dims = len(_DIM_NAMES)
     kinds = np.bincount(kind * dims + named, minlength=len(_KIND_NAMES) * dims)
@@ -753,7 +759,8 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 # appearance in pre-order (`RcasIndex`), and is written as the index holds it.
 # The dimension codes are the file's alone: a save derives them from each
 # node's split between its path and value edges (`RcasIndex.esplit`), and a
-# load checks them and derives the split back.
+# load checks them and joins them with the edge bytes into the edge symbols
+# that a build makes too, which `_index` alone splits again.
 
 _MIXED = 3  # the dimension code of a node whose edges span both dimensions
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
@@ -884,21 +891,23 @@ def load_bytes(data: bytes) -> RcasIndex:
     root-to-leaf path spells a whole key, and that the refs add up to the
     key count.
 
-    The tree comes from the child counts alone (`_shape`).  Each check runs
-    over the part of the file where it can fail: only the edges of `_MIXED`
-    nodes carry their own dimension codes, so only they are checked to
-    span both dimensions, and only their path edges are counted for the
-    split between each node's path and value edges (`_mixed_path_edges`); the
-    edge order is one comparison of (dimension code, byte) symbols as
-    int16, set aside at each node's first edge (`_check_order`), and a file
-    whose edges follow another order is rejected; and only varints longer
-    than a byte are checked for a canonical spelling (`_read_varints`).
+    The tree comes from the child counts alone (`_shape`).  Each edge
+    becomes one (dimension, byte) symbol, its node's dimension code, or
+    for a `_MIXED` node its own, over its byte; the checks and `_index`
+    read these symbols, as they read a build's.  Each check runs over the
+    part of the file where it can fail: only the edges of `_MIXED` nodes
+    carry their own dimension codes, so only they are checked to span both
+    dimensions (`_check_mixed`); the edge order is one comparison of the
+    symbols, set aside at each node's first edge (`_check_order`), and a
+    file whose edges follow another order is rejected; and only varints
+    longer than a byte are checked for a canonical spelling
+    (`_read_varints`).
     The node table and the table offsets are 32-bit when the file is under
     2 GiB, the table is dropped once split into its columns, and the
     root-to-leaf and edge byte checks run in a helper (`_check_keys`) whose
     arrays are gone before the index is built.  For 100,000 keys of width 8 (a 0.86 MiB
-    file, 95,567 nodes) opening takes 18.8 ms (min of 30 calls, on a shared
-    2-core x86 host), and its tracemalloc peak is 12.5 MiB, against the
+    file, 95,567 nodes) opening takes 32.7 ms (min of 40 calls, on a shared
+    2-core x86 host), and its tracemalloc peak is 12.7 MiB, against the
     6.0 MiB the index holds."""
     data = bytes(data)
     if data[: len(MAGIC)] != MAGIC:
@@ -950,16 +959,17 @@ def load_bytes(data: bytes) -> RcasIndex:
     refcount = count * leaf
     del count
     shape = _shape(arity)
-    ebyte = np.frombuffer(take(n - 1), np.uint8)
+    ebyte = np.frombuffer(take(n - 1), np.uint8)  # read before the mixed section, which follows it
     edim = np.repeat(dims, arity)
-    path_edges = arity * (dims == _P)
     mixed = dims == _MIXED
     if mixed.any():  # only these nodes' edges carry their own dimension codes
         on = np.repeat(mixed, arity)
         edim[on] = np.frombuffer(take(int(on.sum())), np.uint8)
-        path_edges[mixed] = _mixed_path_edges(edim[on], arity[mixed])
+        _check_mixed(edim[on], arity[mixed])
     del arity
-    _check_order(ebyte, edim, shape.estart)
+    symbol = edim.astype(np.uint16) << 8
+    symbol |= ebyte
+    _check_order(symbol, shape.estart)
     p_at = pos + np.cumsum(p_size, dtype=p_size.dtype) - p_size  # the offset of each table entry
     take(int(p_size.sum()))
     v_at = pos + np.cumsum(v_size, dtype=v_size.dtype) - v_size
@@ -968,13 +978,12 @@ def load_bytes(data: bytes) -> RcasIndex:
         raise ValueError("leaf ref counts do not add up to the key count in index file")
     refs = _read_varints(take(limit - pos), key_count)
     tables = (p_at, p_size, p_id), (v_at, v_size, v_id)
-    _check_keys(np.frombuffer(data, np.uint8), tables, shape, leaf, ebyte, edim, width, ctx)
+    _check_keys(np.frombuffer(data, np.uint8), tables, shape, leaf, symbol, width, ctx)
     return _index(
         shape,
-        path_edges,
         (_slices(data, p_at, p_at + p_size), p_id),
         (_slices(data, v_at, v_at + v_size), v_id),
-        ebyte,
+        symbol,
         refcount,
         refs,
         value_width=width,
@@ -983,20 +992,18 @@ def load_bytes(data: bytes) -> RcasIndex:
     )
 
 
-def _mixed_path_edges(codes: np.ndarray, arity: np.ndarray) -> np.ndarray:
-    """The path edges of each `_MIXED` node, whose child counts are `arity`
-    and whose edges' dimension codes are `codes`: they must be codes of P
-    or V and span both on each node's edges."""
-    path_edges = np.add.reduceat(codes == _P, np.cumsum(arity) - arity)
-    if codes.max() > _V or ((path_edges == 0) | (path_edges == arity)).any():
+def _check_mixed(codes: np.ndarray, arity: np.ndarray) -> None:
+    """The edges of the `_MIXED` nodes, whose child counts are `arity` and
+    whose edges' dimension codes are `codes`, carry codes of P or V, and
+    each node's span both: its least code is not its greatest."""
+    start = np.cumsum(arity) - arity
+    if codes.max() > _V or (np.minimum.reduceat(codes, start) == np.maximum.reduceat(codes, start)).any():
         raise ValueError("bad child edge in index file")
-    return path_edges
 
 
-def _check_order(ebyte: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> None:
-    """Each node's edges strictly ascend by (dimension code, byte), the
-    order the builder gives them."""
-    symbol = edim.astype(np.int16) * 256 + ebyte
+def _check_order(symbol: np.ndarray, estart: np.ndarray) -> None:
+    """Each node's edge symbols strictly ascend, by dimension code, then
+    byte: the order the builder gives them, which `_index` needs."""
     n = len(estart) - 1
     later = np.empty(n, bool)  # edge e sorts after edge e - 1, or is its node's first
     np.greater(symbol[1:], symbol[:-1], out=later[1:-1])
@@ -1005,11 +1012,11 @@ def _check_order(ebyte: np.ndarray, edim: np.ndarray, estart: np.ndarray) -> Non
         raise ValueError("child edges out of order in index file")
 
 
-def _check_keys(raw, tables, shape: _Shape, leaf, ebyte, edim, width: int, ctx) -> None:
-    """Each root-to-leaf path spells one whole key, and each edge byte is
-    the first byte of the child's substring in the edge's dimension.
-    `tables` holds the (offset, size, node ids) of the path table and of
-    the value table."""
+def _check_keys(raw, tables, shape: _Shape, leaf, symbol, width: int, ctx) -> None:
+    """Each root-to-leaf path spells one whole key, and each edge symbol's
+    byte is the first byte of the child's substring in the symbol's
+    dimension.  `tables` holds the (offset, size, node ids) of the path
+    table and of the value table."""
     (p_at, p_size, p_id), (v_at, v_size, v_id) = tables
     len_p, len_v = p_size[p_id], v_size[v_id]
     v_down = _down(len_v, shape.end)
@@ -1030,7 +1037,7 @@ def _check_keys(raw, tables, shape: _Shape, leaf, ebyte, edim, width: int, ctx) 
         raise ValueError("leaf does not end its key in index file")
     child = shape.echild
     p_head, v_head = _heads(raw, p_at, p_size)[p_id[child]], _heads(raw, v_at, v_size)[v_id[child]]
-    if (np.where(edim == _P, p_head, v_head) != ebyte).any():
+    if (np.where(symbol < _V_SYMBOL, p_head, v_head) != symbol & 0xFF).any():
         raise ValueError("edge byte is not the child's first byte in index file")
 
 

@@ -61,6 +61,12 @@ class TestLineFormat:
         write_records(BOM_EXAMPLE, str(target))
         assert load_records(str(target)) == list(BOM_EXAMPLE)
 
+    def test_path_like_target_writes_the_same_bytes(self, tmp_path):
+        write_records(BOM_EXAMPLE, tmp_path / "x.csv")
+        write_records(BOM_EXAMPLE, str(tmp_path / "y.csv"))
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+        assert load_records(tmp_path / "x.csv") == list(BOM_EXAMPLE)
+
     def test_equal_paths_share_one_string(self, tmp_path):
         target = tmp_path / "data.csv"
         write_records(BOM_EXAMPLE, str(target))

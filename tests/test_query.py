@@ -1030,6 +1030,35 @@ class TestIntegerStates:
                 assert got_trace == want_trace, (scheme, text)
 
 
+class TestHulls:
+    """A DFA state's hull is read off the ends of its edges' byte classes,
+    which holds because every class is spelled in ascending byte order."""
+
+    def test_byte_classes_ascend(self):
+        for cls in (query._ANY, query._NONZERO, query._LABEL, *query._SINGLE):
+            assert cls and all(a < b for a, b in zip(cls, cls[1:])), cls
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_hulls_span_the_bytes_of_their_classes(self, width):
+        rng = random.Random(3100 + width)
+        long = "q" * 3000
+        keys = random_keys(rng, 300, width)
+        keys += [CompositeKey.make(f"/a/{long}", 5, 900, width), CompositeKey.make(f"/{long}/b", 6, 901, width)]
+        paths = [k.path_text for k in keys]
+        texts = [random_query_text(rng, paths) for _ in range(120)]
+        texts += [f"//{long}", f"/*/{long}//", f"//{long[:-1]}", "//", "/*"]
+        everything = ValueRange.closed(0, 2 ** (8 * width) - 1, width)
+        for scheme in ("rcas", "lw", "zo"):
+            index = build_static(keys, scheme)
+            for text in texts:
+                run_query(index, text, everything)
+            assert index.dfas, scheme
+            for dfa in index.dfas.values():
+                for (states, _), hull in zip(dfa._keys, dfa.hulls):
+                    held = b"".join(cls for s in states for cls, _ in dfa.nfa.edges[s])
+                    assert hull == ((min(held), max(held)) if held else query._NO_HULL), scheme
+
+
 class TestZoAutomatonCache:
     # Over KEYS, 'a' has code 1 and 'b' code 2; over SWAPPED, the reverse.
     KEYS = [CompositeKey.make("/a/b", 7, 0), CompositeKey.make("/b/a", 7, 1)]

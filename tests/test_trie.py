@@ -760,6 +760,12 @@ class TestSerialization:
         blob = blob[:dims] + bytes([_MIXED]) + blob[dims + 1 : mixed] + bytes([_DIM_CODE[V]] * 3) + blob[mixed:]
         with pytest.raises(ValueError, match="bad child edge"):
             load_bytes(resealed(blob))
+        p, v = _DIM_CODE[P], _DIM_CODE[V]
+        # codes that share one dimension, a code that is not P or V, and
+        # codes that span both dimensions but put a path edge after a value edge
+        for codes, match in (([p] * 3, "bad child edge"), ([v, v, 2], "bad child edge"), ([v, p, v], "out of order")):
+            with pytest.raises(ValueError, match=match):
+                load_bytes(resealed(blob[:mixed] + bytes(codes) + blob[mixed + 3 :]))
         blob = save_bytes(build_static(bom_keys, "zo"))
         at = blob.index(b"/car/")
         with pytest.raises(ValueError, match="label dictionary"):
