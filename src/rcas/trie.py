@@ -17,8 +17,8 @@ A built index is a flat trie: columns over node ids that run in pre-order
 (`RcasIndex`), with no object per node or per key.  The builder and the
 loader derive the columns from per-node child counts with array passes
 (`_shape`) and hand each edge over as one (dimension, byte) symbol, which
-`_index` alone splits into the edge columns; the file format (`RCAS3`)
-stores them column by column.
+`_index` alone splits into the edge columns; the file format (`RCAS4`)
+stores the node columns, from which a load derives every edge byte.
 Nothing recurses, so the depth of a trie is not bounded by the interpreter's
 recursion limit.  Each distinct path or value substring is one object, held
 in a table that the nodes point into by id (`_table`); each group of equal
@@ -35,7 +35,6 @@ import mmap
 import struct
 import zlib
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -59,7 +58,7 @@ SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
-MAGIC = b"RCAS3"
+MAGIC = b"RCAS4"
 
 _P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
@@ -223,7 +222,7 @@ class _Seqs(NamedTuple):
     @classmethod
     def of(cls, parts: list[bytes]) -> "_Seqs":
         seqs = cls.empty(np.fromiter(map(len, parts), np.int32, len(parts)))
-        deque(map(seqs.blob.write, parts), maxlen=0)  # writes every part, looping in C
+        seqs.blob.write(b"".join(parts))  # one write: a write per part took twice as long
         return seqs
 
     @classmethod
@@ -598,8 +597,9 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     surrogate paths), so a running count of value symbols turns a node's
     symbol range into a range of each blob (`_untag`), and every scheme
     cuts its substrings from the same two blobs (`_table`).  Either way each
-    pair is moved once per level of its root-to-leaf path, and one stable
-    sort puts the refs in leaf order, each leaf's in input order."""
+    pair is moved once per level of its root-to-leaf path, and one sort of
+    the keys by (leaf rank, input position), a unique int64 each, puts the
+    refs in leaf order, each leaf's in input order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     keys = KeySet.of(keys)
@@ -628,14 +628,15 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     at = [s.start[nodes.row] for s in (paths, values)]  # where each node's first pair starts in each blob
     tables = [_table(s.blob, a + l, a + h) for s, a, l, h in zip((paths, values), at, lo, hi)]
     del seqs, paths, values, lo, hi, at  # before the index's columns are made
-    leaf_rank = np.empty(len(count), np.int32)
-    leaf_rank[nodes.row[leaf]] = np.arange(len(count), dtype=np.int32)
+    n = len(pair_of_key)
+    leaf_rank = np.empty(len(count), np.int64)
+    leaf_rank[nodes.row[leaf]] = np.arange(len(count))
     return _index(
         shape,
         *tables,
         symbol,
         count[nodes.row] * leaf,
-        refs[np.argsort(leaf_rank[pair_of_key], kind="stable")],
+        refs[np.argsort(leaf_rank[pair_of_key] * n + np.arange(n))],
         value_width=keys.width,
         scheme=scheme,
         zo_ctx=ctx if scheme == "zo" else None,
@@ -733,23 +734,20 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 
 # --- serialization ----------------------------------------------------------
 #
-# An RCAS3 file is a header, the substring tables and the node and edge
-# columns in pre-order, and a CRC-32 (zlib) of all that precedes it,
-# big-endian:
+# An RCAS4 file is a header, the substring tables and the node columns in
+# pre-order, and a CRC-32 (zlib) of all that precedes it, big-endian:
 #
-#   header   magic "RCAS3", scheme code u8, value width u8, key count u64,
+#   header   magic "RCAS4", scheme code u8, value width u8, key count u64,
 #            node count u64, path table count u64, value table count u64,
 #            byte length of the varint table u64; for zo also max labels u64,
 #            label count u64, byte length u64 and the labels in code order,
 #            joined by '/'
-#   dims     one dimension code per node: the code of the dimension all of
-#            its edges share, the leaf code, or `_MIXED` when they span both
 #   table    LEB128 varints: the length of each path table entry, the length
 #            of each value table entry, then three per node: path substring
-#            id, value substring id, and child count (inner) or ref count
-#            (leaf)
-#   edges    one byte per edge (node count - 1), grouped by parent, each
-#            node's ascending by (dimension code, byte)
+#            id, value substring id, and count << 2 | code, where count is the
+#            child count (inner) or ref count (leaf) and code the dimension
+#            code: that of the dimension all of its edges share, the leaf
+#            code, or `_MIXED` when they span both
 #   mixed    the dimension code of each edge of the `_MIXED` nodes
 #   blobs    the path table's entries, then the value table's, concatenated
 #   refs     one LEB128 varint per key
@@ -757,10 +755,13 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 # Every length is a varint, so no substring is too long to save.  A table
 # holds each distinct substring of its dimension once, in order of first
 # appearance in pre-order (`RcasIndex`), and is written as the index holds it.
-# The dimension codes are the file's alone: a save derives them from each
-# node's split between its path and value edges (`RcasIndex.esplit`), and a
-# load checks them and joins them with the edge bytes into the edge symbols
-# that a build makes too, which `_index` alone splits again.
+# The file stores no edge byte: an edge's byte is the first byte of its
+# child's substring in the edge's dimension, so a load reads it there.  The
+# dimension codes are the file's alone: a save derives them from each node's
+# split between its path and value edges (`RcasIndex.esplit`), and a load
+# checks them and joins them with the derived bytes into the edge symbols
+# that a build makes too, which `_index` alone splits again.  Nearly every
+# count is below 32, so the code costs no varint byte of its own.
 
 _MIXED = 3  # the dimension code of a node whose edges span both dimensions
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
@@ -828,36 +829,40 @@ def _read_varints(column: bytes, count: int) -> np.ndarray:
 
 
 def save_bytes(index: RcasIndex) -> bytes:
-    """Serialize an index to the RCAS3 format.
+    """Serialize an index to the RCAS4 format.
 
-    The varint table is encoded from one column of its values, filled in
-    place, and the checksum is taken over the parts before their one join,
-    so a save makes few temporaries: 6.8 MiB at its tracemalloc peak for
-    100,000 keys of width 8.  Fresh pages are a large part of a save's cost
-    once the allocator has given its heap back to the system, as it may
-    between two saves."""
+    Each node's dimension code is derived from its split
+    (`RcasIndex.esplit`) and rides in the low two bits of its count varint;
+    no edge byte is written, as a load reads each from the child.  The
+    varint table is encoded from one column of its values, filled in place,
+    and the checksum is taken over the parts before their one join, so a
+    save makes few temporaries: 6.4 MiB at its tracemalloc peak for 100,000
+    keys of width 8.  Fresh pages are a large part of a save's cost once the
+    allocator has given its heap back to the system, as it may between two
+    saves."""
     estart = np.frombuffer(index.estart, np.int32)
     n = len(estart) - 1
     n_p, n_v = len(index.p_tab), len(index.v_tab)
     arity = np.diff(estart)
+    path_edges = np.frombuffer(index.esplit, np.int32) - estart[:-1]
+    has_v = path_edges < arity
+    code = (has_v + 2 * ((path_edges > 0) == has_v)).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
+    mixed = b""
+    on = np.flatnonzero(code == _MIXED)
+    if on.size:  # each mixed node's path codes, then its value codes
+        runs = np.column_stack((path_edges[on], arity[on] - path_edges[on])).ravel()
+        mixed = np.repeat(np.tile(np.array([_P, _V], np.uint8), on.size), runs).tobytes()
     column = np.empty(n_p + n_v + 3 * n, np.uint64)  # the values of the varint table
     column[:n_p] = _lengths(index.p_tab)
     column[n_p : n_p + n_v] = _lengths(index.v_tab)
     nodes = column[n_p + n_v :].reshape(n, 3)
     nodes[:, 0] = np.frombuffer(index.p_id, np.int32)
     nodes[:, 1] = np.frombuffer(index.v_id, np.int32)
-    nodes[:, 2] = arity  # an inner node's child count, or a leaf's ref count
-    nodes[:, 2] += np.diff(np.frombuffer(index.reflo, np.uint64))
+    nodes[:, 2] = arity << 2 | code  # an inner node's child count, or a leaf's ref count, over its code
+    nodes[:, 2] += np.diff(np.frombuffer(index.reflo, np.uint64)) << 2
+    del arity, path_edges, has_v, code  # before the table's encoding, where a save peaks
     table = _varints(column)
     del column, nodes
-    path_edges = np.frombuffer(index.esplit, np.int32) - estart[:-1]
-    has_v = path_edges < arity
-    dims = (has_v + 2 * ((path_edges > 0) == has_v)).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
-    mixed = b""
-    on = np.flatnonzero(dims == _MIXED)
-    if on.size:  # each mixed node's path codes, then its value codes
-        runs = np.column_stack((path_edges[on], arity[on] - path_edges[on])).ravel()
-        mixed = np.repeat(np.tile(np.array([_P, _V], np.uint8), on.size), runs).tobytes()
     scheme = _SCHEME_CODE[index.scheme]
     counts = (index.key_count, n, n_p, n_v, len(table))
     parts = [_HEADER.pack(MAGIC, scheme, index.value_width, *counts)]
@@ -866,9 +871,7 @@ def save_bytes(index: RcasIndex) -> bytes:
         labels = "/".join(sorted(ctx.codes, key=ctx.codes.__getitem__)).encode("ascii")
         parts.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
     parts += [
-        dims.tobytes(),
         table,
-        index.ebyte,
         mixed,
         b"".join(index.p_tab),
         b"".join(index.v_tab),
@@ -882,33 +885,34 @@ def save_bytes(index: RcasIndex) -> bytes:
 
 
 def load_bytes(data: bytes) -> RcasIndex:
-    """Read an RCAS3 file, checking that it holds one well-formed index.
+    """Read an RCAS4 file, checking that it holds one well-formed index.
 
     Every check raises ValueError: the checksum, the header, the varint
     column, each substring id against its table, the tree shape the child
-    counts give, the edges (their order, their dimension codes, and each
-    edge byte against the child's first byte in that dimension), that every
-    root-to-leaf path spells a whole key, and that the refs add up to the
-    key count.
+    counts give, the edges (their dimension codes, a byte for each in its
+    child, and their order), that every root-to-leaf path spells a whole
+    key, and that the refs add up to the key count.
 
-    The tree comes from the child counts alone (`_shape`).  Each edge
-    becomes one (dimension, byte) symbol, its node's dimension code, or
-    for a `_MIXED` node its own, over its byte; the checks and `_index`
-    read these symbols, as they read a build's.  Each check runs over the
-    part of the file where it can fail: only the edges of `_MIXED` nodes
-    carry their own dimension codes, so only they are checked to span both
-    dimensions (`_check_mixed`); the edge order is one comparison of the
-    symbols, set aside at each node's first edge (`_check_order`), and a
-    file whose edges follow another order is rejected; and only varints
-    longer than a byte are checked for a canonical spelling
-    (`_read_varints`).
+    The tree comes from the child counts alone (`_shape`), read from the
+    high bits of each node's count varint, whose low two bits are its
+    dimension code.  Each edge becomes one (dimension, byte) symbol: its
+    node's dimension code, or for a `_MIXED` node its own, over the first
+    byte of the child's substring in that dimension, which is the edge's
+    byte (`_edge_symbols`); the checks and `_index` read these symbols, as
+    they read a build's.  Each check runs over the part of the file where
+    it can fail: only the edges of `_MIXED` nodes carry their own dimension
+    codes, so only they are checked to span both dimensions
+    (`_check_mixed`); the edge order is one comparison of the symbols, set
+    aside at each node's first edge (`_check_order`), and a file whose
+    children follow another order is rejected; and only varints longer
+    than a byte are checked for a canonical spelling (`_read_varints`).
     The node table and the table offsets are 32-bit when the file is under
     2 GiB, the table is dropped once split into its columns, and the
-    root-to-leaf and edge byte checks run in a helper (`_check_keys`) whose
-    arrays are gone before the index is built.  For 100,000 keys of width 8 (a 0.86 MiB
-    file, 95,567 nodes) opening takes 32.7 ms (min of 40 calls, on a shared
-    2-core x86 host), and its tracemalloc peak is 12.7 MiB, against the
-    6.0 MiB the index holds."""
+    root-to-leaf checks run in a helper (`_check_keys`) whose arrays are
+    gone before the index is built.  For 100,000 keys of width 8 (a 0.68
+    MiB file, 95,567 nodes) opening takes 24.8 ms (min of 40 calls, on a
+    shared 2-core x86 host), and its tracemalloc peak is 12.6 MiB, against
+    the 6.0 MiB the index holds."""
     data = bytes(data)
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not an index file (bad magic)")
@@ -940,8 +944,9 @@ def load_bytes(data: bytes) -> RcasIndex:
         ctx = ZoContext(codes=codes, max_labels=max_labels)
     if not n:
         raise ValueError("index file holds no nodes")
-    dims = np.frombuffer(take(n), np.uint8)
     table = _read_varints(take(table_bytes), n_p + n_v + 3 * n)
+    code = (table[n_p + n_v + 2 :: 3] & 3).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
+    table[n_p + n_v + 2 :: 3] >>= 2  # the child or ref counts
     if table.max() > len(data):
         raise ValueError("node table out of range in index file")
     table = table.astype(np.int32 if len(data) < 2**31 else np.int64)
@@ -950,26 +955,20 @@ def load_bytes(data: bytes) -> RcasIndex:
     del table
     if (p_id >= n_p).any() or (v_id >= n_v).any():
         raise ValueError("substring id past the end of its table in index file")
-    if dims.max() > _MIXED:
-        raise ValueError("bad dimension code in index file")
-    leaf = dims == _BOT
+    leaf = code == _BOT
     if not count[~leaf].all():
         raise ValueError("inner node without children")
     arity = count * ~leaf  # products of masks: np.where took ten times as long
     refcount = count * leaf
     del count
     shape = _shape(arity)
-    ebyte = np.frombuffer(take(n - 1), np.uint8)  # read before the mixed section, which follows it
-    edim = np.repeat(dims, arity)
-    mixed = dims == _MIXED
+    edim = np.repeat(code, arity)
+    mixed = code == _MIXED
     if mixed.any():  # only these nodes' edges carry their own dimension codes
         on = np.repeat(mixed, arity)
         edim[on] = np.frombuffer(take(int(on.sum())), np.uint8)
         _check_mixed(edim[on], arity[mixed])
     del arity
-    symbol = edim.astype(np.uint16) << 8
-    symbol |= ebyte
-    _check_order(symbol, shape.estart)
     p_at = pos + np.cumsum(p_size, dtype=p_size.dtype) - p_size  # the offset of each table entry
     take(int(p_size.sum()))
     v_at = pos + np.cumsum(v_size, dtype=v_size.dtype) - v_size
@@ -977,8 +976,11 @@ def load_bytes(data: bytes) -> RcasIndex:
     if int(refcount.sum()) != key_count:
         raise ValueError("leaf ref counts do not add up to the key count in index file")
     refs = _read_varints(take(limit - pos), key_count)
+    raw = np.frombuffer(data, np.uint8)
     tables = (p_at, p_size, p_id), (v_at, v_size, v_id)
-    _check_keys(np.frombuffer(data, np.uint8), tables, shape, leaf, symbol, width, ctx)
+    _check_keys(raw, tables, shape, leaf, width, ctx)
+    symbol = _edge_symbols(raw, tables, shape.echild, edim)
+    _check_order(symbol, shape.estart)
     return _index(
         shape,
         (_slices(data, p_at, p_at + p_size), p_id),
@@ -1001,6 +1003,19 @@ def _check_mixed(codes: np.ndarray, arity: np.ndarray) -> None:
         raise ValueError("bad child edge in index file")
 
 
+def _edge_symbols(raw, tables, echild: np.ndarray, edim: np.ndarray) -> np.ndarray:
+    """Each edge as a (dimension, byte) symbol, its dimension code `edim`
+    over its byte: the first byte of the child's substring in that
+    dimension, where the file stores no edge byte.  ValueError when the
+    child's substring is empty there.  `tables` as for `_check_keys`."""
+    (p_at, p_size, p_id), (v_at, v_size, v_id) = tables
+    p_head, v_head = _heads(raw, p_at, p_size)[p_id[echild]], _heads(raw, v_at, v_size)[v_id[echild]]
+    head = np.where(edim == _P, p_head, v_head)
+    if (head < 0).any():
+        raise ValueError("edge to a child with no byte in its dimension in index file")
+    return edim.astype(np.uint16) << 8 | head.astype(np.uint8)
+
+
 def _check_order(symbol: np.ndarray, estart: np.ndarray) -> None:
     """Each node's edge symbols strictly ascend, by dimension code, then
     byte: the order the builder gives them, which `_index` needs."""
@@ -1012,11 +1027,9 @@ def _check_order(symbol: np.ndarray, estart: np.ndarray) -> None:
         raise ValueError("child edges out of order in index file")
 
 
-def _check_keys(raw, tables, shape: _Shape, leaf, symbol, width: int, ctx) -> None:
-    """Each root-to-leaf path spells one whole key, and each edge symbol's
-    byte is the first byte of the child's substring in the symbol's
-    dimension.  `tables` holds the (offset, size, node ids) of the path
-    table and of the value table."""
+def _check_keys(raw, tables, shape: _Shape, leaf, width: int, ctx) -> None:
+    """Each root-to-leaf path spells one whole key.  `tables` holds the
+    (offset, size, node ids) of the path table and of the value table."""
     (p_at, p_size, p_id), (v_at, v_size, v_id) = tables
     len_p, len_v = p_size[p_id], v_size[v_id]
     v_down = _down(len_v, shape.end)
@@ -1035,10 +1048,6 @@ def _check_keys(raw, tables, shape: _Shape, leaf, symbol, width: int, ctx) -> No
         raise ValueError("key longer than the index width in index file")
     if (leaf & ((v_down != width) | ~path_done)).any():
         raise ValueError("leaf does not end its key in index file")
-    child = shape.echild
-    p_head, v_head = _heads(raw, p_at, p_size)[p_id[child]], _heads(raw, v_at, v_size)[v_id[child]]
-    if (np.where(symbol < _V_SYMBOL, p_head, v_head) != symbol & 0xFF).any():
-        raise ValueError("edge byte is not the child's first byte in index file")
 
 
 def _heads(raw: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:

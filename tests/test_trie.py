@@ -69,39 +69,38 @@ EXPECTED_BOM_TREE = (
 )
 
 
-# The RCAS3 file of the running example's rcas index, byte for byte: the
+# The RCAS4 file of the running example's rcas index, byte for byte: the
 # header (magic, scheme 0, width 4, 8 keys, 11 nodes, 10 path and 10 value
-# table entries, 53 bytes of varints), the dimension codes, the varints (the
-# path table's lengths, the value table's, then each node's path id, value id
-# and child or ref count), the edge bytes, the path and the value table
-# entries, the refs and the CRC-32.
-EXAMPLE_RCAS3 = (
-    "5243415333" "00" "04" "0000000000000008" "000000000000000b"
+# table entries, 53 bytes of varints), the varints (the path table's
+# lengths, the value table's, then each node's path id, value id and child
+# or ref count shifted over its dimension code: V 1, P 0, leaf 2), the path
+# and the value table entries, the refs and the CRC-32.  No edge byte is
+# stored: each is its child's first byte in the edge's dimension.
+EXAMPLE_RCAS4 = (
+    "5243415334" "00" "04" "0000000000000008" "000000000000000b"
     "000000000000000a" "000000000000000a" "0000000000000035"
-    "0100010202020202010202"
     "0c01020604050704" "0a00"
     "0100020202020302" "0101"
-    "000003" "010002" "020103" "030201" "040301" "050401" "060501" "070601"
-    "080702" "090802" "090901"
-    "0001032f610a0b0c5ab0"
+    "00000d" "010008" "02010d" "030206" "040306" "050406" "060506" "070606"
+    "080709" "09080a" "090906"
     "2f626f6d2f6974656d2f6361" "72" "2f62" "756d70657200" "656c7400" "72616b6500"
     "6162696e657200" "6e6f6500" "722f62617474657279" "00"
     "00" "0a8c" "0b4a" "0cc2" "00f1" "010e50" "03d3" "5a" "b0"
     "0705060201030804"
-    "f0b2b146"
+    "22e04e83"
 )
 
 # One SHA-256 over the index file, `BuildStats` and `IndexStats` of every
 # scheme for generator seeds 5 and 6 at widths 4 and 8 (3,000 keys, 30%
 # duplicates), so that a change meant to keep every index as it is shows
 # any drift.
-PINNED_INDEXES_SHA256 = "c6252b1a32512af875852ccccd5f1971c0ed87a4634c88c60f9e6dc69d60ff67"
+PINNED_INDEXES_SHA256 = "8be71462123a77f07c1b05bc46780105c38a22f2eccddbaa1884fb581c8096dd"
 
 # The same over the 150-label dataset (seed 3, 3,000 keys, 30% duplicates) at
 # widths 4 and 8, whose labels of one to three bytes make lw build nodes whose
 # edges span both dimensions (24 and 30 of them), so that the digest covers
-# the RCAS3 section of their edge codes.
-PINNED_MIXED_INDEXES_SHA256 = "8fb49483d56b1d602fb4984c81b043adeff12d573e4d15a40505cf2fa0a8bd5e"
+# the RCAS4 section of their edge codes.
+PINNED_MIXED_INDEXES_SHA256 = "f35c6efe1603a213417774327aebbd3181babaec41b001a1d8fba9d7c0d7a123"
 
 # The example's index file in every scheme, for corrupting.
 EXAMPLE_BLOBS = [save_bytes(build_static(records_to_keys(BOM_EXAMPLE), s)) for s in SCHEMES]
@@ -592,7 +591,7 @@ class TestStaticBuilds:
 
 class TestSerialization:
     def test_magic_prefix(self, bom_index):
-        assert save_bytes(bom_index).startswith(b"RCAS3")
+        assert save_bytes(bom_index).startswith(b"RCAS4")
 
     def test_round_trip_all_schemes(self, bom_keys):
         for scheme in SCHEMES:
@@ -630,6 +629,34 @@ class TestSerialization:
                 assert again.build_stats == index.build_stats, scheme
                 assert again.key_count == index.key_count == len(keys), scheme
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([4, 8]),
+        count=st.integers(1, 600),
+        wide=st.booleans(),
+    )
+    @example(seed=4, width=8, count=400, wide=True)  # lw builds 5 mixed nodes
+    def test_files_round_trip_and_hold_no_per_node_section(self, seed, width, count, wide):
+        """For every scheme, over small random key sets and 150-label sets,
+        whose labels of one to three bytes make lw build mixed nodes: an
+        index loaded from its file equals the index saved, edge bytes
+        included; it saves to the same bytes; and the file is exactly its
+        header, varint table, mixed section, table bytes, refs and CRC, so
+        no per-node or per-edge section is stored."""
+        if wide:
+            cfg = GeneratorConfig(seed=seed, key_count=count, label_alphabet_size=150, duplicate_fraction=0.3)
+            keys = records_to_keys(generate(cfg), width)
+        else:
+            keys = random_keys(random.Random(seed), count, width)
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            blob = save_bytes(index)
+            again = load_bytes(blob)
+            assert again == index, scheme
+            assert save_bytes(again) == blob, scheme
+            assert len(blob) == file_length(index), scheme
+
     def test_zo_context_survives(self, bom_keys):
         index = build_static(bom_keys, "zo")
         again = load_bytes(save_bytes(index))
@@ -656,13 +683,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_bytes(b"NOPE1" + b"\x00" * 32)
         blob = save_bytes(bom_index)
-        with pytest.raises(ValueError, match="bad magic"):  # the earlier format has no reader
-            load_bytes(resealed(b"RCAS2" + blob[5:]))
+        for magic in (b"RCAS2", b"RCAS3"):  # the earlier formats have no reader
+            with pytest.raises(ValueError, match="bad magic"):
+                load_bytes(resealed(magic + blob[5:]))
 
     def test_example_bytes(self, bom_index):
-        """The exact RCAS3 bytes of the example index, so that any drift of
+        """The exact RCAS4 bytes of the example index, so that any drift of
         the format fails here first."""
-        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS3
+        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS4
 
     def test_generated_indexes_pinned(self):
         digest = hashlib.sha256()
@@ -704,25 +732,22 @@ class TestSerialization:
         # records that contradict themselves, each behind a valid checksum
         counts = 5 + 1 + 1 + 8 + 8  # magic, scheme, width, key and node counts
         assert blob[counts : counts + 24] == b"".join(c.to_bytes(8, "big") for c in (10, 10, 53))
-        dims = counts + 24  # after the table counts and the varint byte count
-        assert blob[dims : dims + 4] == bytes([1, 0, 1, 2])  # V root, P, V, then a leaf
-        table = dims + 11
+        table = counts + 24  # after the table counts and the varint byte count
         assert blob[table : table + 2] == bytes([12, 1])  # the lengths of '/bom/item/ca' and 'r'
-        root = table + 20  # the root's path id, value id and child count
-        assert blob[root : root + 3] == bytes([0, 0, 3])
-        edges = table + 53
-        assert blob[edges : edges + 3] == bytes([0x00, 0x01, 0x03])  # the root's
+        root = table + 20  # the root's path id, value id and child count over its dimension code
+        # a V root with 3 children, a P node with 2, a V node with 3, then a leaf with 1 ref
+        first = ((0, 0, 3 << 2 | 1), (1, 0, 2 << 2 | 0), (2, 1, 3 << 2 | 1), (3, 2, 1 << 2 | 2))
+        assert blob[root : root + 12] == bytes(sum(first, ()))
 
         def rejected(at: int, new: bytes, match: str | None = None) -> None:
             with pytest.raises(ValueError, match=match):
                 load_bytes(resealed(blob[:at] + new + blob[at + len(new) :]))
 
-        rejected(dims, b"\x02")  # the root as a leaf: its children float free
-        rejected(dims + 3, b"\x01")  # a leaf as a V node: its ref count as children
-        rejected(dims, b"\x04", "bad dimension code")
+        rejected(root + 2, bytes([3 << 2 | 2]))  # the root as a leaf: its children float free
+        rejected(root + 11, bytes([1 << 2 | 1]))  # a leaf as a V node: its ref count as children
         for count in (2, 4):  # not the root's 3 children
-            rejected(root + 2, bytes([count]), "tree")
-        rejected(root + 2, b"\x00", "without children")
+            rejected(root + 2, bytes([count << 2 | 1]), "tree")
+        rejected(root + 2, bytes([0 << 2 | 1]), "without children")
         rejected(table, b"\x8c\x00", "varint")  # 12 spelled in two bytes
         rejected(root, b"\x0a", "past the end of its table")  # 10 path entries
         rejected(root + 1, b"\x0a", "past the end of its table")  # 10 value entries
@@ -730,9 +755,13 @@ class TestSerialization:
             rejected(counts, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "count")
         # the same number of varints, split one entry later: the value ids run past the end
         rejected(counts, (11).to_bytes(8, "big") + (9).to_bytes(8, "big"), "past the end")
-        for swapped in (b"\x01\x00", b"\x00\x00"):  # out of order, repeated
-            rejected(edges, swapped, "out of order")
-        rejected(edges + 2, b"\x02", "first byte")  # 0x03 leads to '\x03\xd3'
+        # the root's edges take the first value bytes of its children: 0x00, 0x01 and 0x03
+        noe = blob.index(bytes.fromhex("010e50"))
+        for first in (b"\x04", b"\x00"):  # out of order, repeated
+            rejected(noe, first, "out of order")
+        # the V node over the leaves 0x5a and 0xb0 marked P: their paths are empty, so its edges have no byte
+        assert blob[root + 24 : root + 30] == bytes([8, 7, 2 << 2 | 1, 9, 8, 2 << 2 | 2])
+        rejected(root + 26, bytes([2 << 2 | 0]), "no byte in its dimension")
         assert blob[6] == 4
         rejected(6, bytes([151]), "value width 151")  # outside {4, 8}
         rejected(7, (9).to_bytes(8, "big"), "key count")  # 8 refs in the leaves
@@ -740,7 +769,7 @@ class TestSerialization:
         rejected(battery, b"\x89", "leaf does not end")  # a leaf's path never ends
         rejected(counts - 8, bytes(8), "holds no nodes")  # the node count
         # the first table value, 12, spelled as 16383 in one more varint byte
-        wide = blob[: counts + 16] + (54).to_bytes(8, "big") + blob[dims:table] + b"\xff\x7f" + blob[table + 1 :]
+        wide = blob[: counts + 16] + (54).to_bytes(8, "big") + b"\xff\x7f" + blob[table + 1 :]
         with pytest.raises(ValueError, match="node table out of range"):
             load_bytes(resealed(wide))
 
@@ -753,11 +782,13 @@ class TestSerialization:
             with pytest.raises(ValueError, match="varint"):
                 _read_varints(column, 1)
         blob = save_bytes(build_static(bom_keys, "rcas"))
-        dims = 5 + 1 + 1 + 8 * 5  # past the magic, scheme, width and five counts
-        mixed = dims + 11 + 53 + 10  # past the 11 node codes, 53 varint bytes and 10 edge bytes
-        assert blob[dims] == _DIM_CODE[V]
+        table = 5 + 1 + 1 + 8 * 5  # past the magic, scheme, width and five counts
+        count = table + 22  # the root's child count over its dimension code
+        mixed = table + 53  # past the 53 varint bytes
+        assert blob[count] == 3 << 2 | _DIM_CODE[V]
         # the root marked mixed, with a mixed section that gives its three edges V
-        blob = blob[:dims] + bytes([_MIXED]) + blob[dims + 1 : mixed] + bytes([_DIM_CODE[V]] * 3) + blob[mixed:]
+        marked = bytes([3 << 2 | _MIXED])
+        blob = blob[:count] + marked + blob[count + 1 : mixed] + bytes([_DIM_CODE[V]] * 3) + blob[mixed:]
         with pytest.raises(ValueError, match="bad child edge"):
             load_bytes(resealed(blob))
         p, v = _DIM_CODE[P], _DIM_CODE[V]
@@ -1067,6 +1098,32 @@ def resealed(blob: bytes) -> bytes:
     past the checksum to the structural checks."""
     body = blob[:-4]
     return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+def file_length(index: RcasIndex) -> int:
+    """The bytes of an index file with no per-node or per-edge section: the
+    header (with the zo label dictionary), the varint table (each table
+    entry's length, then each node's two substring ids and its count
+    shifted over its dimension code), the dimension code of each edge of
+    the mixed nodes, the table entries, the refs as varints and the CRC."""
+
+    def varint(x: int) -> int:
+        return max(1, (x.bit_length() + 6) // 7)
+
+    estart, esplit, reflo = index.estart, index.esplit, index.reflo
+    header = 47
+    if index.zo_ctx is not None:
+        header += 24 + len("/".join(index.zo_ctx.codes))
+    table = sum(varint(len(s)) for s in index.p_tab + index.v_tab)
+    mixed = 0
+    for i in range(len(estart) - 1):
+        arity, paths = estart[i + 1] - estart[i], esplit[i] - estart[i]
+        code = _DIM_CODE[BOT] if not arity else _MIXED if 0 < paths < arity else _DIM_CODE[P if paths else V]
+        mixed += arity if code == _MIXED else 0
+        count = arity or reflo[i + 1] - reflo[i]
+        table += varint(index.p_id[i]) + varint(index.v_id[i]) + varint(count << 2 | code)
+    blobs = sum(map(len, index.p_tab + index.v_tab))
+    return header + table + mixed + blobs + sum(map(varint, index.refs)) + 4
 
 
 def _corruptions(blob: bytes, count: int, seed: int):
