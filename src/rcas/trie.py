@@ -17,8 +17,9 @@ A built index is a flat trie: columns over node ids that run in pre-order
 (`RcasIndex`), with no object per node or per key.  The builder and the
 loader derive the columns from per-node child counts with array passes
 (`_shape`) and hand each edge over as one (dimension, byte) symbol, which
-`_index` alone splits into the edge columns; the file format (`RCAS4`)
-stores the node columns, from which a load derives every edge byte.
+`_index` alone splits into the edge columns; the file format (`RCAS5`)
+stores the node columns, from which a load derives every edge byte, and
+packs the refs at one bit width.
 Nothing recurses, so the depth of a trie is not bounded by the interpreter's
 recursion limit.  Each distinct path or value substring is one object, held
 in a table that the nodes point into by id (`_table`); each group of equal
@@ -58,7 +59,7 @@ SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
-MAGIC = b"RCAS4"
+MAGIC = b"RCAS5"
 
 _P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
@@ -734,41 +735,50 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 
 # --- serialization ----------------------------------------------------------
 #
-# An RCAS4 file is a header, the substring tables and the node columns in
-# pre-order, and a CRC-32 (zlib) of all that precedes it, big-endian:
+# An RCAS5 file is a header, the substring tables, the node columns in
+# pre-order and the refs, then a CRC-32 (zlib) of all that precedes it,
+# big-endian:
 #
-#   header   magic "RCAS4", scheme code u8, value width u8, key count u64,
-#            node count u64, path table count u64, value table count u64,
-#            byte length of the varint table u64; for zo also max labels u64,
-#            label count u64, byte length u64 and the labels in code order,
-#            joined by '/'
-#   table    LEB128 varints: the length of each path table entry, the length
-#            of each value table entry, then three per node: path substring
-#            id, value substring id, and count << 2 | code, where count is the
-#            child count (inner) or ref count (leaf) and code the dimension
-#            code: that of the dimension all of its edges share, the leaf
-#            code, or `_MIXED` when they span both
+#   header   magic "RCAS5", scheme code u8, value width u8, ref width u8,
+#            key count u64, node count u64, path table count u64, value
+#            table count u64, byte length of the varint table u64; for zo
+#            also max labels u64, label count u64, byte length u64 and the
+#            labels in code order, joined by '/'
+#   table    LEB128 varints, in columns: the length of each path table
+#            entry, the length of each value table entry; for each node,
+#            count << 4 | p_empty << 3 | v_empty << 2 | code, where count is
+#            the child count (inner) or ref count (leaf), the flags mark an
+#            empty path or value substring, and code is the dimension code:
+#            that of the dimension all of its edges share, the leaf code, or
+#            `_MIXED` when they span both; then the path substring id of each
+#            node whose path substring is not empty, then the value
+#            substring id likewise
 #   mixed    the dimension code of each edge of the `_MIXED` nodes
 #   blobs    the path table's entries, then the value table's, concatenated
-#   refs     one LEB128 varint per key
+#   refs     key count values of ref width bits each, the least width that
+#            holds the largest ref, packed low bits first (`_pack`)
 #
 # Every length is a varint, so no substring is too long to save.  A table
 # holds each distinct substring of its dimension once, in order of first
 # appearance in pre-order (`RcasIndex`), and is written as the index holds it.
+# A flagged node stores no id: it takes its table's first empty entry, and an
+# unflagged node may not name an empty one, so each index has one spelling.
 # The file stores no edge byte: an edge's byte is the first byte of its
 # child's substring in the edge's dimension, so a load reads it there.  The
 # dimension codes are the file's alone: a save derives them from each node's
 # split between its path and value edges (`RcasIndex.esplit`), and a load
 # checks them and joins them with the derived bytes into the edge symbols
 # that a build makes too, which `_index` alone splits again.  Nearly every
-# count is below 32, so the code costs no varint byte of its own.
+# count is below 8, so the flags and the code cost no varint byte of their
+# own.
 
 _MIXED = 3  # the dimension code of a node whose edges span both dimensions
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
-_HEADER = struct.Struct(">5sBBQQQQQ")
+_HEADER = struct.Struct(">5sBBBQQQQQ")
 _ZO_HEADER = struct.Struct(">QQQ")
 _CRC = struct.Struct(">I")
+_P_EMPTY, _V_EMPTY = 8, 4  # the flags of a node's empty substrings, over its code
 
 
 def _varints(values: np.ndarray) -> bytes:
@@ -797,17 +807,18 @@ def _varints(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _read_varints(column: bytes, count: int) -> np.ndarray:
-    """Exactly `count` canonical LEB128 varints filling `column`, as uint64.
+def _read_varints(column: bytes) -> np.ndarray:
+    """The canonical LEB128 varints filling `column`, as uint64: as many as
+    it holds, so no more than its bytes.
 
     A varint of one byte is its own value and cannot be spelled longer than
     it needs, so the canonical checks and the reads of further bytes run
     over the longer varints alone: most of the node table's are one byte."""
     col = np.frombuffer(column, np.uint8)
+    if len(col) and col[-1] >= 0x80:
+        raise ValueError("varint column ends inside a varint in index file")
     last = np.flatnonzero(col < 0x80)
-    if len(last) != count or (count and last[-1] != len(col) - 1) or (not count and len(col)):
-        raise ValueError("varint column does not hold its count in index file")
-    if len(col) == count:  # no varint longer than a byte
+    if len(col) == len(last):  # no varint longer than a byte
         return col.astype(np.uint64)
     out = col[last].astype(np.uint64)
     size = last.copy()  # np.diff with prepend= took seven times as long
@@ -828,21 +839,83 @@ def _read_varints(column: bytes, count: int) -> np.ndarray:
     return out
 
 
+def _pack(values: np.ndarray, width: int) -> bytes:
+    """`values`, each below 2**width, as `width` bits each, low bits first:
+    value i holds bits [i * width, (i + 1) * width) of the result, read as
+    one little-endian integer, and the padding bits of its last byte are 0.
+
+    Eight values fill `width` bytes, so value 8j + r starts in row j at byte
+    r * width // 8 and bit r * width % 8 of that byte.  The rows are laid
+    out `width` + 9 bytes apart, which leaves room to write each value as
+    one unaligned 64-bit word, plus one byte for the top bits of a value
+    that overruns the word, through a strided view per r; no two rows share
+    a byte, so the views' writes never overlap."""
+    rows = max(-(-len(values) // 8), 1)  # one at least, so that every view starts inside `out`
+    v = np.zeros((rows, 8), np.uint64)
+    v.reshape(-1)[: len(values)] = values
+    out = np.zeros((rows, width + 9), np.uint8)
+    for r in range(8):
+        at, shift = divmod(r * width, 8)
+        word = np.ndarray(rows, "<u8", out, at, (width + 9,))
+        word |= v[:, r] << np.uint64(shift)
+        if shift + width > 64:
+            top = np.ndarray(rows, np.uint8, out, at + 8, (width + 9,))
+            top |= (v[:, r] >> np.uint64(64 - shift)).astype(np.uint8)
+    return out[:, :width].tobytes()[: -(-len(values) * width // 8)]
+
+
+def _unpack(column: bytes, count: int, width: int) -> np.ndarray:
+    """The `count` values of `width` bits that `_pack` wrote into `column`,
+    as uint64; ValueError unless `column` has the length they take, its
+    padding bits are 0 and `width` is the bit length of the largest value.
+
+    The length is checked before anything is allocated.  Each value is read
+    as one unaligned 64-bit word (and a byte for the top bits of a value
+    that overruns it) through one strided view per r, as `_pack` wrote it;
+    rows here lie `width` bytes apart, so reads overlap where values share
+    a byte."""
+    if width > 64 or len(column) != -(-count * width // 8):
+        raise ValueError("refs section does not hold its count at its width in index file")
+    rows = max(-(-count // 8), 1)  # one at least, so that every view starts inside `buf`
+    buf = np.zeros(rows * width + 9, np.uint8)
+    buf[: len(column)] = np.frombuffer(column, np.uint8)
+    out = np.empty((rows, 8), np.uint64)
+    for r in range(8):
+        at, shift = divmod(r * width, 8)
+        out[:, r] = np.ndarray(rows, "<u8", buf, at, (width,)) >> np.uint64(shift)
+        if shift + width > 64:
+            top = np.ndarray(rows, np.uint8, buf, at + 8, (width,))
+            out[:, r] |= top.astype(np.uint64) << np.uint64(64 - shift)
+    out &= np.uint64((1 << width) - 1)
+    out = out.reshape(-1)
+    if out[count:].any():  # the slots past the last value hold the padding bits
+        raise ValueError("nonzero padding bits after the refs in index file")
+    if int(out.max(initial=0)).bit_length() != width:
+        raise ValueError("refs packed wider than the largest needs in index file")
+    return out[:count]
+
+
 def save_bytes(index: RcasIndex) -> bytes:
-    """Serialize an index to the RCAS4 format.
+    """Serialize an index to the RCAS5 format.
 
     Each node's dimension code is derived from its split
-    (`RcasIndex.esplit`) and rides in the low two bits of its count varint;
-    no edge byte is written, as a load reads each from the child.  The
-    varint table is encoded from one column of its values, filled in place,
-    and the checksum is taken over the parts before their one join, so a
-    save makes few temporaries: 6.4 MiB at its tracemalloc peak for 100,000
-    keys of width 8.  Fresh pages are a large part of a save's cost once the
-    allocator has given its heap back to the system, as it may between two
-    saves."""
+    (`RcasIndex.esplit`) and rides in the low two bits of its count varint,
+    under the flags of its empty substrings, whose ids are not written; no
+    edge byte is written, as a load reads each from the child.  The refs
+    are packed at the bit length of the largest (`_pack`).  The varint
+    table is encoded from one column of its values, filled in place, and
+    the checksum is taken over the parts before their one join, so a save
+    makes few temporaries: for 100,000 keys of width 8 (a 0.54 MiB file)
+    its tracemalloc peak is 5.1 MiB, and it takes 6.2 ms (min of 40 calls,
+    on a shared 2-core x86 host).  Fresh pages are a large part of a save's
+    cost once the allocator has given its heap back to the system, as it
+    may between two saves."""
     estart = np.frombuffer(index.estart, np.int32)
     n = len(estart) - 1
-    n_p, n_v = len(index.p_tab), len(index.v_tab)
+    p_size, v_size = _lengths(index.p_tab), _lengths(index.v_tab)
+    n_p, n_v = len(p_size), len(v_size)
+    p_id, v_id = np.frombuffer(index.p_id, np.int32), np.frombuffer(index.v_id, np.int32)
+    p_full, v_full = p_size[p_id] > 0, v_size[v_id] > 0  # the nodes whose substring is not empty
     arity = np.diff(estart)
     path_edges = np.frombuffer(index.esplit, np.int32) - estart[:-1]
     has_v = path_edges < arity
@@ -852,31 +925,34 @@ def save_bytes(index: RcasIndex) -> bytes:
     if on.size:  # each mixed node's path codes, then its value codes
         runs = np.column_stack((path_edges[on], arity[on] - path_edges[on])).ravel()
         mixed = np.repeat(np.tile(np.array([_P, _V], np.uint8), on.size), runs).tobytes()
-    column = np.empty(n_p + n_v + 3 * n, np.uint64)  # the values of the varint table
-    column[:n_p] = _lengths(index.p_tab)
-    column[n_p : n_p + n_v] = _lengths(index.v_tab)
-    nodes = column[n_p + n_v :].reshape(n, 3)
-    nodes[:, 0] = np.frombuffer(index.p_id, np.int32)
-    nodes[:, 1] = np.frombuffer(index.v_id, np.int32)
-    nodes[:, 2] = arity << 2 | code  # an inner node's child count, or a leaf's ref count, over its code
-    nodes[:, 2] += np.diff(np.frombuffer(index.reflo, np.uint64)) << 2
-    del arity, path_edges, has_v, code  # before the table's encoding, where a save peaks
+    # the ids of the substrings that are not empty; a boolean index took up to five times as long
+    p_ids, v_ids = np.compress(p_full, p_id), np.compress(v_full, v_id)
+    ids = n_p + n_v + n  # where they start in the varint table
+    column = np.empty(ids + len(p_ids) + len(v_ids), np.uint64)  # the values of the varint table
+    column[:n_p] = p_size
+    column[n_p : n_p + n_v] = v_size
+    nodes = column[n_p + n_v : ids]
+    nodes[:] = arity  # an inner node's child count, or a leaf's ref count, over its flags and code
+    nodes += np.diff(np.frombuffer(index.reflo, np.uint64))
+    nodes <<= 4
+    code |= np.uint8(_P_EMPTY) * ~p_full
+    code |= np.uint8(_V_EMPTY) * ~v_full
+    nodes |= code
+    column[ids : ids + len(p_ids)] = p_ids
+    column[ids + len(p_ids) :] = v_ids
+    del arity, path_edges, has_v, code, p_full, v_full, p_ids, v_ids  # before encoding, where a save peaks
     table = _varints(column)
     del column, nodes
+    refs = np.frombuffer(index.refs, np.uint64)
+    ref_width = int(refs.max(initial=0)).bit_length()
     scheme = _SCHEME_CODE[index.scheme]
     counts = (index.key_count, n, n_p, n_v, len(table))
-    parts = [_HEADER.pack(MAGIC, scheme, index.value_width, *counts)]
+    parts = [_HEADER.pack(MAGIC, scheme, index.value_width, ref_width, *counts)]
     ctx = index.zo_ctx
     if ctx is not None:
         labels = "/".join(sorted(ctx.codes, key=ctx.codes.__getitem__)).encode("ascii")
         parts.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
-    parts += [
-        table,
-        mixed,
-        b"".join(index.p_tab),
-        b"".join(index.v_tab),
-        _varints(np.frombuffer(index.refs, np.uint64)),
-    ]
+    parts += [table, mixed, b"".join(index.p_tab), b"".join(index.v_tab), _pack(refs, ref_width)]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -885,23 +961,27 @@ def save_bytes(index: RcasIndex) -> bytes:
 
 
 def load_bytes(data: bytes) -> RcasIndex:
-    """Read an RCAS4 file, checking that it holds one well-formed index.
+    """Read an RCAS5 file, checking that it holds one well-formed index.
 
     Every check raises ValueError: the checksum, the header, the varint
-    column, each substring id against its table, the tree shape the child
-    counts give, the edges (their dimension codes, a byte for each in its
-    child, and their order), that every root-to-leaf path spells a whole
-    key, and that the refs add up to the key count.
+    column and its count against the node flags, each substring id against
+    its table, the tree shape the child counts give, the edges (their
+    dimension codes, a byte for each in its child, and their order), that
+    every root-to-leaf path spells a whole key, that the refs add up to the
+    key count, and the packing of the refs.  Each count read from the file
+    is checked before an array is made from it: a length against the bytes
+    that hold it, and the key count against the leaves' ref counts.
 
     The tree comes from the child counts alone (`_shape`), read from the
-    high bits of each node's count varint, whose low two bits are its
-    dimension code.  Each edge becomes one (dimension, byte) symbol: its
-    node's dimension code, or for a `_MIXED` node its own, over the first
-    byte of the child's substring in that dimension, which is the edge's
-    byte (`_edge_symbols`); the checks and `_index` read these symbols, as
-    they read a build's.  Each check runs over the part of the file where
-    it can fail: only the edges of `_MIXED` nodes carry their own dimension
-    codes, so only they are checked to span both dimensions
+    high bits of each node's count varint, whose low four bits are its
+    empty-substring flags and its dimension code.  A flagged node takes its
+    table's first empty entry (`_ids`).  Each edge becomes one (dimension,
+    byte) symbol: its node's dimension code, or for a `_MIXED` node its own,
+    over the first byte of the child's substring in that dimension, which
+    is the edge's byte (`_edge_symbols`); the checks and `_index` read these
+    symbols, as they read a build's.  Each check runs over the part of the
+    file where it can fail: only the edges of `_MIXED` nodes carry their own
+    dimension codes, so only they are checked to span both dimensions
     (`_check_mixed`); the edge order is one comparison of the symbols, set
     aside at each node's first edge (`_check_order`), and a file whose
     children follow another order is rejected; and only varints longer
@@ -909,8 +989,8 @@ def load_bytes(data: bytes) -> RcasIndex:
     The node table and the table offsets are 32-bit when the file is under
     2 GiB, the table is dropped once split into its columns, and the
     root-to-leaf checks run in a helper (`_check_keys`) whose arrays are
-    gone before the index is built.  For 100,000 keys of width 8 (a 0.68
-    MiB file, 95,567 nodes) opening takes 24.8 ms (min of 40 calls, on a
+    gone before the index is built.  For 100,000 keys of width 8 (a 0.54
+    MiB file, 95,567 nodes) opening takes 23.6 ms (min of 40 calls, on a
     shared 2-core x86 host), and its tracemalloc peak is 12.6 MiB, against
     the 6.0 MiB the index holds."""
     data = bytes(data)
@@ -928,7 +1008,7 @@ def load_bytes(data: bytes) -> RcasIndex:
         pos += size
         return data[pos - size : pos]
 
-    _, scheme_code, width, key_count, n, n_p, n_v, table_bytes = _HEADER.unpack_from(data)
+    _, scheme_code, width, ref_width, key_count, n, n_p, n_v, table_bytes = _HEADER.unpack_from(data)
     scheme = _SCHEME_FROM_CODE.get(scheme_code)
     if scheme is None:
         raise ValueError("unknown scheme code in index file")
@@ -944,17 +1024,23 @@ def load_bytes(data: bytes) -> RcasIndex:
         ctx = ZoContext(codes=codes, max_labels=max_labels)
     if not n:
         raise ValueError("index file holds no nodes")
-    table = _read_varints(take(table_bytes), n_p + n_v + 3 * n)
-    code = (table[n_p + n_v + 2 :: 3] & 3).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
-    table[n_p + n_v + 2 :: 3] >>= 2  # the child or ref counts
+    table = _read_varints(take(table_bytes))
+    ids = n_p + n_v + n  # where the ids start in the varint table
+    node = table[n_p + n_v : ids]  # each node's count over its flags and dimension code
+    p_full, v_full = (node & _P_EMPTY) == 0, (node & _V_EMPTY) == 0  # the nodes whose substring is not empty
+    p_end = ids + int(np.count_nonzero(p_full))
+    if len(node) != n or len(table) != p_end + int(np.count_nonzero(v_full)):
+        raise ValueError("varint table does not hold the count its header and node flags give in index file")
+    code = (node & 3).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
+    node >>= 4  # the child or ref counts
+    del node  # a view, which would keep the table alive
     if table.max() > len(data):
         raise ValueError("node table out of range in index file")
     table = table.astype(np.int32 if len(data) < 2**31 else np.int64)
     p_size, v_size = table[:n_p].copy(), table[n_p : n_p + n_v].copy()  # of each table entry
-    p_id, v_id, count = map(np.ascontiguousarray, table[n_p + n_v :].reshape(n, 3).T)
-    del table
-    if (p_id >= n_p).any() or (v_id >= n_v).any():
-        raise ValueError("substring id past the end of its table in index file")
+    count = table[n_p + n_v : ids].copy()
+    p_id, v_id = _ids(table[ids:p_end], p_full, p_size), _ids(table[p_end:], v_full, v_size)
+    del table, p_full, v_full
     leaf = code == _BOT
     if not count[~leaf].all():
         raise ValueError("inner node without children")
@@ -975,7 +1061,7 @@ def load_bytes(data: bytes) -> RcasIndex:
     take(int(v_size.sum()))
     if int(refcount.sum()) != key_count:
         raise ValueError("leaf ref counts do not add up to the key count in index file")
-    refs = _read_varints(take(limit - pos), key_count)
+    refs = _unpack(take(limit - pos), key_count, ref_width)
     raw = np.frombuffer(data, np.uint8)
     tables = (p_at, p_size, p_id), (v_at, v_size, v_id)
     _check_keys(raw, tables, shape, leaf, width, ctx)
@@ -992,6 +1078,23 @@ def load_bytes(data: bytes) -> RcasIndex:
         scheme=scheme,
         zo_ctx=ctx,
     )
+
+
+def _ids(stored: np.ndarray, full: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Each node's substring id in a table whose entries are `size` bytes
+    long: the next of the `stored` ids where `full`, else the table's first
+    empty entry.  ValueError for an id past the table's end, a stored id
+    that names an empty entry, and a flagged node in a table with none."""
+    if len(stored) and stored.max() >= len(size):
+        raise ValueError("substring id past the end of its table in index file")
+    if not size[stored].all():
+        raise ValueError("unflagged node names an empty substring in index file")
+    empty = np.flatnonzero(size == 0)
+    if not len(empty) and len(stored) < len(full):
+        raise ValueError("node flagged empty in a table with no empty entry in index file")
+    out = np.full(len(full), empty[0] if len(empty) else 0, stored.dtype)
+    out[np.flatnonzero(full)] = stored  # a boolean index took up to five times as long
+    return out
 
 
 def _check_mixed(codes: np.ndarray, arity: np.ndarray) -> None:

@@ -69,38 +69,43 @@ EXPECTED_BOM_TREE = (
 )
 
 
-# The RCAS4 file of the running example's rcas index, byte for byte: the
-# header (magic, scheme 0, width 4, 8 keys, 11 nodes, 10 path and 10 value
-# table entries, 53 bytes of varints), the varints (the path table's
-# lengths, the value table's, then each node's path id, value id and child
-# or ref count shifted over its dimension code: V 1, P 0, leaf 2), the path
-# and the value table entries, the refs and the CRC-32.  No edge byte is
-# stored: each is its child's first byte in the edge's dimension.
-EXAMPLE_RCAS4 = (
-    "5243415334" "00" "04" "0000000000000008" "000000000000000b"
-    "000000000000000a" "000000000000000a" "0000000000000035"
+# The RCAS5 file of the running example's rcas index, byte for byte: the
+# header (magic, scheme 0, width 4, ref width 4, 8 keys, 11 nodes, 10 path
+# and 10 value table entries, 50 bytes of varints), the varints (the path
+# table's lengths, the value table's, each node's child or ref count
+# shifted over its empty-substring flags, P 8 and V 4, and its dimension
+# code, V 1, P 0, leaf 2; then the path ids of the nine nodes with a path
+# substring and the value ids of the ten with a value substring), the path
+# and the value table entries, the refs at 4 bits each, low bits first, and
+# the CRC-32.  No edge byte is stored: each is its child's first byte in the
+# edge's dimension.  The two leaves with empty paths, and the `/b` node
+# with an empty value, store no id for it.
+EXAMPLE_RCAS5 = (
+    "5243415335" "00" "04" "04" "0000000000000008" "000000000000000b"
+    "000000000000000a" "000000000000000a" "0000000000000032"
     "0c01020604050704" "0a00"
     "0100020202020302" "0101"
-    "00000d" "010008" "02010d" "030206" "040306" "050406" "060506" "070606"
-    "080709" "09080a" "090906"
+    "31" "20" "35" "12" "12" "12" "12" "12" "21" "2a" "1a"
+    "000102030405060708"
+    "00" "00" "0203040506070809"
     "2f626f6d2f6974656d2f6361" "72" "2f62" "756d70657200" "656c7400" "72616b6500"
     "6162696e657200" "6e6f6500" "722f62617474657279" "00"
     "00" "0a8c" "0b4a" "0cc2" "00f1" "010e50" "03d3" "5a" "b0"
-    "0705060201030804"
-    "22e04e83"
+    "57263148"
+    "d84f582f"
 )
 
 # One SHA-256 over the index file, `BuildStats` and `IndexStats` of every
 # scheme for generator seeds 5 and 6 at widths 4 and 8 (3,000 keys, 30%
 # duplicates), so that a change meant to keep every index as it is shows
 # any drift.
-PINNED_INDEXES_SHA256 = "8be71462123a77f07c1b05bc46780105c38a22f2eccddbaa1884fb581c8096dd"
+PINNED_INDEXES_SHA256 = "ccd5700c35d56aa2a631129b389273d859cb7461bcf91198bedcd2bd77cc501b"
 
 # The same over the 150-label dataset (seed 3, 3,000 keys, 30% duplicates) at
 # widths 4 and 8, whose labels of one to three bytes make lw build nodes whose
 # edges span both dimensions (24 and 30 of them), so that the digest covers
-# the RCAS4 section of their edge codes.
-PINNED_MIXED_INDEXES_SHA256 = "f35c6efe1603a213417774327aebbd3181babaec41b001a1d8fba9d7c0d7a123"
+# the RCAS5 section of their edge codes.
+PINNED_MIXED_INDEXES_SHA256 = "48e05c18f4ab077e8c6875e4e3addf50e704d48aef7b988ad7b0086c44b7251f"
 
 # The example's index file in every scheme, for corrupting.
 EXAMPLE_BLOBS = [save_bytes(build_static(records_to_keys(BOM_EXAMPLE), s)) for s in SCHEMES]
@@ -591,7 +596,7 @@ class TestStaticBuilds:
 
 class TestSerialization:
     def test_magic_prefix(self, bom_index):
-        assert save_bytes(bom_index).startswith(b"RCAS4")
+        assert save_bytes(bom_index).startswith(b"RCAS5")
 
     def test_round_trip_all_schemes(self, bom_keys):
         for scheme in SCHEMES:
@@ -643,7 +648,8 @@ class TestSerialization:
         index loaded from its file equals the index saved, edge bytes
         included; it saves to the same bytes; and the file is exactly its
         header, varint table, mixed section, table bytes, refs and CRC, so
-        no per-node or per-edge section is stored."""
+        no per-edge section and no id of an empty substring is stored, and
+        the refs take the bit length of the largest each."""
         if wide:
             cfg = GeneratorConfig(seed=seed, key_count=count, label_alphabet_size=150, duplicate_fraction=0.3)
             keys = records_to_keys(generate(cfg), width)
@@ -656,6 +662,7 @@ class TestSerialization:
             assert again == index, scheme
             assert save_bytes(again) == blob, scheme
             assert len(blob) == file_length(index), scheme
+            assert blob[7] == max(index.refs).bit_length(), scheme
 
     def test_zo_context_survives(self, bom_keys):
         index = build_static(bom_keys, "zo")
@@ -683,14 +690,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_bytes(b"NOPE1" + b"\x00" * 32)
         blob = save_bytes(bom_index)
-        for magic in (b"RCAS2", b"RCAS3"):  # the earlier formats have no reader
+        for magic in (b"RCAS2", b"RCAS3", b"RCAS4"):  # the earlier formats have no reader
             with pytest.raises(ValueError, match="bad magic"):
                 load_bytes(resealed(magic + blob[5:]))
 
     def test_example_bytes(self, bom_index):
-        """The exact RCAS4 bytes of the example index, so that any drift of
+        """The exact RCAS5 bytes of the example index, so that any drift of
         the format fails here first."""
-        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS4
+        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS5
 
     def test_generated_indexes_pinned(self):
         digest = hashlib.sha256()
@@ -730,46 +737,51 @@ class TestSerialization:
         with pytest.raises(ValueError, match="checksum"):
             load_bytes(blob[:40] + bytes([blob[40] ^ 1]) + blob[41:])
         # records that contradict themselves, each behind a valid checksum
-        counts = 5 + 1 + 1 + 8 + 8  # magic, scheme, width, key and node counts
-        assert blob[counts : counts + 24] == b"".join(c.to_bytes(8, "big") for c in (10, 10, 53))
+        counts = 5 + 1 + 1 + 1 + 8 + 8  # magic, scheme, value and ref widths, key and node counts
+        assert blob[counts : counts + 24] == b"".join(c.to_bytes(8, "big") for c in (10, 10, 50))
         table = counts + 24  # after the table counts and the varint byte count
         assert blob[table : table + 2] == bytes([12, 1])  # the lengths of '/bom/item/ca' and 'r'
-        root = table + 20  # the root's path id, value id and child count over its dimension code
-        # a V root with 3 children, a P node with 2, a V node with 3, then a leaf with 1 ref
-        first = ((0, 0, 3 << 2 | 1), (1, 0, 2 << 2 | 0), (2, 1, 3 << 2 | 1), (3, 2, 1 << 2 | 2))
-        assert blob[root : root + 12] == bytes(sum(first, ()))
+        root = table + 20  # each node's child or ref count over its flags and dimension code
+        ids = root + 11  # the path ids of the nodes with a path substring, then the value ids
+        # a V root with 3 children, a P node with 2, a V node with 3 and an
+        # empty value substring, then a leaf with 1 ref
+        assert blob[root : root + 4] == bytes([3 << 4 | 1, 2 << 4 | 0, 3 << 4 | 4 | 1, 1 << 4 | 2])
 
         def rejected(at: int, new: bytes, match: str | None = None) -> None:
             with pytest.raises(ValueError, match=match):
                 load_bytes(resealed(blob[:at] + new + blob[at + len(new) :]))
 
-        rejected(root + 2, bytes([3 << 2 | 2]))  # the root as a leaf: its children float free
-        rejected(root + 11, bytes([1 << 2 | 1]))  # a leaf as a V node: its ref count as children
+        rejected(root, bytes([3 << 4 | 2]))  # the root as a leaf: its children float free
+        rejected(root + 3, bytes([1 << 4 | 1]))  # a leaf as a V node: its ref count as children
         for count in (2, 4):  # not the root's 3 children
-            rejected(root + 2, bytes([count << 2 | 1]), "tree")
-        rejected(root + 2, bytes([0 << 2 | 1]), "without children")
+            rejected(root, bytes([count << 4 | 1]), "tree")
+        rejected(root, bytes([0 << 4 | 1]), "without children")
         rejected(table, b"\x8c\x00", "varint")  # 12 spelled in two bytes
-        rejected(root, b"\x0a", "past the end of its table")  # 10 path entries
-        rejected(root + 1, b"\x0a", "past the end of its table")  # 10 value entries
-        for p_count, v_count in ((11, 10), (9, 10), (10, 11)):  # the varints hold 53
+        rejected(ids, b"\x0a", "past the end of its table")  # 10 path entries
+        rejected(ids + 9, b"\x0a", "past the end of its table")  # 10 value entries
+        for p_count, v_count in ((11, 10), (9, 8), (10, 11)):  # the varints hold 50
             rejected(counts, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "count")
-        # the same number of varints, split one entry later: the value ids run past the end
-        rejected(counts, (11).to_bytes(8, "big") + (9).to_bytes(8, "big"), "past the end")
+        # the same number of varints, split one entry later: the value ids
+        # run past the end; and one path entry fewer: the node column starts
+        # a varint early and loses the last node's path flag, so the count
+        # still adds up, and the ids run past the end
+        for p_count, v_count in ((11, 9), (9, 10)):
+            rejected(counts, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "past the end")
         # the root's edges take the first value bytes of its children: 0x00, 0x01 and 0x03
         noe = blob.index(bytes.fromhex("010e50"))
         for first in (b"\x04", b"\x00"):  # out of order, repeated
             rejected(noe, first, "out of order")
         # the V node over the leaves 0x5a and 0xb0 marked P: their paths are empty, so its edges have no byte
-        assert blob[root + 24 : root + 30] == bytes([8, 7, 2 << 2 | 1, 9, 8, 2 << 2 | 2])
-        rejected(root + 26, bytes([2 << 2 | 0]), "no byte in its dimension")
+        assert blob[root + 8 : root + 11] == bytes([2 << 4 | 1, 2 << 4 | 8 | 2, 1 << 4 | 8 | 2])
+        rejected(root + 8, bytes([2 << 4 | 0]), "no byte in its dimension")
         assert blob[6] == 4
         rejected(6, bytes([151]), "value width 151")  # outside {4, 8}
-        rejected(7, (9).to_bytes(8, "big"), "key count")  # 8 refs in the leaves
+        rejected(8, (9).to_bytes(8, "big"), "key count")  # 8 refs in the leaves
         battery = blob.index(b"r/battery\x00") + 9
         rejected(battery, b"\x89", "leaf does not end")  # a leaf's path never ends
         rejected(counts - 8, bytes(8), "holds no nodes")  # the node count
         # the first table value, 12, spelled as 16383 in one more varint byte
-        wide = blob[: counts + 16] + (54).to_bytes(8, "big") + b"\xff\x7f" + blob[table + 1 :]
+        wide = blob[: counts + 16] + (51).to_bytes(8, "big") + b"\xff\x7f" + blob[table + 1 :]
         with pytest.raises(ValueError, match="node table out of range"):
             load_bytes(resealed(wide))
 
@@ -777,17 +789,17 @@ class TestSerialization:
         """A file that would load but not save back to the same bytes:
         a varint spelled longer than it needs, a node marked mixed whose
         edges share one dimension, and a z-order label listed twice."""
-        assert list(_read_varints(bytes([0x0C, 0x80, 0x01, 0xFF, 0xFF, 0x03]), 3)) == [12, 128, 65535]
-        for column in (b"\x8c\x00", b"\x80" * 10 + b"\x01", b"\xff" * 9 + b"\x02"):
+        assert list(_read_varints(bytes([0x0C, 0x80, 0x01, 0xFF, 0xFF, 0x03]))) == [12, 128, 65535]
+        for column in (b"\x8c\x00", b"\x80" * 10 + b"\x01", b"\xff" * 9 + b"\x02", b"\x0c\x80"):
             with pytest.raises(ValueError, match="varint"):
-                _read_varints(column, 1)
+                _read_varints(column)
         blob = save_bytes(build_static(bom_keys, "rcas"))
-        table = 5 + 1 + 1 + 8 * 5  # past the magic, scheme, width and five counts
-        count = table + 22  # the root's child count over its dimension code
-        mixed = table + 53  # past the 53 varint bytes
-        assert blob[count] == 3 << 2 | _DIM_CODE[V]
+        table = 5 + 1 + 1 + 1 + 8 * 5  # past the magic, scheme, two widths and five counts
+        count = table + 20  # the root's child count over its flags and dimension code
+        mixed = table + 50  # past the 50 varint bytes
+        assert blob[count] == 3 << 4 | _DIM_CODE[V]
         # the root marked mixed, with a mixed section that gives its three edges V
-        marked = bytes([3 << 2 | _MIXED])
+        marked = bytes([3 << 4 | _MIXED])
         blob = blob[:count] + marked + blob[count + 1 : mixed] + bytes([_DIM_CODE[V]] * 3) + blob[mixed:]
         with pytest.raises(ValueError, match="bad child edge"):
             load_bytes(resealed(blob))
@@ -803,6 +815,35 @@ class TestSerialization:
             load_bytes(resealed(blob[: at + 1] + b"bom" + blob[at + 4 :]))
         with pytest.raises(ValueError, match="not a path label"):
             load_bytes(resealed(blob[: at + 1] + b"\x01" + blob[at + 2 :]))
+
+    def test_empty_substring_flags_are_canonical(self, bom_index):
+        """A node flagged empty in a dimension stores no id there and takes
+        its table's empty entry, so each index has one spelling: an
+        unflagged node may not name the empty entry, a flagged node needs
+        one, and the varint table holds exactly the ids the flags leave."""
+        blob = save_bytes(bom_index)
+        table = 5 + 1 + 1 + 1 + 8 * 5  # past the magic, scheme, two widths and five counts
+        values = [int(x) for x in _read_varints(blob[table : table + 50])]
+        nodes, ids = 20, 31  # where the node column and the path ids start
+        assert values[:10] == [12, 1, 2, 6, 4, 5, 7, 4, 10, 0]  # path entry 9 is the empty one
+        assert values[nodes + 9] == 2 << 4 | 8 | 2  # a leaf of two refs with an empty path
+        assert values[ids:] == list(range(9)) + [0, 0] + list(range(2, 10))
+
+        def rejected(edited: list[int], match: str) -> None:
+            column = trie._varints(np.array(edited, np.uint64))
+            size = len(column).to_bytes(8, "big")
+            with pytest.raises(ValueError, match=match):
+                load_bytes(resealed(blob[: table - 8] + size + column + blob[table + 50 :]))
+
+        # the leaf unflagged, naming the empty entry by its id
+        unflagged = values[: nodes + 9] + [2 << 4 | 2] + values[nodes + 10 : ids + 9] + [9] + values[ids + 9 :]
+        rejected(unflagged, "names an empty substring")
+        # the last two path entries as 'r/battery' and '\x00': no entry is empty
+        rejected(values[:8] + [9, 1] + values[10:], "no empty entry")
+        # the root flagged empty in its path, with its id still stored
+        rejected(values[:nodes] + [values[nodes] | 8] + values[nodes + 1 :], "count")
+        # the leaf's flag dropped with no id for it
+        rejected(values[: nodes + 9] + [2 << 4 | 2] + values[nodes + 10 :], "count")
 
     def test_unfinished_keys_rejected(self):
         """Records that are well formed one by one, but whose root-to-leaf
@@ -865,6 +906,80 @@ class TestSerialization:
                         answers_like_scan(ix, text, vr)
             # its DFA has a state per label byte, so it runs once, on the loaded index
             answers_like_scan(loaded, "//" + label, everything)
+
+
+class TestPackedRefs:
+    """The refs section holds every ref at one bit width, the bit length of
+    the largest, low bits first, with zero padding bits (`trie._pack`)."""
+
+    @pytest.mark.parametrize("width", [0, 1, 17, 57, 58, 63, 64])
+    def test_round_trip_at_each_width(self, width):
+        rng = random.Random(width)
+        refs = [rng.randrange(2**width) for _ in range(29)] + [2**width - 1]
+        keys = [CompositeKey.make(f"/n{i % 5}/m{i % 3}", rng.randrange(2**32), r) for i, r in enumerate(refs)]
+        for scheme in SCHEMES:
+            index = build_static(keys, scheme)
+            blob = save_bytes(index)
+            assert blob[7] == width, scheme
+            again = load_bytes(blob)
+            assert again == index, scheme
+            assert save_bytes(again) == blob, scheme
+            assert sorted(again.refs) == sorted(refs), scheme
+
+    @given(st.integers(0, 64).flatmap(lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=40))))
+    @example((58, [2**58 - 1] * 9))  # values that overrun a 64-bit word at every offset but 0
+    @settings(max_examples=300, deadline=None)
+    def test_pack_is_one_little_endian_integer(self, width_values):
+        """Value i holds bits [i * width, (i + 1) * width) of one
+        little-endian integer, and `_unpack` reads back what `_pack` wrote
+        at the least width."""
+        width, values = width_values
+        packed = trie._pack(np.array(values, np.uint64), width)
+        whole = sum(v << (i * width) for i, v in enumerate(values))
+        assert packed == whole.to_bytes(-(-len(values) * width // 8), "little")
+        if max(values, default=0).bit_length() == width:
+            assert trie._unpack(packed, len(values), width).tolist() == values
+
+    def test_bad_packing_rejected(self):
+        """Five refs of 17 bits take 85 bits in 11 bytes, the last 3 of them
+        padding."""
+        refs = [1, 2**17 - 1, 5, 70_000, 3]
+        keys = [CompositeKey.make(f"/a{i}", i, r) for i, r in enumerate(refs)]
+        blob = save_bytes(bulk_load(keys))
+        start = len(blob) - 4 - 11  # the refs, before the CRC
+        assert blob[7] == 17
+        assert blob[start:-4] == trie._pack(np.array(refs, np.uint64), 17)
+
+        def rejected(at: int, new: bytes, match: str, cut: int = 0) -> None:
+            with pytest.raises(ValueError, match=match):
+                load_bytes(resealed(blob[:at] + new + blob[at + len(new) + cut :]))
+
+        for bit in (0x20, 0x40, 0x80):  # a padding bit set
+            rejected(len(blob) - 5, bytes([blob[-5] | bit]), "padding")
+        wider = trie._pack(np.array(refs, np.uint64), 18)  # 90 bits in 12 bytes
+        with pytest.raises(ValueError, match="wider"):
+            load_bytes(resealed(blob[:7] + bytes([18]) + blob[8:start] + wider + blob[-4:]))
+        rejected(7, bytes([16]), "width")  # 16 bits in the header, refs at 17
+        for width in (65, 255):
+            rejected(7, bytes([width]), "width")
+        rejected(len(blob) - 4, b"\x00", "count", cut=-1)  # one byte too many
+        rejected(start, b"", "count", cut=1)  # one byte too few
+
+    @pytest.mark.parametrize("ref", [0, 2**17 - 1])
+    def test_huge_key_count_fails_before_allocating(self, ref):
+        """A header key count near 2**63 is rejected before an array of that
+        length is made, at ref width 0 too, whose refs take no bytes."""
+        blob = save_bytes(bulk_load([CompositeKey.make("/a", 1, ref)]))
+        for count in (2**63 - 1, 2**63, 2**64 - 1):
+            bad = resealed(blob[:8] + count.to_bytes(8, "big") + blob[16:])
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="key count"):
+                    load_bytes(bad)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestSubstringTables:
@@ -1101,17 +1216,19 @@ def resealed(blob: bytes) -> bytes:
 
 
 def file_length(index: RcasIndex) -> int:
-    """The bytes of an index file with no per-node or per-edge section: the
-    header (with the zo label dictionary), the varint table (each table
-    entry's length, then each node's two substring ids and its count
-    shifted over its dimension code), the dimension code of each edge of
-    the mixed nodes, the table entries, the refs as varints and the CRC."""
+    """The bytes of an index file with no per-edge section and no id of an
+    empty substring: the header (with the zo label dictionary), the varint
+    table (each table entry's length, each node's count shifted over its
+    empty-substring flags and its dimension code, then the id of each
+    substring that is not empty), the dimension code of each edge of the
+    mixed nodes, the table entries, the refs at the bit length of the
+    largest and the CRC."""
 
     def varint(x: int) -> int:
         return max(1, (x.bit_length() + 6) // 7)
 
     estart, esplit, reflo = index.estart, index.esplit, index.reflo
-    header = 47
+    header = 48
     if index.zo_ctx is not None:
         header += 24 + len("/".join(index.zo_ctx.codes))
     table = sum(varint(len(s)) for s in index.p_tab + index.v_tab)
@@ -1121,9 +1238,12 @@ def file_length(index: RcasIndex) -> int:
         code = _DIM_CODE[BOT] if not arity else _MIXED if 0 < paths < arity else _DIM_CODE[P if paths else V]
         mixed += arity if code == _MIXED else 0
         count = arity or reflo[i + 1] - reflo[i]
-        table += varint(index.p_id[i]) + varint(index.v_id[i]) + varint(count << 2 | code)
+        s_p, s_v = index.p_tab[index.p_id[i]], index.v_tab[index.v_id[i]]
+        table += varint(count << 4 | (not s_p) << 3 | (not s_v) << 2 | code)
+        table += (varint(index.p_id[i]) if s_p else 0) + (varint(index.v_id[i]) if s_v else 0)
     blobs = sum(map(len, index.p_tab + index.v_tab))
-    return header + table + mixed + blobs + sum(map(varint, index.refs)) + 4
+    refs = -(-len(index.refs) * max(index.refs, default=0).bit_length() // 8)
+    return header + table + mixed + blobs + refs + 4
 
 
 def _corruptions(blob: bytes, count: int, seed: int):
