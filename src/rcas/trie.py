@@ -756,7 +756,8 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 #   mixed    the dimension code of each edge of the `_MIXED` nodes
 #   blobs    the path table's entries, then the value table's, concatenated
 #   refs     key count values of ref width bits each, the least width that
-#            holds the largest ref, packed low bits first (`_pack`)
+#            holds the largest ref and one bit at least, packed low bits
+#            first (`_pack`), so the section's bytes bound the key count
 #
 # Every length is a varint, so no substring is too long to save.  A table
 # holds each distinct substring of its dimension once, in order of first
@@ -867,14 +868,15 @@ def _pack(values: np.ndarray, width: int) -> bytes:
 def _unpack(column: bytes, count: int, width: int) -> np.ndarray:
     """The `count` values of `width` bits that `_pack` wrote into `column`,
     as uint64; ValueError unless `column` has the length they take, its
-    padding bits are 0 and `width` is the bit length of the largest value.
+    padding bits are 0 and `width` is the bit length of the largest value,
+    or 1 where every value is 0.
 
     The length is checked before anything is allocated.  Each value is read
     as one unaligned 64-bit word (and a byte for the top bits of a value
     that overruns it) through one strided view per r, as `_pack` wrote it;
     rows here lie `width` bytes apart, so reads overlap where values share
     a byte."""
-    if width > 64 or len(column) != -(-count * width // 8):
+    if not 1 <= width <= 64 or len(column) != -(-count * width // 8):
         raise ValueError("refs section does not hold its count at its width in index file")
     rows = max(-(-count // 8), 1)  # one at least, so that every view starts inside `buf`
     buf = np.zeros(rows * width + 9, np.uint8)
@@ -890,7 +892,7 @@ def _unpack(column: bytes, count: int, width: int) -> np.ndarray:
     out = out.reshape(-1)
     if out[count:].any():  # the slots past the last value hold the padding bits
         raise ValueError("nonzero padding bits after the refs in index file")
-    if int(out.max(initial=0)).bit_length() != width:
+    if max(int(out.max(initial=0)).bit_length(), 1) != width:
         raise ValueError("refs packed wider than the largest needs in index file")
     return out[:count]
 
@@ -902,7 +904,8 @@ def save_bytes(index: RcasIndex) -> bytes:
     (`RcasIndex.esplit`) and rides in the low two bits of its count varint,
     under the flags of its empty substrings, whose ids are not written; no
     edge byte is written, as a load reads each from the child.  The refs
-    are packed at the bit length of the largest (`_pack`).  The varint
+    are packed at the bit length of the largest, one bit at least
+    (`_pack`).  The varint
     table is encoded from one column of its values, filled in place, and
     the checksum is taken over the parts before their one join, so a save
     makes few temporaries: for 100,000 keys of width 8 (a 0.54 MiB file)
@@ -944,7 +947,7 @@ def save_bytes(index: RcasIndex) -> bytes:
     table = _varints(column)
     del column, nodes
     refs = np.frombuffer(index.refs, np.uint64)
-    ref_width = int(refs.max(initial=0)).bit_length()
+    ref_width = max(int(refs.max(initial=0)).bit_length(), 1)  # one bit at least, so the refs' bytes bound the key count
     scheme = _SCHEME_CODE[index.scheme]
     counts = (index.key_count, n, n_p, n_v, len(table))
     parts = [_HEADER.pack(MAGIC, scheme, index.value_width, ref_width, *counts)]
@@ -970,7 +973,9 @@ def load_bytes(data: bytes) -> RcasIndex:
     every root-to-leaf path spells a whole key, that the refs add up to the
     key count, and the packing of the refs.  Each count read from the file
     is checked before an array is made from it: a length against the bytes
-    that hold it, and the key count against the leaves' ref counts.
+    that hold it, and the key count against the leaves' ref counts and the
+    refs section, whose one bit a ref or more keeps memory linear in the
+    file's length.
 
     The tree comes from the child counts alone (`_shape`), read from the
     high bits of each node's count varint, whose low four bits are its
@@ -987,9 +992,10 @@ def load_bytes(data: bytes) -> RcasIndex:
     children follow another order is rejected; and only varints longer
     than a byte are checked for a canonical spelling (`_read_varints`).
     The node table and the table offsets are 32-bit when the file is under
-    2 GiB, the table is dropped once split into its columns, and the
-    root-to-leaf checks run in a helper (`_check_keys`) whose arrays are
-    gone before the index is built.  For 100,000 keys of width 8 (a 0.54
+    256 MiB (a ref count may reach 8 times the file's length), the table is
+    dropped once split into its columns, and the root-to-leaf checks run in
+    a helper (`_check_keys`) whose arrays are gone before the index is
+    built.  For 100,000 keys of width 8 (a 0.54
     MiB file, 95,567 nodes) opening takes 23.6 ms (min of 40 calls, on a
     shared 2-core x86 host), and its tracemalloc peak is 12.6 MiB, against
     the 6.0 MiB the index holds."""
@@ -1034,9 +1040,11 @@ def load_bytes(data: bytes) -> RcasIndex:
     code = (node & 3).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
     node >>= 4  # the child or ref counts
     del node  # a view, which would keep the table alive
-    if table.max() > len(data):
+    # an entry length or id is below the file's length, and a count below
+    # 8 * that length, the most refs a section of one bit a ref or more holds
+    if table.max() > 8 * len(data):
         raise ValueError("node table out of range in index file")
-    table = table.astype(np.int32 if len(data) < 2**31 else np.int64)
+    table = table.astype(np.int32 if len(data) < 2**28 else np.int64)
     p_size, v_size = table[:n_p].copy(), table[n_p : n_p + n_v].copy()  # of each table entry
     count = table[n_p + n_v : ids].copy()
     p_id, v_id = _ids(table[ids:p_end], p_full, p_size), _ids(table[p_end:], v_full, v_size)

@@ -649,7 +649,7 @@ class TestSerialization:
         included; it saves to the same bytes; and the file is exactly its
         header, varint table, mixed section, table bytes, refs and CRC, so
         no per-edge section and no id of an empty substring is stored, and
-        the refs take the bit length of the largest each."""
+        the refs take the bit length of the largest each, one bit at least."""
         if wide:
             cfg = GeneratorConfig(seed=seed, key_count=count, label_alphabet_size=150, duplicate_fraction=0.3)
             keys = records_to_keys(generate(cfg), width)
@@ -662,7 +662,7 @@ class TestSerialization:
             assert again == index, scheme
             assert save_bytes(again) == blob, scheme
             assert len(blob) == file_length(index), scheme
-            assert blob[7] == max(index.refs).bit_length(), scheme
+            assert blob[7] == max(max(index.refs).bit_length(), 1), scheme
 
     def test_zo_context_survives(self, bom_keys):
         index = build_static(bom_keys, "zo")
@@ -910,17 +910,19 @@ class TestSerialization:
 
 class TestPackedRefs:
     """The refs section holds every ref at one bit width, the bit length of
-    the largest, low bits first, with zero padding bits (`trie._pack`)."""
+    the largest and one bit at least, low bits first, with zero padding bits
+    (`trie._pack`)."""
 
     @pytest.mark.parametrize("width", [0, 1, 17, 57, 58, 63, 64])
     def test_round_trip_at_each_width(self, width):
+        """Refs that are all 0 are stored at one bit."""
         rng = random.Random(width)
         refs = [rng.randrange(2**width) for _ in range(29)] + [2**width - 1]
         keys = [CompositeKey.make(f"/n{i % 5}/m{i % 3}", rng.randrange(2**32), r) for i, r in enumerate(refs)]
         for scheme in SCHEMES:
             index = build_static(keys, scheme)
             blob = save_bytes(index)
-            assert blob[7] == width, scheme
+            assert blob[7] == max(width, 1), scheme
             again = load_bytes(blob)
             assert again == index, scheme
             assert save_bytes(again) == blob, scheme
@@ -932,12 +934,12 @@ class TestPackedRefs:
     def test_pack_is_one_little_endian_integer(self, width_values):
         """Value i holds bits [i * width, (i + 1) * width) of one
         little-endian integer, and `_unpack` reads back what `_pack` wrote
-        at the least width."""
+        at the least width of one bit or more."""
         width, values = width_values
         packed = trie._pack(np.array(values, np.uint64), width)
         whole = sum(v << (i * width) for i, v in enumerate(values))
         assert packed == whole.to_bytes(-(-len(values) * width // 8), "little")
-        if max(values, default=0).bit_length() == width:
+        if max(max(values, default=0).bit_length(), 1) == width:
             assert trie._unpack(packed, len(values), width).tolist() == values
 
     def test_bad_packing_rejected(self):
@@ -960,7 +962,7 @@ class TestPackedRefs:
         with pytest.raises(ValueError, match="wider"):
             load_bytes(resealed(blob[:7] + bytes([18]) + blob[8:start] + wider + blob[-4:]))
         rejected(7, bytes([16]), "width")  # 16 bits in the header, refs at 17
-        for width in (65, 255):
+        for width in (0, 65, 255):
             rejected(7, bytes([width]), "width")
         rejected(len(blob) - 4, b"\x00", "count", cut=-1)  # one byte too many
         rejected(start, b"", "count", cut=1)  # one byte too few
@@ -968,7 +970,7 @@ class TestPackedRefs:
     @pytest.mark.parametrize("ref", [0, 2**17 - 1])
     def test_huge_key_count_fails_before_allocating(self, ref):
         """A header key count near 2**63 is rejected before an array of that
-        length is made, at ref width 0 too, whose refs take no bytes."""
+        length is made, with refs that are all 0 too."""
         blob = save_bytes(bulk_load([CompositeKey.make("/a", 1, ref)]))
         for count in (2**63 - 1, 2**63, 2**64 - 1):
             bad = resealed(blob[:8] + count.to_bytes(8, "big") + blob[16:])
@@ -980,6 +982,48 @@ class TestPackedRefs:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+
+    @pytest.mark.parametrize("distinct", [1, 2, 128])
+    def test_leaf_with_more_refs_than_file_bytes_round_trips(self, distinct):
+        """One (path, value) pair may hold more refs than its file has bytes:
+        refs below 128 take 7 bits each, and refs that are all 0 one bit."""
+        index = bulk_load([CompositeKey.make("/a", 1, i % distinct) for i in range(4000)])
+        assert list(index.reflo) == [0, 4000]  # one leaf holds every ref
+        blob = save_bytes(index)
+        assert len(blob) < 4000
+        again = load_bytes(blob)
+        assert again == index
+        assert save_bytes(again) == blob
+
+    @pytest.mark.parametrize("ref_width", [0, 1])
+    def test_key_count_is_bounded_by_the_refs_section(self, ref_width):
+        """However many refs the leaves claim, the refs section's length
+        bounds the key count before the refs are made: here 300 leaves each
+        claim as many refs as the file has bytes, with the key count their sum,
+        at the stored width of 1 bit and at a header width of 0, under which
+        the refs would take no bytes."""
+        blob = save_bytes(bulk_load([CompositeKey.make(f"/a{i}", i, 0) for i in range(300)]))
+        n, n_p, n_v, size = struct.unpack_from(">QQQQ", blob, 16)
+        table = trie._read_varints(blob[48 : 48 + size])
+        node = table[n_p + n_v : n_p + n_v + n]
+        leaf = node & np.uint64(3) == 2
+        claim = len(blob)
+        node[leaf] = node[leaf] & np.uint64(15) | np.uint64(claim << 4)
+        new = trie._varints(table)
+        key_count = int(leaf.sum()) * claim
+        assert key_count * 8 > 2**22  # the bytes of refs the leaves claim
+        refs = len(blob) - 4 - -(-300 * blob[7] // 8)  # where the refs start
+        body = blob[48 + size : refs] + (blob[refs:-4] if ref_width else b"")
+        head = blob[:7] + bytes([ref_width]) + struct.pack(">QQQQQ", key_count, n, n_p, n_v, len(new))
+        bad = resealed(head + new + body + blob[-4:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="count"):
+                load_bytes(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSubstringTables:
@@ -1222,7 +1266,7 @@ def file_length(index: RcasIndex) -> int:
     empty-substring flags and its dimension code, then the id of each
     substring that is not empty), the dimension code of each edge of the
     mixed nodes, the table entries, the refs at the bit length of the
-    largest and the CRC."""
+    largest (one bit at least) and the CRC."""
 
     def varint(x: int) -> int:
         return max(1, (x.bit_length() + 6) // 7)
@@ -1242,7 +1286,7 @@ def file_length(index: RcasIndex) -> int:
         table += varint(count << 4 | (not s_p) << 3 | (not s_v) << 2 | code)
         table += (varint(index.p_id[i]) if s_p else 0) + (varint(index.v_id[i]) if s_v else 0)
     blobs = sum(map(len, index.p_tab + index.v_tab))
-    refs = -(-len(index.refs) * max(index.refs, default=0).bit_length() // 8)
+    refs = -(-len(index.refs) * max(max(index.refs, default=0).bit_length(), 1) // 8)
     return header + table + mixed + blobs + refs + 4
 
 
