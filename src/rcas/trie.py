@@ -17,9 +17,11 @@ A built index is a flat trie: columns over node ids that run in pre-order
 (`RcasIndex`), with no object per node or per key.  The builder and the
 loader derive the columns from per-node child counts with array passes
 (`_shape`) and hand each edge over as one (dimension, byte) symbol, which
-`_index` alone splits into the edge columns; the file format (`RCAS5`)
+`_index` alone splits into the edge columns; the file format (`RCAS6`)
 stores the node columns, from which a load derives every edge byte, and
-packs the refs at one bit width.
+packs the refs at one bit width.  It has no spelling for an inner node
+without children, a leaf without refs or a second name of the empty
+substring, so a load need not check for them.
 Nothing recurses, so the depth of a trie is not bounded by the interpreter's
 recursion limit.  Each distinct path or value substring is one object, held
 in a table that the nodes point into by id (`_table`); each group of equal
@@ -59,7 +61,7 @@ SCHEMES = ("rcas",) + STATIC_SCHEMES
 
 NODE_KINDS = (4, 16, 48, 256)
 
-MAGIC = b"RCAS5"
+MAGIC = b"RCAS6"
 
 _P = _DIM_CODE[Dimension.P]
 _V = _DIM_CODE[Dimension.V]
@@ -90,21 +92,23 @@ class RcasIndex:
 
     Node i's subtree is the id range [i, end[i]).  Its path substring is
     `p_tab[p_id[i]]` and its value substring `v_tab[v_id[i]]`: each table
-    holds the distinct substrings of its dimension once, in order of first
-    appearance in pre-order.  `s_p` and `s_v` are the same substrings as
-    one column per dimension for the query loop; each entry is its table's
-    object, so they add no substring.  Both are kept: reading
-    `p_tab[p_id[i]]` in the loop cost about 5% of query time, and numbering
-    `s_p`/`s_v` again at save took longer than the rest of `save_bytes`
-    (11.7 against 9.0 ms for 100,000 keys).  Node i's edges are the range
-    [estart[i], estart[i + 1]), sorted by (dimension, byte): its path edges
-    [estart[i], esplit[i]), then its value edges [esplit[i], estart[i + 1]).
-    A leaf has neither, and only the label-wise scheme builds nodes with
-    both.  Edge e leads on byte `ebyte[e]` to node `echild[e]`, and that
-    byte is the first byte of the child's substring in the edge's
-    dimension.  The refs of the leaves of i's subtree, in pre-order and each
-    leaf's in input order, are `refs[reflo[i] : reflo[end[i]]]`, an
-    `array('Q')`.  `dfas` keeps the DFA of each query path run on the index
+    holds the distinct non-empty substrings of its dimension once, in order
+    of first appearance in pre-order, and the empty substring is its last
+    entry, whether or not a node uses it.  `s_p` and `s_v` are the same
+    substrings as one column per dimension for the query loop; each entry
+    is its table's object, so they add no substring.  Both are kept:
+    reading `p_tab[p_id[i]]` in the loop cost about 5% of query time, and
+    numbering `s_p`/`s_v` again at save took longer than the rest of
+    `save_bytes` (11.7 against 9.0 ms for 100,000 keys).  Node i's edges
+    are the range [estart[i], estart[i + 1]), sorted by (dimension, byte):
+    its path edges [estart[i], esplit[i]), then its value edges [esplit[i],
+    estart[i + 1]).  A leaf has neither, and only the label-wise scheme
+    builds nodes with both.  Edge e leads on byte `ebyte[e]` to node
+    `echild[e]`, and that byte is the first byte of the child's substring
+    in the edge's dimension.  The refs of the leaves of i's subtree, in
+    pre-order and each leaf's in input order, are `refs[reflo[i] :
+    reflo[end[i]]]`, an `array('Q')`; every leaf holds at least one ref.
+    `dfas` keeps the DFA of each query path run on the index
     (`query._matcher`).  Saving and equality read neither `s_p`/`s_v` nor
     `dfas`, and `repr` shows neither.
 
@@ -484,31 +488,30 @@ def _slices(blob, start: np.ndarray, stop: np.ndarray) -> list[bytes]:
 
 
 def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """The distinct substrings blob[start[i]:stop[i]] in order of first
-    appearance, and the id of each i's substring among them.
+    """The distinct non-empty substrings blob[start[i]:stop[i]] in order of
+    first appearance, then the empty substring, and the id of each i's
+    substring among them: every empty one takes the last entry, which each
+    table holds whether or not a node uses it.
 
     A substring of up to 7 bytes is keyed by its bytes (a 1, then the
     bytes, in one int64), a longer one by its span, so one sort groups the
-    short substrings by content and the long ones by (offset, size); the
-    first empty substring stands for all of them.  Each group is sliced once
-    (`_slices`), and long spans that hold equal bytes then share one table
-    entry, so each distinct substring is one object.  Most node substrings
-    repeat, so a table holds a fraction of them: for 100,000 keys `bulk_load`
-    slices about 23k substrings for 191k node substrings."""
+    short substrings by content and the long ones by (offset, size).  Each
+    group is sliced once (`_slices`), and long spans that hold equal bytes
+    then share one table entry, so each distinct substring is one object.
+    Most node substrings repeat, so a table holds a fraction of them: for
+    100,000 keys `bulk_load` slices about 23k substrings for 191k node
+    substrings."""
     size = stop - start
-    keep = size > 0
-    empty = np.argmin(keep)  # the first empty substring, if there is one
-    keep[empty] = True
-    at = np.flatnonzero(keep)
+    at = np.flatnonzero(size > 0)
     start, size = start[at].astype(np.int64), size[at].astype(np.int64)
     data = np.frombuffer(blob, np.uint8)
     key = np.ones(len(at), np.int64)
-    on = np.flatnonzero((size > 0) & (size < 8))
+    on = np.flatnonzero(size < 8)
     for k in range(7):
         key[on] = key[on] << 8 | data[start[on] + k]
         on = on[size[on] > k + 1]
     long = np.flatnonzero(size >= 8)
-    key[long] = -1 - start[long] * (int(size.max()) + 1) - size[long]
+    key[long] = -1 - start[long] * (int(size.max(initial=0)) + 1) - size[long]
     group, inverse = np.unique(key, return_inverse=True)
     first = np.full(len(group), len(at))
     np.minimum.at(first, inverse, np.arange(len(at)))  # the first of each group
@@ -520,10 +523,9 @@ def _table(blob, start: np.ndarray, stop: np.ndarray) -> tuple[list[bytes], np.n
     same = np.fromiter(map(seen.setdefault, cut, range(len(cut))), np.int64, len(cut))
     entry = np.empty(len(group), np.int32)
     entry[order] = (np.cumsum(same == np.arange(len(cut))) - 1)[same]
-    ids = np.empty(len(keep), np.int32)
+    ids = np.full(len(stop), len(seen), np.int32)  # the empty entry's id
     ids[at] = entry[inverse]
-    ids[~keep] = ids[empty]
-    return list(seen), ids
+    return list(seen) + [b""], ids
 
 
 def _index(
@@ -587,20 +589,20 @@ def build_static(keys: Iterable[CompositeKey], scheme: str, ctx: ZoContext | Non
     starts in the value dimension; each node then branches in the dimension
     other than its parent's unless that one is used up, and its edges take
     that dimension.  A static scheme reads one sequence per distinct key,
-    its tagged symbols (`interleave.static_interleave`, made for all keys at
-    once), dimension code * 256 + byte, so edges are ordered by dimension,
-    then by byte, and a label-wise node's edges may span both.  Every
-    scheme hands its edges to `_index` in that form, one symbol each: the
-    child's key under the code of the sequence its parent splits on, which
-    for a static scheme's inner nodes is sequence 0, so its key stands
-    alone.  `_index` alone turns them into edge bytes and each node's split
-    into path and value edges.  Its path bytes are read from the blob of distinct paths (for zo, of their
-    surrogate paths), so a running count of value symbols turns a node's
-    symbol range into a range of each blob (`_untag`), and every scheme
-    cuts its substrings from the same two blobs (`_table`).  Either way each
-    pair is moved once per level of its root-to-leaf path, and one sort of
-    the keys by (leaf rank, input position), a unique int64 each, puts the
-    refs in leaf order, each leaf's in input order."""
+    its tagged symbols (`interleave._symbols`, made for all keys at once),
+    dimension code * 256 + byte, so edges are ordered by dimension, then by
+    byte, and a label-wise node's edges may span both.  Every scheme hands
+    its edges to `_index` in that form, one symbol each: the child's key
+    under the code of the sequence its parent splits on, which for a static
+    scheme's inner nodes is sequence 0, so its key stands alone.  `_index`
+    alone turns them into edge bytes and each node's split into path and
+    value edges.  Its path bytes are read from the blob of distinct paths
+    (for zo, of their surrogate paths), so a running count of value symbols
+    turns a node's symbol range into a range of each blob (`_untag`), and
+    every scheme cuts its substrings from the same two blobs (`_table`).
+    Either way each pair is moved once per level of its root-to-leaf path,
+    and one sort of the keys by (leaf rank, input position), a unique int64
+    each, puts the refs in leaf order, each leaf's in input order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     keys = KeySet.of(keys)
@@ -735,49 +737,52 @@ def collect_stats(index: RcasIndex) -> IndexStats:
 
 # --- serialization ----------------------------------------------------------
 #
-# An RCAS5 file is a header, the substring tables, the node columns in
+# An RCAS6 file is a header, the substring tables, the node columns in
 # pre-order and the refs, then a CRC-32 (zlib) of all that precedes it,
 # big-endian:
 #
-#   header   magic "RCAS5", scheme code u8, value width u8, ref width u8,
-#            key count u64, node count u64, path table count u64, value
-#            table count u64, byte length of the varint table u64; for zo
-#            also max labels u64, label count u64, byte length u64 and the
-#            labels in code order, joined by '/'
-#   table    LEB128 varints, in columns: the length of each path table
-#            entry, the length of each value table entry; for each node,
-#            count << 4 | p_empty << 3 | v_empty << 2 | code, where count is
-#            the child count (inner) or ref count (leaf), the flags mark an
-#            empty path or value substring, and code is the dimension code:
-#            that of the dimension all of its edges share, the leaf code, or
-#            `_MIXED` when they span both; then the path substring id of each
-#            node whose path substring is not empty, then the value
-#            substring id likewise
-#   mixed    the dimension code of each edge of the `_MIXED` nodes
-#   blobs    the path table's entries, then the value table's, concatenated
-#   refs     key count values of ref width bits each, the least width that
-#            holds the largest ref and one bit at least, packed low bits
-#            first (`_pack`), so the section's bytes bound the key count
+#   header   magic "RCAS6", scheme code u8, value width u8, ref width u8,
+#            node count u64, path table count u64, value table count u64,
+#            byte length of the varint table u64; for zo also max labels u64,
+#            byte length u64 and the labels in code order, joined by '/'
+#   table    LEB128 varints, in columns: the length less one of each stored
+#            path table entry, then of each stored value table entry; for
+#            each node, (count - 1) << 4 | p_empty << 3 | v_empty << 2 | code,
+#            where count is the child count (inner) or ref count (leaf), the
+#            flags mark an empty path or value substring, and code is the
+#            dimension code: that of the dimension all of its edges share,
+#            the leaf code, or `_MIXED` when they span both; then the path
+#            substring id of each node whose path substring is not empty,
+#            then the value substring id likewise; then the path edges less
+#            one of each `_MIXED` node
+#   blobs    the stored path table entries, then the value table's,
+#            concatenated
+#   refs     the leaves' ref counts summed of ref width bits each, the least
+#            width that holds the largest ref and one bit at least, packed
+#            low bits first (`_pack`), so the section's bytes bound the key
+#            count
 #
 # Every length is a varint, so no substring is too long to save.  A table
-# holds each distinct substring of its dimension once, in order of first
-# appearance in pre-order (`RcasIndex`), and is written as the index holds it.
-# A flagged node stores no id: it takes its table's first empty entry, and an
-# unflagged node may not name an empty one, so each index has one spelling.
-# The file stores no edge byte: an edge's byte is the first byte of its
-# child's substring in the edge's dimension, so a load reads it there.  The
-# dimension codes are the file's alone: a save derives them from each node's
-# split between its path and value edges (`RcasIndex.esplit`), and a load
-# checks them and joins them with the derived bytes into the edge symbols
-# that a build makes too, which `_index` alone splits again.  Nearly every
-# count is below 8, so the flags and the code cost no varint byte of their
-# own.
+# holds each distinct non-empty substring of its dimension once, in order of
+# first appearance in pre-order, then the empty substring (`RcasIndex`); the
+# file stores the entries before the empty one, as the index holds them, and
+# a flagged node stores no id: it takes the empty entry.  What a file cannot
+# spell needs no check: an empty stored entry, an unflagged id of the empty
+# entry, an inner node without children, a leaf without refs, or a mixed
+# node whose edges share one dimension.  The file stores no edge byte: an
+# edge's byte is the first byte of its child's substring in the edge's
+# dimension, so a load reads it there.  The dimension codes are the file's
+# alone: a save derives them from each node's split between its path and
+# value edges (`RcasIndex.esplit`), and a load joins them with the derived
+# bytes into the edge symbols that a build makes too, which `_index` alone
+# splits again.  Nearly every count is at most 8, so the flags and the code
+# cost no varint byte of their own.
 
 _MIXED = 3  # the dimension code of a node whose edges span both dimensions
 _SCHEME_CODE = {s: i for i, s in enumerate(SCHEMES)}
 _SCHEME_FROM_CODE = {i: s for s, i in _SCHEME_CODE.items()}
-_HEADER = struct.Struct(">5sBBBQQQQQ")
-_ZO_HEADER = struct.Struct(">QQQ")
+_HEADER = struct.Struct(">5sBBBQQQQ")
+_ZO_HEADER = struct.Struct(">QQ")
 _CRC = struct.Struct(">I")
 _P_EMPTY, _V_EMPTY = 8, 4  # the flags of a node's empty substrings, over its code
 
@@ -898,64 +903,61 @@ def _unpack(column: bytes, count: int, width: int) -> np.ndarray:
 
 
 def save_bytes(index: RcasIndex) -> bytes:
-    """Serialize an index to the RCAS5 format.
+    """Serialize an index to the RCAS6 format.
 
     Each node's dimension code is derived from its split
     (`RcasIndex.esplit`) and rides in the low two bits of its count varint,
-    under the flags of its empty substrings, whose ids are not written; no
-    edge byte is written, as a load reads each from the child.  The refs
-    are packed at the bit length of the largest, one bit at least
-    (`_pack`).  The varint
-    table is encoded from one column of its values, filled in place, and
-    the checksum is taken over the parts before their one join, so a save
-    makes few temporaries: for 100,000 keys of width 8 (a 0.54 MiB file)
-    its tracemalloc peak is 5.1 MiB, and it takes 6.2 ms (min of 40 calls,
-    on a shared 2-core x86 host).  Fresh pages are a large part of a save's
-    cost once the allocator has given its heap back to the system, as it
-    may between two saves."""
+    under the flags of its empty substrings, whose ids are not written; a
+    mixed node adds its split as one varint, and no edge byte is written,
+    as a load reads each from the child.  The refs are packed at the bit
+    length of the largest, one bit at least (`_pack`).  The varint table is
+    encoded from one column of its values, filled in place, and the
+    checksum is taken over the parts before their one join, so a save makes
+    few temporaries: for 100,000 keys of width 8 (a 0.54 MiB file) its
+    tracemalloc peak is 5.0 MiB, and it takes 5.0 ms (min of 40 calls, on a
+    shared 2-core x86 host).  Fresh pages are a large part of a save's cost
+    once the allocator has given its heap back to the system, as it may
+    between two saves."""
     estart = np.frombuffer(index.estart, np.int32)
     n = len(estart) - 1
-    p_size, v_size = _lengths(index.p_tab), _lengths(index.v_tab)
-    n_p, n_v = len(p_size), len(v_size)
+    n_p, n_v = len(index.p_tab) - 1, len(index.v_tab) - 1  # the stored entries, before the empty one
     p_id, v_id = np.frombuffer(index.p_id, np.int32), np.frombuffer(index.v_id, np.int32)
-    p_full, v_full = p_size[p_id] > 0, v_size[v_id] > 0  # the nodes whose substring is not empty
+    p_full, v_full = p_id < n_p, v_id < n_v  # the nodes whose substring is not empty
     arity = np.diff(estart)
     path_edges = np.frombuffer(index.esplit, np.int32) - estart[:-1]
     has_v = path_edges < arity
     code = (has_v + 2 * ((path_edges > 0) == has_v)).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
-    mixed = b""
-    on = np.flatnonzero(code == _MIXED)
-    if on.size:  # each mixed node's path codes, then its value codes
-        runs = np.column_stack((path_edges[on], arity[on] - path_edges[on])).ravel()
-        mixed = np.repeat(np.tile(np.array([_P, _V], np.uint8), on.size), runs).tobytes()
+    splits = np.compress(code == _MIXED, path_edges) - 1  # each mixed node's path edges less one
     # the ids of the substrings that are not empty; a boolean index took up to five times as long
     p_ids, v_ids = np.compress(p_full, p_id), np.compress(v_full, v_id)
     ids = n_p + n_v + n  # where they start in the varint table
-    column = np.empty(ids + len(p_ids) + len(v_ids), np.uint64)  # the values of the varint table
-    column[:n_p] = p_size
-    column[n_p : n_p + n_v] = v_size
+    column = np.empty(ids + len(p_ids) + len(v_ids) + len(splits), np.uint64)  # the varint table's values
+    column[:n_p] = _lengths(index.p_tab[:n_p])
+    column[n_p : n_p + n_v] = _lengths(index.v_tab[:n_v])
+    column[: n_p + n_v] -= 1
     nodes = column[n_p + n_v : ids]
     nodes[:] = arity  # an inner node's child count, or a leaf's ref count, over its flags and code
     nodes += np.diff(np.frombuffer(index.reflo, np.uint64))
+    nodes -= 1
     nodes <<= 4
     code |= np.uint8(_P_EMPTY) * ~p_full
     code |= np.uint8(_V_EMPTY) * ~v_full
     nodes |= code
     column[ids : ids + len(p_ids)] = p_ids
-    column[ids + len(p_ids) :] = v_ids
-    del arity, path_edges, has_v, code, p_full, v_full, p_ids, v_ids  # before encoding, where a save peaks
+    column[ids + len(p_ids) : len(column) - len(splits)] = v_ids
+    column[len(column) - len(splits) :] = splits
+    del arity, path_edges, has_v, code, p_full, v_full, p_ids, v_ids, splits  # before encoding, where it peaks
     table = _varints(column)
     del column, nodes
     refs = np.frombuffer(index.refs, np.uint64)
     ref_width = max(int(refs.max(initial=0)).bit_length(), 1)  # one bit at least, so the refs' bytes bound the key count
     scheme = _SCHEME_CODE[index.scheme]
-    counts = (index.key_count, n, n_p, n_v, len(table))
-    parts = [_HEADER.pack(MAGIC, scheme, index.value_width, ref_width, *counts)]
+    parts = [_HEADER.pack(MAGIC, scheme, index.value_width, ref_width, n, n_p, n_v, len(table))]
     ctx = index.zo_ctx
     if ctx is not None:
         labels = "/".join(sorted(ctx.codes, key=ctx.codes.__getitem__)).encode("ascii")
-        parts.append(_ZO_HEADER.pack(ctx.max_labels, len(ctx.codes), len(labels)) + labels)
-    parts += [table, mixed, b"".join(index.p_tab), b"".join(index.v_tab), _pack(refs, ref_width)]
+        parts.append(_ZO_HEADER.pack(ctx.max_labels, len(labels)) + labels)
+    parts += [table, b"".join(index.p_tab), b"".join(index.v_tab), _pack(refs, ref_width)]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -964,41 +966,38 @@ def save_bytes(index: RcasIndex) -> bytes:
 
 
 def load_bytes(data: bytes) -> RcasIndex:
-    """Read an RCAS5 file, checking that it holds one well-formed index.
+    """Read an RCAS6 file, checking that it holds one well-formed index.
 
     Every check raises ValueError: the checksum, the header, the varint
     column and its count against the node flags, each substring id against
-    its table, the tree shape the child counts give, the edges (their
-    dimension codes, a byte for each in its child, and their order), that
-    every root-to-leaf path spells a whole key, that the refs add up to the
-    key count, and the packing of the refs.  Each count read from the file
-    is checked before an array is made from it: a length against the bytes
-    that hold it, and the key count against the leaves' ref counts and the
-    refs section, whose one bit a ref or more keeps memory linear in the
-    file's length.
+    its table, the tree shape the child counts give, each mixed node's
+    split, the edges (a byte for each in its child, and their order), that
+    every root-to-leaf path spells a whole key, and the packing of the
+    refs.  Each count read from the file is checked before an array is made
+    from it: a length against the bytes that hold it, and the key count,
+    the leaves' ref counts summed, against the refs section, whose one bit
+    a ref or more keeps memory linear in the file's length.
 
     The tree comes from the child counts alone (`_shape`), read from the
     high bits of each node's count varint, whose low four bits are its
     empty-substring flags and its dimension code.  A flagged node takes its
-    table's first empty entry (`_ids`).  Each edge becomes one (dimension,
-    byte) symbol: its node's dimension code, or for a `_MIXED` node its own,
-    over the first byte of the child's substring in that dimension, which
-    is the edge's byte (`_edge_symbols`); the checks and `_index` read these
-    symbols, as they read a build's.  Each check runs over the part of the
-    file where it can fail: only the edges of `_MIXED` nodes carry their own
-    dimension codes, so only they are checked to span both dimensions
-    (`_check_mixed`); the edge order is one comparison of the symbols, set
-    aside at each node's first edge (`_check_order`), and a file whose
-    children follow another order is rejected; and only varints longer
-    than a byte are checked for a canonical spelling (`_read_varints`).
-    The node table and the table offsets are 32-bit when the file is under
-    256 MiB (a ref count may reach 8 times the file's length), the table is
-    dropped once split into its columns, and the root-to-leaf checks run in
-    a helper (`_check_keys`) whose arrays are gone before the index is
-    built.  For 100,000 keys of width 8 (a 0.54
-    MiB file, 95,567 nodes) opening takes 23.6 ms (min of 40 calls, on a
-    shared 2-core x86 host), and its tracemalloc peak is 12.6 MiB, against
-    the 6.0 MiB the index holds."""
+    table's empty entry, the last (`_ids`).  Each edge becomes one
+    (dimension, byte) symbol: its node's dimension code, or for a `_MIXED`
+    node P for its first `split` edges and V for the rest, over the first
+    byte of the child's substring in that dimension, which is the edge's
+    byte (`_edge_symbols`); the checks and `_index` read these symbols, as
+    they read a build's.  Each check runs over the part of the file where
+    it can fail: the edge order is one comparison of the symbols, set aside
+    at each node's first edge (`_check_order`), and a file whose children
+    follow another order is rejected; and only varints longer than a byte
+    are checked for a canonical spelling (`_read_varints`).  The node table
+    and the table offsets are 32-bit when the file is under 256 MiB (a ref
+    count may reach 8 times the file's length), the table is dropped once
+    split into its columns, and the root-to-leaf checks run in a helper
+    (`_check_keys`) whose arrays are gone before the index is built.  For
+    100,000 keys of width 8 (a 0.54 MiB file, 95,567 nodes) opening takes
+    21.3 ms (min of 40 calls, on a shared 2-core x86 host), and its
+    tracemalloc peak is 12.6 MiB, against the 6.0 MiB the index holds."""
     data = bytes(data)
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not an index file (bad magic)")
@@ -1014,7 +1013,7 @@ def load_bytes(data: bytes) -> RcasIndex:
         pos += size
         return data[pos - size : pos]
 
-    _, scheme_code, width, ref_width, key_count, n, n_p, n_v, table_bytes = _HEADER.unpack_from(data)
+    _, scheme_code, width, ref_width, n, n_p, n_v, table_bytes = _HEADER.unpack_from(data)
     scheme = _SCHEME_FROM_CODE.get(scheme_code)
     if scheme is None:
         raise ValueError("unknown scheme code in index file")
@@ -1022,54 +1021,53 @@ def load_bytes(data: bytes) -> RcasIndex:
         raise ValueError(f"unsupported value width {width} in index file")
     ctx = None
     if scheme == "zo":
-        max_labels, n_labels, label_bytes = _ZO_HEADER.unpack(take(_ZO_HEADER.size))
-        labels = take(label_bytes).decode("ascii").split("/") if n_labels else []
-        codes = {label: i + 1 for i, label in enumerate(labels)}
-        if len(codes) != n_labels or (not n_labels and label_bytes):
-            raise ValueError("bad z-order label dictionary in index file")
-        ctx = ZoContext(codes=codes, max_labels=max_labels)
+        max_labels, label_bytes = _ZO_HEADER.unpack(take(_ZO_HEADER.size))
+        labels = take(label_bytes).decode("ascii")
+        codes = {label: i + 1 for i, label in enumerate(labels.split("/") if labels else [])}
+        ctx = ZoContext(codes=codes, max_labels=max_labels)  # which rejects a label listed twice
     if not n:
         raise ValueError("index file holds no nodes")
     table = _read_varints(take(table_bytes))
     ids = n_p + n_v + n  # where the ids start in the varint table
-    node = table[n_p + n_v : ids]  # each node's count over its flags and dimension code
+    node = table[n_p + n_v : ids]  # each node's count less one over its flags and dimension code
     p_full, v_full = (node & _P_EMPTY) == 0, (node & _V_EMPTY) == 0  # the nodes whose substring is not empty
-    p_end = ids + int(np.count_nonzero(p_full))
-    if len(node) != n or len(table) != p_end + int(np.count_nonzero(v_full)):
-        raise ValueError("varint table does not hold the count its header and node flags give in index file")
     code = (node & 3).astype(np.uint8)  # P 0, V 1, leaf 2, mixed 3
-    node >>= 4  # the child or ref counts
+    mixed = code == _MIXED
+    p_end = ids + int(np.count_nonzero(p_full))
+    v_end = p_end + int(np.count_nonzero(v_full))
+    if len(node) != n or len(table) != v_end + int(np.count_nonzero(mixed)):
+        raise ValueError("varint table does not hold the count its header and node flags give in index file")
+    node >>= 4  # the child or ref counts less one
     del node  # a view, which would keep the table alive
     # an entry length or id is below the file's length, and a count below
     # 8 * that length, the most refs a section of one bit a ref or more holds
     if table.max() > 8 * len(data):
         raise ValueError("node table out of range in index file")
     table = table.astype(np.int32 if len(data) < 2**28 else np.int64)
-    p_size, v_size = table[:n_p].copy(), table[n_p : n_p + n_v].copy()  # of each table entry
+    table[:ids] += 1  # the entry lengths and the counts
+    empty = np.zeros(1, table.dtype)  # the length of each table's last entry
+    p_size, v_size = np.concatenate((table[:n_p], empty)), np.concatenate((table[n_p : n_p + n_v], empty))
     count = table[n_p + n_v : ids].copy()
-    p_id, v_id = _ids(table[ids:p_end], p_full, p_size), _ids(table[p_end:], v_full, v_size)
+    p_id, v_id = _ids(table[ids:p_end], p_full, n_p), _ids(table[p_end:v_end], v_full, n_v)
+    split = table[v_end:] + 1  # the path edges of each mixed node
     del table, p_full, v_full
     leaf = code == _BOT
-    if not count[~leaf].all():
-        raise ValueError("inner node without children")
     arity = count * ~leaf  # products of masks: np.where took ten times as long
     refcount = count * leaf
     del count
     shape = _shape(arity)
     edim = np.repeat(code, arity)
-    mixed = code == _MIXED
-    if mixed.any():  # only these nodes' edges carry their own dimension codes
-        on = np.repeat(mixed, arity)
-        edim[on] = np.frombuffer(take(int(on.sum())), np.uint8)
-        _check_mixed(edim[on], arity[mixed])
+    if split.size:  # a mixed node's path edges, then its value edges
+        if (split >= arity[mixed]).any():
+            raise ValueError("bad child edge in index file")
+        runs = np.column_stack((split, arity[mixed] - split)).ravel()
+        edim[np.repeat(mixed, arity)] = np.repeat(np.tile(np.array([_P, _V], np.uint8), split.size), runs)
     del arity
     p_at = pos + np.cumsum(p_size, dtype=p_size.dtype) - p_size  # the offset of each table entry
     take(int(p_size.sum()))
     v_at = pos + np.cumsum(v_size, dtype=v_size.dtype) - v_size
     take(int(v_size.sum()))
-    if int(refcount.sum()) != key_count:
-        raise ValueError("leaf ref counts do not add up to the key count in index file")
-    refs = _unpack(take(limit - pos), key_count, ref_width)
+    refs = _unpack(take(limit - pos), int(refcount.sum()), ref_width)
     raw = np.frombuffer(data, np.uint8)
     tables = (p_at, p_size, p_id), (v_at, v_size, v_id)
     _check_keys(raw, tables, shape, leaf, width, ctx)
@@ -1088,30 +1086,15 @@ def load_bytes(data: bytes) -> RcasIndex:
     )
 
 
-def _ids(stored: np.ndarray, full: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Each node's substring id in a table whose entries are `size` bytes
-    long: the next of the `stored` ids where `full`, else the table's first
-    empty entry.  ValueError for an id past the table's end, a stored id
-    that names an empty entry, and a flagged node in a table with none."""
-    if len(stored) and stored.max() >= len(size):
+def _ids(stored: np.ndarray, full: np.ndarray, n_stored: int) -> np.ndarray:
+    """Each node's substring id in a table of `n_stored` stored entries and
+    the empty entry after them: the next of the `stored` ids where `full`,
+    else the empty entry's.  ValueError for an id past the stored entries."""
+    if len(stored) and stored.max() >= n_stored:
         raise ValueError("substring id past the end of its table in index file")
-    if not size[stored].all():
-        raise ValueError("unflagged node names an empty substring in index file")
-    empty = np.flatnonzero(size == 0)
-    if not len(empty) and len(stored) < len(full):
-        raise ValueError("node flagged empty in a table with no empty entry in index file")
-    out = np.full(len(full), empty[0] if len(empty) else 0, stored.dtype)
+    out = np.full(len(full), n_stored, stored.dtype)
     out[np.flatnonzero(full)] = stored  # a boolean index took up to five times as long
     return out
-
-
-def _check_mixed(codes: np.ndarray, arity: np.ndarray) -> None:
-    """The edges of the `_MIXED` nodes, whose child counts are `arity` and
-    whose edges' dimension codes are `codes`, carry codes of P or V, and
-    each node's span both: its least code is not its greatest."""
-    start = np.cumsum(arity) - arity
-    if codes.max() > _V or (np.minimum.reduceat(codes, start) == np.maximum.reduceat(codes, start)).any():
-        raise ValueError("bad child edge in index file")
 
 
 def _edge_symbols(raw, tables, echild: np.ndarray, edim: np.ndarray) -> np.ndarray:

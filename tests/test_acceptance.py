@@ -323,7 +323,7 @@ def test_criterion_11_serialization_round_trip():
     for scheme in ("rcas", "zo"):
         index = build_static(keys, scheme)
         blob = save_bytes(index)
-        assert blob.startswith(b"RCAS5")
+        assert blob.startswith(b"RCAS6")
         loaded = load_bytes(blob)
         assert save_bytes(loaded) == blob, "re-serialization must be byte-identical"
         for _ in range(100):

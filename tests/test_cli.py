@@ -26,11 +26,11 @@ def bom_file(tmp_path):
 @pytest.fixture
 def bad_indexes(bom_file, tmp_path):
     """The example index cut in half; and, each behind a recomputed
-    checksum, with the magic of the earlier RCAS4, RCAS3 and RCAS2 formats,
-    with its root's dimension code flipped to the leaf code, which leaves
-    the root's children without a parent, with the root's child count set
-    to 4 of its 3 children, with a value width outside {4, 8}, and with a
-    leaf whose path is never terminated."""
+    checksum, with the magic of the earlier RCAS5, RCAS4, RCAS3 and RCAS2
+    formats, with its root's dimension code flipped to the leaf code, which
+    leaves the root's children without a parent, with the root's child
+    count set to 4 of its 3 children, with a value width outside {4, 8},
+    and with a leaf whose path is never terminated."""
     target = tmp_path / "bom.idx"
     assert main(["build", bom_file, "--save", str(target)]) == 0
     blob = target.read_bytes()
@@ -42,15 +42,16 @@ def bad_indexes(bom_file, tmp_path):
     def corrupt(name: str, at: int, new: bytes) -> str:
         return write(name, resealed(blob[:at] + new + blob[at + len(new) :]))
 
-    assert blob[68] == 3 << 4 | 1  # the root's child count over its flags and dimension code, V
+    assert blob[58] == 2 << 4 | 1  # the root's child count less one over its flags and dimension code, V
     assert blob[blob.index(b"r/battery") + 9] == 0  # the terminator that ends it
     return [
         write("truncated.idx", blob[: len(blob) // 2]),
+        corrupt("rcas5_format.idx", 0, b"RCAS5"),
         corrupt("rcas4_format.idx", 0, b"RCAS4"),
         corrupt("old_format.idx", 0, b"RCAS3"),
         corrupt("older_format.idx", 0, b"RCAS2"),
-        corrupt("flipped.idx", 68, bytes([3 << 4 | 2])),
-        corrupt("wrong_kind.idx", 68, bytes([4 << 4 | 1])),
+        corrupt("flipped.idx", 58, bytes([2 << 4 | 2])),
+        corrupt("wrong_kind.idx", 58, bytes([3 << 4 | 1])),
         corrupt("bad_width.idx", 6, bytes([151])),
         corrupt("unterminated.idx", blob.index(b"r/battery") + 9, b"\x89"),
     ]

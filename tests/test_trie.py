@@ -69,43 +69,44 @@ EXPECTED_BOM_TREE = (
 )
 
 
-# The RCAS5 file of the running example's rcas index, byte for byte: the
-# header (magic, scheme 0, width 4, ref width 4, 8 keys, 11 nodes, 10 path
-# and 10 value table entries, 50 bytes of varints), the varints (the path
-# table's lengths, the value table's, each node's child or ref count
-# shifted over its empty-substring flags, P 8 and V 4, and its dimension
-# code, V 1, P 0, leaf 2; then the path ids of the nine nodes with a path
-# substring and the value ids of the ten with a value substring), the path
-# and the value table entries, the refs at 4 bits each, low bits first, and
-# the CRC-32.  No edge byte is stored: each is its child's first byte in the
-# edge's dimension.  The two leaves with empty paths, and the `/b` node
-# with an empty value, store no id for it.
-EXAMPLE_RCAS5 = (
-    "5243415335" "00" "04" "04" "0000000000000008" "000000000000000b"
-    "000000000000000a" "000000000000000a" "0000000000000032"
-    "0c01020604050704" "0a00"
-    "0100020202020302" "0101"
-    "31" "20" "35" "12" "12" "12" "12" "12" "21" "2a" "1a"
+# The RCAS6 file of the running example's rcas index, byte for byte: the
+# header (magic, scheme 0, width 4, ref width 4, 11 nodes, 9 path and 9 value
+# table entries stored, 48 bytes of varints), the varints (the stored path
+# entries' lengths less one, the value entries' likewise, each node's child
+# or ref count less one shifted over its empty-substring flags, P 8 and V 4,
+# and its dimension code, V 1, P 0, leaf 2; then the path ids of the nine
+# nodes with a path substring and the value ids of the ten with a value
+# substring), the stored path and value table entries, the refs at 4 bits
+# each, low bits first, and the CRC-32.  No edge byte is stored: each is its
+# child's first byte in the edge's dimension.  The empty substring is each
+# table's last entry, which is not stored: the two leaves with empty paths,
+# and the `/b` node with an empty value, take it and store no id for it.
+EXAMPLE_RCAS6 = (
+    "5243415336" "00" "04" "04" "000000000000000b"
+    "0000000000000009" "0000000000000009" "0000000000000030"
+    "0b00010503040603" "09"
+    "0001010101020100" "00"
+    "21" "10" "25" "02" "02" "02" "02" "02" "11" "1a" "0a"
     "000102030405060708"
-    "00" "00" "0203040506070809"
+    "00" "0001020304050607" "08"
     "2f626f6d2f6974656d2f6361" "72" "2f62" "756d70657200" "656c7400" "72616b6500"
     "6162696e657200" "6e6f6500" "722f62617474657279" "00"
     "00" "0a8c" "0b4a" "0cc2" "00f1" "010e50" "03d3" "5a" "b0"
     "57263148"
-    "d84f582f"
+    "a38014d9"
 )
 
 # One SHA-256 over the index file, `BuildStats` and `IndexStats` of every
 # scheme for generator seeds 5 and 6 at widths 4 and 8 (3,000 keys, 30%
 # duplicates), so that a change meant to keep every index as it is shows
 # any drift.
-PINNED_INDEXES_SHA256 = "ccd5700c35d56aa2a631129b389273d859cb7461bcf91198bedcd2bd77cc501b"
+PINNED_INDEXES_SHA256 = "bcec31ed39b7ae159230801f81b694b6207dde7bb0d0bf298b74f7a8e77d3493"
 
 # The same over the 150-label dataset (seed 3, 3,000 keys, 30% duplicates) at
 # widths 4 and 8, whose labels of one to three bytes make lw build nodes whose
 # edges span both dimensions (24 and 30 of them), so that the digest covers
-# the RCAS5 section of their edge codes.
-PINNED_MIXED_INDEXES_SHA256 = "48e05c18f4ab077e8c6875e4e3addf50e704d48aef7b988ad7b0086c44b7251f"
+# the RCAS6 varints of their splits.
+PINNED_MIXED_INDEXES_SHA256 = "d77e6f3d5ebd2d533cc498513670eb64d880b4fbbd314f08f0337d91b7e41dee"
 
 # The example's index file in every scheme, for corrupting.
 EXAMPLE_BLOBS = [save_bytes(build_static(records_to_keys(BOM_EXAMPLE), s)) for s in SCHEMES]
@@ -596,7 +597,7 @@ class TestStaticBuilds:
 
 class TestSerialization:
     def test_magic_prefix(self, bom_index):
-        assert save_bytes(bom_index).startswith(b"RCAS5")
+        assert save_bytes(bom_index).startswith(b"RCAS6")
 
     def test_round_trip_all_schemes(self, bom_keys):
         for scheme in SCHEMES:
@@ -647,9 +648,10 @@ class TestSerialization:
         whose labels of one to three bytes make lw build mixed nodes: an
         index loaded from its file equals the index saved, edge bytes
         included; it saves to the same bytes; and the file is exactly its
-        header, varint table, mixed section, table bytes, refs and CRC, so
-        no per-edge section and no id of an empty substring is stored, and
-        the refs take the bit length of the largest each, one bit at least."""
+        header, varint table, table bytes, refs and CRC, so no per-edge
+        section, no empty table entry and no id of an empty substring is
+        stored, and the refs take the bit length of the largest each, one
+        bit at least."""
         if wide:
             cfg = GeneratorConfig(seed=seed, key_count=count, label_alphabet_size=150, duplicate_fraction=0.3)
             keys = records_to_keys(generate(cfg), width)
@@ -663,6 +665,45 @@ class TestSerialization:
             assert save_bytes(again) == blob, scheme
             assert len(blob) == file_length(index), scheme
             assert blob[7] == max(max(index.refs).bit_length(), 1), scheme
+
+    @pytest.mark.parametrize("count", [8, 9])
+    def test_counts_of_eight_take_one_varint_byte(self, count):
+        """A count is stored less one over four bits of flags and code, so a
+        leaf of 8 refs and a node of 8 children take one varint byte, and 9
+        take two; both round trip."""
+        leaf = bulk_load([CompositeKey.make("/a", 1, r) for r in range(count)])
+        fan = bulk_load([CompositeKey.make("/a", v << 24, v) for v in range(count)])  # 8 first value bytes
+        for index, code in ((leaf, _DIM_CODE[BOT]), (fan, 4 | _DIM_CODE[V])):  # the fan's value substring is empty
+            blob = save_bytes(index)
+            n_p, n_v = struct.unpack_from(">QQ", blob, 16)
+            root = blob[40 + n_p + n_v :]  # past the one-byte lengths
+            assert list(_read_varints(root[: 1 + (count > 8)])) == [(count - 1) << 4 | code]
+            assert load_bytes(blob) == index
+            assert save_bytes(load_bytes(blob)) == blob
+
+    def test_mixed_splits_round_trip(self):
+        """On the 150-label dataset, lw builds mixed nodes whose split is 1
+        and whose split is their child count less one, each stored as one
+        varint less one after the ids; both round trip, and a split equal to
+        the child count, which leaves no value edge, is rejected."""
+        cfg = GeneratorConfig(seed=3, key_count=3000, label_alphabet_size=150, duplicate_fraction=0.3)
+        index = build_static(records_to_keys(generate(cfg), 4), "lw")
+        estart, esplit = np.array(index.estart), np.array(index.esplit)
+        arity, paths = np.diff(estart), esplit - estart[:-1]
+        mixed = (0 < paths) & (paths < arity)
+        splits = list(zip(paths[mixed].tolist(), arity[mixed].tolist()))
+        assert (1, 3) in splits and (2, 3) in splits and (10, 11) in splits
+        blob = save_bytes(index)
+        assert load_bytes(blob) == index
+        assert save_bytes(load_bytes(blob)) == blob
+        (size,) = struct.unpack_from(">Q", blob, 32)  # of the varint table
+        values = _read_varints(blob[40 : 40 + size])
+        assert values[len(values) - len(splits) :].tolist() == [s - 1 for s, _ in splits]
+        at = len(values) - len(splits) + splits.index((10, 11))
+        values[at] = 11 - 1
+        column = trie._varints(values)
+        with pytest.raises(ValueError, match="bad child edge"):
+            load_bytes(resealed(blob[:32] + len(column).to_bytes(8, "big") + column + blob[40 + size :]))
 
     def test_zo_context_survives(self, bom_keys):
         index = build_static(bom_keys, "zo")
@@ -690,14 +731,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_bytes(b"NOPE1" + b"\x00" * 32)
         blob = save_bytes(bom_index)
-        for magic in (b"RCAS2", b"RCAS3", b"RCAS4"):  # the earlier formats have no reader
+        for magic in (b"RCAS2", b"RCAS3", b"RCAS4", b"RCAS5"):  # the earlier formats have no reader
             with pytest.raises(ValueError, match="bad magic"):
                 load_bytes(resealed(magic + blob[5:]))
 
     def test_example_bytes(self, bom_index):
-        """The exact RCAS5 bytes of the example index, so that any drift of
+        """The exact RCAS6 bytes of the example index, so that any drift of
         the format fails here first."""
-        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS5
+        assert save_bytes(bom_index).hex() == EXAMPLE_RCAS6
 
     def test_generated_indexes_pinned(self):
         digest = hashlib.sha256()
@@ -737,113 +778,109 @@ class TestSerialization:
         with pytest.raises(ValueError, match="checksum"):
             load_bytes(blob[:40] + bytes([blob[40] ^ 1]) + blob[41:])
         # records that contradict themselves, each behind a valid checksum
-        counts = 5 + 1 + 1 + 1 + 8 + 8  # magic, scheme, value and ref widths, key and node counts
-        assert blob[counts : counts + 24] == b"".join(c.to_bytes(8, "big") for c in (10, 10, 50))
-        table = counts + 24  # after the table counts and the varint byte count
-        assert blob[table : table + 2] == bytes([12, 1])  # the lengths of '/bom/item/ca' and 'r'
-        root = table + 20  # each node's child or ref count over its flags and dimension code
+        counts = 5 + 1 + 1 + 1  # magic, scheme, value and ref widths
+        assert blob[counts + 8 : counts + 32] == b"".join(c.to_bytes(8, "big") for c in (9, 9, 48))
+        table = counts + 32  # after the node count, the table counts and the varint byte count
+        assert blob[table : table + 2] == bytes([11, 0])  # the lengths less one of '/bom/item/ca' and 'r'
+        root = table + 18  # each node's child or ref count less one over its flags and dimension code
         ids = root + 11  # the path ids of the nodes with a path substring, then the value ids
         # a V root with 3 children, a P node with 2, a V node with 3 and an
         # empty value substring, then a leaf with 1 ref
-        assert blob[root : root + 4] == bytes([3 << 4 | 1, 2 << 4 | 0, 3 << 4 | 4 | 1, 1 << 4 | 2])
+        assert blob[root : root + 4] == bytes([2 << 4 | 1, 1 << 4 | 0, 2 << 4 | 4 | 1, 0 << 4 | 2])
 
         def rejected(at: int, new: bytes, match: str | None = None) -> None:
             with pytest.raises(ValueError, match=match):
                 load_bytes(resealed(blob[:at] + new + blob[at + len(new) :]))
 
-        rejected(root, bytes([3 << 4 | 2]))  # the root as a leaf: its children float free
-        rejected(root + 3, bytes([1 << 4 | 1]))  # a leaf as a V node: its ref count as children
+        rejected(root, bytes([2 << 4 | 2]))  # the root as a leaf: its children float free
+        rejected(root + 3, bytes([0 << 4 | 1]))  # a leaf as a V node: its ref count as children
         for count in (2, 4):  # not the root's 3 children
-            rejected(root, bytes([count << 4 | 1]), "tree")
-        rejected(root, bytes([0 << 4 | 1]), "without children")
-        rejected(table, b"\x8c\x00", "varint")  # 12 spelled in two bytes
-        rejected(ids, b"\x0a", "past the end of its table")  # 10 path entries
-        rejected(ids + 9, b"\x0a", "past the end of its table")  # 10 value entries
-        for p_count, v_count in ((11, 10), (9, 8), (10, 11)):  # the varints hold 50
-            rejected(counts, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "count")
+            rejected(root, bytes([(count - 1) << 4 | 1]), "tree")
+        rejected(table, b"\x8b\x00", "varint")  # 11 spelled in two bytes
+        rejected(ids, b"\x09", "past the end of its table")  # 9 path entries stored
+        rejected(ids + 9, b"\x09", "past the end of its table")  # 9 value entries stored
+        for p_count, v_count in ((10, 9), (8, 7), (9, 10)):  # the varints hold 48
+            rejected(counts + 8, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "count")
         # the same number of varints, split one entry later: the value ids
         # run past the end; and one path entry fewer: the node column starts
         # a varint early and loses the last node's path flag, so the count
         # still adds up, and the ids run past the end
-        for p_count, v_count in ((11, 9), (9, 10)):
-            rejected(counts, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "past the end")
+        for p_count, v_count in ((10, 8), (8, 9)):
+            rejected(counts + 8, p_count.to_bytes(8, "big") + v_count.to_bytes(8, "big"), "past the end")
         # the root's edges take the first value bytes of its children: 0x00, 0x01 and 0x03
         noe = blob.index(bytes.fromhex("010e50"))
         for first in (b"\x04", b"\x00"):  # out of order, repeated
             rejected(noe, first, "out of order")
         # the V node over the leaves 0x5a and 0xb0 marked P: their paths are empty, so its edges have no byte
-        assert blob[root + 8 : root + 11] == bytes([2 << 4 | 1, 2 << 4 | 8 | 2, 1 << 4 | 8 | 2])
-        rejected(root + 8, bytes([2 << 4 | 0]), "no byte in its dimension")
+        assert blob[root + 8 : root + 11] == bytes([1 << 4 | 1, 1 << 4 | 8 | 2, 0 << 4 | 8 | 2])
+        rejected(root + 8, bytes([1 << 4 | 0]), "no byte in its dimension")
         assert blob[6] == 4
         rejected(6, bytes([151]), "value width 151")  # outside {4, 8}
-        rejected(8, (9).to_bytes(8, "big"), "key count")  # 8 refs in the leaves
         battery = blob.index(b"r/battery\x00") + 9
         rejected(battery, b"\x89", "leaf does not end")  # a leaf's path never ends
-        rejected(counts - 8, bytes(8), "holds no nodes")  # the node count
-        # the first table value, 12, spelled as 16383 in one more varint byte
-        wide = blob[: counts + 16] + (51).to_bytes(8, "big") + b"\xff\x7f" + blob[table + 1 :]
+        rejected(counts, bytes(8), "holds no nodes")  # the node count
+        # the first table value, 11, spelled as 16383 in one more varint byte
+        wide = blob[: counts + 24] + (49).to_bytes(8, "big") + b"\xff\x7f" + blob[table + 1 :]
         with pytest.raises(ValueError, match="node table out of range"):
             load_bytes(resealed(wide))
 
     def test_non_canonical_files_rejected(self, bom_keys):
-        """A file that would load but not save back to the same bytes:
-        a varint spelled longer than it needs, a node marked mixed whose
-        edges share one dimension, and a z-order label listed twice."""
+        """A file that would load but not save back to the same bytes: a
+        varint spelled longer than it needs, a mixed node's split that
+        leaves it no value edge or puts its path edges out of order, and a
+        z-order label listed twice."""
         assert list(_read_varints(bytes([0x0C, 0x80, 0x01, 0xFF, 0xFF, 0x03]))) == [12, 128, 65535]
         for column in (b"\x8c\x00", b"\x80" * 10 + b"\x01", b"\xff" * 9 + b"\x02", b"\x0c\x80"):
             with pytest.raises(ValueError, match="varint"):
                 _read_varints(column)
         blob = save_bytes(build_static(bom_keys, "rcas"))
-        table = 5 + 1 + 1 + 1 + 8 * 5  # past the magic, scheme, two widths and five counts
-        count = table + 20  # the root's child count over its flags and dimension code
-        mixed = table + 50  # past the 50 varint bytes
-        assert blob[count] == 3 << 4 | _DIM_CODE[V]
-        # the root marked mixed, with a mixed section that gives its three edges V
-        marked = bytes([3 << 4 | _MIXED])
-        blob = blob[:count] + marked + blob[count + 1 : mixed] + bytes([_DIM_CODE[V]] * 3) + blob[mixed:]
-        with pytest.raises(ValueError, match="bad child edge"):
-            load_bytes(resealed(blob))
-        p, v = _DIM_CODE[P], _DIM_CODE[V]
-        # codes that share one dimension, a code that is not P or V, and
-        # codes that span both dimensions but put a path edge after a value edge
-        for codes, match in (([p] * 3, "bad child edge"), ([v, v, 2], "bad child edge"), ([v, p, v], "out of order")):
+        table = 5 + 1 + 1 + 1 + 8 * 4  # past the magic, scheme, two widths and four counts
+        count = table + 18  # the root's child count less one over its flags and dimension code
+        end = table + 48  # past the 48 varint bytes
+        assert blob[count] == 2 << 4 | _DIM_CODE[V]
+
+        def marked(split: int) -> bytes:
+            """The root marked mixed, its first `split` edges path edges."""
+            body = blob[table:count] + bytes([2 << 4 | _MIXED]) + blob[count + 1 : end] + bytes([split - 1])
+            return resealed(blob[: table - 8] + len(body).to_bytes(8, "big") + body + blob[end:])
+
+        # all three edges path edges; two, whose bytes 'r' and 'n' descend
+        for split, match in ((3, "bad child edge"), (2, "out of order")):
             with pytest.raises(ValueError, match=match):
-                load_bytes(resealed(blob[:mixed] + bytes(codes) + blob[mixed + 3 :]))
+                load_bytes(marked(split))
         blob = save_bytes(build_static(bom_keys, "zo"))
         at = blob.index(b"/car/")
-        with pytest.raises(ValueError, match="label dictionary"):
+        with pytest.raises(ValueError, match="label codes"):
             load_bytes(resealed(blob[: at + 1] + b"bom" + blob[at + 4 :]))
         with pytest.raises(ValueError, match="not a path label"):
             load_bytes(resealed(blob[: at + 1] + b"\x01" + blob[at + 2 :]))
 
     def test_empty_substring_flags_are_canonical(self, bom_index):
         """A node flagged empty in a dimension stores no id there and takes
-        its table's empty entry, so each index has one spelling: an
-        unflagged node may not name the empty entry, a flagged node needs
-        one, and the varint table holds exactly the ids the flags leave."""
+        its table's last entry, the empty one, which the file does not
+        store: so an id of it lies past the stored entries, and the varint
+        table holds exactly the ids the flags leave."""
         blob = save_bytes(bom_index)
-        table = 5 + 1 + 1 + 1 + 8 * 5  # past the magic, scheme, two widths and five counts
-        values = [int(x) for x in _read_varints(blob[table : table + 50])]
-        nodes, ids = 20, 31  # where the node column and the path ids start
-        assert values[:10] == [12, 1, 2, 6, 4, 5, 7, 4, 10, 0]  # path entry 9 is the empty one
-        assert values[nodes + 9] == 2 << 4 | 8 | 2  # a leaf of two refs with an empty path
-        assert values[ids:] == list(range(9)) + [0, 0] + list(range(2, 10))
+        table = 5 + 1 + 1 + 1 + 8 * 4  # past the magic, scheme, two widths and four counts
+        values = [int(x) for x in _read_varints(blob[table : table + 48])]
+        nodes, ids = 18, 29  # where the node column and the path ids start
+        assert values[:9] == [11, 0, 1, 5, 3, 4, 6, 3, 9]  # the stored path entries' lengths less one
+        assert values[nodes + 9] == 1 << 4 | 8 | 2  # a leaf of two refs with an empty path
+        assert values[ids:] == list(range(9)) + [0] + list(range(9))
 
         def rejected(edited: list[int], match: str) -> None:
             column = trie._varints(np.array(edited, np.uint64))
             size = len(column).to_bytes(8, "big")
             with pytest.raises(ValueError, match=match):
-                load_bytes(resealed(blob[: table - 8] + size + column + blob[table + 50 :]))
+                load_bytes(resealed(blob[: table - 8] + size + column + blob[table + 48 :]))
 
-        # the leaf unflagged, naming the empty entry by its id
-        unflagged = values[: nodes + 9] + [2 << 4 | 2] + values[nodes + 10 : ids + 9] + [9] + values[ids + 9 :]
-        rejected(unflagged, "names an empty substring")
-        # the last two path entries as 'r/battery' and '\x00': no entry is empty
-        rejected(values[:8] + [9, 1] + values[10:], "no empty entry")
+        # the leaf unflagged, naming the empty entry by its id, 9
+        unflagged = values[: nodes + 9] + [1 << 4 | 2] + values[nodes + 10 : ids + 9] + [9] + values[ids + 9 :]
+        rejected(unflagged, "past the end of its table")
         # the root flagged empty in its path, with its id still stored
         rejected(values[:nodes] + [values[nodes] | 8] + values[nodes + 1 :], "count")
         # the leaf's flag dropped with no id for it
-        rejected(values[: nodes + 9] + [2 << 4 | 2] + values[nodes + 10 :], "count")
+        rejected(values[: nodes + 9] + [1 << 4 | 2] + values[nodes + 10 :], "count")
 
     def test_unfinished_keys_rejected(self):
         """Records that are well formed one by one, but whose root-to-leaf
@@ -969,14 +1006,22 @@ class TestPackedRefs:
 
     @pytest.mark.parametrize("ref", [0, 2**17 - 1])
     def test_huge_key_count_fails_before_allocating(self, ref):
-        """A header key count near 2**63 is rejected before an array of that
-        length is made, with refs that are all 0 too."""
+        """A leaf that claims 8 times the file's length in refs, or 2**60,
+        the most its varint holds, or 2**63, is rejected before an array of
+        that length is made, with refs that are all 0 too: by the refs
+        section's length, by the node table's bound and as a varint of more
+        than 64 bits.  The key count is the leaves' ref counts summed, so
+        the claim is the key count."""
         blob = save_bytes(bulk_load([CompositeKey.make("/a", 1, ref)]))
-        for count in (2**63 - 1, 2**63, 2**64 - 1):
-            bad = resealed(blob[:8] + count.to_bytes(8, "big") + blob[16:])
+        table = 40  # one leaf: its path and value lengths less one, its count, its two ids
+        assert list(_read_varints(blob[table : table + 5])) == [2, 3, 0 << 4 | 2, 0, 0]
+        for claim, match in ((8 * len(blob), "refs section"), (2**60, "out of range"), (2**63, "bad varint")):
+            leaf = leb128((claim - 1) << 4 | 2)
+            body = blob[table : table + 2] + leaf + blob[table + 3 : table + 5]
+            bad = resealed(blob[: table - 8] + len(body).to_bytes(8, "big") + body + blob[table + 5 :])
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match="key count"):
+                with pytest.raises(ValueError, match=match):
                     load_bytes(bad)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -998,23 +1043,23 @@ class TestPackedRefs:
     @pytest.mark.parametrize("ref_width", [0, 1])
     def test_key_count_is_bounded_by_the_refs_section(self, ref_width):
         """However many refs the leaves claim, the refs section's length
-        bounds the key count before the refs are made: here 300 leaves each
-        claim as many refs as the file has bytes, with the key count their sum,
-        at the stored width of 1 bit and at a header width of 0, under which
-        the refs would take no bytes."""
+        bounds the key count, their sum, before the refs are made: here 300
+        leaves each claim as many refs as the file has bytes, at the stored
+        width of 1 bit and at a header width of 0, under which the refs
+        would take no bytes."""
         blob = save_bytes(bulk_load([CompositeKey.make(f"/a{i}", i, 0) for i in range(300)]))
-        n, n_p, n_v, size = struct.unpack_from(">QQQQ", blob, 16)
-        table = trie._read_varints(blob[48 : 48 + size])
+        n, n_p, n_v, size = struct.unpack_from(">QQQQ", blob, 8)
+        table = trie._read_varints(blob[40 : 40 + size])
         node = table[n_p + n_v : n_p + n_v + n]
         leaf = node & np.uint64(3) == 2
         claim = len(blob)
-        node[leaf] = node[leaf] & np.uint64(15) | np.uint64(claim << 4)
+        node[leaf] = node[leaf] & np.uint64(15) | np.uint64((claim - 1) << 4)
         new = trie._varints(table)
         key_count = int(leaf.sum()) * claim
         assert key_count * 8 > 2**22  # the bytes of refs the leaves claim
         refs = len(blob) - 4 - -(-300 * blob[7] // 8)  # where the refs start
-        body = blob[48 + size : refs] + (blob[refs:-4] if ref_width else b"")
-        head = blob[:7] + bytes([ref_width]) + struct.pack(">QQQQQ", key_count, n, n_p, n_v, len(new))
+        body = blob[40 + size : refs] + (blob[refs:-4] if ref_width else b"")
+        head = blob[:7] + bytes([ref_width]) + struct.pack(">QQQQ", n, n_p, n_v, len(new))
         bad = resealed(head + new + body + blob[-4:])
         tracemalloc.start()
         try:
@@ -1042,10 +1087,11 @@ class TestSubstringTables:
             assert (loaded.v_tab, loaded.v_id) == (built.v_tab, built.v_id), scheme
             for ix in (built, loaded):
                 for tab, ids, column in ((ix.p_tab, ix.p_id, ix.s_p), (ix.v_tab, ix.v_id, ix.s_v)):
-                    assert len(set(tab)) == len(tab), scheme
-                    assert len({id(s) for s in column}) == len(tab), scheme
+                    assert len(set(tab)) == len(tab) and tab[-1] == b"", scheme
+                    assert len({id(s) for s in column} | {id(tab[-1])}) == len(tab), scheme
                     assert all(s is tab[i] for s, i in zip(column, ids)), scheme
-                    assert list(dict.fromkeys(ids)) == list(range(len(tab))), scheme  # first appearance
+                    # the non-empty substrings in order of first appearance, then the empty one
+                    assert [i for i in dict.fromkeys(ids) if tab[i]] == list(range(len(tab) - 1)), scheme
             assert len(built.p_tab) + len(built.v_tab) < len(built.end), scheme
 
     @given(
@@ -1066,8 +1112,10 @@ class TestSubstringTables:
     def test_table_of_spans(self, blob_ranges, mapped):
         """Short substrings (up to 7 bytes) are grouped by their bytes and
         longer ones by their span; equal long spans at other offsets, as in
-        the first example, still share one entry.  The builders' blobs are
-        anonymous memory maps, and no view of one outlives the call."""
+        the first example, still share one entry.  The table holds the
+        non-empty substrings in order of first appearance, then the empty
+        one.  The builders' blobs are anonymous memory maps, and no view of
+        one outlives the call."""
         blob, ranges = blob_ranges
         start = np.array([a for a, _ in ranges], np.int32)
         stop = np.array([b for _, b in ranges], np.int32)
@@ -1080,8 +1128,23 @@ class TestSubstringTables:
             tab, ids = trie._table(blob, start, stop)
         subs = [blob[a:b] for a, b in ranges]
         assert all(type(s) is bytes for s in tab)
-        assert tab == list(dict.fromkeys(subs))
+        assert tab == list(dict.fromkeys(s for s in subs if s)) + [b""]
         assert [tab[i] for i in ids] == subs
+
+    @pytest.mark.parametrize(
+        "ranges, want",
+        [
+            ([(0, 0), (3, 3), (9, 9)], [b""]),  # all empty
+            ([(0, 2), (3, 9), (0, 2), (1, 2)], [b"ab", b"defghi", b"b", b""]),  # none empty
+        ],
+    )
+    def test_table_ends_in_the_empty_substring(self, ranges, want):
+        """Whether or not a span is empty, the table's last entry is the
+        empty substring, and only empty spans take its id."""
+        start, stop = (np.array(col, np.int32) for col in zip(*ranges))
+        tab, ids = trie._table(b"abcdefghij", start, stop)
+        assert tab == want
+        assert [tab[i] for i in ids] == [b"abcdefghij"[a:b] for a, b in ranges]
 
     def test_refs_are_unsigned_64_bit(self):
         top = 2**64 - 1
@@ -1252,6 +1315,15 @@ class TestProcessState:
         assert peak <= 2.25 * held, (peak, held)
 
 
+def leb128(x: int) -> bytes:
+    """`x` as an unsigned LEB128 varint, however many bits it takes."""
+    out = bytearray()
+    while x > 0x7F:
+        out.append(x & 0x7F | 0x80)
+        x >>= 7
+    return bytes(out + bytes([x]))
+
+
 def resealed(blob: bytes) -> bytes:
     """`blob` with its trailing CRC-32 recomputed, so that a corruption gets
     past the checksum to the structural checks."""
@@ -1260,34 +1332,35 @@ def resealed(blob: bytes) -> bytes:
 
 
 def file_length(index: RcasIndex) -> int:
-    """The bytes of an index file with no per-edge section and no id of an
-    empty substring: the header (with the zo label dictionary), the varint
-    table (each table entry's length, each node's count shifted over its
-    empty-substring flags and its dimension code, then the id of each
-    substring that is not empty), the dimension code of each edge of the
-    mixed nodes, the table entries, the refs at the bit length of the
-    largest (one bit at least) and the CRC."""
+    """The bytes of an index file with no per-edge section, no empty table
+    entry and no id of an empty substring: the header (with the zo label
+    dictionary), the varint table (each stored table entry's length less
+    one, each node's count less one shifted over its empty-substring flags
+    and its dimension code, the id of each substring that is not empty, then
+    the path edges less one of each mixed node), the stored table entries,
+    the refs at the bit length of the largest (one bit at least) and the
+    CRC."""
 
     def varint(x: int) -> int:
         return max(1, (x.bit_length() + 6) // 7)
 
     estart, esplit, reflo = index.estart, index.esplit, index.reflo
-    header = 48
+    assert index.p_tab[-1] == index.v_tab[-1] == b""
+    header = 40
     if index.zo_ctx is not None:
-        header += 24 + len("/".join(index.zo_ctx.codes))
-    table = sum(varint(len(s)) for s in index.p_tab + index.v_tab)
-    mixed = 0
+        header += 16 + len("/".join(index.zo_ctx.codes))
+    table = sum(varint(len(s) - 1) for s in index.p_tab[:-1] + index.v_tab[:-1])
     for i in range(len(estart) - 1):
         arity, paths = estart[i + 1] - estart[i], esplit[i] - estart[i]
         code = _DIM_CODE[BOT] if not arity else _MIXED if 0 < paths < arity else _DIM_CODE[P if paths else V]
-        mixed += arity if code == _MIXED else 0
+        table += varint(paths - 1) if code == _MIXED else 0
         count = arity or reflo[i + 1] - reflo[i]
         s_p, s_v = index.p_tab[index.p_id[i]], index.v_tab[index.v_id[i]]
-        table += varint(count << 4 | (not s_p) << 3 | (not s_v) << 2 | code)
+        table += varint((count - 1) << 4 | (not s_p) << 3 | (not s_v) << 2 | code)
         table += (varint(index.p_id[i]) if s_p else 0) + (varint(index.v_id[i]) if s_v else 0)
     blobs = sum(map(len, index.p_tab + index.v_tab))
     refs = -(-len(index.refs) * max(max(index.refs, default=0).bit_length(), 1) // 8)
-    return header + table + mixed + blobs + refs + 4
+    return header + table + blobs + refs + 4
 
 
 def _corruptions(blob: bytes, count: int, seed: int):

@@ -143,10 +143,13 @@ def make_index(
         estart.append(len(ebyte))
         refs += node.refs or []
         reflo.append(len(refs))
+
     def table(subs: list[bytes]) -> tuple[list[bytes], array]:
-        ids = {}
-        column = array("i", [ids.setdefault(s, len(ids)) for s in subs])
-        return list(ids), column
+        """The non-empty substrings in order of first appearance, then the
+        empty one, as `rcas.trie._table` lays them out."""
+        tab = list(dict.fromkeys(s for s in subs if s)) + [b""]
+        ids = {s: i for i, s in enumerate(tab)}
+        return tab, array("i", [ids[s] for s in subs])
 
     p_tab, p_id = table([node.s_p for node in order])
     v_tab, v_id = table([node.s_v for node in order])
